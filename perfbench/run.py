@@ -8,9 +8,12 @@ The run starts fresh worker processes one after another.  Each worker sets
 up (imports, inputs, sessions, warm pass), reports ready, runs its share
 of the timed closed loop (one caller), and checks every answer outside the
 timed region.  ``setup_s`` is the median over the workers of the time from
-process start to ready.  With ``--trace 1`` a single worker runs each op
-untraced and then again with its span recorder active, and the run prints
-the per-layer metrics instead of the end-to-end ones.
+process start to ready.  Op and setup times are scaled to a nominal
+machine speed by a reference loop that the worker samples on a timer
+(``speed.py``).
+With ``--trace 1`` a single worker runs each op untraced and then again
+with its span recorder active, and the run prints the per-layer metrics
+instead of the end-to-end ones.
 
 The last line of stdout is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.
@@ -32,6 +35,8 @@ import threading
 import time
 from pathlib import Path
 
+import speed
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
@@ -40,7 +45,7 @@ OUT = ROOT / ".bench_out"
 # per workload: worker processes that run timed ops, and setup samples
 # taken in total (the extra workers only set up)
 PLANS = {
-    "wp-stream": {"workers": 3, "setup_samples": 3},
+    "wp-stream": {"workers": 2, "setup_samples": 2},
     "cli-cold": {"workers": 3, "setup_samples": 5},
     "verify-suites": {"workers": 2, "setup_samples": 5},
 }
@@ -93,17 +98,18 @@ def worker_ops(workload, seconds, worker, workers):
     return [op for i in range(passes) for op in workload.ops(worker + i * workers)]
 
 
-def run_op(workload, op, golden, record):
-    """Run one op, timing only ``workload.run``; then compare its stdout
-    digest and exit code with the golden record and note the result in
-    ``record``.  Returns the op's time."""
-    t0 = time.perf_counter()
+def run_op(workload, op, golden, record, meter):
+    """Run one op, timing only ``workload.run``, without the reference
+    samples taken inside it; then compare its stdout digest and exit code
+    with the golden record and note the result in ``record``.  Returns the
+    op's timed pieces."""
+    meter.begin()
     try:
         out, code = workload.run(op)
     except Exception as exc:  # a failed op is counted, the loop goes on
         out, code = None, None
         record["errors"].append(f"{op[0]}: {type(exc).__name__}: {exc}")
-    dt = time.perf_counter() - t0
+    pieces = meter.end()
     differs = out is None or golden.get(op[0]) != [digest(out), code]
     record["changed"] += out is not None and differs
     record["ops"].append(op)
@@ -114,18 +120,21 @@ def run_op(workload, op, golden, record):
         # a shell invocation frees its heap at exit; collect the
         # reference cycles of this op's oracle before the next op
         gc.collect()
-    return dt
+    return pieces
 
 
-def timed_loop(workload, ops, golden, stop_after=None, recorder=None):
+def timed_loop(workload, ops, golden, stop_after=None, recorder=None, meter=None):
     """Run ``ops`` until they run out or op time reaches ``stop_after``
-    seconds of untraced op time.  With a ``recorder``, each op runs twice
-    in a row, once with the recorder active, so drift of the machine's
-    speed hits the untraced and the traced time alike; which run goes
-    first alternates, because the second run of an op finds the heap
-    already grown."""
-    record = {"lat": [], "busy": 0.0, "traced_busy": 0.0, "ops": [], "bad": [], "changed": 0, "errors": [],
-              "first": {}}
+    seconds of raw untraced op time.  ``lat`` and ``busy`` are scaled to
+    the nominal speed by ``meter`` (unscaled without one); ``raw_busy`` is
+    not.  With a ``recorder``, each op runs twice in a row, once with the
+    recorder active, so drift of the machine's speed hits the untraced and
+    the traced time alike; which run goes first alternates, because the
+    second run of an op finds the heap already grown."""
+    record = {"lat": [], "busy": 0.0, "raw_busy": 0.0, "traced_busy": 0.0, "ops": [], "bad": [], "changed": 0,
+              "errors": [], "first": {}}
+    meter = meter or speed.Meter()
+    timed = []
     for index, op in enumerate(ops):
         runs = (False,) if recorder is None else (False, True) if index % 2 == 0 else (True, False)
         for traced in runs:
@@ -133,17 +142,20 @@ def timed_loop(workload, ops, golden, stop_after=None, recorder=None):
                 recorder.op = index
                 recorder.active = True
             try:
-                dt = run_op(workload, op, golden, record)
+                pieces = run_op(workload, op, golden, record, meter)
             finally:
                 if traced:
                     recorder.active = False
+            dt = sum(end - start for start, end in pieces)
             if traced:
                 record["traced_busy"] += dt
             else:
-                record["lat"].append(dt)
-                record["busy"] += dt
-        if stop_after is not None and record["busy"] >= stop_after:
+                timed.append(pieces)
+                record["raw_busy"] += dt
+        if stop_after is not None and record["raw_busy"] >= stop_after:
             break
+    record["lat"] = [meter.scaled(pieces) for pieces in timed]
+    record["busy"] = sum(record["lat"])
     return record
 
 
@@ -169,13 +181,26 @@ def worker(args):
     sys.path.insert(0, str(SRC))
     import workloads
 
-    workdir = OUT / f"work-{os.getpid()}"
-    workload = workloads.make(args.workload, args.seed, str(workdir))
+    # The parent times setup from process start to the ready line and
+    # scales it with what the worker reports.  The setup work after the
+    # imports is sampled like an op.  Samples taken during the imports,
+    # in a cold process, do not track the machine, so the imports are
+    # scaled by reference samples taken right after the ready line.
+    setup_meter = speed.Meter()
+    meter = speed.Meter()
+    workload = None
     try:
+        setup_meter.start_sampling()
+        start = time.perf_counter()
+        workload = workloads.make(args.workload, args.seed, str(OUT / f"work-{os.getpid()}"))
         workload.setup()
+        setup_meter.stop_sampling()
+        end = time.perf_counter()
         print(READY_TAG, flush=True)
+        setup = {"work_s": end - start, "sample_s": setup_meter.sample_s, "factor": setup_meter.factor(start, end),
+                 "import_factor": speed.calibration_factor()}
         if args.seconds <= 0:
-            print(RESULT_TAG + json.dumps({"ops": 0}), flush=True)
+            print(RESULT_TAG + json.dumps({"ops": 0, "setup": setup}), flush=True)
             return 0
         golden = load_golden()
         recorder = None
@@ -185,9 +210,13 @@ def worker(args):
             recorder = tracing.Recorder()
             recorder.install()
         ops = worker_ops(workload, args.seconds, args.worker, args.workers)
-        record = timed_loop(workload, ops, golden, args.seconds if workload.streaming else None, recorder)
+        if recorder is None:
+            meter.start_sampling()
+        record = timed_loop(workload, ops, golden, args.seconds if workload.streaming else None, recorder, meter)
+        meter.stop_sampling()
         maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        result = {"ops": len(record["lat"]), "busy": record["busy"], "lat": record["lat"], "maxrss_kb": maxrss_kb}
+        result = {"ops": len(record["lat"]), "busy": record["busy"], "raw_busy": record["raw_busy"],
+                  "lat": record["lat"], "maxrss_kb": maxrss_kb, "setup": setup}
         if recorder is not None:
             layers = recorder.layer_stats()
             layers["trace.overhead_ratio"] = record["traced_busy"] / record["busy"]
@@ -200,7 +229,10 @@ def worker(args):
         print(RESULT_TAG + json.dumps(result), flush=True)
         return 0
     finally:
-        workload.close()
+        setup_meter.stop_sampling()
+        meter.stop_sampling()
+        if workload is not None:
+            workload.close()
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +240,13 @@ def worker(args):
 
 
 def spawn(args, index, workers, seconds, deadline):
-    """Run one worker process; returns (setup seconds, worker result).
-    The worker is killed when ``deadline`` (a perf_counter value) passes."""
+    """Run one worker process; returns (setup seconds, raw setup seconds,
+    worker result).  Raw setup seconds are the wall time from start to
+    ready.  Setup seconds scale it to the nominal speed: the setup work
+    after the imports without the worker's reference samples in it by
+    the samples taken during that work, and the rest by the samples taken
+    after it.  The worker is killed when ``deadline`` (a perf_counter
+    value) passes."""
     cmd = [sys.executable, str(HERE / "run.py"), "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", repr(seconds), "--trace", str(args.trace), "--worker", str(index), "--workers", str(workers)]
     start = time.perf_counter()
@@ -217,11 +254,11 @@ def spawn(args, index, workers, seconds, deadline):
     watchdog = threading.Timer(max(0.0, deadline - start), proc.kill)
     watchdog.start()
     try:
-        setup_s = None
+        raw_setup_s = None
         result = None
         for line in proc.stdout:
-            if line.startswith(READY_TAG) and setup_s is None:
-                setup_s = time.perf_counter() - start
+            if line.startswith(READY_TAG) and raw_setup_s is None:
+                raw_setup_s = time.perf_counter() - start
             elif line.startswith(RESULT_TAG):
                 result = json.loads(line[len(RESULT_TAG):])
         code = proc.wait()
@@ -230,9 +267,12 @@ def spawn(args, index, workers, seconds, deadline):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-    if code != 0 or setup_s is None or result is None:
+    if code != 0 or raw_setup_s is None or result is None:
         raise RuntimeError(f"worker {index} failed with exit code {code}")
-    return setup_s, result
+    setup = result["setup"]
+    work_s = setup["work_s"]
+    setup_s = (raw_setup_s - work_s) * setup["import_factor"] + (work_s - setup["sample_s"]) * setup["factor"]
+    return setup_s, raw_setup_s, result
 
 
 def layer_unit(name):
@@ -241,10 +281,11 @@ def layer_unit(name):
     return "ratio" if name.endswith("ratio") else "count"
 
 
-def summarize_e2e(setups, results):
+def summarize_e2e(setups, raw_setups, results):
     lat = sorted(x for r in results for x in r["lat"])
     n = len(lat)
     busy = sum(r["busy"] for r in results)
+    raw_busy = sum(r["raw_busy"] for r in results)
     pct = tail_percentile(n)
     metrics = {
         "setup_s": {"value": statistics.median(setups), "unit": "s"},
@@ -253,7 +294,8 @@ def summarize_e2e(setups, results):
         "op_tail_ms": {"value": percentile(lat, pct) * 1e3, "unit": "ms"},
         "peak_rss_mb": {"value": max(r["maxrss_kb"] for r in results) / 1024.0, "unit": "MB"},
     }
-    return metrics, {"ops": n, "tail_percentile": pct, "setup_samples": [round(s, 4) for s in setups]}
+    return metrics, {"ops": n, "tail_percentile": pct, "setup_samples": [round(s, 4) for s in setups],
+                     "raw_setup_samples": [round(s, 4) for s in raw_setups], "raw_ops_per_s": n / raw_busy}
 
 
 def main(argv=None):
@@ -280,10 +322,11 @@ def main(argv=None):
     # a traced worker runs every op twice, untraced and traced
     share = args.seconds / 2 if args.trace else args.seconds / workers
     deadline = time.perf_counter() + RUN_DEADLINE_S
-    setups, results = [], []
+    setups, raw_setups, results = [], [], []
     for i in range(samples):
-        setup_s, result = spawn(args, i, workers, share if i < workers else 0, deadline)
+        setup_s, raw_setup_s, result = spawn(args, i, workers, share if i < workers else 0, deadline)
         setups.append(setup_s)
+        raw_setups.append(raw_setup_s)
         if i < workers:
             results.append(result)
 
@@ -306,7 +349,7 @@ def main(argv=None):
         (OUT / f"layers-{args.workload}-{args.seed}.txt").write_text(table + "\n", encoding="utf-8")
         print(table)
     else:
-        metrics, extra = summarize_e2e(setups, results)
+        metrics, extra = summarize_e2e(setups, raw_setups, results)
         info.update(extra)
         for name, m in metrics.items():
             print(f"{name} {m['value']:.6g} {m['unit']}")

@@ -197,7 +197,7 @@ class CliCold:
     name = "cli-cold"
     streaming = False
     cold = True
-    pass_seconds = 6.5  # op time of one pass on a 2-core x86-64 VM, Python 3.11.7
+    pass_seconds = 7.8  # op time of one pass on a 2-core x86-64 VM, Python 3.11.7
 
     def __init__(self, seed, workdir):
         self.seed = seed
