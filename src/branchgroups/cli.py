@@ -24,7 +24,7 @@ import sys
 from . import resfin, suites, wordcalc
 from .resfin import build_level_map, format_quotient_map, kernel_min_length_check, oracle_from_selector, parse_group_descriptor
 from .treeauto import CapExceeded, portrait, portrait_dot, portrait_text
-from .wordcalc import ParseError, SearchBounds, conjugacy_certificate, decide, normal_form, parse_tokens
+from .wordcalc import ParseError, SearchBounds, conjugacy_certificate, decide, normal_form, parse_tokens, token_length
 
 SCHEMA = 1
 
@@ -94,12 +94,12 @@ def _read_word(oracle, path):
 def cmd_wp(args):
     oracle = _resolve_oracle(args)
     tokens = _read_word(oracle, args.word_file)
-    word = normal_form(oracle, tokens)
+    # checked on the raw tokens, so that no work precedes the cap
+    sigma_length = token_length(tokens)
     depth_cap = _setting(args, "depth_cap", int)
-    if 2 * word.sigma_length > depth_cap:
-        raise CapExceeded(
-            f"decision depth {2 * word.sigma_length} exceeds the depth cap {depth_cap}"
-        )
+    if 2 * sigma_length > depth_cap:
+        raise CapExceeded(f"decision depth {2 * sigma_length} exceeds the depth cap {depth_cap}")
+    word = normal_form(oracle, tokens, sigma_length=sigma_length)
     decision = decide(word)
     payload = {
         "command": "wp",

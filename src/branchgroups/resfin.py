@@ -14,6 +14,10 @@ Words are plain tuples of generator indices.  The inverse of generator
 
 from __future__ import annotations
 
+from array import array
+from itertools import islice
+from operator import getitem
+
 import numpy as np
 
 from .perm import IndexedAlphabet, Perm
@@ -34,7 +38,6 @@ __all__ = [
     "build_level_map",
     "decide_word_problem",
     "kernel_min_length_check",
-    "conjugacy_witness",
     "word_inverse",
     "parse_word",
     "format_word",
@@ -63,64 +66,97 @@ TABLE_CAP = 10_000
 
 
 class FiniteQuotient:
-    """A finite group given by a canonical enumeration and a product oracle.
+    """A finite group stored as the right regular action of its generators
+    on a canonical enumeration.
 
     The enumeration is the breadth-first closure of the generator images
-    starting from the identity, expanding in generator order; element 0 is
-    always the identity.  ``key`` identifies the quotient up to an
-    identical homomorphism from the source, and is used to deduplicate
-    components in product constructions.
+    from ``identity``, expanding in generator order; element 0 is always
+    the identity.  ``act(x, g)`` is the raw element ``x`` times the raw
+    generator image ``g``: a leaf quotient passes its group law, and a
+    product passes :func:`_act_rows` with tuples of component indices as
+    raw elements and tuples of component rows as generator images.
+
+    The closure keeps what it computes and nothing else:
+
+    - ``right[s]``, an ``array("i")`` row per generator, where
+      ``right[s][x]`` is the index of element ``x`` times generator ``s``;
+    - the spanning tree of the search, where element ``x`` is element
+      ``parent[x]`` times generator ``via[x]``.
+
+    The raw elements and their index are dropped once the closure ends;
+    every product is a walk in these tables.  ``key`` identifies the
+    quotient up to an identical homomorphism from the source, and is used
+    to deduplicate components in product constructions.
     """
 
-    def __init__(self, identity, gen_images, raw_mult, key=None):
-        self._raw_mult = raw_mult
+    def __init__(self, identity, gen_images, act, key=None):
         elems = [identity]
         index = {identity: 0}
-        queue = 0
-        while queue < len(elems):
-            cur = elems[queue]
-            queue += 1
-            for img in gen_images:
-                nxt = raw_mult(cur, img)
-                if nxt not in index:
-                    index[nxt] = len(elems)
+        right = tuple(array("i") for _ in gen_images)
+        parent = array("i", [0])
+        via = array("i", [0])
+        steps = tuple(enumerate(zip(gen_images, right)))
+        order = 1
+        for x, cur in enumerate(elems):
+            for s, (img, row) in steps:
+                nxt = act(cur, img)
+                j = index.setdefault(nxt, order)
+                if j == order:
+                    order += 1
                     elems.append(nxt)
-        self._elems = elems
-        self._index = index
-        self.order = len(elems)
-        self.gen_images = tuple(index[img] for img in gen_images)
+                    parent.append(x)
+                    via.append(s)
+                row.append(j)
+        self.order = order
+        self.right = right
+        self.parent = parent
+        self.via = via
+        self.gen_images = tuple(row[0] for row in right)
         self.key = key
-        self._table = None
 
     def mult(self, i, j):
-        if self._table is not None:
-            return int(self._table[i, j])
-        return self._index[self._raw_mult(self._elems[i], self._elems[j])]
+        """The product of elements ``i`` and ``j``: ``i`` times the
+        generators on the tree path to ``j``."""
+        path = []
+        while j:
+            path.append(self.via[j])
+            j = self.parent[j]
+        for s in reversed(path):
+            i = self.right[s][i]
+        return i
 
     def multiplication_table(self):
         """Materialize the full table; guarded for large orders."""
-        if self._table is None:
-            if self.order > TABLE_CAP:
-                raise ValueError(f"order {self.order} exceeds table cap {TABLE_CAP}")
-            t = np.empty((self.order, self.order), dtype=np.int64)
-            for i in range(self.order):
-                for j in range(self.order):
-                    t[i, j] = self._index[self._raw_mult(self._elems[i], self._elems[j])]
-            self._table = t
-        return self._table
+        if self.order > TABLE_CAP:
+            raise ValueError(f"order {self.order} exceeds table cap {TABLE_CAP}")
+        return np.stack([self.left_mult_images(i) for i in range(self.order)])
 
     def left_mult_images(self, i):
-        """Image array of left multiplication by element ``i``."""
-        return np.fromiter((self.mult(i, j) for j in range(self.order)), dtype=np.int64, count=self.order)
+        """Image array of left multiplication by element ``i``, filled in
+        enumeration order: ``i * x`` is ``i * parent[x]`` times generator
+        ``via[x]``, and ``parent[x]`` comes before ``x``."""
+        right = self.right
+        images = array("i", [i])
+        append = images.append
+        for p, s in islice(zip(self.parent, self.via), 1, None):
+            append(right[s][images[p]])
+        return np.frombuffer(images, dtype=np.int32).astype(np.int64)
 
     def apply_word(self, word):
         acc = 0
+        right = self.right
         for letter in word:
-            acc = self.mult(acc, self.gen_images[letter])
+            acc = right[letter][acc]
         return acc
 
     def __repr__(self):
         return f"FiniteQuotient(order={self.order}, key={self.key!r})"
+
+
+def _act_rows(u, rows):
+    """A raw product element (a tuple of component indices) times the
+    generator whose component right-multiplication rows are ``rows``."""
+    return tuple(map(getitem, rows, u))
 
 
 class GroupOracle:
@@ -359,30 +395,25 @@ class ProductOracle(GroupOracle):
     def detect(self, word):
         lw, rw = self._project(word)
         if not self.left.is_identity(lw):
-            comp = self.left.detect(lw)
-            side, inner = 0, comp
+            side, offset, inner = 0, 0, self.left.detect(lw)
         elif not self.right.is_identity(rw):
-            comp = self.right.detect(rw)
-            side, inner = 1, comp
+            side, offset, inner = 1, self._split, self.right.detect(rw)
         else:
             return None
+        key = ("proj", side, inner.key)
 
-        def mult(i, j):
-            return inner.mult(i, j)
+        def build():
+            # Raw elements are 1-tuples of component indices, so the
+            # breadth-first closure re-enumerates them deterministically;
+            # the generators of the other side act trivially.
+            fixed = range(inner.order)
+            rows = tuple(
+                (inner.right[s - offset] if offset <= s < offset + len(inner.right) else fixed,)
+                for s in range(len(self.gen_names))
+            )
+            return FiniteQuotient((0,), rows, _act_rows, key=key)
 
-        n_left = self._split
-        images = []
-        for s in range(len(self.gen_names)):
-            if side == 0:
-                images.append(inner.gen_images[s] if s < n_left else 0)
-            else:
-                images.append(inner.gen_images[s - n_left] if s >= n_left else 0)
-        # Raw elements are indices into the component enumeration, so the
-        # breadth-first closure re-enumerates them deterministically.
-        return self._quotient(
-            ("proj", side, inner.key),
-            lambda: FiniteQuotient(0, tuple(images), mult, key=("proj", side, inner.key)),
-        )
+        return self._quotient(key, build)
 
     def conjugate(self, g, k):
         lg, rg = self._project(g)
@@ -455,7 +486,10 @@ def build_level_map(oracle, n):
     the residual-finiteness query on words of length at most n; components
     with an identical (quotient, generator images) descriptor detect the
     same kernel and are collapsed.  The enumeration of the image is the
-    breadth-first closure of the generator image tuples from the identity.
+    breadth-first closure from the identity tuple, where each generator
+    acts on a tuple of component indices through the components'
+    right-multiplication rows.  The map keeps the image's own rows and
+    spanning tree (see :class:`FiniteQuotient`), not the index tuples.
     """
     if n < 1:
         raise ValueError("quotient chain level must be at least 1")
@@ -473,14 +507,9 @@ def build_level_map(oracle, n):
     if not components:
         raise ValueError("input group must be infinite (no nontrivial words found)")
 
-    def raw_mult(u, v):
-        return tuple(c.mult(a, b) for c, a, b in zip(components, u, v))
-
     identity = (0,) * len(components)
-    gen_images = tuple(
-        tuple(c.gen_images[s] for c in components) for s in range(len(oracle.gen_names))
-    )
-    product = FiniteQuotient(identity, gen_images, raw_mult, key=("level", oracle.name, n))
+    gen_rows = tuple(tuple(c.right[s] for c in components) for s in range(len(oracle.gen_names)))
+    product = FiniteQuotient(identity, gen_rows, _act_rows, key=("level", oracle.name, n))
     qm = QuotientMap(oracle, n, product)
     return oracle.cache.setdefault(("level_map", n), qm)
 
@@ -513,14 +542,6 @@ def kernel_min_length_check(oracle, n, radius, level_map=None):
         if qm.apply(w) == 0:
             return {"passed": False, "level": n, "radius": radius, "checked": checked, "counterexample": format_word(oracle, w)}
     return {"passed": True, "level": n, "radius": radius, "checked": checked, "counterexample": None}
-
-
-def conjugacy_witness(oracle, g, k):
-    """Ground-truth conjugacy in the input group, where supported.
-
-    Returns a conjugator word c with c^-1 g c = k, or NOT_CONJUGATE, or
-    UNSUPPORTED."""
-    return oracle.conjugate(g, k)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ __all__ = [
     "default_b_gens",
     "seed_is_trivial",
     "parse_tokens",
+    "token_length",
     "format_token",
     "INVERSE",
 ]
@@ -65,8 +66,10 @@ INVERSE = ("inv", None)
 
 def seed_is_trivial(seed):
     """Triviality of a seed letter: the marker part directly, the group
-    part through the quotient-chain word-problem decider."""
-    return seed.marker.is_identity and resfin.decide_word_problem(seed.oracle, seed.g)
+    part through the oracle's own word problem, in O(|g|).  The tests
+    check it against the reference decider
+    :func:`resfin.decide_word_problem`."""
+    return seed.marker.is_identity and seed.oracle.is_identity(seed.g)
 
 
 def _token_cost(kind, payload):
@@ -204,9 +207,23 @@ def normal_form(oracle, tokens, base_level=0, sigma_length=None):
     Tokens are ``("B", perm)``, ``("H", seed)`` or :data:`INVERSE`, which
     inverts the preceding token.  Adjacent letters of the same kind merge;
     letters that become trivial are elided (group-part triviality decided
-    through the quotient chain).  The image under the projection to the
+    by the oracle's word problem).  The image under the projection to the
     automorphism group is unchanged by normalization.
     """
+    resolved = _resolve_inverses(tokens)
+    if sigma_length is None:
+        sigma_length = token_length(resolved)
+    items = _reduce(oracle, base_level, resolved)
+    return _assemble(oracle, base_level, items, sigma_length)
+
+
+def token_length(tokens):
+    """The generator-token count of raw tokens, which :func:`normal_form`
+    records as ``sigma_length``, found without normalizing them."""
+    return sum(_token_cost(k, p) for k, p in _resolve_inverses(tokens))
+
+
+def _resolve_inverses(tokens):
     resolved = []
     for tok in tokens:
         if tok[0] == "inv":
@@ -216,10 +233,7 @@ def normal_form(oracle, tokens, base_level=0, sigma_length=None):
             resolved.append((kind, payload.inverse() if kind == "B" else payload.inv()))
         else:
             resolved.append((tok[0], tok[1]))
-    if sigma_length is None:
-        sigma_length = sum(_token_cost(k, p) for k, p in resolved)
-    items = _reduce(oracle, base_level, resolved)
-    return _assemble(oracle, base_level, items, sigma_length)
+    return resolved
 
 
 def _assemble(oracle, base_level, items, sigma_length):

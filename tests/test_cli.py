@@ -1,4 +1,5 @@
 import json
+import time
 
 from branchgroups.cli import main
 
@@ -53,6 +54,17 @@ def test_wp_depth_cap_exit_3(tmp_path, capsys):
     code, out, err = run(capsys, "--depth-cap", "4", "wp", path)
     assert code == 3
     assert "cap exceeded" in err
+
+
+def test_wp_depth_cap_fires_before_normalizing(tmp_path, capsys):
+    # sixteen group letters in one seed letter: the cap must fire on the
+    # raw token count, before any work on the word
+    path = write(tmp_path, "w.txt", "H(t t t t t t t t t t t t t t t t|())")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "wp", path)
+    assert code == 3
+    assert "decision depth 32 exceeds the depth cap 12" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_portrait_deterministic_bytes(tmp_path, capsys):
