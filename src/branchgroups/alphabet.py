@@ -178,10 +178,6 @@ class Seed:
     def inv(self):
         return Seed(self.oracle, word_inverse(self.oracle, self.g), self.marker.inverse())
 
-    def conjugate_by(self, other):
-        """``other.inv() * self * other``."""
-        return other.inv().mul(self).mul(other)
-
     def commutator(self, other):
         """``self^-1 other^-1 self other``."""
         return self.inv().mul(other.inv()).mul(self).mul(other)
@@ -208,10 +204,6 @@ class Seed:
         from .resfin import format_word
 
         return f"Seed({format_word(self.oracle, self.g)!r}, {self.marker})"
-
-
-def identity_seed(oracle):
-    return Seed(oracle)
 
 
 def coset_action(oracle, n, seed):

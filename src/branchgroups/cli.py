@@ -120,6 +120,8 @@ def cmd_wp(args):
 
 
 def cmd_portrait(args):
+    if args.depth < 0:
+        raise UsageError(f"portrait depth must be at least 0, got {args.depth}")
     oracle = _resolve_oracle(args)
     depth_cap = _setting(args, "depth_cap", int)
     if args.depth > depth_cap:
@@ -158,6 +160,8 @@ def _parse_seed_spec(oracle, text):
 
 
 def cmd_conj(args):
+    if args.depth < 1:
+        raise UsageError(f"conj depth must be at least 1, got {args.depth}")
     oracle = _resolve_oracle(args)
     g = _parse_seed_spec(oracle, args.g)
     k = _parse_seed_spec(oracle, args.k)

@@ -8,7 +8,7 @@ CLI) uses this convention.
 
 from __future__ import annotations
 
-import math
+import itertools
 import re
 
 import numpy as np
@@ -21,6 +21,7 @@ __all__ = [
     "compose_all",
     "random_even_perm",
     "check_alternating_generation",
+    "three_cycles_generate_alternating",
 ]
 
 
@@ -270,57 +271,20 @@ def random_even_perm(alphabet, rng):
     return p
 
 
-def _radix_keys(rows):
-    n = rows.shape[1]
-    powers = (np.int64(n) + 1) ** np.arange(n, dtype=np.int64)
-    return rows @ powers
-
-
-def _mulclose_rows(gen_rows, cap):
-    """Closure of row-encoded permutations under composition, via BFS.
-
-    ``gen_rows`` is a 2d int array, one permutation per row.  Returns the
-    closure as a 2d array.  Raises if the closure exceeds ``cap``.
-    """
-    n = gen_rows.shape[1]
-    identity = np.arange(n, dtype=np.int64)
-    elems = [identity[None, :]]
-    known = {int(k) for k in _radix_keys(identity[None, :])}
-    gens = np.asarray(gen_rows, dtype=np.int64)
-    frontier = identity[None, :]
-    while frontier.size:
-        # products[f, g] = frontier[f] o gens[g], i.e. i -> frontier[f][gens[g][i]]
-        products = frontier[:, gens].reshape(-1, n)
-        keys = _radix_keys(products)
-        fresh = []
-        for row, key in zip(products, keys):
-            k = int(key)
-            if k not in known:
-                known.add(k)
-                fresh.append(row)
-        if not fresh:
-            break
-        if len(known) > cap:
-            raise PreconditionError(f"closure exceeded cap of {cap} elements")
-        frontier = np.array(fresh, dtype=np.int64)
-        elems.append(frontier)
-    return np.concatenate(elems, axis=0)
-
-
 def _orbit(gen_rows, start):
     seen = {start}
     queue = [start]
     while queue:
         x = queue.pop()
         for g in gen_rows:
-            y = int(g[x])
+            y = g[x]
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
     return seen
 
 
-def check_alternating_generation(omega, a_sub, b_sub, g_gens, max_size=10):
+def check_alternating_generation(omega, a_sub, b_sub, g_gens):
     """Test whether the conjugates of the even group on ``a_sub`` under the
     group generated by ``g_gens`` generate the full even group on ``omega``.
 
@@ -334,14 +298,19 @@ def check_alternating_generation(omega, a_sub, b_sub, g_gens, max_size=10):
       (6) the group generated by ``g_gens`` moves the intersection point
           onto all of b_sub.
 
-    The closure is materialized, so ``omega`` is guarded to at most
-    ``max_size`` points.
+    The even group on ``a_sub`` is generated by its 3-cycles, and a
+    conjugate of a 3-cycle is the 3-cycle on the image of its support, so
+    the conjugates in question are generated by the 3-cycles whose
+    supports lie in the orbit of the 3-subsets of ``a_sub``.  A set of
+    3-cycles generates the even group on ``omega`` exactly when the
+    hypergraph of their supports is connected on ``omega`` (Jordan; see
+    Dixon & Mortimer, *Permutation Groups*, 1996, section 3.3).  The test
+    is one union-find over the supports; nothing is enumerated beyond the
+    at most C(n, 3) supports.
     """
     a_set = frozenset(a_sub)
     b_set = frozenset(b_sub)
     n = omega.size
-    if n > max_size:
-        raise PreconditionError(f"alphabet too large for closure enumeration (size {n} > {max_size})")
     if a_set | b_set != frozenset(range(n)):
         raise PreconditionError("violated clause (1): omega must equal the union of the two subsets")
     meet = a_set & b_set
@@ -356,42 +325,43 @@ def check_alternating_generation(omega, a_sub, b_sub, g_gens, max_size=10):
             raise PreconditionError("generator acts on a different alphabet")
         if g.sign != 1:
             raise PreconditionError("violated clause (4): generators must be even")
-        gen_rows.append(np.asarray(g.images, dtype=np.int64))
-    fixed = [x for x in sorted(a_set - {w}) if all(int(r[x]) == x for r in gen_rows)]
+        gen_rows.append(g.images.tolist())
+    fixed = [x for x in sorted(a_set - {w}) if all(r[x] == x for r in gen_rows)]
     if len(fixed) < 2:
         raise PreconditionError("violated clause (5): need two common fixed points in A minus the meet")
     orbit = _orbit(gen_rows, w) if gen_rows else {w}
     if not b_set <= orbit:
         raise PreconditionError("violated clause (6): generated group is not transitive on B")
 
-    # Seed: all 3-cycles inside a_sub, then close under conjugation by the
-    # generators (and inverses) to collect every reachable conjugate.
-    a_list = sorted(a_set)
-    seeds = []
-    for i in range(len(a_list)):
-        for j in range(i + 1, len(a_list)):
-            for k in range(j + 1, len(a_list)):
-                for x, y, z in ((a_list[i], a_list[j], a_list[k]), (a_list[i], a_list[k], a_list[j])):
-                    img = np.arange(n, dtype=np.int64)
-                    img[x], img[y], img[z] = y, z, x
-                    seeds.append(img)
-    conj_rows = []
-    for g in gen_rows:
-        inv = np.empty(n, dtype=np.int64)
-        inv[g] = np.arange(n)
-        conj_rows.append((np.asarray(g), inv))
-    pool = {row.tobytes(): row for row in seeds}
-    frontier = list(pool.values())
+    supports = {frozenset(s) for s in itertools.combinations(sorted(a_set), 3)}
+    frontier = list(supports)
     while frontier:
         new = []
-        for row in frontier:
-            for g, ginv in conj_rows:
-                conj = ginv[row[g]]  # i -> g^-1(row(g(i))), the conjugate row^g
-                key = conj.tobytes()
-                if key not in pool:
-                    pool[key] = conj
-                    new.append(conj)
+        for s in frontier:
+            for g in gen_rows:
+                image = frozenset(g[x] for x in s)
+                if image not in supports:
+                    supports.add(image)
+                    new.append(image)
         frontier = new
-    gens_arr = np.array(list(pool.values()), dtype=np.int64)
-    closure = _mulclose_rows(gens_arr, cap=math.factorial(max_size))
-    return closure.shape[0] == math.factorial(n) // 2
+    return three_cycles_generate_alternating(n, supports)
+
+
+def three_cycles_generate_alternating(n, supports):
+    """Whether 3-cycles with the given 3-point ``supports`` generate the
+    even group on ``0..n-1`` (``n >= 3``): exactly when their support
+    hypergraph is connected on all ``n`` points."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for s in supports:
+        first, *rest = s
+        root = find(first)
+        for x in rest:
+            parent[find(x)] = root
+    return len({find(x) for x in range(n)}) == 1

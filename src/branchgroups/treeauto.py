@@ -62,7 +62,6 @@ __all__ = [
     "portrait_text",
     "portrait_dot",
     "wreath_decompose",
-    "parse_vertex",
 ]
 
 DEFAULT_VERTEX_CAP = 2_000_000
@@ -98,15 +97,6 @@ class Vertex:
 
     def __str__(self):
         return " ".join(str(l) for l in self.letters) if self.letters else "-"
-
-
-def parse_vertex(text, base_level=0):
-    from .alphabet import parse_letter
-
-    text = text.strip()
-    if text in ("", "-"):
-        return Vertex(base_level)
-    return Vertex(base_level, tuple(parse_letter(tok) for tok in text.split()))
 
 
 # ---------------------------------------------------------------------------
@@ -520,27 +510,34 @@ def level_perm(a, depth, cap=DEFAULT_VERTEX_CAP):
             f"level {depth} has {total} vertices, beyond the cap of {cap}; "
             "use equal_to_depth or portraits instead"
         )
-    sizes = [build_alphabet(oracle, base + i + 1).size for i in range(depth)]
+    # An automorphism maps subtrees onto subtrees, so the image letter at
+    # level k+1 depends only on the first k+1 letters of a vertex.  Column k
+    # therefore holds one image letter per level-(k+1) vertex, in
+    # lexicographic order; only the deepest column has ``total`` entries.
     cols = []
-    stride = total
-    for s in sizes:
-        stride //= s
-        cols.append((np.arange(total, dtype=np.int64) // stride) % s)
-    strides = []
-    acc = 1
-    for s in reversed(sizes):
-        strides.append(acc)
-        acc *= s
-    strides.reverse()
+    count = 1
+    for i in range(depth):
+        s = build_alphabet(oracle, base + i + 1).size
+        cols.append(np.tile(np.arange(s, dtype=np.int64), count))
+        count *= s
     cols = _vec_apply(a, cols)
-    images = np.zeros(total, dtype=np.int64)
-    for c, st in zip(cols, strides):
-        images += c * st
+    images = cols[0] if cols else np.zeros(1, dtype=np.int64)
+    for c in cols[1:]:
+        s = len(c) // len(images)
+        images = np.repeat(images, s)
+        images *= s
+        images += c
     return Perm(vertex_alphabet(oracle, base, depth), images, check=False)
 
 
+def _spread(mask, col):
+    """A mask over the vertices of one level, repeated over the vertices
+    of the deeper level that ``col`` indexes."""
+    return np.repeat(mask, len(col) // len(mask))
+
+
 def _vec_apply(a, cols):
-    """Apply ``a`` to vertices given as per-level index columns."""
+    """Apply ``a`` to the per-level image columns built by :func:`level_perm`."""
     if not cols or isinstance(a, IdentityAut):
         return cols
     if isinstance(a, RootedAut):
@@ -556,17 +553,16 @@ def _vec_apply(a, cols):
             first = cols[0]
             mask = first == lvl.x_index
             if mask.any():
-                sub = [c[mask] for c in cols[1:]]
-                sub = _vec_apply(DirectedAut(a.oracle, a.base_level + 1, a.seed), sub)
-                for i, s in enumerate(sub):
-                    cols[i + 1][mask] = s
+                _apply_below(DirectedAut(a.oracle, a.base_level + 1, a.seed), mask, cols[1:])
             phi = coset_action(a.oracle, a.base_level + 2, a.seed)
             mask = first == lvl.y_index
             if mask.any():
+                mask = _spread(mask, cols[1])
                 cols[1][mask] = phi.images[cols[1][mask]]
             psi = marker_action(a.oracle, a.base_level + 2, a.seed)
             mask = first == lvl.z_index
             if mask.any():
+                mask = _spread(mask, cols[1])
                 cols[1][mask] = psi.images[cols[1][mask]]
         return cols
     if isinstance(a, ShiftedAut):
@@ -578,14 +574,20 @@ def _vec_apply(a, cols):
             return cols
         mask = cols[0] == path[0]
         for i in range(1, k):
-            mask &= cols[i] == path[i]
+            mask = _spread(mask, cols[i]) & (cols[i] == path[i])
         if mask.any():
-            sub = [c[mask] for c in cols[k:]]
-            sub = _vec_apply(a.inner, sub)
-            for i, s in enumerate(sub):
-                cols[k + i][mask] = s
+            _apply_below(a.inner, mask, cols[k:])
         return cols
     raise TypeError(f"not a tree automorphism: {a!r}")
+
+
+def _apply_below(inner, mask, cols):
+    """Apply ``inner`` to the subtrees below the masked vertices of the
+    level above ``cols[0]``, in place."""
+    spread = [_spread(mask, c) for c in cols]
+    sub = _vec_apply(inner, [c[m] for c, m in zip(cols, spread)])
+    for c, m, s in zip(cols, spread, sub):
+        c[m] = s
 
 
 # ---------------------------------------------------------------------------

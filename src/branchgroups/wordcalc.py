@@ -27,6 +27,7 @@ from .treeauto import (
     CapExceeded,
     Vertex,
     directed,
+    embed_shift,
     equal_to_depth,
     invert,
     level_perm,
@@ -42,7 +43,6 @@ __all__ = [
     "SearchBounds",
     "ParseError",
     "normal_form",
-    "h_count",
     "is_fragmented_subword",
     "section_word",
     "section_word_traced",
@@ -106,6 +106,8 @@ class NormalWord:
 
     @property
     def h_count(self):
+        """The seed-letter count: an upper bound for the complexity of the
+        group element the word spells."""
         return len(self.hs)
 
     @property
@@ -254,12 +256,6 @@ def _assemble(oracle, base_level, items, sigma_length):
         bs.append(ident)
     assert len(bs) == len(hs) + 1
     return NormalWord(oracle, base_level, bs, hs, sigma_length)
-
-
-def h_count(word):
-    """The seed-letter count of a normal-form word: an upper bound for the
-    complexity of the group element it spells."""
-    return word.h_count
 
 
 def is_fragmented_subword(v_seq, w_seq):
@@ -697,17 +693,17 @@ def verify_branch_identities(oracle, sample_count, rng, depth=4):
         u = product([invert(s), hd, s])
         comm = product([invert(u), invert(kd), u, kd])
         expected = rooted(oracle, 1, marker_action(oracle, 2, h.commutator(k)))
-        if not equal_to_depth(comm, _shift(z1, expected), depth):
+        if not equal_to_depth(comm, embed_shift(z1, expected), depth):
             failures.append({"case": case, "identity": "commutator-support"})
 
         phi = coset_action(oracle, 2, h)
         psi = marker_action(oracle, 2, h)
         lhs = product([
             hd,
-            _shift(y1, rooted(oracle, 1, phi.inverse())),
-            _shift(z1, rooted(oracle, 1, psi.inverse())),
+            embed_shift(y1, rooted(oracle, 1, phi.inverse())),
+            embed_shift(z1, rooted(oracle, 1, psi.inverse())),
         ], oracle=oracle, base_level=0)
-        rhs = _shift(x1, directed(oracle, h, 1))
+        rhs = embed_shift(x1, directed(oracle, h, 1))
         if not equal_to_depth(lhs, rhs, depth):
             failures.append({"case": case, "identity": "shift-product"})
     return {
@@ -718,12 +714,6 @@ def verify_branch_identities(oracle, sample_count, rng, depth=4):
         "failures": failures,
         "first_level_size": lvl.size,
     }
-
-
-def _shift(vertex, inner):
-    from .treeauto import embed_shift
-
-    return embed_shift(vertex, inner)
 
 
 # ---------------------------------------------------------------------------

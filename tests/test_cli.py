@@ -91,6 +91,17 @@ def test_portrait_dot(tmp_path, capsys):
     assert out.startswith("digraph portrait {")
 
 
+def test_portrait_negative_depth_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "w.txt", "H(|(x y z))")
+    code, out, err = run(capsys, "portrait", path, "--depth", "-1")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+    code, out, _ = run(capsys, "portrait", path, "--depth", "0")
+    assert code == 0
+    assert out.splitlines() == ["portrait depth=0"]
+
+
 def test_conj_same_element(capsys):
     code, out, _ = run(capsys, "conj", "t|()", "t|()")
     assert code == 0
@@ -111,6 +122,17 @@ def test_conj_t_t2(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["kind"] in ("not_conjugate", "unknown")
+
+
+def test_conj_depth_below_one_usage_error(capsys):
+    for depth in ("0", "-3"):
+        code, out, err = run(capsys, "conj", "t|()", "t|()", "--depth", depth)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+    code, out, _ = run(capsys, "conj", "t|()", "t|()", "--depth", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "certificate conjugate (depth=1)"
 
 
 def test_chain_integers(capsys):

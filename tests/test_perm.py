@@ -1,7 +1,10 @@
+import math
 import random
+import time
 
 import numpy as np
 import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from branchgroups.perm import (
     IndexedAlphabet,
@@ -11,6 +14,7 @@ from branchgroups.perm import (
     compose,
     compose_all,
     random_even_perm,
+    three_cycles_generate_alternating,
 )
 
 
@@ -180,3 +184,50 @@ def test_alternating_generation_precondition_errors():
         )
     with pytest.raises(PreconditionError, match=r"\(6\)"):
         check_alternating_generation(IndexedAlphabet(5), [0, 1, 2], [2, 3, 4], [])
+
+
+def _sympy_generates_alternating(n, cycles):
+    group = PermutationGroup([Permutation([list(c)], size=n) for c in cycles])
+    return group.order() == math.factorial(n) // 2
+
+
+def test_three_cycle_connectivity_matches_sympy():
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    for n in range(3, 8):
+        for _ in range(30):
+            # half the cases draw supports inside a random block, so that
+            # disconnected and non-covering sets occur as often as connected ones
+            pool = list(range(n))
+            if rng.random() < 0.5 and n >= 4:
+                pool = rng.sample(pool, rng.randrange(3, n))
+            cycles = [rng.sample(pool, 3) for _ in range(rng.randrange(1, 2 * n))]
+            got = three_cycles_generate_alternating(n, [frozenset(c) for c in cycles])
+            assert got == _sympy_generates_alternating(n, cycles), (n, cycles)
+            seen[got] += 1
+    assert seen[True] >= 20 and seen[False] >= 20
+
+
+def test_three_cycle_connectivity_edge_cases():
+    assert three_cycles_generate_alternating(3, [frozenset({0, 1, 2})])
+    assert _sympy_generates_alternating(3, [(0, 1, 2)])
+    # point 3 lies in no support
+    assert not three_cycles_generate_alternating(4, [frozenset({0, 1, 2})])
+    assert not _sympy_generates_alternating(4, [(0, 1, 2)])
+    # two components that share no point
+    split = [(0, 1, 2), (3, 4, 5)]
+    assert not three_cycles_generate_alternating(6, [frozenset(c) for c in split])
+    assert not _sympy_generates_alternating(6, split)
+    chain = [(0, 1, 2), (2, 3, 4), (4, 5, 0)]
+    assert three_cycles_generate_alternating(6, [frozenset(c) for c in chain])
+    assert _sympy_generates_alternating(6, chain)
+
+
+def test_alternating_generation_twelve_letters():
+    omega = IndexedAlphabet(12)
+    a_sub, b_sub = list(range(6)), list(range(5, 12))
+    # an even 7-cycle moving the meet point 5 around all of B
+    gens = [Perm(omega, [0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 5])]
+    start = time.perf_counter()
+    assert check_alternating_generation(omega, a_sub, b_sub, gens) is True
+    assert time.perf_counter() - start < 1.0

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from branchgroups.alphabet import Letter, Seed, build_alphabet, marker_perm, random_marker_perm
 from branchgroups.perm import Perm, compose, random_even_perm
 from branchgroups.resfin import DihedralOracle, IntegerOracle, parse_word
+from branchgroups.suites import _raw_token_aut, random_token
 from branchgroups.treeauto import (
     CapExceeded,
     Vertex,
@@ -236,6 +238,60 @@ def test_level_perm_matches_eval_vertex(dinf):
             w = eval_vertex(a, v)
             expected = vertex_at(dinf, 0, 2, p(idx))
             assert w == expected
+
+
+# sha256 over level_perm(a, d).images (little-endian int64) for d = 1..4
+# and 25 seeded raw token words per group, recorded with the earlier
+# arange // stride % size construction of the index columns
+_LEVEL_PERM_DIGESTS = {
+    "dihedral_infinite": "f8ebbfca6c98325fe25b5ab6952717b31faed6185d9fae7212d208eff32cfce1",
+    "integers": "c52bf9e11706a6e79fe20d2c7fa88690b7983076d3ea9e2512e5fa05f7585b05",
+}
+
+
+@pytest.mark.parametrize("oracle_cls", [DihedralOracle, IntegerOracle])
+def test_level_perm_digest_and_eval_vertex(oracle_cls):
+    oracle = oracle_cls()
+    rng = random.Random(2024)
+    check = random.Random(7)
+    h = hashlib.sha256()
+    for _ in range(25):
+        tseq = [random_token(oracle, rng) for _ in range(rng.randrange(1, 5))]
+        a = _raw_token_aut(oracle, tseq)
+        for d in range(1, 5):
+            p = level_perm(a, d)
+            h.update(p.images.astype("<i8").tobytes())
+            for idx in check.sample(range(p.alphabet.size), min(4, p.alphabet.size)):
+                v = vertex_at(oracle, 0, d, idx)
+                assert eval_vertex(a, v) == vertex_at(oracle, 0, d, p(idx))
+    assert h.hexdigest() == _LEVEL_PERM_DIGESTS[oracle.name]
+
+
+def rand_shifted_word_aut(oracle, rng):
+    """A product of level-0 tokens and tokens shifted below random
+    vertices of depth 1 or 2."""
+    factors = []
+    for _ in range(rng.randrange(2, 5)):
+        k = rng.randrange(3)
+        letters = tuple(
+            build_alphabet(oracle, i + 1).letter_at(rng.randrange(build_alphabet(oracle, i + 1).size))
+            for i in range(k)
+        )
+        factors.append(embed_shift(Vertex(0, letters), rand_token_aut(oracle, rng, level=k)))
+    return product(factors, oracle=oracle, base_level=0)
+
+
+@pytest.mark.parametrize("oracle_cls", [DihedralOracle, IntegerOracle])
+def test_level_perm_shifted_matches_eval_vertex(oracle_cls):
+    oracle = oracle_cls()
+    rng = random.Random(13)
+    n = vertex_count(oracle, 0, 3)
+    for _ in range(4):
+        a = rand_shifted_word_aut(oracle, rng)
+        p = level_perm(a, 3)
+        for idx in rng.sample(range(n), min(n, 400)):
+            v = vertex_at(oracle, 0, 3, idx)
+            assert eval_vertex(a, v) == vertex_at(oracle, 0, 3, p(idx))
 
 
 def test_level_perm_cap(dinf):

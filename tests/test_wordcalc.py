@@ -1,8 +1,12 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchgroups.alphabet import (
+    MARKER_ALPHABET,
     Letter,
     Seed,
     build_alphabet,
@@ -11,7 +15,7 @@ from branchgroups.alphabet import (
     random_marker_perm,
 )
 from branchgroups.perm import Perm, random_even_perm
-from branchgroups.resfin import TRIVIAL, DihedralOracle, IntegerOracle, parse_word
+from branchgroups.resfin import TRIVIAL, DihedralOracle, IntegerOracle, oracle_from_selector, parse_word
 from branchgroups.treeauto import (
     directed,
     equal_to_depth,
@@ -30,7 +34,6 @@ from branchgroups.wordcalc import (
     default_b_gens,
     efrf_output,
     format_token,
-    h_count,
     is_fragmented_subword,
     normal_form,
     parse_tokens,
@@ -139,13 +142,13 @@ def test_normalization_preserves_image_random(dinf):
 def test_h_count_pure_rooted_word(dinf):
     lvl = build_alphabet(dinf, 1)
     b = Perm.from_cycles(lvl.alphabet, "(x@1 y@1 z@1)")
-    assert h_count(normal_form(dinf, [("B", b)])) == 0
+    assert normal_form(dinf, [("B", b)]).h_count == 0
 
 
 def test_h_count_and_shape(dinf):
     rng = random.Random(3)
     w = rand_normal_word(dinf, rng, 2)
-    assert h_count(w) == 2
+    assert w.h_count == 2
     assert len(w.bs) == 3
     for b in w.bs[1:-1]:
         assert not b.is_identity
@@ -511,3 +514,72 @@ def test_format_token_roundtrip(dinf):
     lvl = build_alphabet(dinf, 1)
     b = Perm.from_cycles(lvl.alphabet, "(p@1 q@1 x@1)")
     assert format_token("B", b) == "B((x@1 p@1 q@1))"
+
+
+_PARSE_GROUPS = ("integers", "dihedral_infinite", "finite:6", "product:integers,dihedral_infinite")
+_PARSE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@functools.cache
+def _parse_oracle(selector):
+    return oracle_from_selector(selector)
+
+
+def _even_perm(alphabet, images):
+    images = list(images)
+    if Perm(alphabet, images).sign != 1:
+        images[0], images[1] = images[1], images[0]
+    return Perm(alphabet, images)
+
+
+@st.composite
+def _token_texts(draw, oracle):
+    """A raw token, the text it is written as, and whether a postfix
+    inverse mark follows it."""
+    if draw(st.booleans()):
+        alphabet = build_alphabet(oracle, 1).alphabet
+        tok = ("B", _even_perm(alphabet, draw(st.permutations(range(alphabet.size)))))
+    else:
+        g = draw(st.lists(st.integers(0, len(oracle.gen_names) - 1), max_size=4))
+        marker = _even_perm(MARKER_ALPHABET, draw(st.permutations(range(MARKER_ALPHABET.size))))
+        tok = ("H", Seed(oracle, tuple(g), marker))
+    inverted = draw(st.booleans())
+    return tok, format_token(*tok) + ("'" if inverted else ""), inverted
+
+
+@pytest.mark.parametrize("selector", _PARSE_GROUPS)
+@_PARSE_SETTINGS
+@given(data=st.data())
+def test_parse_tokens_inverts_format_token(selector, data):
+    oracle = _parse_oracle(selector)
+    drawn = data.draw(st.lists(_token_texts(oracle), max_size=6))
+    seps = data.draw(st.lists(st.sampled_from([" ", "\n", "\t", "  \n "]), min_size=len(drawn), max_size=len(drawn)))
+    text = "".join(sep + written for sep, (_, written, _) in zip(seps, drawn))
+    expected = []
+    for tok, _, inverted in drawn:
+        expected.append(tok)
+        if inverted:
+            expected.append(INVERSE)
+    got = parse_tokens(oracle, text)
+    assert [t[0] for t in got] == [t[0] for t in expected]
+    for (kind, payload), (_, want) in zip(got, expected):
+        if kind == "B":
+            assert payload == want
+        elif kind == "H":
+            assert payload.g == want.g and payload.marker == want.marker
+            assert format_token(kind, payload) == format_token(kind, want)
+
+
+# Characters of the token grammar, so that generated text reaches the
+# inner parsers as well as the lexer.
+_GRAMMAR_CHARS = list("BH()|'@ \n\t0123xyzopqat.-")
+
+
+@pytest.mark.parametrize("selector", _PARSE_GROUPS)
+@_PARSE_SETTINGS
+@given(text=st.one_of(st.text(), st.text(alphabet=_GRAMMAR_CHARS)))
+def test_parse_tokens_raises_only_parse_error(selector, text):
+    try:
+        parse_tokens(_parse_oracle(selector), text)
+    except ParseError:
+        pass
