@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perm import IndexedAlphabet, Perm, compose
-from .resfin import build_level_map, word_inverse
+from .perm import IndexedAlphabet, Perm, compose, random_even_perm
+from .resfin import build_level_map, format_word, word_inverse
 
 __all__ = [
     "MARKERS",
@@ -142,8 +142,6 @@ def marker_perm(cycles_text):
 
 
 def random_marker_perm(rng):
-    from .perm import random_even_perm
-
     return random_even_perm(MARKER_ALPHABET, rng)
 
 
@@ -201,8 +199,6 @@ class Seed:
         return hash(self.key())
 
     def __repr__(self):
-        from .resfin import format_word
-
         return f"Seed({format_word(self.oracle, self.g)!r}, {self.marker})"
 
 

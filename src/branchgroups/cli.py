@@ -22,6 +22,7 @@ import os
 import sys
 
 from . import resfin, suites, wordcalc
+from .alphabet import Seed, marker_perm
 from .resfin import build_level_map, format_quotient_map, kernel_min_length_check, oracle_from_selector, parse_group_descriptor
 from .treeauto import CapExceeded, portrait, portrait_dot, portrait_text
 from .wordcalc import ParseError, SearchBounds, conjugacy_certificate, decide, normal_form, parse_tokens, token_length
@@ -152,8 +153,6 @@ def _parse_seed_spec(oracle, text):
     if "|" not in body:
         body = body + "|()"
     gtext, mtext = body.split("|", 1)
-    from .alphabet import Seed, marker_perm
-
     gword = resfin.parse_word(oracle, gtext)
     marker = marker_perm(mtext) if mtext.strip() else marker_perm("()")
     return Seed(oracle, gword, marker)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from operator import getitem
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = [
     "compose",
     "compose_all",
     "random_even_perm",
+    "orbit",
     "check_alternating_generation",
     "three_cycles_generate_alternating",
 ]
@@ -271,17 +273,24 @@ def random_even_perm(alphabet, rng):
     return p
 
 
-def _orbit(gen_rows, start):
-    seen = {start}
-    queue = [start]
+def orbit(gen_rows, starts, act=getitem):
+    """The union of the orbits of ``starts`` under the generators: every
+    item reached from them by repeated ``act(row, item)``.  By default the
+    items are points and each row lists a generator's images."""
+    seen = set(starts)
+    queue = list(seen)
     while queue:
         x = queue.pop()
         for g in gen_rows:
-            y = g[x]
+            y = act(g, x)
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
     return seen
+
+
+def _image_set(row, points):
+    return frozenset(row[x] for x in points)
 
 
 def check_alternating_generation(omega, a_sub, b_sub, g_gens):
@@ -329,22 +338,11 @@ def check_alternating_generation(omega, a_sub, b_sub, g_gens):
     fixed = [x for x in sorted(a_set - {w}) if all(r[x] == x for r in gen_rows)]
     if len(fixed) < 2:
         raise PreconditionError("violated clause (5): need two common fixed points in A minus the meet")
-    orbit = _orbit(gen_rows, w) if gen_rows else {w}
-    if not b_set <= orbit:
+    if not b_set <= orbit(gen_rows, [w]):
         raise PreconditionError("violated clause (6): generated group is not transitive on B")
 
-    supports = {frozenset(s) for s in itertools.combinations(sorted(a_set), 3)}
-    frontier = list(supports)
-    while frontier:
-        new = []
-        for s in frontier:
-            for g in gen_rows:
-                image = frozenset(g[x] for x in s)
-                if image not in supports:
-                    supports.add(image)
-                    new.append(image)
-        frontier = new
-    return three_cycles_generate_alternating(n, supports)
+    triples = (frozenset(s) for s in itertools.combinations(sorted(a_set), 3))
+    return three_cycles_generate_alternating(n, orbit(gen_rows, triples, _image_set))
 
 
 def three_cycles_generate_alternating(n, supports):

@@ -250,18 +250,12 @@ def format_word(oracle, word):
 # bundled groups
 
 
-class IntegerOracle(GroupOracle):
-    """The infinite cyclic group, generators ``t`` and ``t'``.
+class _CyclicBase(GroupOracle):
+    """A cyclic group with generators ``t`` and ``t'``: its finite cyclic
+    quotients, and conjugacy, which in an abelian group is equality."""
 
-    The residual-finiteness query sends a word with exponent sum m != 0 to
-    the cyclic group of order |m| + 1, where m survives.
-    """
-
-    def __init__(self):
-        super().__init__("integers", ("t", "t'"), (1, 0))
-
-    def element_key(self, word):
-        return sum(1 if s == 0 else -1 for s in word)
+    def __init__(self, name):
+        super().__init__(name, ("t", "t'"), (1, 0))
 
     def _cyclic(self, k):
         return self._quotient(
@@ -269,16 +263,30 @@ class IntegerOracle(GroupOracle):
             lambda: FiniteQuotient(0, (1 % k, (k - 1) % k), lambda a, b: (a + b) % k, key=("cyclic", k)),
         )
 
+    def conjugate(self, g, k):
+        if self.element_key(g) == self.element_key(k):
+            return ()
+        return NOT_CONJUGATE
+
+
+class IntegerOracle(_CyclicBase):
+    """The infinite cyclic group, generators ``t`` and ``t'``.
+
+    The residual-finiteness query sends a word with exponent sum m != 0 to
+    the cyclic group of order |m| + 1, where m survives.
+    """
+
+    def __init__(self):
+        super().__init__("integers")
+
+    def element_key(self, word):
+        return sum(1 if s == 0 else -1 for s in word)
+
     def detect(self, word):
         m = self.element_key(word)
         if m == 0:
             return None
         return self._cyclic(abs(m) + 1)
-
-    def conjugate(self, g, k):
-        if self.element_key(g) == self.element_key(k):
-            return ()
-        return NOT_CONJUGATE
 
 
 class DihedralOracle(GroupOracle):
@@ -344,13 +352,13 @@ class DihedralOracle(GroupOracle):
         return (gen,) * abs(j)
 
 
-class CyclicOracle(GroupOracle):
+class CyclicOracle(_CyclicBase):
     """A finite cyclic group of order m, generators ``t`` and ``t'``."""
 
     def __init__(self, order):
         if order < 2:
             raise ValueError("cyclic order must be at least 2")
-        super().__init__(f"finite:{order}", ("t", "t'"), (1, 0))
+        super().__init__(f"finite:{order}")
         self.group_order = order
 
     def element_key(self, word):
@@ -359,16 +367,7 @@ class CyclicOracle(GroupOracle):
     def detect(self, word):
         if self.element_key(word) == 0:
             return None
-        m = self.group_order
-        return self._quotient(
-            ("cyclic", m),
-            lambda: FiniteQuotient(0, (1 % m, (m - 1) % m), lambda a, b: (a + b) % m, key=("cyclic", m)),
-        )
-
-    def conjugate(self, g, k):
-        if self.element_key(g) == self.element_key(k):
-            return ()
-        return NOT_CONJUGATE
+        return self._cyclic(self.group_order)
 
 
 class ProductOracle(GroupOracle):
@@ -470,10 +469,6 @@ class QuotientMap:
         self.oracle = oracle
         self.level = level
         self.quotient = quotient
-
-    @property
-    def gen_images(self):
-        return self.quotient.gen_images
 
     def apply(self, word):
         return self.quotient.apply_word(word)

@@ -14,14 +14,17 @@ from __future__ import annotations
 import random
 
 from .alphabet import Seed, build_alphabet, coset_action, marker_action, marker_perm, random_marker_perm
-from .perm import IndexedAlphabet, Perm, check_alternating_generation, random_even_perm
+from .perm import IndexedAlphabet, Perm, check_alternating_generation, orbit, random_even_perm
 from .resfin import NOT_CONJUGATE, UNSUPPORTED, parse_word, word_inverse
 from .treeauto import (
     DEFAULT_VERTEX_CAP,
+    directed,
     equal_to_depth,
     eval_vertex,
     level_perm,
     nontrivial_vertex,
+    product,
+    rooted,
     section_at,
     vertex_count,
 )
@@ -139,16 +142,7 @@ def suite_perm(seed=0, samples=50):
                     img[b_sub[0]], img[b_sub[1]] = img[b_sub[1]], img[b_sub[0]]
                     p = Perm(omega, img)
                 gens.append(p)
-                orbit = {meet}
-                frontier = [meet]
-                while frontier:
-                    x = frontier.pop()
-                    for q in gens:
-                        y = q(x)
-                        if y not in orbit:
-                            orbit.add(y)
-                            frontier.append(y)
-                if set(b_sub) <= orbit:
+                if set(b_sub) <= orbit([q.images.tolist() for q in gens], [meet]):
                     break
         try:
             got = check_alternating_generation(omega, a_sub, b_sub, gens)
@@ -189,8 +183,6 @@ def suite_sections(oracle, seed=0, pairs=100, depth=3):
     The semantic side sections the raw product of the two factors (the
     product rule applies across the pair); the symbolic side rewrites the
     normalized concatenation."""
-    from .treeauto import product as aut_product
-
     rng = random.Random(seed)
     lvl = build_alphabet(oracle, 1)
     failures = []
@@ -198,7 +190,7 @@ def suite_sections(oracle, seed=0, pairs=100, depth=3):
         alpha = [random_token(oracle, rng) for _ in range(rng.randrange(1, 3))]
         beta = [random_token(oracle, rng) for _ in range(rng.randrange(1, 3))]
         word = normal_form(oracle, alpha + beta)
-        semantic = aut_product(
+        semantic = product(
             [_raw_token_aut(oracle, alpha), _raw_token_aut(oracle, beta)],
             oracle=oracle, base_level=0,
         )
@@ -282,8 +274,6 @@ def semantic_wp_oracle(oracle, aut, depth, cap=DEFAULT_VERTEX_CAP):
 
 
 def _raw_token_aut(oracle, tseq):
-    from .treeauto import directed, product, rooted
-
     parts = [
         rooted(oracle, 0, p) if kind == "B" else directed(oracle, p, 0)
         for kind, p in tseq

@@ -52,6 +52,7 @@ __all__ = [
     "section",
     "eval_vertex",
     "nontrivial_children",
+    "section_search",
     "nontrivial_vertex",
     "equal_to_depth",
     "difference_vertex",
@@ -425,38 +426,41 @@ def _eval_indices(a, indices):
 # depth-bounded decision procedures
 
 
-def _first_moved(perm):
-    diff = np.nonzero(perm.images != np.arange(perm.alphabet.size))[0]
-    return int(diff[0]) if diff.size else None
+def section_search(start, depth, root_of, children_of):
+    """The first vertex of depth at most ``depth`` moved by ``start``, or
+    None if every such vertex is fixed.
 
-
-def nontrivial_vertex(a, depth):
-    """A vertex of depth at most ``depth`` moved by ``a``, or None if every
-    such vertex is fixed.
-
-    Breadth-first over sections with structural deduplication: two
-    vertices whose sections have equal expression keys share their entire
-    subtree behavior, so one representative path per key suffices.
+    Breadth-first over sections with structural deduplication: nodes are
+    tree automorphisms or normal words, ``root_of(node)`` is the node's
+    first-level permutation and ``children_of(node)`` maps first-level
+    letter indices to the node's nontrivial sections.  Two vertices whose
+    sections have equal keys share their entire subtree behavior, so one
+    representative path per key suffices.
     """
-    states = {a.key(): (a, ())}
+    states = {start.key(): (start, ())}
     for d in range(depth):
+        lvl = build_alphabet(start.oracle, start.base_level + d + 1)
         nxt = {}
         for node, path in states.values():
-            r = root_perm(node)
-            moved = _first_moved(r)
-            if moved is not None:
-                lvl = build_alphabet(a.oracle, a.base_level + d + 1)
-                return Vertex(a.base_level, path + (lvl.letter_at(moved),))
+            r = root_of(node)
+            moved = (r.images != np.arange(r.alphabet.size)).nonzero()[0]
+            if moved.size:
+                return Vertex(start.base_level, path + (lvl.letter_at(int(moved[0])),))
             if d + 1 < depth:
-                lvl = build_alphabet(a.oracle, a.base_level + d + 1)
-                for idx, child in nontrivial_children(node).items():
+                for idx, child in children_of(node).items():
                     k = child.key()
                     if k not in nxt:
                         nxt[k] = (child, path + (lvl.letter_at(idx),))
         states = nxt
         if not states:
-            return None
+            break
     return None
+
+
+def nontrivial_vertex(a, depth):
+    """A vertex of depth at most ``depth`` moved by ``a``, or None if every
+    such vertex is fixed; see :func:`section_search`."""
+    return section_search(a, depth, root_perm, nontrivial_children)
 
 
 def difference_vertex(a, b, depth):
@@ -612,9 +616,6 @@ class Portrait:
         self.base_level = base_level
         self.depth = depth
         self.labels = labels  # Vertex -> Perm
-
-    def label(self, vertex):
-        return self.labels[vertex]
 
     def vertices(self):
         """Internal vertices in lexicographic order, shallow first."""

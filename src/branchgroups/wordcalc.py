@@ -19,7 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import resfin
-from .alphabet import MARKER_ALPHABET, Seed, build_alphabet, coset_action, marker_action
+from .alphabet import (
+    MARKER_ALPHABET,
+    Seed,
+    build_alphabet,
+    coset_action,
+    marker_action,
+    marker_perm,
+    random_marker_perm,
+)
 from .perm import Perm, compose, compose_all
 from .resfin import TRIVIAL
 from .treeauto import (
@@ -32,7 +40,9 @@ from .treeauto import (
     invert,
     level_perm,
     product,
+    root_perm,
     rooted,
+    section_search,
     vertex_count,
 )
 
@@ -367,35 +377,18 @@ def decide(word):
     """Word problem for the level-0 group, by stabilizer evaluation.
 
     A word assembled from ``ell`` generator tokens is trivial exactly when
-    it fixes every vertex of depth ``2 * ell``.  The check runs over
-    normalized sections level by level, deduplicating equal normal forms,
-    so the full level permutation is never materialized.  Returns the
-    decision together with a moved witness vertex when nontrivial.
+    it fixes every vertex of depth ``2 * ell``.  The check is
+    :func:`treeauto.section_search` over normalized sections
+    (:func:`section_letters`), deduplicating equal normal forms, so the
+    full level permutation is never materialized.  Returns the decision
+    together with a moved witness vertex when nontrivial.
     """
     if word.base_level != 0:
         raise ValueError("the word-problem decider works at base level 0")
     ell = word.sigma_length
     depth = 2 * ell
-    states = {word.key(): (word, ())}
-    for d in range(depth):
-        nxt = {}
-        for w, path in states.values():
-            r = w.root_perm()
-            diff = np.nonzero(r.images != np.arange(r.alphabet.size))[0]
-            if diff.size:
-                lvl = build_alphabet(word.oracle, d + 1)
-                witness = Vertex(0, path + (lvl.letter_at(int(diff[0])),))
-                return Decision(False, ell, depth, witness)
-            if d + 1 < depth:
-                lvl = build_alphabet(word.oracle, d + 1)
-                for idx, sec in section_letters(w).items():
-                    k = sec.key()
-                    if k not in nxt:
-                        nxt[k] = (sec, path + (lvl.letter_at(idx),))
-        states = nxt
-        if not states:
-            break
-    return Decision(True, ell, depth, None)
+    witness = section_search(word, depth, NormalWord.root_perm, section_letters)
+    return Decision(witness is None, ell, depth, witness)
 
 
 def efrf_output(word, cap=DEFAULT_VERTEX_CAP):
@@ -422,8 +415,6 @@ def efrf_output(word, cap=DEFAULT_VERTEX_CAP):
         names.append((f"h{i + 1}", ("H", h)))
     if not word.bs[-1].is_identity:
         names.append((f"b{word.h_count + 1}", ("B", word.bs[-1])))
-    from .treeauto import root_perm
-
     for name, (kind, payload) in names:
         if kind == "B":
             aut = rooted(oracle, 0, payload)
@@ -474,15 +465,14 @@ def format_efrf_output(out):
 @dataclass
 class SearchBounds:
     """Bounds for the conjugator search: seed letters come from the group
-    ball of ``h_radius`` paired with ``marker_gens``, rooted letters from
-    ``b_gens``, with at most ``max_h_count`` seed letters; candidates and
-    witnesses are verified to ``depth``."""
+    ball of ``h_radius`` paired with four fixed marker permutations, rooted
+    letters from ``b_gens``, with at most ``max_h_count`` seed letters;
+    candidates and witnesses are verified to ``depth``."""
 
     h_radius: int = 1
     max_h_count: int = 1
     depth: int = 4
     b_gens: tuple | None = None
-    marker_gens: tuple | None = None
     vertex_cap: int = DEFAULT_VERTEX_CAP
 
 
@@ -591,25 +581,25 @@ def conjugacy_certificate(g, k, bounds=None):
     return Certificate("unknown", bounds.depth, note="bounds exhausted")
 
 
+# marker parts of the seed letters the conjugator search pairs with the
+# group ball
+_SEARCH_MARKERS = (
+    Perm.identity(MARKER_ALPHABET),
+    marker_perm("(x y z)"),
+    marker_perm("(o p q)"),
+    marker_perm("(x y)(p q)"),
+)
+
+
 def _conjugator_candidates(oracle, bounds):
     b_gens = bounds.b_gens if bounds.b_gens is not None else default_b_gens(oracle)
-    marker_gens = bounds.marker_gens
-    if marker_gens is None:
-        from .alphabet import marker_perm
-
-        marker_gens = (
-            Perm.identity(MARKER_ALPHABET),
-            marker_perm("(x y z)"),
-            marker_perm("(o p q)"),
-            marker_perm("(x y)(p q)"),
-        )
     lvl = build_alphabet(oracle, 1)
     ident = Perm.identity(lvl.alphabet)
     b_pool = (ident,) + tuple(b_gens)
     seeds = [
         Seed(oracle, gword, m)
         for gword in oracle.ball(bounds.h_radius)
-        for m in marker_gens
+        for m in _SEARCH_MARKERS
     ]
     yield normal_form(oracle, [])
     for b in b_gens:
@@ -669,8 +659,6 @@ def verify_branch_identities(oracle, sample_count, rng, depth=4):
     rooted marker action of the seed commutator; (ii) a directed letter
     times correcting shifts below y and z equals its own shift below x.
     Both identities are checked to ``depth`` on random seeds."""
-    from .alphabet import random_marker_perm
-
     lvl = build_alphabet(oracle, 1)
     if lvl.size < 7:
         raise ValueError("first-level alphabet must have at least 7 letters")
@@ -801,8 +789,6 @@ def parse_tokens(oracle, text, base_level=0):
                 gword = resfin.parse_word(oracle, gtext)
             except ValueError as exc:
                 raise ParseError(str(exc), line, col) from None
-            from .alphabet import marker_perm
-
             try:
                 marker = marker_perm(mtext) if mtext.strip() else marker_perm("()")
             except (ValueError, KeyError) as exc:

@@ -13,6 +13,7 @@ from branchgroups.perm import (
     check_alternating_generation,
     compose,
     compose_all,
+    orbit,
     random_even_perm,
     three_cycles_generate_alternating,
 )
@@ -189,6 +190,18 @@ def test_alternating_generation_precondition_errors():
 def _sympy_generates_alternating(n, cycles):
     group = PermutationGroup([Permutation([list(c)], size=n) for c in cycles])
     return group.order() == math.factorial(n) // 2
+
+
+def test_orbit_is_union_over_all_starts():
+    swap01 = [1, 0, 2, 3, 4, 5]
+    cycle345 = [0, 1, 2, 4, 5, 3]
+    rows = [swap01, cycle345]
+    assert orbit(rows, [0]) == {0, 1}
+    assert orbit(rows, [0, 3]) == {0, 1, 3, 4, 5}
+    assert orbit([], [2]) == {2}
+    # 2-subsets under the same generators: the orbits of {0, 3} and {2, 4}
+    pairs = orbit(rows, [frozenset({0, 3}), frozenset({2, 4})], lambda g, s: frozenset(g[x] for x in s))
+    assert pairs == {frozenset({a, b}) for a in (0, 1) for b in (3, 4, 5)} | {frozenset({2, b}) for b in (3, 4, 5)}
 
 
 def test_three_cycle_connectivity_matches_sympy():

@@ -1,0 +1,125 @@
+"""The shared breadth-first section search behind ``decide`` and
+``nontrivial_vertex``, and the names the benchmark's span recorders wrap."""
+
+import hashlib
+import importlib
+import importlib.util
+import pathlib
+import random
+
+import pytest
+
+from branchgroups.alphabet import Seed, build_alphabet, random_marker_perm
+from branchgroups.perm import Perm
+from branchgroups.resfin import oracle_from_selector
+from branchgroups.suites import _raw_token_aut, random_token
+from branchgroups.treeauto import identity_aut, nontrivial_vertex, rooted
+from branchgroups.wordcalc import decide, normal_form
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _inverted(tseq):
+    return [(k, p.inverse() if k == "B" else p.inv()) for k, p in reversed(tseq)]
+
+
+def _fixing_xyz(oracle, rng):
+    """A random even first-level permutation fixing x, y and z: it commutes
+    with every directed letter, so commutators with one are trivial words
+    that do not cancel freely."""
+    lvl = build_alphabet(oracle, 1)
+    others = [i for i in range(lvl.size) if i not in (lvl.x_index, lvl.y_index, lvl.z_index)]
+    img = list(range(lvl.size))
+    a, b, c = rng.sample(others, 3)
+    img[a], img[b], img[c] = b, c, a
+    return Perm(lvl.alphabet, img)
+
+
+def _search_words(oracle, rng, count=120):
+    """Seeded words of ``suites.random_token`` tokens, in four kinds by
+    turn: a commutator of a rooted letter fixing x, y, z with a seed letter
+    (trivial, so searched to full depth), a commutator of two random
+    words, a random word followed by its formal inverse, a random word."""
+    for case in range(count):
+        u = [random_token(oracle, rng) for _ in range(rng.randrange(1, 5))]
+        if case % 4 == 0:
+            b = _fixing_xyz(oracle, rng)
+            h = Seed(oracle, (rng.randrange(len(oracle.gen_names)),), random_marker_perm(rng))
+            yield [("B", b), ("H", h), ("B", b.inverse()), ("H", h.inv())]
+        elif case % 4 == 1:
+            u, v = u[:2], [random_token(oracle, rng) for _ in range(rng.randrange(1, 3))]
+            yield u + v + _inverted(u) + _inverted(v)
+        elif case % 4 == 2:
+            yield u + _inverted(u)
+        else:
+            yield u
+
+
+# sha256 over decide's (trivial, ell, depth, str(witness)) on the normal
+# forms, and over str(nontrivial_vertex(raw product, min(2 ell, 4))), for
+# the words of _search_words(oracle, random.Random(404)); recorded while
+# decide and nontrivial_vertex still ran separate search loops
+_SEARCH_DIGESTS = {
+    "dihedral_infinite": (
+        "1ef2fb7eca5936f67878c4cd9a9748ac73e0c18f61a98daaa2cecaa4ed6a4778",
+        "145f3657042a49441e9c0e180f1cf85286201ccc8e2f014c3b25836792b9f69e",
+    ),
+    "integers": (
+        "671485bf70b341bf3b0a9ff06af5fe3601d8e541ad4f705ca7e8b5a76541cea8",
+        "0a9a1e1216735dcd12ebc56062d3a13f8d6e4986af39ad7b12499f36ceb2d889",
+    ),
+    "product:integers,integers": (
+        "09e38b7ff1e0ff86f67ceab4cc584d0d2b7c338cdf59f17d4eb505ae496f80b7",
+        "15c5ab1ef87f82ed43065e34e509a98ecf6ba11d66efa5833ba26da58ca80b70",
+    ),
+}
+
+
+@pytest.mark.parametrize("selector", sorted(_SEARCH_DIGESTS))
+def test_section_search_digest(selector):
+    oracle = oracle_from_selector(selector)
+    decided, raw = hashlib.sha256(), hashlib.sha256()
+    trivial = nontrivial = 0
+    for tseq in _search_words(oracle, random.Random(404)):
+        d = decide(normal_form(oracle, tseq))
+        decided.update(repr((d.trivial, d.ell, d.depth, str(d.witness))).encode())
+        moved = nontrivial_vertex(_raw_token_aut(oracle, tseq), min(2 * d.ell, 4))
+        raw.update(str(moved).encode())
+        trivial += d.trivial
+        nontrivial += not d.trivial
+    assert trivial >= 10 and nontrivial >= 10
+    assert (decided.hexdigest(), raw.hexdigest()) == _SEARCH_DIGESTS[selector]
+
+
+def test_empty_word_is_trivial_at_depth_zero():
+    oracle = oracle_from_selector("dihedral_infinite")
+    d = decide(normal_form(oracle, []))
+    assert (d.trivial, d.ell, d.depth, d.witness) == (True, 0, 0, None)
+
+
+def test_depth_zero_search_finds_nothing():
+    oracle = oracle_from_selector("integers")
+    lvl = build_alphabet(oracle, 1)
+    a = rooted(oracle, 0, Perm.from_cycles(lvl.alphabet, "(x@1 y@1 z@1)"))
+    assert nontrivial_vertex(a, 0) is None
+    assert nontrivial_vertex(a, 1).depth == 1
+    assert nontrivial_vertex(identity_aut(oracle), 3) is None
+
+
+def _tracing_targets():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_traced_functions_resolve():
+    # the benchmark's span recorders wrap these names; a rename would
+    # otherwise only surface when the benchmark is traced
+    for mod_name, qual, _, _ in _tracing_targets():
+        module = importlib.import_module(f"branchgroups.{mod_name}")
+        if "." in qual:
+            cls_name, attr = qual.split(".")
+            assert attr in vars(getattr(module, cls_name)), f"{mod_name}.{qual}"
+        else:
+            assert callable(getattr(module, qual, None)), f"{mod_name}.{qual}"
