@@ -110,10 +110,12 @@ class Perm:
     """A bijection of an :class:`IndexedAlphabet`, stored as an image array.
 
     Immutable value type: safe to share between threads, usable as a dict
-    key.  ``images[i]`` is the image of letter ``i``.
+    key.  ``images[i]`` is the image of letter ``i``.  The sign is carried
+    through ``identity``, ``from_cycles``, ``inverse`` and ``compose``;
+    only a permutation built from raw images decomposes its cycles, once.
     """
 
-    __slots__ = ("alphabet", "images", "_hash")
+    __slots__ = ("alphabet", "images", "_hash", "_sign")
 
     def __init__(self, alphabet, images, check=True):
         arr = np.asarray(images, dtype=np.int64)
@@ -127,10 +129,13 @@ class Perm:
         self.alphabet = alphabet
         self.images = arr
         self._hash = None
+        self._sign = None
 
     @classmethod
     def identity(cls, alphabet):
-        return cls(alphabet, np.arange(alphabet.size, dtype=np.int64), check=False)
+        p = cls(alphabet, np.arange(alphabet.size, dtype=np.int64), check=False)
+        p._sign = 1
+        return p
 
     @classmethod
     def from_cycles(cls, alphabet, text):
@@ -142,6 +147,7 @@ class Perm:
         stripped = text.strip()
         images = np.arange(alphabet.size, dtype=np.int64)
         seen = set()
+        transpositions = 0
         for m in _CYCLE_RE.finditer(stripped):
             body = m.group(1).split()
             if not body:
@@ -150,12 +156,15 @@ class Perm:
             if len(set(idx)) != len(idx) or seen.intersection(idx):
                 raise ValueError(f"cycles are not disjoint in {text!r}")
             seen.update(idx)
+            transpositions += len(idx) - 1
             for a, b in zip(idx, idx[1:] + idx[:1]):
                 images[a] = b
         rest = _CYCLE_RE.sub("", stripped).strip()
         if rest:
             raise ValueError(f"unexpected text {rest!r} in cycle notation")
-        return cls(alphabet, images, check=False)
+        p = cls(alphabet, images, check=False)
+        p._sign = -1 if transpositions % 2 else 1
+        return p
 
     def __call__(self, i):
         return int(self.images[i])
@@ -167,7 +176,9 @@ class Perm:
     def inverse(self):
         inv = np.empty(self.alphabet.size, dtype=np.int64)
         inv[self.images] = np.arange(self.alphabet.size)
-        return Perm(self.alphabet, inv, check=False)
+        p = Perm(self.alphabet, inv, check=False)
+        p._sign = self._sign
+        return p
 
     def cycles(self):
         """Nontrivial cycles as index tuples, each starting at its least
@@ -197,12 +208,14 @@ class Perm:
     def sign(self):
         """+1 for even permutations, -1 for odd ones.
 
-        Computed from the cycle decomposition: parity of
+        Known from the construction when there is one; otherwise computed
+        once from the cycle decomposition, as the parity of
         ``size - number_of_cycles``.
         """
-        n = self.alphabet.size
-        ncycles = len(_cycle_lengths(self.images))
-        return 1 if (n - ncycles) % 2 == 0 else -1
+        if self._sign is None:
+            ncycles = len(_cycle_lengths(self.images))
+            self._sign = 1 if (self.alphabet.size - ncycles) % 2 == 0 else -1
+        return self._sign
 
     def __eq__(self, other):
         if not isinstance(other, Perm):
@@ -242,7 +255,10 @@ def compose(p, q):
     """The product ``p o q``: apply ``q`` first, then ``p``."""
     if p.alphabet != q.alphabet:
         raise ValueError("cannot compose permutations of different alphabets")
-    return Perm(p.alphabet, p.images[q.images], check=False)
+    r = Perm(p.alphabet, p.images[q.images], check=False)
+    if p._sign is not None and q._sign is not None:
+        r._sign = p._sign * q._sign
+    return r
 
 
 def compose_all(perms, alphabet=None):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from branchgroups.alphabet import (
+    MARKER_ALPHABET,
     Letter,
     Seed,
     build_alphabet,
@@ -142,6 +143,15 @@ def test_seed_group_laws(dinf):
 def test_marker_perm_rejects_odd():
     with pytest.raises(ValueError):
         marker_perm("(x y)")
+
+
+def test_seed_rejects_odd_composed_marker(dinf):
+    odd = compose(marker_perm("(x y z)"), Perm.from_cycles(MARKER_ALPHABET, "(p q)"))
+    assert odd.sign == -1
+    with pytest.raises(ValueError, match="marker part must be even"):
+        Seed(dinf, parse_word(dinf, "t"), odd)
+    with pytest.raises(ValueError, match="marker part must be even"):
+        Seed(dinf, (), odd.inverse())
 
 
 def test_nontrivial_group_part_detected_in_chain(dinf, zz):

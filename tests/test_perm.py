@@ -4,8 +4,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from branchgroups import perm as perm_module
 from branchgroups.perm import (
     IndexedAlphabet,
     Perm,
@@ -56,6 +59,79 @@ def test_sign():
     assert Perm.identity(al).sign == 1
     assert Perm.from_cycles(al, "(0 1)").sign == -1
     assert Perm.from_cycles(al, "(0 1 2)").sign == 1
+
+
+def _cycle_text(images, with_fixed):
+    """Cycle notation for an image list over an anonymous alphabet, written
+    independently of ``Perm.cycles``; fixed points optionally as 1-cycles."""
+    seen, parts = set(), []
+    for i in range(len(images)):
+        if i in seen:
+            continue
+        cyc, j = [], i
+        while j not in seen:
+            seen.add(j)
+            cyc.append(str(j))
+            j = images[j]
+        if len(cyc) > 1 or with_fixed:
+            parts.append("(" + " ".join(cyc) + ")")
+    return "".join(parts)
+
+
+@st.composite
+def _construction_chains(draw):
+    """Permutations built by a random chain of ``from_cycles``,
+    ``identity``, ``inverse`` and ``compose`` on one alphabet of 1 to 9
+    letters; odd permutations occur as often as even ones."""
+    al = IndexedAlphabet(draw(st.integers(1, 9)))
+    pool = []
+    for _ in range(draw(st.integers(1, 8))):
+        step = draw(st.sampled_from(["cycles", "identity", "inverse", "compose"] if pool else ["cycles", "identity"]))
+        if step == "cycles":
+            images = draw(st.permutations(range(al.size)))
+            pool.append(Perm.from_cycles(al, _cycle_text(images, draw(st.booleans()))))
+        elif step == "identity":
+            pool.append(Perm.identity(al))
+        elif step == "inverse":
+            pool.append(draw(st.sampled_from(pool)).inverse())
+        else:
+            pool.append(compose(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
+    return pool
+
+
+@given(pool=_construction_chains())
+def test_carried_sign_matches_raw_images_and_sympy(pool):
+    for p in pool:
+        raw = Perm(p.alphabet, p.images.copy())
+        assert p.sign == raw.sign == Permutation(p.images.tolist()).signature(), str(p)
+
+
+def test_constructions_do_not_decompose_cycles(monkeypatch):
+    al = IndexedAlphabet(7)
+    odd = Perm.from_cycles(al, "(0 1 2 3)(4 5 6)")
+    even = Perm.from_cycles(al, "(0 1 2)")
+
+    def refuse(images):
+        raise AssertionError("sign was computed from the cycle decomposition")
+
+    monkeypatch.setattr(perm_module, "_cycle_lengths", refuse)
+    assert Perm.identity(al).sign == 1
+    assert odd.sign == -1 and even.sign == 1
+    assert odd.inverse().sign == -1
+    assert compose(odd, even).sign == -1
+    assert compose(odd, odd.inverse()).sign == 1
+    assert compose_all([even, odd, odd]).sign == 1
+    with pytest.raises(AssertionError, match="cycle decomposition"):
+        _ = Perm(al, odd.images.copy()).sign
+
+
+def test_raw_image_sign_is_computed_once(monkeypatch):
+    al = IndexedAlphabet(5)
+    p = Perm(al, [1, 0, 2, 3, 4])
+    assert p.sign == -1
+    monkeypatch.setattr(perm_module, "_cycle_lengths", None)
+    assert p.sign == -1
+    assert compose(p, p.inverse()).sign == 1
 
 
 def test_cycle_type():
@@ -185,6 +261,21 @@ def test_alternating_generation_precondition_errors():
         )
     with pytest.raises(PreconditionError, match=r"\(6\)"):
         check_alternating_generation(IndexedAlphabet(5), [0, 1, 2], [2, 3, 4], [])
+
+
+@pytest.mark.parametrize("route", ["from_cycles", "compose", "inverse", "raw_images"])
+def test_alternating_generation_rejects_odd_generator(route):
+    omega = IndexedAlphabet(5)
+    odd = Perm.from_cycles(omega, "(3 4)")
+    gen = {
+        "from_cycles": odd,
+        "compose": compose(Perm.from_cycles(omega, "(2 3 4)"), odd),
+        "inverse": Perm.from_cycles(omega, "(1 2 3 4)").inverse(),
+        "raw_images": Perm(omega, [0, 1, 2, 4, 3]),
+    }[route]
+    assert gen.sign == -1
+    with pytest.raises(PreconditionError, match=r"clause \(4\): generators must be even"):
+        check_alternating_generation(omega, [0, 1, 2], [2, 3, 4], [Perm.from_cycles(omega, "(2 3 4)"), gen])
 
 
 def _sympy_generates_alternating(n, cycles):

@@ -4,16 +4,17 @@
 import hashlib
 import importlib
 import importlib.util
+import itertools
 import pathlib
 import random
 
 import pytest
 
-from branchgroups.alphabet import Seed, build_alphabet, random_marker_perm
+from branchgroups.alphabet import MARKER_ALPHABET, Seed, build_alphabet, random_marker_perm
 from branchgroups.perm import Perm
 from branchgroups.resfin import oracle_from_selector
 from branchgroups.suites import _raw_token_aut, random_token
-from branchgroups.treeauto import identity_aut, nontrivial_vertex, rooted
+from branchgroups.treeauto import eval_vertex, identity_aut, nontrivial_vertex, rooted
 from branchgroups.wordcalc import decide, normal_form
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -104,6 +105,96 @@ def test_depth_zero_search_finds_nothing():
     assert nontrivial_vertex(a, 0) is None
     assert nontrivial_vertex(a, 1).depth == 1
     assert nontrivial_vertex(identity_aut(oracle), 3) is None
+
+
+def _commutator(u, v):
+    return _inverted(u) + _inverted(v) + u + v
+
+
+def _deep_atom(oracle, rng):
+    """A seed letter of one or two generators, with the identity marker or
+    an even 3-cycle of markers, or a rooted 3-cycle that fixes at least
+    one of x, y and z; built from ``rng`` alone."""
+    if rng.random() < 0.5:
+        g = tuple(rng.randrange(len(oracle.gen_names)) for _ in range(rng.randrange(1, 3)))
+        img = list(range(MARKER_ALPHABET.size))
+        if rng.random() < 0.5:
+            a, b, c = rng.sample(img, 3)
+            img[a], img[b], img[c] = b, c, a
+        return [("H", Seed(oracle, g, Perm(MARKER_ALPHABET, img)))]
+    lvl = build_alphabet(oracle, 1)
+    kept = rng.sample((lvl.x_index, lvl.y_index, lvl.z_index), rng.randrange(1, 4))
+    img = list(range(lvl.size))
+    a, b, c = rng.sample([i for i in img if i not in kept], 3)
+    img[a], img[b], img[c] = b, c, a
+    return [("B", Perm(lvl.alphabet, img))]
+
+
+def _nested_commutators(oracle, rng):
+    """Nested commutators of atoms, in three shapes by turn:
+    ``[[a, b], c]``, ``[[a, b], [c, d]]`` and ``[a, [b, [c, d]]]``."""
+    for case in itertools.count():
+        atoms = [_deep_atom(oracle, rng) for _ in range(4)]
+        if case % 3 == 0:
+            yield _commutator(_commutator(atoms[0], atoms[1]), atoms[2])
+        elif case % 3 == 1:
+            yield _commutator(_commutator(atoms[0], atoms[1]), _commutator(atoms[2], atoms[3]))
+        else:
+            yield _commutator(atoms[0], _commutator(atoms[1], _commutator(atoms[2], atoms[3])))
+
+
+# decide's (trivial, depth, str(witness)) at positions of the stream
+# _nested_commutators(oracle, random.Random(505)) whose witness lies at
+# depth 3 or deeper; random words almost never reach below depth 2
+_DEEP_WITNESSES = {
+    "dihedral_infinite": {
+        69: (False, 28, "q3@1 y@2 q0@3"),
+        127: (False, 32, "q1@1 y@2 q0@3"),
+        156: (False, 24, "q0@1 y@2 q0@3"),
+        161: (False, 44, "x@1 z@2 x@3"),
+        182: (False, 76, "q1@1 y@2 q0@3"),
+        229: (False, 40, "x@1 y@2 q0@3"),
+        1054: (False, 32, "z@1 x@2 y@3 q0@4"),
+    },
+    "integers": {
+        15: (False, 20, "q0@1 y@2 q0@3"),
+        46: (False, 32, "q0@1 y@2 q0@3"),
+        104: (False, 44, "x@1 y@2 q0@3"),
+        143: (False, 60, "q0@1 z@2 y@3"),
+        187: (False, 40, "x@1 z@2 x@3"),
+        198: (False, 32, "z@1 q0@2 q0@3"),
+        1617: (False, 28, "x@1 x@2 y@3 q0@4"),
+    },
+    "product:integers,integers": {
+        48: (False, 20, "q0@1 y@2 q0@3"),
+        82: (False, 32, "q1@1 y@2 q0@3"),
+        93: (False, 24, "q1@1 y@2 q0@3"),
+        99: (False, 28, "q1@1 y@2 q0@3"),
+        285: (False, 20, "q0@1 y@2 q0@3"),
+        420: (False, 24, "x@1 z@2 x@3"),
+        612: (False, 28, "x@1 x@2 y@3 q0@4"),
+    },
+}
+
+
+@pytest.mark.parametrize("selector", sorted(_SEARCH_DIGESTS))
+def test_deep_witnesses(selector):
+    oracle = oracle_from_selector(selector)
+    pinned = _DEEP_WITNESSES[selector]
+    stream = itertools.islice(_nested_commutators(oracle, random.Random(505)), max(pinned) + 1)
+    depths = []
+    for position, tseq in enumerate(stream):
+        if position not in pinned:
+            continue
+        d = decide(normal_form(oracle, tseq))
+        assert (d.trivial, d.depth, str(d.witness)) == pinned[position], position
+        # the raw product moves the witness and fixes every vertex above it
+        raw = _raw_token_aut(oracle, tseq)
+        assert eval_vertex(raw, d.witness) != d.witness
+        assert nontrivial_vertex(raw, d.witness.depth - 1) is None
+        depths.append(d.witness.depth)
+    assert len(depths) == len(pinned) >= 5
+    assert min(depths) >= 3 and max(depths) >= 4
 
 
 def _tracing_targets():

@@ -1,8 +1,9 @@
 import functools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from branchgroups.alphabet import (
@@ -15,7 +16,7 @@ from branchgroups.alphabet import (
     random_marker_perm,
 )
 from branchgroups.perm import Perm, random_even_perm
-from branchgroups.resfin import TRIVIAL, DihedralOracle, IntegerOracle, oracle_from_selector, parse_word
+from branchgroups.resfin import TRIVIAL, DihedralOracle, IntegerOracle, oracle_from_selector, parse_word, word_inverse
 from branchgroups.treeauto import (
     directed,
     equal_to_depth,
@@ -501,6 +502,12 @@ def test_parse_tokens_errors(dinf):
     assert err2 is not None and err2.line == 2 and err2.column == 3
 
 
+@pytest.mark.parametrize("text", ["B((x@1 y@1))", "B((p@1 q@1 x@1 y@1))'", "B(()) B((x@1 y@1)(p@1 q@1)(z@1 q0@1))"])
+def test_parse_tokens_rejects_odd_rooted_letter(dinf, text):
+    with pytest.raises(ParseError, match="rooted letters must be even permutations"):
+        parse_tokens(dinf, text)
+
+
 def test_sigma_length_accounting(dinf):
     toks = parse_tokens(dinf, "H(t t|()) B((x@1 y@1 z@1)) H(|(x y z))")
     w = normal_form(dinf, toks)
@@ -517,7 +524,6 @@ def test_format_token_roundtrip(dinf):
 
 
 _PARSE_GROUPS = ("integers", "dihedral_infinite", "finite:6", "product:integers,dihedral_infinite")
-_PARSE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 @functools.cache
@@ -533,22 +539,27 @@ def _even_perm(alphabet, images):
 
 
 @st.composite
+def _tokens(draw, oracle, max_group_len=4):
+    """A raw token: a rooted even permutation, or a seed letter with a
+    group word of at most ``max_group_len`` generators and an even marker."""
+    if draw(st.booleans()):
+        alphabet = build_alphabet(oracle, 1).alphabet
+        return ("B", _even_perm(alphabet, draw(st.permutations(range(alphabet.size)))))
+    g = draw(st.lists(st.integers(0, len(oracle.gen_names) - 1), max_size=max_group_len))
+    marker = _even_perm(MARKER_ALPHABET, draw(st.permutations(range(MARKER_ALPHABET.size))))
+    return ("H", Seed(oracle, tuple(g), marker))
+
+
+@st.composite
 def _token_texts(draw, oracle):
     """A raw token, the text it is written as, and whether a postfix
     inverse mark follows it."""
-    if draw(st.booleans()):
-        alphabet = build_alphabet(oracle, 1).alphabet
-        tok = ("B", _even_perm(alphabet, draw(st.permutations(range(alphabet.size)))))
-    else:
-        g = draw(st.lists(st.integers(0, len(oracle.gen_names) - 1), max_size=4))
-        marker = _even_perm(MARKER_ALPHABET, draw(st.permutations(range(MARKER_ALPHABET.size))))
-        tok = ("H", Seed(oracle, tuple(g), marker))
+    tok = draw(_tokens(oracle))
     inverted = draw(st.booleans())
     return tok, format_token(*tok) + ("'" if inverted else ""), inverted
 
 
 @pytest.mark.parametrize("selector", _PARSE_GROUPS)
-@_PARSE_SETTINGS
 @given(data=st.data())
 def test_parse_tokens_inverts_format_token(selector, data):
     oracle = _parse_oracle(selector)
@@ -576,10 +587,88 @@ _GRAMMAR_CHARS = list("BH()|'@ \n\t0123xyzopqat.-")
 
 
 @pytest.mark.parametrize("selector", _PARSE_GROUPS)
-@_PARSE_SETTINGS
 @given(text=st.one_of(st.text(), st.text(alphabet=_GRAMMAR_CHARS)))
 def test_parse_tokens_raises_only_parse_error(selector, text):
     try:
         parse_tokens(_parse_oracle(selector), text)
     except ParseError:
         pass
+
+
+# The decision properties of ROADMAP item 4.  Seed letters carry at most
+# two group generators, so that no decision needs a deep quotient level.
+_DECIDE_GROUPS = ("dihedral_infinite", "integers", "product:integers,integers")
+
+
+def _words(oracle, max_size=4):
+    return st.lists(_tokens(oracle, max_group_len=2), max_size=max_size)
+
+
+def _spelled_inverse(oracle, tokens):
+    """The inverse of a token sequence written as explicit letters: raw
+    inverse image arrays and inverted group words, never an inverse mark
+    or ``Perm.inverse``."""
+    out = []
+    for kind, payload in reversed(tokens):
+        if kind == "B":
+            out.append(("B", Perm(payload.alphabet, np.argsort(payload.images))))
+        else:
+            marker = Perm(MARKER_ALPHABET, np.argsort(payload.marker.images))
+            out.append(("H", Seed(oracle, word_inverse(oracle, payload.g), marker)))
+    return out
+
+
+@pytest.mark.parametrize("selector", _DECIDE_GROUPS)
+@given(data=st.data())
+def test_normal_form_is_idempotent(selector, data):
+    oracle = _parse_oracle(selector)
+    tokens = []
+    for tok, inverted in data.draw(st.lists(st.tuples(_tokens(oracle, max_group_len=2), st.booleans()), max_size=6)):
+        tokens += [tok, INVERSE] if inverted else [tok]
+    w = normal_form(oracle, tokens)
+    again = normal_form(oracle, w.tokens())
+    assert again.key() == w.key()
+    assert str(again) == str(w)
+
+
+@st.composite
+def _trivial_commutators(draw, oracle):
+    """``b h b^-1 h^-1`` with explicit inverse letters, for a rooted 3-cycle
+    ``b`` fixing x, y and z, which commutes with every seed letter ``h``.
+    The word is trivial but its normal form keeps both seed letters, so
+    the decider has to search below the root."""
+    lvl = build_alphabet(oracle, 1)
+    others = [i for i in range(lvl.size) if i not in (lvl.x_index, lvl.y_index, lvl.z_index)]
+    a, b, c = draw(st.permutations(others))[:3]
+    img = list(range(lvl.size))
+    img[a], img[b], img[c] = b, c, a
+    rooted_letter = ("B", Perm(lvl.alphabet, img))
+    seed_letter = draw(_tokens(oracle, max_group_len=2).filter(lambda tok: tok[0] == "H"))
+    return [rooted_letter, seed_letter] + _spelled_inverse(oracle, [rooted_letter]) + _spelled_inverse(oracle, [seed_letter])
+
+
+@pytest.mark.parametrize("selector", _DECIDE_GROUPS)
+@given(data=st.data())
+def test_decide_is_conjugation_invariant(selector, data):
+    oracle = _parse_oracle(selector)
+    word = data.draw(_words(oracle))
+    if data.draw(st.booleans()):
+        # a conjugate of a trivial commutator, so trivial words with seed
+        # letters occur as often as nontrivial ones
+        word = word + data.draw(_trivial_commutators(oracle)) + _spelled_inverse(oracle, word)
+    t = data.draw(_tokens(oracle, max_group_len=2))
+    plain = decide(normal_form(oracle, word))
+    conjugated = decide(normal_form(oracle, [t] + word + [t, INVERSE]))
+    assert conjugated.trivial == plain.trivial
+
+
+@pytest.mark.parametrize("selector", _DECIDE_GROUPS)
+@given(data=st.data())
+def test_decide_spelled_out_inverse_is_trivial(selector, data):
+    oracle = _parse_oracle(selector)
+    u, v = data.draw(_words(oracle, 3)), data.draw(_words(oracle, 3))
+    back = _spelled_inverse(oracle, v) + _spelled_inverse(oracle, u)
+    assert decide(normal_form(oracle, u + v + back)).trivial
+    commutator = data.draw(_trivial_commutators(oracle))
+    d = decide(normal_form(oracle, u + v + commutator + back))
+    assert d.trivial and d.witness is None
