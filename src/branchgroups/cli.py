@@ -196,9 +196,10 @@ def cmd_conj(args):
 def cmd_chain(args):
     oracle = _resolve_oracle(args)
     depth_cap = _setting(args, "depth_cap", int)
+    if args.level > depth_cap:
+        raise CapExceeded(f"chain level {args.level} exceeds the depth cap {depth_cap}")
     qm = build_level_map(oracle, args.level)
-    radius = min(args.level, depth_cap)
-    report = kernel_min_length_check(oracle, args.level, radius)
+    report = kernel_min_length_check(oracle, args.level, args.level)
     text = format_quotient_map(qm)
     payload = {
         "command": "chain",
@@ -209,7 +210,7 @@ def cmd_chain(args):
     }
     lines = text.splitlines()
     lines.append(
-        f"kernel check radius {radius}: {'pass' if report['passed'] else 'FAIL'}"
+        f"kernel check radius {args.level}: {'pass' if report['passed'] else 'FAIL'}"
         + (f" (counterexample {report['counterexample']})" if report["counterexample"] else "")
     )
     _emit(args, payload, lines)

@@ -66,7 +66,7 @@ class IndexedAlphabet:
     @property
     def labels(self):
         if self._labels is None:
-            return tuple(str(i) for i in range(self.size))
+            return tuple(map(str, range(self.size)))
         return self._labels
 
     def index(self, label):
@@ -183,26 +183,23 @@ class Perm:
     def cycles(self):
         """Nontrivial cycles as index tuples, each starting at its least
         element, ordered by that element."""
-        n = self.alphabet.size
-        seen = np.zeros(n, dtype=bool)
+        images = self.images.tolist()
+        seen = bytearray(len(images))
         out = []
-        for i in range(n):
-            if seen[i] or self.images[i] == i:
+        for i, j in enumerate(images):
+            if seen[i] or j == i:
                 continue
             cyc = [i]
-            seen[i] = True
-            j = int(self.images[i])
             while j != i:
-                seen[j] = True
+                seen[j] = 1
                 cyc.append(j)
-                j = int(self.images[j])
+                j = images[j]
             out.append(tuple(cyc))
         return out
 
     def cycle_type(self):
         """Sorted multiset of cycle lengths, fixed points included."""
-        lengths = _cycle_lengths(self.images)
-        return tuple(int(x) for x in sorted(lengths))
+        return tuple(np.sort(_cycle_lengths(self.images)).tolist())
 
     @property
     def sign(self):
@@ -231,20 +228,31 @@ class Perm:
         cyc = self.cycles()
         if not cyc:
             return "()"
-        return "".join("(" + " ".join(self.alphabet.label(i) for i in c) + ")" for c in cyc)
+        labels = self.alphabet.labels
+        return "".join("(" + " ".join([labels[i] for i in c]) + ")" for c in cyc)
 
     def __repr__(self):
         return f"Perm({self})"
 
 
 def _cycle_lengths(images):
-    """Cycle lengths of an image array, via path-doubling minimum labels."""
+    """Cycle lengths of an image array, via path-doubling minimum labels.
+
+    After step k, ``rep[i]`` is the least letter among ``i`` and its next
+    2^k - 1 images.  Once a step changes nothing, ``rep`` is constant
+    along every orbit of the 2^k-th power, and the length-2^k windows
+    from one such orbit cover its whole cycle, so ``rep`` is already each
+    cycle's least letter and the doubling stops early.
+    """
     n = len(images)
     rep = np.arange(n, dtype=np.int64)
     power = np.asarray(images, dtype=np.int64)
     span = 1
     while span < n:
-        rep = np.minimum(rep, rep[power])
+        nxt = np.minimum(rep, rep[power])
+        if np.array_equal(nxt, rep):
+            break
+        rep = nxt
         power = power[power]
         span *= 2
     _, counts = np.unique(rep, return_counts=True)

@@ -34,7 +34,7 @@ __all__ = [
     "ProductOracle",
     "QuotientMap",
     "efrf_query",
-    "words_up_to",
+    "level_components",
     "build_level_map",
     "decide_word_problem",
     "kernel_min_length_check",
@@ -61,8 +61,6 @@ class _Marker:
 TRIVIAL = _Marker("TRIVIAL")
 NOT_CONJUGATE = _Marker("NOT_CONJUGATE")
 UNSUPPORTED = _Marker("UNSUPPORTED")
-
-TABLE_CAP = 10_000
 
 
 class FiniteQuotient:
@@ -113,23 +111,6 @@ class FiniteQuotient:
         self.via = via
         self.gen_images = tuple(row[0] for row in right)
         self.key = key
-
-    def mult(self, i, j):
-        """The product of elements ``i`` and ``j``: ``i`` times the
-        generators on the tree path to ``j``."""
-        path = []
-        while j:
-            path.append(self.via[j])
-            j = self.parent[j]
-        for s in reversed(path):
-            i = self.right[s][i]
-        return i
-
-    def multiplication_table(self):
-        """Materialize the full table; guarded for large orders."""
-        if self.order > TABLE_CAP:
-            raise ValueError(f"order {self.order} exceeds table cap {TABLE_CAP}")
-        return np.stack([self.left_mult_images(i) for i in range(self.order)])
 
     def left_mult_images(self, i):
         """Image array of left multiplication by element ``i``, filled in
@@ -446,23 +427,15 @@ def efrf_query(oracle, word):
     return quotient, witness
 
 
-def words_up_to(oracle, n):
-    """All words of length 1..n with nontrivial image, in (length, lex) order."""
-    out = []
-    gens = range(len(oracle.gen_names))
-    frontier = [()]
-    for _ in range(n):
-        frontier = [w + (s,) for w in frontier for s in gens]
-        out.extend(w for w in frontier if not oracle.is_identity(w))
-    return out
-
-
 class QuotientMap:
     """The level-n quotient map: the corestriction of the product of the
-    per-word quotients over all nontrivial words of length at most n.
+    per-word quotients over the shortest representatives of the
+    nontrivial elements of the radius-n ball.
 
-    Every nontrivial kernel element has word length at least n + 1, since
-    its own shortest representative is one of the detected words.
+    Every nontrivial kernel element has word length at least n + 1: an
+    element of length at most n lies in the ball, its own shortest
+    representative is one of the detected words, and every word for the
+    element has the same image.
     """
 
     def __init__(self, oracle, level, quotient):
@@ -474,31 +447,43 @@ class QuotientMap:
         return self.quotient.apply_word(word)
 
 
-def build_level_map(oracle, n):
-    """Build (and cache) the level-n quotient map.
+def level_components(oracle, n):
+    """The distinct finite quotients whose product is the level-n map.
 
-    The product ranges over the distinct quotient descriptors produced by
-    the residual-finiteness query on words of length at most n; components
-    with an identical (quotient, generator images) descriptor detect the
-    same kernel and are collapsed.  The enumeration of the image is the
-    breadth-first closure from the identity tuple, where each generator
-    acts on a tuple of component indices through the components'
-    right-multiplication rows.  The map keeps the image's own rows and
-    spanning tree (see :class:`FiniteQuotient`), not the index tuples.
+    They are the residual-finiteness query's answers on the shortest
+    representatives of the nontrivial elements of the radius-n ball
+    (``oracle.ball(n)[1:]``), in the ball's (length, lex) order.
+    Components with an identical (quotient, generator images) descriptor
+    detect the same kernel and are collapsed, keeping the first
+    appearance.
+    """
+    components = []
+    seen_keys = set()
+    for w in oracle.ball(n)[1:]:
+        quotient, _ = efrf_query(oracle, w)
+        dedup = quotient.key if quotient.key is not None else id(quotient)
+        if dedup not in seen_keys:
+            seen_keys.add(dedup)
+            components.append(quotient)
+    return components
+
+
+def build_level_map(oracle, n):
+    """Build (and cache) the level-n quotient map: the image of the input
+    group in the product of :func:`level_components`.
+
+    The enumeration of the image is the breadth-first closure from the
+    identity tuple, where each generator acts on a tuple of component
+    indices through the components' right-multiplication rows.  The map
+    keeps the image's own rows and spanning tree (see
+    :class:`FiniteQuotient`), not the index tuples.
     """
     if n < 1:
         raise ValueError("quotient chain level must be at least 1")
     got = oracle.cache.get(("level_map", n))
     if got is not None:
         return got
-    components = []
-    seen_keys = set()
-    for w in words_up_to(oracle, n):
-        quotient, _ = efrf_query(oracle, w)
-        dedup = quotient.key if quotient.key is not None else id(quotient)
-        if dedup not in seen_keys:
-            seen_keys.add(dedup)
-            components.append(quotient)
+    components = level_components(oracle, n)
     if not components:
         raise ValueError("input group must be infinite (no nontrivial words found)")
 

@@ -151,6 +151,20 @@ def test_chain_kernel_pass_small_levels(capsys):
         assert "pass" in out.splitlines()[-1]
 
 
+def test_chain_depth_cap_fires_before_any_quotient(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "chain", "40")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "chain level 40 exceeds the depth cap 12" in err
+    code, out, err = run(capsys, "--depth-cap", "2", "chain", "3")
+    assert code == 3 and out == ""
+    code, out, _ = run(capsys, "--depth-cap", "3", "chain", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "kernel check radius 3: pass"
+
+
 def test_verify_suite_json(capsys):
     code, out, _ = run(capsys, "--seed", "3", "verify", "alphabet")
     assert code == 0

@@ -144,6 +144,35 @@ def test_cycle_type():
     assert p.cycle_type() == (1, 2, 3)
 
 
+@st.composite
+def _images(draw):
+    """Image lists on 1 to 300 letters: uniform permutations, or one long
+    cycle of length 2^k - 1, 2^k or 2^k + 1 through shuffled letters."""
+    n = draw(st.integers(1, 300))
+    order = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        return order
+    k = draw(st.integers(1, 8))
+    length = min(n, 2**k + draw(st.sampled_from([-1, 0, 1])))
+    images = list(range(n))
+    cycle = order[:length]
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        images[a] = b
+    return images
+
+
+@given(images=_images(), labelled=st.booleans())
+def test_cycle_kernels_match_sympy(images, labelled):
+    n = len(images)
+    labels = [f"x{i}" for i in range(n)] if labelled else [str(i) for i in range(n)]
+    p = Perm(IndexedAlphabet(n, labels=labels if labelled else None), images)
+    ref = Permutation(images)
+    cyclic = [tuple(c) for c in ref.cyclic_form]
+    assert p.cycles() == cyclic
+    assert p.cycle_type() == tuple(sorted(k for k, m in ref.cycle_structure.items() for _ in range(m)))
+    assert str(p) == ("".join("(" + " ".join(labels[i] for i in c) + ")" for c in cyclic) or "()")
+
+
 def test_cycle_notation_roundtrip(abc):
     for text in ["()", "(a b)", "(a b c)", "(a c)"]:
         p = perm_of(abc, text)

@@ -19,11 +19,11 @@ from branchgroups.resfin import (
     format_group_descriptor,
     format_quotient_map,
     kernel_min_length_check,
+    level_components,
     oracle_from_selector,
     parse_group_descriptor,
     parse_word,
     word_inverse,
-    words_up_to,
 )
 from branchgroups.wordcalc import seed_is_trivial
 
@@ -49,21 +49,62 @@ def test_efrf_query_dihedral(dinf):
     assert quotient.order >= 2
     assert witness != 0
     # image of a is an involution in every dihedral quotient
-    assert quotient.mult(witness, witness) == 0
+    assert quotient.left_mult_images(witness)[witness] == 0
 
 
-def test_words_up_to(zz):
-    assert words_up_to(zz, 0) == []
-    assert words_up_to(zz, 1) == [(0,), (1,)]
-    w2 = words_up_to(zz, 2)
-    assert (0, 1) not in w2 and (1, 0) not in w2  # t t' and t' t are trivial
-    assert len(w2) == 2 + 2
+def _words(oracle, n):
+    """Every word of length 1..n, in (length, lex) order."""
+    gens = range(len(oracle.gen_names))
+    return (w for k in range(1, n + 1) for w in itertools.product(gens, repeat=k))
 
 
-def test_words_counting_bound(dinf):
-    for n in range(4):
-        count = len(words_up_to(dinf, n))
-        assert count <= sum(3 ** k for k in range(1, n + 1))
+# selector -> highest level whose words of length 1..n number at most 2e5
+SWEEP_LEVELS = {
+    "dihedral_infinite": 10,
+    "integers": 16,
+    "finite:2": 16,
+    "finite:6": 16,
+    "product:integers,integers": 8,
+    "product:dihedral_infinite,integers": 7,
+    "product:integers,dihedral_infinite": 7,
+    "product:finite:4,integers": 8,
+    "product:integers,integers,integers": 6,
+    "product:dihedral_infinite,dihedral_infinite": 6,
+}
+
+
+@pytest.mark.parametrize("selector", sorted(SWEEP_LEVELS))
+def test_level_components_match_all_words_sweep(selector):
+    # the reference is the definition by all words of length at most n:
+    # the distinct keys of the query's quotients on every nontrivial word,
+    # in order of first appearance; one sweep in (length, lex) order gives
+    # every level as a prefix
+    oracle = oracle_from_selector(selector)
+    top = SWEEP_LEVELS[selector]
+    assert sum(len(oracle.gen_names) ** k for k in range(1, top + 1)) <= 200_000
+    keys, seen, prefix = [], set(), {}
+    for w in _words(oracle, top):
+        if not oracle.is_identity(w):
+            key = efrf_query(oracle, w)[0].key
+            if key not in seen:
+                seen.add(key)
+                keys.append(key)
+        prefix[len(w)] = len(keys)
+    for n in range(1, top + 1):
+        assert [q.key for q in level_components(oracle, n)] == keys[: prefix[n]], n
+
+
+def test_level_map_queries_only_the_ball(monkeypatch):
+    dihedral = DihedralOracle()
+    calls = []
+
+    def counting(oracle, word):
+        calls.append(word)
+        return efrf_query(oracle, word)
+
+    monkeypatch.setattr(resfin, "efrf_query", counting)
+    assert build_level_map(dihedral, 10).quotient.order == 55440
+    assert 0 < len(calls) <= len(dihedral.ball(10))
 
 
 def test_build_level_map_integers(zz):
@@ -86,8 +127,8 @@ def test_level_map_detects_all_short_words(zz, dinf):
     for oracle in (zz, dinf):
         for n in range(1, 5):
             qm = build_level_map(oracle, n)
-            for w in words_up_to(oracle, n):
-                assert qm.apply(w) != 0
+            for w in _words(oracle, n):
+                assert (qm.apply(w) != 0) == (not oracle.is_identity(w))
 
 
 def test_residuality_on_ball(dinf):
@@ -220,8 +261,10 @@ def test_selector_errors():
 
 
 # sha256 of format_quotient_map(build_level_map(oracle, n)), recorded
-# before the quotients were stored as right-multiplication tables; the
-# canonical enumeration, and with it every letter index, must not move
+# before the quotients were stored as right-multiplication tables (levels
+# up to 8) and while the components were still found by querying every
+# word of length at most n (dihedral 9-10, integers 9-11); the canonical
+# enumeration, and with it every letter index, must not move
 CANONICAL_DIGESTS = {
     ("integers", 1): "54079ca0f80be444ea148e837354a58b8fc432e3e593fe35079c470f3cc3b80f",
     ("integers", 2): "1f0295c34e55bb91ef9cd15bcb1453d20a4907c53d47eede3c7dfa73beddf61e",
@@ -231,6 +274,9 @@ CANONICAL_DIGESTS = {
     ("integers", 6): "24baeaa97be7516b250a2ca074ad78e9429cf179841ad8117a7c87d9fe74ae20",
     ("integers", 7): "d706678b6ca719dfe46f801698bcaa60953156cd2c993e4533fae4d294e05b59",
     ("integers", 8): "5092852f6f0efedcabefea402e68ae81c7660f4631f3387540d9d46a29d580e4",
+    ("integers", 9): "5092852f6f0efedcabefea402e68ae81c7660f4631f3387540d9d46a29d580e4",
+    ("integers", 10): "f763413d43c715fe63467b56c6fa78d9cffe18c322a7e6716f10c867983485f5",
+    ("integers", 11): "f763413d43c715fe63467b56c6fa78d9cffe18c322a7e6716f10c867983485f5",
     ("dihedral_infinite", 1): "133a7d1412e9a8f733625b8d9bb12e80baa1a3681603db3c42db3652e16abe61",
     ("dihedral_infinite", 2): "9aa43248b6ffff0d0b879fc8c1ad13cb1e431b5aff77775339565c7b73ca4373",
     ("dihedral_infinite", 3): "abff2f600372b5671bba7c2e141970c44296bcdb5371b3ed1f54cfccead284ce",
@@ -239,6 +285,8 @@ CANONICAL_DIGESTS = {
     ("dihedral_infinite", 6): "d60b7fbfed1f78d9daff09a9d13e19e65307d0a6a4f2d360bb7bf68163db15bd",
     ("dihedral_infinite", 7): "82879e983e76a986fff182c1620298840daebc43eccfcf01a3293544ed15bafb",
     ("dihedral_infinite", 8): "dd3ba9b6d0cb97a8120eecc52648cf61ddb4b89dfc2ec88b0ffa15ba1759ca75",
+    ("dihedral_infinite", 9): "dd3ba9b6d0cb97a8120eecc52648cf61ddb4b89dfc2ec88b0ffa15ba1759ca75",
+    ("dihedral_infinite", 10): "a0c16428163754f750ac80dbfcebd148bbe80e0722dc5712b0a3c8dcc02baa83",
     ("product:integers,integers", 1): "1b2906c878c999466a71823011e3719c4ea5d0ef95e90d472c14a4e5a3955d4f",
     ("product:integers,integers", 2): "7116d7b768247bd8b9a3039295cb90c4c6b229099977364bbec68d411f719dae",
     ("product:integers,integers", 3): "7b9429e376aa985551a549bc0b0f962079ceeb13e5a839a57754616e51a519be",
@@ -265,16 +313,13 @@ def test_quotient_products_agree(zz, dinf):
     quotients += [build_level_map(product, n).quotient for n in (1, 2)]
     quotients.append(efrf_query(product, parse_word(product, "2.t 2.t"))[0])  # a projection
     for q in quotients:
-        table = q.multiplication_table()
+        # table[i, j] is the product of elements i and j
+        table = np.stack([q.left_mult_images(i) for i in range(q.order)])
         n = q.order
         ident = np.arange(n)
         assert (table[0] == ident).all() and (table[:, 0] == ident).all()
         # associativity: (i j) k == i (j k) for all i, j, k
         assert (table[table] == table[:, table]).all()
-        for i in range(n):
-            assert (q.left_mult_images(i) == table[i]).all()
-            for j in range(n):
-                assert q.mult(i, j) == table[i, j]
         gens = range(len(q.gen_images))
         for s in gens:
             assert (np.asarray(q.right[s]) == table[:, q.gen_images[s]]).all()
@@ -284,19 +329,9 @@ def test_quotient_products_agree(zz, dinf):
             for s in u:
                 acc = table[acc, q.gen_images[s]]
             assert q.apply_word(u) == acc
+            left = q.left_mult_images(q.apply_word(u))
             for v in words[:20]:
-                assert q.apply_word(u + v) == q.mult(q.apply_word(u), q.apply_word(v))
-
-
-def test_multiplication_table_guard(dinf, zz):
-    quotient = build_level_map(zz, 2).quotient  # order 6
-    table = quotient.multiplication_table()
-    for i in range(quotient.order):
-        for j in range(quotient.order):
-            assert table[i, j] == quotient.mult(i, j)
-    big = resfin.FiniteQuotient(0, (1, 10000), lambda a, b: (a + b) % 10001, key=None)
-    with pytest.raises(ValueError):
-        big.multiplication_table()
+                assert q.apply_word(u + v) == left[q.apply_word(v)]
 
 
 def test_ball_is_deduplicated(dinf):
