@@ -198,7 +198,7 @@ def cmd_chain(args):
     depth_cap = _setting(args, "depth_cap", int)
     if args.level > depth_cap:
         raise CapExceeded(f"chain level {args.level} exceeds the depth cap {depth_cap}")
-    qm = build_level_map(oracle, args.level)
+    qm = build_level_map(oracle, args.level, cap=_setting(args, "vertex_cap", int))
     report = kernel_min_length_check(oracle, args.level, args.level)
     text = format_quotient_map(qm)
     payload = {
@@ -239,7 +239,7 @@ def build_parser():
     common.add_argument("--depth-cap", dest="depth_cap", type=int, default=argparse.SUPPRESS,
                         help="maximum evaluation depth")
     common.add_argument("--vertex-cap", dest="vertex_cap", type=int, default=argparse.SUPPRESS,
-                        help="maximum materialized vertex count")
+                        help="maximum materialized vertex count, and maximum codes of a chain fold")
     common.add_argument("--format", choices=["text", "json", "dot"], default=argparse.SUPPRESS,
                         help="output format")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from array import array
 from itertools import islice
-from operator import getitem
 
 import numpy as np
 
@@ -26,6 +25,7 @@ __all__ = [
     "TRIVIAL",
     "NOT_CONJUGATE",
     "UNSUPPORTED",
+    "CapExceeded",
     "FiniteQuotient",
     "GroupOracle",
     "IntegerOracle",
@@ -63,48 +63,57 @@ NOT_CONJUGATE = _Marker("NOT_CONJUGATE")
 UNSUPPORTED = _Marker("UNSUPPORTED")
 
 
+class CapExceeded(RuntimeError):
+    """A materialization would exceed its cap (vertices of a level
+    permutation or portrait, or the ambient table of a quotient-chain
+    fold); use depth-bounded checks or a smaller level instead."""
+
+
 class FiniteQuotient:
     """A finite group stored as the right regular action of its generators
     on a canonical enumeration.
 
-    The enumeration is the breadth-first closure of the generator images
-    from ``identity``, expanding in generator order; element 0 is always
-    the identity.  ``act(x, g)`` is the raw element ``x`` times the raw
-    generator image ``g``: a leaf quotient passes its group law, and a
-    product passes :func:`_act_rows` with tuples of component indices as
-    raw elements and tuples of component rows as generator images.
+    ``rows[s][c]`` is the code of element ``c`` times generator ``s``, over
+    the codes ``0..N-1`` of a finite ambient set in which code 0 is the
+    identity.  The enumeration is the breadth-first closure from code 0,
+    expanding in generator order; element 0 is always the identity.  It
+    depends only on which generator words are equal in the group, not on
+    the codes.
 
     The closure keeps what it computes and nothing else:
 
     - ``right[s]``, an ``array("i")`` row per generator, where
       ``right[s][x]`` is the index of element ``x`` times generator ``s``;
     - the spanning tree of the search, where element ``x`` is element
-      ``parent[x]`` times generator ``via[x]``.
+      ``parent[x]`` times generator ``via[x]``, reached first in that
+      order.
 
-    The raw elements and their index are dropped once the closure ends;
-    every product is a walk in these tables.  ``key`` identifies the
+    The ambient rows and the label table are dropped once the closure
+    ends; every product is a walk in these tables.  ``key`` identifies the
     quotient up to an identical homomorphism from the source, and is used
     to deduplicate components in product constructions.
     """
 
-    def __init__(self, identity, gen_images, act, key=None):
-        elems = [identity]
-        index = {identity: 0}
-        right = tuple(array("i") for _ in gen_images)
+    def __init__(self, rows, key=None):
+        label = array("i", [-1]) * len(rows[0])
+        label[0] = 0
+        codes = array("i", [0])
+        right = tuple(array("i") for _ in rows)
         parent = array("i", [0])
         via = array("i", [0])
-        steps = tuple(enumerate(zip(gen_images, right)))
+        steps = tuple(enumerate(zip(rows, right)))
         order = 1
-        for x, cur in enumerate(elems):
-            for s, (img, row) in steps:
-                nxt = act(cur, img)
-                j = index.setdefault(nxt, order)
-                if j == order:
+        for x, code in enumerate(codes):
+            for s, (row, out) in steps:
+                nxt = row[code]
+                j = label[nxt]
+                if j < 0:
+                    j = label[nxt] = order
                     order += 1
-                    elems.append(nxt)
+                    codes.append(nxt)
                     parent.append(x)
                     via.append(s)
-                row.append(j)
+                out.append(j)
         self.order = order
         self.right = right
         self.parent = parent
@@ -112,16 +121,21 @@ class FiniteQuotient:
         self.gen_images = tuple(row[0] for row in right)
         self.key = key
 
-    def left_mult_images(self, i):
-        """Image array of left multiplication by element ``i``, filled in
-        enumeration order: ``i * x`` is ``i * parent[x]`` times generator
+    def _tree_images(self, start, tree):
+        """Images in this quotient of ``tree``'s spanning-tree words, each
+        multiplied on the left by element ``start``: element ``x`` of
+        ``tree`` maps to the image of ``parent[x]`` times generator
         ``via[x]``, and ``parent[x]`` comes before ``x``."""
         right = self.right
-        images = array("i", [i])
+        images = array("i", [start])
         append = images.append
-        for p, s in islice(zip(self.parent, self.via), 1, None):
+        for p, s in islice(zip(tree.parent, tree.via), 1, None):
             append(right[s][images[p]])
-        return np.frombuffer(images, dtype=np.int32).astype(np.int64)
+        return np.frombuffer(images, dtype=np.int32)
+
+    def left_mult_images(self, i):
+        """Image array of left multiplication by element ``i``."""
+        return self._tree_images(i, self).astype(np.int64)
 
     def apply_word(self, word):
         acc = 0
@@ -130,14 +144,32 @@ class FiniteQuotient:
             acc = right[letter][acc]
         return acc
 
+    def factors_through(self, other):
+        """Whether this quotient's map from the source factors through
+        ``other``'s, over the same generators: every word trivial in
+        ``other`` is trivial here.
+
+        The candidate map sends ``other``'s element ``x`` to the image of
+        its spanning-tree word; it is the factorization exactly when it
+        commutes with every generator row."""
+        images = self._tree_images(0, other)
+        return all(
+            np.array_equal(images[np.frombuffer(there, dtype=np.int32)], np.frombuffer(here, dtype=np.int32)[images])
+            for here, there in zip(self.right, other.right)
+        )
+
+    def fold(self, other):
+        """The image of the source in this quotient times ``other``: the
+        closure over the codes ``i * other.order + j`` of the pairs."""
+        width = other.order
+        rows = []
+        for here, there in zip(self.right, other.right):
+            table = np.add.outer(np.frombuffer(here, dtype=np.int32) * width, np.frombuffer(there, dtype=np.int32))
+            rows.append(array("i", table.tobytes()))
+        return FiniteQuotient(rows)
+
     def __repr__(self):
         return f"FiniteQuotient(order={self.order}, key={self.key!r})"
-
-
-def _act_rows(u, rows):
-    """A raw product element (a tuple of component indices) times the
-    generator whose component right-multiplication rows are ``rows``."""
-    return tuple(map(getitem, rows, u))
 
 
 class GroupOracle:
@@ -239,9 +271,10 @@ class _CyclicBase(GroupOracle):
         super().__init__(name, ("t", "t'"), (1, 0))
 
     def _cyclic(self, k):
+        # code c stands for t^c
         return self._quotient(
             ("cyclic", k),
-            lambda: FiniteQuotient(0, (1 % k, (k - 1) % k), lambda a, b: (a + b) % k, key=("cyclic", k)),
+            lambda: FiniteQuotient([[(c + step) % k for c in range(k)] for step in (1, -1)], key=("cyclic", k)),
         )
 
     def conjugate(self, g, k):
@@ -296,19 +329,18 @@ class DihedralOracle(GroupOracle):
         return (eps, m)
 
     def _dihedral(self, half):
-        def mult(u, v):
-            (e1, m1), (e2, m2) = u, v
-            return (e1 ^ e2, ((-m1 if e2 else m1) + m2) % half)
+        # code e * half + m stands for a^e t^m; right multiplication by a
+        # flips e and negates m, by t or t' shifts m
+        def build():
+            codes = [divmod(c, half) for c in range(2 * half)]
+            rows = [
+                [(e ^ 1) * half + (-m % half) for e, m in codes],
+                [e * half + (m + 1) % half for e, m in codes],
+                [e * half + (m - 1) % half for e, m in codes],
+            ]
+            return FiniteQuotient(rows, key=("dihedral", half))
 
-        return self._quotient(
-            ("dihedral", half),
-            lambda: FiniteQuotient(
-                (0, 0),
-                ((1, 0), (0, 1 % half), (0, (half - 1) % half)),
-                mult,
-                key=("dihedral", half),
-            ),
-        )
+        return self._quotient(("dihedral", half), build)
 
     def detect(self, word):
         if self.is_identity(word):
@@ -383,15 +415,15 @@ class ProductOracle(GroupOracle):
         key = ("proj", side, inner.key)
 
         def build():
-            # Raw elements are 1-tuples of component indices, so the
+            # The codes are the inner quotient's indices, so the
             # breadth-first closure re-enumerates them deterministically;
             # the generators of the other side act trivially.
             fixed = range(inner.order)
             rows = tuple(
-                (inner.right[s - offset] if offset <= s < offset + len(inner.right) else fixed,)
+                inner.right[s - offset] if offset <= s < offset + len(inner.right) else fixed
                 for s in range(len(self.gen_names))
             )
-            return FiniteQuotient((0,), rows, _act_rows, key=key)
+            return FiniteQuotient(rows, key=key)
 
         return self._quotient(key, build)
 
@@ -468,15 +500,19 @@ def level_components(oracle, n):
     return components
 
 
-def build_level_map(oracle, n):
+def build_level_map(oracle, n, cap=None):
     """Build (and cache) the level-n quotient map: the image of the input
     group in the product of :func:`level_components`.
 
-    The enumeration of the image is the breadth-first closure from the
-    identity tuple, where each generator acts on a tuple of component
-    indices through the components' right-multiplication rows.  The map
-    keeps the image's own rows and spanning tree (see
-    :class:`FiniteQuotient`), not the index tuples.
+    The image is folded one component at a time: the running image ``A``
+    and the next component ``C`` close to the image in ``A`` x ``C``
+    (:meth:`FiniteQuotient.fold`).  A component that factors through
+    ``A`` is skipped; it adds nothing to the kernel.  The final kernel is
+    the intersection of the component kernels either way, so the
+    breadth-first enumeration is that of the image in the full product.
+
+    ``cap`` bounds the ambient table of each fold, ``A.order * C.order``
+    codes; a larger fold raises :class:`CapExceeded` before it starts.
     """
     if n < 1:
         raise ValueError("quotient chain level must be at least 1")
@@ -487,10 +523,15 @@ def build_level_map(oracle, n):
     if not components:
         raise ValueError("input group must be infinite (no nontrivial words found)")
 
-    identity = (0,) * len(components)
-    gen_rows = tuple(tuple(c.right[s] for c in components) for s in range(len(oracle.gen_names)))
-    product = FiniteQuotient(identity, gen_rows, _act_rows, key=("level", oracle.name, n))
-    qm = QuotientMap(oracle, n, product)
+    image = components[0]
+    for component in components[1:]:
+        if component.factors_through(image):
+            continue
+        ambient = image.order * component.order
+        if cap is not None and ambient > cap:
+            raise CapExceeded(f"level {n} quotient would fold over {ambient} codes, more than the cap {cap}")
+        image = image.fold(component)
+    qm = QuotientMap(oracle, n, image)
     return oracle.cache.setdefault(("level_map", n), qm)
 
 

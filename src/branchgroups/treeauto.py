@@ -34,6 +34,7 @@ import numpy as np
 
 from .alphabet import build_alphabet, coset_action, marker_action
 from .perm import IndexedAlphabet, Perm, compose_all
+from .resfin import CapExceeded
 
 __all__ = [
     "CapExceeded",
@@ -66,11 +67,6 @@ __all__ = [
 ]
 
 DEFAULT_VERTEX_CAP = 2_000_000
-
-
-class CapExceeded(RuntimeError):
-    """A materialization would exceed the vertex cap; use depth-bounded
-    checks (equal_to_depth, portraits at small depth) instead."""
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
+import contextlib
 import json
+import signal
 import time
+
+import pytest
 
 from branchgroups.cli import main
 
@@ -163,6 +167,38 @@ def test_chain_depth_cap_fires_before_any_quotient(capsys):
     code, out, _ = run(capsys, "--depth-cap", "3", "chain", "3")
     assert code == 0
     assert out.splitlines()[-1] == "kernel check radius 3: pass"
+
+
+@contextlib.contextmanager
+def budget(seconds):
+    def expire(signum, frame):
+        pytest.fail(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_chain_fold_cap_exit_3(capsys):
+    # the dihedral square's level-8 image would fold over 11 289 600 codes
+    with budget(5):
+        code, out, err = run(capsys, "--group", "product:dihedral_infinite,dihedral_infinite", "chain", "8")
+    assert code == 3 and out == ""
+    assert "more than the cap 2000000" in err and "Traceback" not in err
+
+
+def test_chain_fold_cap_follows_vertex_cap(capsys):
+    # dihedral level 10 folds over 110 880 codes at most
+    code, out, err = run(capsys, "--vertex-cap", "100000", "chain", "10")
+    assert code == 3 and out == ""
+    assert "110880" in err
+    code, out, _ = run(capsys, "chain", "10")
+    assert code == 0
+    assert out.splitlines()[0] == "order 55440"
 
 
 def test_verify_suite_json(capsys):

@@ -94,6 +94,83 @@ def test_level_components_match_all_words_sweep(selector):
         assert [q.key for q in level_components(oracle, n)] == keys[: prefix[n]], n
 
 
+def _tuple_closure(components, n_gens, limit):
+    """Reference closure of the level image: raw elements are tuples of
+    component indices, keyed in a dict; None once it passes ``limit``."""
+    gens = [tuple(c.right[s] for c in components) for s in range(n_gens)]
+    elems = [(0,) * len(components)]
+    index = {elems[0]: 0}
+    right, parent, via = [[] for _ in gens], [0], [0]
+    for x, cur in enumerate(elems):
+        for s, rows in enumerate(gens):
+            nxt = tuple(row[i] for row, i in zip(rows, cur))
+            j = index.setdefault(nxt, len(elems))
+            if j == len(elems):
+                if j == limit:
+                    return None
+                elems.append(nxt)
+                parent.append(x)
+                via.append(s)
+            right[s].append(j)
+    return len(elems), right, parent, via
+
+
+@pytest.mark.parametrize("selector", sorted(SWEEP_LEVELS))
+def test_fold_matches_tuple_closure(selector):
+    # the fold, with its skipped components, must enumerate the image
+    # exactly as one closure over the full product of the components does
+    oracle = oracle_from_selector(selector)
+    for n in range(1, SWEEP_LEVELS[selector] + 1):
+        reference = _tuple_closure(level_components(oracle, n), len(oracle.gen_names), 60_000)
+        if reference is None:
+            break
+        order, right, parent, via = reference
+        quotient = build_level_map(oracle, n).quotient
+        assert quotient.order == order, n
+        assert [list(row) for row in quotient.right] == right, n
+        assert list(quotient.parent) == parent and list(quotient.via) == via, n
+    assert n > 1
+
+
+def test_factors_through(zz, dinf):
+    cyclic = zz._cyclic
+    assert cyclic(2).factors_through(cyclic(6))
+    assert cyclic(3).factors_through(cyclic(6))
+    assert not cyclic(4).factors_through(cyclic(6))
+    three_four = cyclic(3).fold(cyclic(4))
+    assert three_four.order == 12
+    assert cyclic(12).factors_through(three_four)
+    assert not cyclic(12).factors_through(cyclic(3))
+    assert not cyclic(12).factors_through(cyclic(4))
+    # dihedral groups of order 2 * half: D_6 onto D_3, but not onto D_4
+    assert dinf._dihedral(3).factors_through(dinf._dihedral(6))
+    assert not dinf._dihedral(4).factors_through(dinf._dihedral(6))
+    # the two sides of a product agree on the first generator, which acts
+    # trivially on the second side's projection
+    product = oracle_from_selector("product:integers,integers")
+    first, _ = efrf_query(product, parse_word(product, "1.t"))
+    second, _ = efrf_query(product, parse_word(product, "2.t"))
+    assert not second.factors_through(first)
+    assert second.factors_through(first.fold(second))
+
+
+def test_level_map_order_cap():
+    dihedral = DihedralOracle()
+    # level 10 folds an order-5040 image with an order-22 component
+    with pytest.raises(resfin.CapExceeded):
+        build_level_map(dihedral, 10, cap=5040 * 22 - 1)
+    assert ("level_map", 10) not in dihedral.cache
+    assert build_level_map(dihedral, 10, cap=5040 * 22).quotient.order == 55440
+
+
+def test_level_map_does_not_touch_its_only_component(zz):
+    # level 1 of the integers has one component: the map's quotient is
+    # that cached component itself, which keeps its own key
+    quotient = build_level_map(zz, 1).quotient
+    assert quotient is zz._cyclic(2)
+    assert quotient.key == ("cyclic", 2)
+
+
 def test_level_map_queries_only_the_ball(monkeypatch):
     dihedral = DihedralOracle()
     calls = []
@@ -186,7 +263,7 @@ def test_efrf_query_rejects_non_separating_quotient():
             # collapses rotations: an order-2 quotient cannot separate t
             return self._quotient(
                 ("bad", 2),
-                lambda: resfin.FiniteQuotient(0, (1, 0, 0), lambda a, b: (a + b) % 2, key=("bad", 2)),
+                lambda: resfin.FiniteQuotient(((1, 0), (0, 1), (0, 1)), key=("bad", 2)),
             )
 
     bad = Corrupted()
@@ -263,7 +340,9 @@ def test_selector_errors():
 # sha256 of format_quotient_map(build_level_map(oracle, n)), recorded
 # before the quotients were stored as right-multiplication tables (levels
 # up to 8) and while the components were still found by querying every
-# word of length at most n (dihedral 9-10, integers 9-11); the canonical
+# word of length at most n (dihedral 9-10, integers 9-11), or while the
+# image was closed over tuples of component indices (dihedral 11,
+# integers 12, product 6); the canonical
 # enumeration, and with it every letter index, must not move
 CANONICAL_DIGESTS = {
     ("integers", 1): "54079ca0f80be444ea148e837354a58b8fc432e3e593fe35079c470f3cc3b80f",
@@ -277,6 +356,7 @@ CANONICAL_DIGESTS = {
     ("integers", 9): "5092852f6f0efedcabefea402e68ae81c7660f4631f3387540d9d46a29d580e4",
     ("integers", 10): "f763413d43c715fe63467b56c6fa78d9cffe18c322a7e6716f10c867983485f5",
     ("integers", 11): "f763413d43c715fe63467b56c6fa78d9cffe18c322a7e6716f10c867983485f5",
+    ("integers", 12): "7fa849f62c1fd3575976f3cc02e4bd59061ebfc90015c5adf5a6c61663974534",
     ("dihedral_infinite", 1): "133a7d1412e9a8f733625b8d9bb12e80baa1a3681603db3c42db3652e16abe61",
     ("dihedral_infinite", 2): "9aa43248b6ffff0d0b879fc8c1ad13cb1e431b5aff77775339565c7b73ca4373",
     ("dihedral_infinite", 3): "abff2f600372b5671bba7c2e141970c44296bcdb5371b3ed1f54cfccead284ce",
@@ -287,11 +367,13 @@ CANONICAL_DIGESTS = {
     ("dihedral_infinite", 8): "dd3ba9b6d0cb97a8120eecc52648cf61ddb4b89dfc2ec88b0ffa15ba1759ca75",
     ("dihedral_infinite", 9): "dd3ba9b6d0cb97a8120eecc52648cf61ddb4b89dfc2ec88b0ffa15ba1759ca75",
     ("dihedral_infinite", 10): "a0c16428163754f750ac80dbfcebd148bbe80e0722dc5712b0a3c8dcc02baa83",
+    ("dihedral_infinite", 11): "a0c16428163754f750ac80dbfcebd148bbe80e0722dc5712b0a3c8dcc02baa83",
     ("product:integers,integers", 1): "1b2906c878c999466a71823011e3719c4ea5d0ef95e90d472c14a4e5a3955d4f",
     ("product:integers,integers", 2): "7116d7b768247bd8b9a3039295cb90c4c6b229099977364bbec68d411f719dae",
     ("product:integers,integers", 3): "7b9429e376aa985551a549bc0b0f962079ceeb13e5a839a57754616e51a519be",
     ("product:integers,integers", 4): "344829244ad0d1e227840bbd11687271befcce1fbf5edc4aa08c74abb72367b0",
     ("product:integers,integers", 5): "344829244ad0d1e227840bbd11687271befcce1fbf5edc4aa08c74abb72367b0",
+    ("product:integers,integers", 6): "d42eb09617d7f32b91c2fd4cc2ad0127dfdef6582020b7f157bff96483ff42dd",
     ("finite:6", 1): "1f0295c34e55bb91ef9cd15bcb1453d20a4907c53d47eede3c7dfa73beddf61e",
     ("finite:6", 2): "1f0295c34e55bb91ef9cd15bcb1453d20a4907c53d47eede3c7dfa73beddf61e",
     ("finite:6", 3): "1f0295c34e55bb91ef9cd15bcb1453d20a4907c53d47eede3c7dfa73beddf61e",
