@@ -36,11 +36,11 @@ class IndexedAlphabet:
 
     Permutations act on the index range ``0..size-1``.  Labels exist for
     parsing and printing only.  An alphabet may be constructed without
-    explicit labels, in which case decimal strings are used; such
-    alphabets compare equal by ``(name, size)``.
+    explicit labels, in which case decimal strings are used, built on
+    first use; such alphabets compare equal by ``(name, size)``.
     """
 
-    __slots__ = ("size", "_labels", "name", "_index")
+    __slots__ = ("size", "_labels", "name", "_index", "_decimal")
 
     def __init__(self, size, labels=None, name=None):
         if size < 1:
@@ -55,6 +55,7 @@ class IndexedAlphabet:
         self._labels = labels
         self.name = name
         self._index = None
+        self._decimal = None
 
     def label(self, i):
         if not 0 <= i < self.size:
@@ -65,9 +66,11 @@ class IndexedAlphabet:
 
     @property
     def labels(self):
-        if self._labels is None:
-            return tuple(map(str, range(self.size)))
-        return self._labels
+        if self._labels is not None:
+            return self._labels
+        if self._decimal is None:
+            self._decimal = tuple(map(str, range(self.size)))
+        return self._decimal
 
     def index(self, label):
         if self._labels is None:
@@ -183,19 +186,9 @@ class Perm:
     def cycles(self):
         """Nontrivial cycles as index tuples, each starting at its least
         element, ordered by that element."""
-        images = self.images.tolist()
-        seen = bytearray(len(images))
-        out = []
-        for i, j in enumerate(images):
-            if seen[i] or j == i:
-                continue
-            cyc = [i]
-            while j != i:
-                seen[j] = 1
-                cyc.append(j)
-                j = images[j]
-            out.append(tuple(cyc))
-        return out
+        letters, bounds = _cycle_walk(self.images)
+        letters = letters.tolist()
+        return [tuple(letters[a:b]) for a, b in itertools.pairwise(bounds)]
 
     def cycle_type(self):
         """Sorted multiset of cycle lengths, fixed points included."""
@@ -225,18 +218,25 @@ class Perm:
         return self._hash
 
     def __str__(self):
-        cyc = self.cycles()
-        if not cyc:
+        letters, bounds = _cycle_walk(self.images)
+        if not len(letters):
             return "()"
-        labels = self.alphabet.labels
-        return "".join("(" + " ".join([labels[i] for i in c]) + ")" for c in cyc)
+        # letter labels at the even places; after each one " ", or ")("
+        # where its cycle ends
+        tail = np.full(len(letters), " ", dtype=object)
+        tail[bounds[1:] - 1] = ")("
+        tail[-1] = ")"
+        text = [None] * (2 * len(letters))
+        text[::2] = np.asarray(self.alphabet.labels, dtype=object)[letters].tolist()
+        text[1::2] = tail.tolist()
+        return "(" + "".join(text)
 
     def __repr__(self):
         return f"Perm({self})"
 
 
-def _cycle_lengths(images):
-    """Cycle lengths of an image array, via path-doubling minimum labels.
+def _least_letters(images):
+    """Each letter's cycle's least letter, via path-doubling minimum labels.
 
     After step k, ``rep[i]`` is the least letter among ``i`` and its next
     2^k - 1 images.  Once a step changes nothing, ``rep`` is constant
@@ -249,14 +249,60 @@ def _cycle_lengths(images):
     power = np.asarray(images, dtype=np.int64)
     span = 1
     while span < n:
-        nxt = np.minimum(rep, rep[power])
-        if np.array_equal(nxt, rep):
+        ahead = rep[power]
+        if not (ahead < rep).any():
             break
-        rep = nxt
+        np.minimum(rep, ahead, out=rep)
+        del ahead
         power = power[power]
         span *= 2
-    _, counts = np.unique(rep, return_counts=True)
+    return rep
+
+
+def _cycle_lengths(images):
+    """Cycle lengths of an image array, fixed points included."""
+    _, counts = np.unique(_least_letters(images), return_counts=True)
     return counts
+
+
+def _cycle_walk(images):
+    """The moved letters of an image array in cycle-notation order (each
+    cycle from its least letter, cycles by that letter), and ``bounds``,
+    where cycle ``k`` is ``letters[bounds[k]:bounds[k + 1]]``.
+
+    Only the moved letters are walked, renumbered in increasing order so
+    that least letters stay least.  A letter's place in its cycle is its
+    number of backward steps to the least letter, found by pointer
+    jumping: each round adds the distance of the letter it points at and
+    doubles the jump, until every letter points at its least letter.
+    The work arrays are as long as the alphabet, so each is dropped as
+    soon as it is spent.
+    """
+    moved = np.flatnonzero(images != np.arange(len(images)))
+    m = len(moved)
+    if not m:
+        return moved, moved
+    local = np.arange(m)
+    index = np.empty(len(images), dtype=np.int64)
+    index[moved] = local
+    step = index[images[moved]]
+    del index
+    rep = _least_letters(step)
+    jump = np.empty(m, dtype=np.int64)
+    jump[step] = local
+    del step
+    at_rep = rep == local
+    jump[at_rep] = local[at_rep]
+    place = (~at_rep).astype(np.int64)
+    while not np.array_equal(jump, rep):
+        place += place[jump]
+        jump = jump[jump]
+    del jump, local
+    lengths = np.bincount(rep, minlength=m)
+    ends = np.cumsum(lengths)
+    letters = np.empty(m, dtype=np.int64)
+    letters[(ends - lengths)[rep] + place] = moved
+    return letters, np.concatenate(([0], ends[at_rep]))
 
 
 def compose(p, q):

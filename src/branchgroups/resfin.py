@@ -69,6 +69,42 @@ class CapExceeded(RuntimeError):
     fold); use depth-bounded checks or a smaller level instead."""
 
 
+def _ints(row):
+    """An int32 view of an ``array("i")`` row."""
+    return np.frombuffer(row, dtype=np.int32)
+
+
+def _int_row(values):
+    """An ``array("i")`` copy of a contiguous int32 array."""
+    row = array("i")
+    row.frombytes(memoryview(values).cast("B"))
+    return row
+
+
+def _closure(rows):
+    """Breadth-first closure from code 0 over ambient rows, ``rows[s][c]``
+    being the code of ``c`` times generator ``s``.  Returns the label of
+    every code (its element index, or -1 where unreached), the codes of
+    the elements in order, and the spanning tree ``parent``, ``via``."""
+    label = array("i", [-1]) * len(rows[0])
+    label[0] = 0
+    codes = array("i", [0])
+    parent = array("i", [0])
+    via = array("i", [0])
+    steps = tuple(enumerate(rows))
+    order = 1
+    for x, code in enumerate(codes):
+        for s, row in steps:
+            nxt = row[code]
+            if label[nxt] < 0:
+                label[nxt] = order
+                order += 1
+                codes.append(nxt)
+                parent.append(x)
+                via.append(s)
+    return _ints(label), _ints(codes), parent, via
+
+
 class FiniteQuotient:
     """A finite group stored as the right regular action of its generators
     on a canonical enumeration.
@@ -82,43 +118,34 @@ class FiniteQuotient:
 
     The closure keeps what it computes and nothing else:
 
-    - ``right[s]``, an ``array("i")`` row per generator, where
-      ``right[s][x]`` is the index of element ``x`` times generator ``s``;
     - the spanning tree of the search, where element ``x`` is element
       ``parent[x]`` times generator ``via[x]``, reached first in that
-      order.
+      order;
+    - ``right[s]`` and ``left[s]``, ``array("i")`` rows per generator,
+      where ``right[s][x]`` is the index of element ``x`` times generator
+      ``s`` and ``left[s][x]`` that of generator ``s`` times element
+      ``x``.
 
-    The ambient rows and the label table are dropped once the closure
-    ends; every product is a walk in these tables.  ``key`` identifies the
-    quotient up to an identical homomorphism from the source, and is used
-    to deduplicate components in product constructions.
+    The search records only the tree and the label of each code it
+    reaches; the right rows are gathered from the ambient rows once it
+    ends, and the left rows are walked along the spanning tree.  The
+    ambient rows and the label table are dropped afterwards; every
+    product is a walk in these tables.  ``key`` identifies the quotient
+    up to an identical homomorphism from the source, and is used to
+    deduplicate components in product constructions.
     """
 
     def __init__(self, rows, key=None):
-        label = array("i", [-1]) * len(rows[0])
-        label[0] = 0
-        codes = array("i", [0])
-        right = tuple(array("i") for _ in rows)
-        parent = array("i", [0])
-        via = array("i", [0])
-        steps = tuple(enumerate(zip(rows, right)))
-        order = 1
-        for x, code in enumerate(codes):
-            for s, (row, out) in steps:
-                nxt = row[code]
-                j = label[nxt]
-                if j < 0:
-                    j = label[nxt] = order
-                    order += 1
-                    codes.append(nxt)
-                    parent.append(x)
-                    via.append(s)
-                out.append(j)
-        self.order = order
-        self.right = right
+        label, codes, parent, via = _closure(rows)
+        self._store(parent, via, (label[np.asarray(row)[codes]] for row in rows), key)
+        self.left = tuple(_int_row(self._tree_images(g, self)) for g in self.gen_images)
+
+    def _store(self, parent, via, right, key):
+        self.order = len(parent)
         self.parent = parent
         self.via = via
-        self.gen_images = tuple(row[0] for row in right)
+        self.right = tuple(map(_int_row, right))
+        self.gen_images = tuple(row[0] for row in self.right)
         self.key = key
 
     def _tree_images(self, start, tree):
@@ -131,10 +158,11 @@ class FiniteQuotient:
         append = images.append
         for p, s in islice(zip(tree.parent, tree.via), 1, None):
             append(right[s][images[p]])
-        return np.frombuffer(images, dtype=np.int32)
+        return _ints(images)
 
     def left_mult_images(self, i):
-        """Image array of left multiplication by element ``i``."""
+        """Image array of left multiplication by element ``i``; for a
+        generator's image this is its ``left`` row."""
         return self._tree_images(i, self).astype(np.int64)
 
     def apply_word(self, word):
@@ -153,20 +181,30 @@ class FiniteQuotient:
         its spanning-tree word; it is the factorization exactly when it
         commutes with every generator row."""
         images = self._tree_images(0, other)
-        return all(
-            np.array_equal(images[np.frombuffer(there, dtype=np.int32)], np.frombuffer(here, dtype=np.int32)[images])
-            for here, there in zip(self.right, other.right)
-        )
+        return all(np.array_equal(images[_ints(there)], _ints(here)[images]) for here, there in zip(self.right, other.right))
 
     def fold(self, other):
         """The image of the source in this quotient times ``other``: the
-        closure over the codes ``i * other.order + j`` of the pairs."""
+        closure over the codes ``i * other.order + j`` of the pairs.
+
+        Both row sets pair the two factors' rows, ``(i, j)`` times
+        generator ``s`` on either side having code ``here[s][i] * width +
+        there[s][j]``; they are gathered at the reached codes only, after
+        the ambient rows are dropped."""
         width = other.order
-        rows = []
-        for here, there in zip(self.right, other.right):
-            table = np.add.outer(np.frombuffer(here, dtype=np.int32) * width, np.frombuffer(there, dtype=np.int32))
-            rows.append(array("i", table.tobytes()))
-        return FiniteQuotient(rows)
+        label, codes, parent, via = _closure(
+            [_int_row(np.add.outer(_ints(here) * width, _ints(there)).ravel()) for here, there in zip(self.right, other.right)]
+        )
+        i, j = np.divmod(codes, width)
+
+        def paired(mine, theirs):
+            for here, there in zip(mine, theirs):
+                yield label[_ints(here)[i] * width + _ints(there)[j]]
+
+        image = FiniteQuotient.__new__(FiniteQuotient)
+        image._store(parent, via, paired(self.right, other.right), None)
+        image.left = tuple(map(_int_row, paired(self.left, other.left)))
+        return image
 
     def __repr__(self):
         return f"FiniteQuotient(order={self.order}, key={self.key!r})"
@@ -576,9 +614,8 @@ def format_quotient_map(qm):
     quotient = qm.quotient
     alphabet = IndexedAlphabet(quotient.order, name=f"quotient:{qm.oracle.name}:{qm.level}")
     lines = [f"order {quotient.order}"]
-    for s, name in enumerate(qm.oracle.gen_names):
-        perm = Perm(alphabet, quotient.left_mult_images(quotient.gen_images[s]), check=False)
-        lines.append(f"{name} -> {perm}")
+    for name, row in zip(qm.oracle.gen_names, quotient.left):
+        lines.append(f"{name} -> {Perm(alphabet, row, check=False)}")
     return "\n".join(lines)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import signal
 import time
@@ -79,6 +80,44 @@ def test_portrait_deterministic_bytes(tmp_path, capsys):
     assert out1 == out2
     assert out1.splitlines()[0] == "portrait depth=2"
     assert "z@1 (x@2 y@2 z@2)" in out1
+
+
+# sha256 of stdout, recorded before quotient reports read carried
+# left-multiplication rows and before cycle notation came from a
+# vectorized walk; every byte of these reports must stay put
+PORTRAIT_WORDS = (
+    "H(a|(x z o q p)) B((q0@1 z@1 p@1 y@1 q3@1 q@1 q1@1 q2@1 x@1))",
+    "B((q0@1 q3@1 z@1 x@1)(q1@1 y@1 p@1 q2@1)) H(t t'|(x z)(y p q o))",
+    "B((q1@1 p@1 q3@1 y@1 q@1 x@1 z@1)) H(t' t|(x o p)(y q z))",
+)
+PORTRAIT_4_DIGESTS = (
+    "5d9b33d869bfa3a670e1527a202471969d692a022d6901a4d928a6abbed3a390",
+    "53148179fa081e15ad8337cead49d81cc99815b5fad2494361e82a256c759e4f",
+    "72e476261931af345c65ef59e17f8255b84516d683c90a854f451c59274316d6",
+)
+CHAIN_DIGESTS = {
+    ("dihedral_infinite", 10): "7b2ae61b52dc57ec8b34c4ffd63551bba74068856f813eb4c6acf66e8c89484e",
+    ("integers", 11): "790fbc5770380345b70378413c40ad53646eed34633b5a360e18eba178c31802",
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("i", range(len(PORTRAIT_WORDS)))
+def test_portrait_depth_4_bytes(tmp_path, capsys, i):
+    path = write(tmp_path, "w.txt", PORTRAIT_WORDS[i] + "\n")
+    code, out, _ = run(capsys, "portrait", path, "--depth", "4")
+    assert code == 0
+    assert _digest(out) == PORTRAIT_4_DIGESTS[i]
+
+
+@pytest.mark.parametrize("group,level", sorted(CHAIN_DIGESTS))
+def test_chain_report_bytes(capsys, group, level):
+    code, out, _ = run(capsys, "--group", group, "chain", str(level))
+    assert code == 0
+    assert _digest(out) == CHAIN_DIGESTS[group, level]
 
 
 def test_portrait_identity_all_blank(tmp_path, capsys):

@@ -146,31 +146,84 @@ def test_cycle_type():
 
 @st.composite
 def _images(draw):
-    """Image lists on 1 to 300 letters: uniform permutations, or one long
-    cycle of length 2^k - 1, 2^k or 2^k + 1 through shuffled letters."""
+    """Image lists on 1 to 300 letters: uniform permutations; a few moved
+    letters among many fixed points; involutions made of 2-cycles only;
+    or one long cycle of length 2^k - 1, 2^k or 2^k + 1 through shuffled
+    letters."""
     n = draw(st.integers(1, 300))
     order = draw(st.permutations(range(n)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["uniform", "sparse", "involution", "cycle"]))
+    if kind == "uniform":
         return order
-    k = draw(st.integers(1, 8))
-    length = min(n, 2**k + draw(st.sampled_from([-1, 0, 1])))
     images = list(range(n))
-    cycle = order[:length]
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        images[a] = b
+    if kind == "sparse":
+        moved = sorted(order[: draw(st.integers(0, min(n, 6)))])
+        for a, b in zip(moved, draw(st.permutations(moved))):
+            images[a] = b
+    elif kind == "involution":
+        pairs = draw(st.integers(0, n // 2))
+        for a, b in zip(order[0 : 2 * pairs : 2], order[1 : 2 * pairs : 2]):
+            images[a], images[b] = b, a
+    else:
+        k = draw(st.integers(1, 8))
+        cycle = order[: min(n, 2**k + draw(st.sampled_from([-1, 0, 1])))]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
     return images
 
 
-@given(images=_images(), labelled=st.booleans())
-def test_cycle_kernels_match_sympy(images, labelled):
+def _labels(kind, n):
+    """Decimal labels, ``x<i>``, or level-alphabet labels (``q0@1``, ...,
+    ``x@1``, ``y@1``, ``z@1``, ``p@1``, ``q@1``)."""
+    if kind == "decimal":
+        return None
+    if kind == "x":
+        return [f"x{i}" for i in range(n)]
+    return ([f"q{i}@1" for i in range(max(n - 5, 0))] + [f"{s}@1" for s in "xyzpq"])[:n]
+
+
+def _walk_cycles(images):
+    """Reference cycle walk, letter by letter in plain Python."""
+    seen = bytearray(len(images))
+    out = []
+    for i, j in enumerate(images):
+        if seen[i] or j == i:
+            continue
+        cyc = [i]
+        while j != i:
+            seen[j] = 1
+            cyc.append(j)
+            j = images[j]
+        out.append(tuple(cyc))
+    return out
+
+
+def _check_cycle_notation(images, label_kind):
     n = len(images)
-    labels = [f"x{i}" for i in range(n)] if labelled else [str(i) for i in range(n)]
-    p = Perm(IndexedAlphabet(n, labels=labels if labelled else None), images)
+    labels = _labels(label_kind, n)
+    p = Perm(IndexedAlphabet(n, labels=labels), images)
+    cyclic = [tuple(c) for c in Permutation(images).cyclic_form]
+    assert p.cycles() == cyclic == _walk_cycles(images)
+    names = labels or [str(i) for i in range(n)]
+    assert str(p) == ("".join("(" + " ".join(names[i] for i in c) + ")" for c in cyclic) or "()")
+    return p
+
+
+LABEL_KINDS = ["decimal", "x", "level"]
+
+
+@given(images=_images(), label_kind=st.sampled_from(LABEL_KINDS))
+def test_cycle_kernels_match_sympy(images, label_kind):
+    p = _check_cycle_notation(images, label_kind)
     ref = Permutation(images)
-    cyclic = [tuple(c) for c in ref.cyclic_form]
-    assert p.cycles() == cyclic
     assert p.cycle_type() == tuple(sorted(k for k, m in ref.cycle_structure.items() for _ in range(m)))
-    assert str(p) == ("".join("(" + " ".join(labels[i] for i in c) + ")" for c in cyclic) or "()")
+
+
+@pytest.mark.parametrize("label_kind", LABEL_KINDS)
+def test_identities_print_empty_cycle(label_kind):
+    for n in range(1, 301):
+        p = _check_cycle_notation(list(range(n)), label_kind)
+        assert str(p) == "()" and p.cycles() == []
 
 
 def test_cycle_notation_roundtrip(abc):

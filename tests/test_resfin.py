@@ -129,7 +129,23 @@ def test_fold_matches_tuple_closure(selector):
         assert quotient.order == order, n
         assert [list(row) for row in quotient.right] == right, n
         assert list(quotient.parent) == parent and list(quotient.via) == via, n
+        _assert_left_rows(quotient)
     assert n > 1
+
+
+def _assert_left_rows(quotient):
+    # the carried left rows are left multiplication by each generator's
+    # image, as the spanning-tree walk computes it
+    assert len(quotient.left) == len(quotient.gen_images)
+    for row, g in zip(quotient.left, quotient.gen_images):
+        assert np.array_equal(np.asarray(row), quotient.left_mult_images(g)), g
+
+
+@pytest.mark.parametrize("selector", sorted(SWEEP_LEVELS))
+def test_leaf_left_rows_match_tree_walk(selector):
+    oracle = oracle_from_selector(selector)
+    for component in level_components(oracle, SWEEP_LEVELS[selector]):
+        _assert_left_rows(component)
 
 
 def test_factors_through(zz, dinf):
@@ -169,6 +185,7 @@ def test_level_map_does_not_touch_its_only_component(zz):
     quotient = build_level_map(zz, 1).quotient
     assert quotient is zz._cyclic(2)
     assert quotient.key == ("cyclic", 2)
+    _assert_left_rows(quotient)
 
 
 def test_level_map_queries_only_the_ball(monkeypatch):
