@@ -264,7 +264,9 @@ def build_parser():
     p = sub.add_parser("conj", parents=[common], help="conjugacy certificate for two seed elements")
     p.add_argument("g", help="seed element literal, e.g. 't|()' or 'H(t|(x y z))'")
     p.add_argument("k")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=int, default=4,
+                   help="deepest tree level whose cycle types are compared; "
+                        "conjugators are proved by the word-problem decider whatever the depth")
     p.add_argument("--h-radius", dest="h_radius", type=int, default=1)
     p.add_argument("--max-h-count", dest="max_h_count", type=int, default=1)
     p.set_defaults(func=cmd_conj)

@@ -13,14 +13,19 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .alphabet import Seed, build_alphabet, coset_action, marker_action, marker_perm, random_marker_perm
 from .perm import IndexedAlphabet, Perm, check_alternating_generation, orbit, random_even_perm
 from .resfin import NOT_CONJUGATE, UNSUPPORTED, parse_word, word_inverse
 from .treeauto import (
     DEFAULT_VERTEX_CAP,
+    Vertex,
     directed,
+    embed_shift,
     equal_to_depth,
     eval_vertex,
+    invert,
     level_perm,
     nontrivial_vertex,
     product,
@@ -38,7 +43,6 @@ from .wordcalc import (
     section_word,
     section_word_traced,
     seed_is_trivial,
-    verify_branch_identities,
     verify_certificate,
 )
 
@@ -242,11 +246,63 @@ def suite_contraction(oracle, seed=0, words=100, depth=3, semantic_sample=3):
     return _result("contraction", failures, {"words": checked})
 
 
+def _displacing_perm(oracle, rng):
+    """A random even first-level permutation fixing z and moving both
+    x and y outside {x, y}."""
+    lvl = build_alphabet(oracle, 1)
+    others = [i for i in range(lvl.size) if i not in (lvl.x_index, lvl.y_index, lvl.z_index)]
+    a1, a2 = rng.sample(others, 2)
+    img = np.arange(lvl.size, dtype=np.int64)
+    img[lvl.x_index], img[a1] = a1, lvl.x_index
+    img[lvl.y_index], img[a2] = a2, lvl.y_index
+    rest = [i for i in others if i not in (a1, a2)]
+    if len(rest) >= 3 and rng.random() < 0.5:
+        r1, r2, r3 = rng.sample(rest, 3)
+        img[r1], img[r2], img[r3] = img[r2], img[r3], img[r1]
+    return Perm(lvl.alphabet, img, check=False)
+
+
 def suite_branch_identities(oracle, seed=0, count=20, depth=4):
+    """Machine-check the two section identities behind the branch property.
+
+    For a rooted even letter s fixing z and displacing {x, y} off itself:
+    (i) the commutator of the s-conjugate of a directed letter with
+    another directed letter is supported below z, where it acts as the
+    rooted marker action of the seed commutator; (ii) a directed letter
+    times correcting shifts below y and z equals its own shift below x.
+    Both identities are checked to ``depth`` on random seeds."""
     rng = random.Random(seed)
-    report = verify_branch_identities(oracle, count, rng, depth=depth)
-    return _result("branch-identities", report["failures"],
-                   {"samples": count, "first_level_size": report["first_level_size"]})
+    lvl = build_alphabet(oracle, 1)
+    if lvl.size < 7:
+        raise ValueError("first-level alphabet must have at least 7 letters")
+    x1 = Vertex(0, (lvl.letter_at(lvl.x_index),))
+    y1 = Vertex(0, (lvl.letter_at(lvl.y_index),))
+    z1 = Vertex(0, (lvl.letter_at(lvl.z_index),))
+    failures = []
+    for case in range(count):
+        h = random_seed_elem(oracle, rng)
+        k = random_seed_elem(oracle, rng)
+        s = rooted(oracle, 0, _displacing_perm(oracle, rng))
+        hd = directed(oracle, h, 0)
+        kd = directed(oracle, k, 0)
+
+        u = product([invert(s), hd, s])
+        comm = product([invert(u), invert(kd), u, kd])
+        expected = rooted(oracle, 1, marker_action(oracle, 2, h.commutator(k)))
+        if not equal_to_depth(comm, embed_shift(z1, expected), depth):
+            failures.append({"case": case, "identity": "commutator-support"})
+
+        phi = coset_action(oracle, 2, h)
+        psi = marker_action(oracle, 2, h)
+        lhs = product([
+            hd,
+            embed_shift(y1, rooted(oracle, 1, phi.inverse())),
+            embed_shift(z1, rooted(oracle, 1, psi.inverse())),
+        ], oracle=oracle, base_level=0)
+        rhs = embed_shift(x1, directed(oracle, h, 1))
+        if not equal_to_depth(lhs, rhs, depth):
+            failures.append({"case": case, "identity": "shift-product"})
+    return _result("branch-identities", failures, {"samples": count, "first_level_size": lvl.size})
 
 
 def semantic_wp_oracle(oracle, aut, depth, cap=DEFAULT_VERTEX_CAP):

@@ -56,7 +56,6 @@ __all__ = [
     "section_search",
     "nontrivial_vertex",
     "equal_to_depth",
-    "difference_vertex",
     "level_perm",
     "vertex_count",
     "vertex_alphabet",
@@ -459,13 +458,9 @@ def nontrivial_vertex(a, depth):
     return section_search(a, depth, root_perm, nontrivial_children)
 
 
-def difference_vertex(a, b, depth):
-    """A vertex of depth at most ``depth`` where a and b disagree, or None."""
-    return nontrivial_vertex(product([invert(b), a]), depth)
-
-
 def equal_to_depth(a, b, depth):
-    return difference_vertex(a, b, depth) is None
+    """Whether a and b agree on every vertex of depth at most ``depth``."""
+    return nontrivial_vertex(product([invert(b), a]), depth) is None
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ seed-letter count and its contraction under taking sections, a
 word-problem decider working by bounded stabilizer evaluation (a word
 assembled from w generator tokens is trivial exactly when it fixes every
 vertex of depth 2w), effective residual-finiteness output for the level-0
-group, and a sound conjugacy-certificate testbed.
+group, and a sound conjugacy-certificate testbed whose conjugator words
+are proved by that same decider.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .alphabet import (
     coset_action,
     marker_action,
     marker_perm,
-    random_marker_perm,
 )
 from .perm import Perm, compose, compose_all
 from .resfin import TRIVIAL
@@ -35,9 +35,6 @@ from .treeauto import (
     CapExceeded,
     Vertex,
     directed,
-    embed_shift,
-    equal_to_depth,
-    invert,
     level_perm,
     product,
     root_perm,
@@ -62,7 +59,6 @@ __all__ = [
     "format_efrf_output",
     "conjugacy_certificate",
     "verify_certificate",
-    "verify_branch_identities",
     "default_b_gens",
     "seed_is_trivial",
     "parse_tokens",
@@ -466,8 +462,10 @@ def format_efrf_output(out):
 class SearchBounds:
     """Bounds for the conjugator search: seed letters come from the group
     ball of ``h_radius`` paired with four fixed marker permutations, rooted
-    letters from ``b_gens``, with at most ``max_h_count`` seed letters;
-    candidates and witnesses are verified to ``depth``."""
+    letters from ``b_gens``; any ``max_h_count`` of at least 1 tries
+    candidates with at most one seed letter.  ``depth`` is the deepest tree
+    level whose cycle types are compared.  Candidates and witnesses are
+    proved by :func:`decide`, independent of these bounds."""
 
     h_radius: int = 1
     max_h_count: int = 1
@@ -480,10 +478,10 @@ class SearchBounds:
 class Certificate:
     """Outcome of a conjugacy query.
 
-    ``conjugate`` carries a verified conjugator word; ``not_conjugate``
-    exhibits distinct cycle types of the two level-``level`` permutations,
-    which refutes conjugacy in the full automorphism group; ``unknown``
-    reports exhausted bounds."""
+    ``conjugate`` carries a conjugator word proved by :func:`decide`;
+    ``not_conjugate`` exhibits distinct cycle types of the two
+    level-``level`` permutations, which refutes conjugacy in the full
+    automorphism group; ``unknown`` reports exhausted bounds."""
 
     kind: str  # "conjugate" | "not_conjugate" | "unknown"
     depth: int
@@ -530,35 +528,41 @@ def _marker_conjugator(a, b):
     return None
 
 
-def _conjugated(aut, conj):
-    return product([invert(conj), aut, conj])
+def _conjugates(c, g, k):
+    """Whether the conjugator word ``c`` takes H(g) to H(k): the proof word
+    c^-1 H(g) c H(k)^-1 is decided trivial by :func:`decide`, which is exact
+    at depth 2*ell."""
+    toks = c.tokens()
+    inverse = [tok for t in reversed(toks) for tok in (t, INVERSE)]
+    proof = inverse + [("H", g)] + toks + [("H", k), INVERSE]
+    return decide(normal_form(g.oracle, proof)).trivial
 
 
 def conjugacy_certificate(g, k, bounds=None):
     """Sound conjugacy test for two seed elements in the level-0 group.
 
     Routes, in order: (a) a witness from the input group's own conjugacy
-    decider, verified to depth; (b) a cycle-type refutation on materialized
-    level permutations; (c) a bounded search over normal-form conjugator
-    candidates; (d) an honest unknown."""
+    decider, proved by :func:`decide`; (b) a cycle-type refutation on
+    materialized level permutations of levels 1 to ``bounds.depth``; (c) a
+    bounded search over normal-form conjugator candidates, each proved by
+    :func:`decide`; (d) an honest unknown.  Every ``conjugate`` answer is
+    proved exactly, whatever the bounds."""
     bounds = bounds or SearchBounds()
     oracle = g.oracle
-    g_aut = directed(oracle, g, 0)
-    k_aut = directed(oracle, k, 0)
 
     # (a) forward route through the input group
     gw = oracle.conjugate(g.g, k.g)
     if gw not in (resfin.NOT_CONJUGATE, resfin.UNSUPPORTED):
         mc = _marker_conjugator(g.marker, k.marker)
         if mc is not None:
-            conj_seed = Seed(oracle, gw, mc)
-            conj = directed(oracle, conj_seed, 0)
-            if equal_to_depth(_conjugated(g_aut, conj), k_aut, bounds.depth):
-                word = normal_form(oracle, [("H", conj_seed)])
+            word = normal_form(oracle, [("H", Seed(oracle, gw, mc))])
+            if _conjugates(word, g, k):
                 return Certificate("conjugate", bounds.depth, conjugator=word,
                                    note="witness from the input group decider")
 
     # (b) cycle-type refutation
+    g_aut = directed(oracle, g, 0)
+    k_aut = directed(oracle, k, 0)
     for d in range(1, bounds.depth + 1):
         try:
             ct_g = level_perm(g_aut, d, cap=bounds.vertex_cap).cycle_type()
@@ -573,8 +577,7 @@ def conjugacy_certificate(g, k, bounds=None):
     # (c) bounded conjugator search
     if gw is resfin.UNSUPPORTED:
         for cand in _conjugator_candidates(oracle, bounds):
-            conj = cand.to_aut()
-            if equal_to_depth(_conjugated(g_aut, conj), k_aut, bounds.depth):
+            if _conjugates(cand, g, k):
                 return Certificate("conjugate", bounds.depth, conjugator=cand,
                                    note="witness from bounded search")
 
@@ -615,93 +618,13 @@ def _conjugator_candidates(oracle, bounds):
 
 def verify_certificate(cert, g, k):
     """Recompute the evidence of a certificate from scratch."""
-    oracle = g.oracle
-    g_aut = directed(oracle, g, 0)
-    k_aut = directed(oracle, k, 0)
     if cert.kind == "conjugate":
-        conj = cert.conjugator.to_aut()
-        return equal_to_depth(_conjugated(g_aut, conj), k_aut, cert.depth)
+        return _conjugates(cert.conjugator, g, k)
     if cert.kind == "not_conjugate":
-        ct_g = level_perm(g_aut, cert.level).cycle_type()
-        ct_k = level_perm(k_aut, cert.level).cycle_type()
+        ct_g = level_perm(directed(g.oracle, g, 0), cert.level).cycle_type()
+        ct_k = level_perm(directed(k.oracle, k, 0), cert.level).cycle_type()
         return (ct_g, ct_k) == cert.cycle_types and ct_g != ct_k
     return True
-
-
-# ---------------------------------------------------------------------------
-# branch identities
-
-
-def _displacing_perm(oracle, rng):
-    """A random even first-level permutation fixing z and moving both
-    x and y outside {x, y}."""
-    lvl = build_alphabet(oracle, 1)
-    if lvl.size < 7:
-        raise ValueError("first-level alphabet too small to displace x and y")
-    others = [i for i in range(lvl.size) if i not in (lvl.x_index, lvl.y_index, lvl.z_index)]
-    a1, a2 = rng.sample(others, 2)
-    img = np.arange(lvl.size, dtype=np.int64)
-    img[lvl.x_index], img[a1] = a1, lvl.x_index
-    img[lvl.y_index], img[a2] = a2, lvl.y_index
-    rest = [i for i in others if i not in (a1, a2)]
-    if len(rest) >= 3 and rng.random() < 0.5:
-        r1, r2, r3 = rng.sample(rest, 3)
-        img[r1], img[r2], img[r3] = img[r2], img[r3], img[r1]
-    return Perm(lvl.alphabet, img, check=False)
-
-
-def verify_branch_identities(oracle, sample_count, rng, depth=4):
-    """Machine-check the two section identities behind the branch property.
-
-    For a rooted even letter s fixing z and displacing {x, y} off itself:
-    (i) the commutator of the s-conjugate of a directed letter with
-    another directed letter is supported below z, where it acts as the
-    rooted marker action of the seed commutator; (ii) a directed letter
-    times correcting shifts below y and z equals its own shift below x.
-    Both identities are checked to ``depth`` on random seeds."""
-    lvl = build_alphabet(oracle, 1)
-    if lvl.size < 7:
-        raise ValueError("first-level alphabet must have at least 7 letters")
-    x1 = Vertex(0, (lvl.letter_at(lvl.x_index),))
-    y1 = Vertex(0, (lvl.letter_at(lvl.y_index),))
-    z1 = Vertex(0, (lvl.letter_at(lvl.z_index),))
-    failures = []
-    for case in range(sample_count):
-        gl = rng.randrange(0, 3)
-        h = Seed(oracle, tuple(rng.randrange(len(oracle.gen_names)) for _ in range(gl)),
-                 random_marker_perm(rng))
-        kl = rng.randrange(0, 3)
-        k = Seed(oracle, tuple(rng.randrange(len(oracle.gen_names)) for _ in range(kl)),
-                 random_marker_perm(rng))
-        sigma = _displacing_perm(oracle, rng)
-        s = rooted(oracle, 0, sigma)
-        hd = directed(oracle, h, 0)
-        kd = directed(oracle, k, 0)
-
-        u = product([invert(s), hd, s])
-        comm = product([invert(u), invert(kd), u, kd])
-        expected = rooted(oracle, 1, marker_action(oracle, 2, h.commutator(k)))
-        if not equal_to_depth(comm, embed_shift(z1, expected), depth):
-            failures.append({"case": case, "identity": "commutator-support"})
-
-        phi = coset_action(oracle, 2, h)
-        psi = marker_action(oracle, 2, h)
-        lhs = product([
-            hd,
-            embed_shift(y1, rooted(oracle, 1, phi.inverse())),
-            embed_shift(z1, rooted(oracle, 1, psi.inverse())),
-        ], oracle=oracle, base_level=0)
-        rhs = embed_shift(x1, directed(oracle, h, 1))
-        if not equal_to_depth(lhs, rhs, depth):
-            failures.append({"case": case, "identity": "shift-product"})
-    return {
-        "suite": "branch-identities",
-        "samples": sample_count,
-        "passed": sample_count - len(failures),
-        "failed": len(failures),
-        "failures": failures,
-        "first_level_size": lvl.size,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,21 @@ def budget(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.parametrize("g, k, kind", [
+    ("t|()", "t'|()", "conjugate"),
+    ("t|()", "t t|()", "not_conjugate"),
+    ("a|()", "a t|()", "unknown"),
+], ids=["witness", "refuted", "unknown"])
+def test_conj_deep_depth_answers_quickly(capsys, g, k, kind):
+    # --depth only bounds the cycle-type levels; the proof of a conjugator
+    # does not depend on it
+    with budget(5):
+        code, out, err = run(capsys, "conj", g, k, "--depth", "40")
+    assert code == 0
+    assert out.splitlines()[0] == f"certificate {kind} (depth=40)"
+    assert "Traceback" not in err
+
+
 def test_chain_fold_cap_exit_3(capsys):
     # the dihedral square's level-8 image would fold over 11 289 600 codes
     with budget(5):

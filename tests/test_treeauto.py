@@ -10,7 +10,6 @@ from branchgroups.suites import _raw_token_aut, random_token
 from branchgroups.treeauto import (
     CapExceeded,
     Vertex,
-    difference_vertex,
     directed,
     embed_shift,
     equal_to_depth,
@@ -316,7 +315,7 @@ def test_equal_to_depth_detects_difference(dinf):
     h = Seed(dinf, (), marker_perm("(x y z)"))
     a = directed(dinf, h, 0)
     assert not equal_to_depth(a, identity_aut(dinf), 2)
-    d = difference_vertex(a, identity_aut(dinf), 2)
+    d = nontrivial_vertex(a, 2)
     assert d is not None and d.depth == 2
     assert d.letters[0] == Letter(1, "z")
 

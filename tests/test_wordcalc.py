@@ -16,7 +16,17 @@ from branchgroups.alphabet import (
     random_marker_perm,
 )
 from branchgroups.perm import Perm, random_even_perm
-from branchgroups.resfin import TRIVIAL, DihedralOracle, IntegerOracle, oracle_from_selector, parse_word, word_inverse
+from branchgroups.resfin import (
+    NOT_CONJUGATE,
+    TRIVIAL,
+    UNSUPPORTED,
+    DihedralOracle,
+    IntegerOracle,
+    oracle_from_selector,
+    parse_word,
+    word_inverse,
+)
+from branchgroups.suites import suite_branch_identities
 from branchgroups.treeauto import (
     directed,
     equal_to_depth,
@@ -28,6 +38,7 @@ from branchgroups.treeauto import (
 )
 from branchgroups.wordcalc import (
     INVERSE,
+    Certificate,
     ParseError,
     SearchBounds,
     conjugacy_certificate,
@@ -42,7 +53,6 @@ from branchgroups.wordcalc import (
     section_word,
     section_word_traced,
     seed_is_trivial,
-    verify_branch_identities,
     verify_certificate,
 )
 
@@ -441,20 +451,35 @@ def test_conjugacy_never_false_witness(dinf):
         assert cert.kind != "conjugate"
 
 
-def test_conjugacy_search_route(dinf):
-    # hide the oracle's decider to exercise the bounded search
-    class NoConj(DihedralOracle):
-        def conjugate(self, g, k):
-            from branchgroups.resfin import UNSUPPORTED
+def _hidden_conjugacy(oracle_class):
+    """An oracle whose conjugacy decider answers UNSUPPORTED, so that
+    certificates have to come from the bounded search."""
 
+    class Hidden(oracle_class):
+        def conjugate(self, g, k):
             return UNSUPPORTED
 
-    oracle = NoConj()
+    return Hidden()
+
+
+def test_conjugacy_search_route():
+    oracle = _hidden_conjugacy(DihedralOracle)
     g = Seed(oracle, parse_word(oracle, "t"))
     k = Seed(oracle, parse_word(oracle, "t'"))
     cert = conjugacy_certificate(g, k, SearchBounds(h_radius=1, max_h_count=1, depth=3, b_gens=()))
     assert cert.kind == "conjugate"
     assert verify_certificate(cert, g, k)
+
+
+def test_conjugate_needs_a_proof_not_shallow_agreement():
+    # t and t t act alike on the first tree level, where the empty
+    # conjugator would pass a check to the search depth 1
+    oracle = _hidden_conjugacy(DihedralOracle)
+    g = Seed(oracle, parse_word(oracle, "t"))
+    k = Seed(oracle, parse_word(oracle, "t t"))
+    cert = conjugacy_certificate(g, k, SearchBounds(depth=1, b_gens=()))
+    assert cert.kind != "conjugate"
+    assert not verify_certificate(Certificate("conjugate", 1, conjugator=normal_form(oracle, [])), g, k)
 
 
 def test_default_b_gens(dinf):
@@ -467,8 +492,7 @@ def test_default_b_gens(dinf):
 
 
 def test_branch_identities(dinf):
-    rng = random.Random(10)
-    report = verify_branch_identities(dinf, 5, rng, depth=4)
+    report = suite_branch_identities(dinf, seed=10, count=5, depth=4)
     assert report["failed"] == 0
     assert report["first_level_size"] >= 7
 
@@ -672,3 +696,44 @@ def test_decide_spelled_out_inverse_is_trivial(selector, data):
     commutator = data.draw(_trivial_commutators(oracle))
     d = decide(normal_form(oracle, u + v + commutator + back))
     assert d.trivial and d.witness is None
+
+
+# Conjugacy certificates against the input group's own decider.  The
+# hidden twin of each group answers UNSUPPORTED, so its certificates come
+# from the bounded search over one seed letter and no rooted letters; it
+# compares cycle types on level 1 only, where most pairs look alike.
+_CONJ_GROUPS = ("dihedral_infinite", "integers")
+
+
+@functools.cache
+def _hidden_oracle(selector):
+    return _hidden_conjugacy(type(_parse_oracle(selector)))
+
+
+def _conjugates_to(oracle, c, g, k):
+    """c^-1 H(g) c H(k)^-1, spelled with explicit inverse letters, decided."""
+    proof = _spelled_inverse(oracle, c.tokens()) + [("H", g)] + c.tokens() + _spelled_inverse(oracle, [("H", k)])
+    return decide(normal_form(oracle, proof)).trivial
+
+
+@pytest.mark.parametrize("hidden", [False, True], ids=["decider", "search"])
+@pytest.mark.parametrize("selector", _CONJ_GROUPS)
+@given(data=st.data())
+def test_conjugate_certificates_are_proved(selector, hidden, data):
+    oracle = _hidden_oracle(selector) if hidden else _parse_oracle(selector)
+    bounds = SearchBounds(depth=1, b_gens=()) if hidden else SearchBounds(depth=2)
+    seeds = _tokens(oracle, max_group_len=2).filter(lambda tok: tok[0] == "H").map(lambda tok: tok[1])
+    g = data.draw(seeds)
+    by_conjugation = data.draw(st.booleans())
+    if by_conjugation:
+        c = data.draw(seeds)
+        k = c.inv().mul(g).mul(c)
+    else:
+        k = data.draw(seeds)
+    cert = conjugacy_certificate(g, k, bounds)
+    if by_conjugation and not hidden:
+        assert cert.kind == "conjugate"
+    if cert.kind == "conjugate":
+        assert _parse_oracle(selector).conjugate(g.g, k.g) is not NOT_CONJUGATE
+        assert _conjugates_to(oracle, cert.conjugator, g, k)
+        assert verify_certificate(cert, g, k)
