@@ -138,7 +138,7 @@ def cmd_portrait(args):
             "schema": SCHEMA,
             "command": "portrait",
             "depth": args.depth,
-            "vertices": [{"path": str(v), "label": str(p.labels[v])} for v in p.vertices()],
+            "vertices": [{"path": path, "label": label} for path, _, label in p.rows],
         }
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -164,12 +164,7 @@ def cmd_conj(args):
     oracle = _resolve_oracle(args)
     g = _parse_seed_spec(oracle, args.g)
     k = _parse_seed_spec(oracle, args.k)
-    bounds = SearchBounds(
-        h_radius=args.h_radius,
-        max_h_count=args.max_h_count,
-        depth=args.depth,
-        vertex_cap=_setting(args, "vertex_cap", int),
-    )
+    bounds = SearchBounds(depth=args.depth, vertex_cap=_setting(args, "vertex_cap", int))
     cert = conjugacy_certificate(g, k, bounds)
     verified = wordcalc.verify_certificate(cert, g, k)
     payload = {
@@ -267,8 +262,6 @@ def build_parser():
     p.add_argument("--depth", type=int, default=4,
                    help="deepest tree level whose cycle types are compared; "
                         "conjugators are proved by the word-problem decider whatever the depth")
-    p.add_argument("--h-radius", dest="h_radius", type=int, default=1)
-    p.add_argument("--max-h-count", dest="max_h_count", type=int, default=1)
     p.set_defaults(func=cmd_conj)
 
     p = sub.add_parser("chain", parents=[common], help="report the level-n quotient of the input group")

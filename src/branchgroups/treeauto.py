@@ -57,6 +57,7 @@ __all__ = [
     "nontrivial_vertex",
     "equal_to_depth",
     "level_perm",
+    "level_cycle_type",
     "vertex_count",
     "vertex_alphabet",
     "portrait",
@@ -525,6 +526,57 @@ def level_perm(a, depth, cap=DEFAULT_VERTEX_CAP):
     return Perm(vertex_alphabet(oracle, base, depth), images, check=False)
 
 
+def level_cycle_type(a, depth):
+    """The cycle type of ``a`` on the depth-``depth`` vertices, as a map
+    from cycle length to count, computed from sections without building
+    the level.
+
+    A cycle (v, a(v), ..., a^(L-1)(v)) of the root permutation carries the
+    subtrees below its letters around in one block: the level-``depth``
+    cycles through them are those of the section of a^L at v on level
+    ``depth - 1``, each L times as long.  By the product rule that section
+    is the product of the sections of ``a`` along the cycle.  A fixed
+    letter without a nontrivial section contributes all of its vertices as
+    fixed points.  The work is per distinct section, memoized for this
+    call only."""
+    memo = {}
+
+    def walk(node, d):
+        if d == 0:
+            return {1: 1}
+        if isinstance(node, IdentityAut):
+            return {1: vertex_count(node.oracle, node.base_level, d)}
+        key = (node.key(), d)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        got = {}
+        r = root_perm(node)
+        # on the first level, only the root permutation counts
+        children = nontrivial_children(node) if d > 1 else {}
+        below = node.base_level + 1
+        ident = IdentityAut(node.oracle, below)
+        cycles = r.cycles()
+        moved = sum(len(c) for c in cycles)
+        fixed = [x for x in children if r(x) == x]
+        plain = r.alphabet.size - moved - len(fixed)
+        if plain:
+            got[1] = plain * vertex_count(node.oracle, below, d - 1)
+        blocks = [(1, children[x]) for x in fixed]
+        blocks += [
+            (len(c), product([children.get(x, ident) for x in reversed(c)],
+                             oracle=node.oracle, base_level=below))
+            for c in cycles
+        ]
+        for length, sec in blocks:
+            for m, count in walk(sec, d - 1).items():
+                got[length * m] = got.get(length * m, 0) + count
+        memo[key] = got
+        return got
+
+    return walk(a, depth)
+
+
 def _spread(mask, col):
     """A mask over the vertices of one level, repeated over the vertices
     of the deeper level that ``col`` indexes."""
@@ -589,70 +641,70 @@ def _apply_below(inner, mask, cols):
 # portraits and the wreath decomposition
 
 
-def _letter_sort_key(letter):
-    # canonical order: cosets by index, then x y z p q
-    if letter.kind == "coset":
-        return (0, letter.coset)
-    return (1, ("x", "y", "z", "p", "q").index(letter.kind))
-
-
-def _vertex_sort_key(v):
-    return (v.depth, tuple(_letter_sort_key(l) for l in v.letters))
-
-
 class Portrait:
-    """Per-vertex first-level permutations down to a depth."""
+    """Per-vertex first-level permutations down to a depth.
 
-    def __init__(self, base_level, depth, labels):
-        self.base_level = base_level
+    ``labels`` maps every vertex above the depth to the root permutation
+    of its section.  ``rows`` holds the same vertices as printed text,
+    ``(path, parent path, label)``, with ``None`` as the root's parent.
+    Both run breadth-first in letter-index order: shallow vertices first,
+    lexicographic within a level."""
+
+    def __init__(self, depth, labels, rows):
         self.depth = depth
         self.labels = labels  # Vertex -> Perm
-
-    def vertices(self):
-        """Internal vertices in lexicographic order, shallow first."""
-        return sorted(self.labels, key=_vertex_sort_key)
+        self.rows = rows
 
 
 def portrait(a, depth, cap=DEFAULT_VERTEX_CAP):
     """The portrait of ``a`` down to ``depth``: every vertex above that
-    depth is labeled with the first-level permutation of its section."""
+    depth is labeled with the first-level permutation of its section.
+
+    Built level by level; the root permutation, the children and the
+    label text are computed once per distinct section."""
     total = 0
     for d in range(depth):
         total += vertex_count(a.oracle, a.base_level, d)
         if total > cap:
             raise CapExceeded(f"portrait would label more than {cap} vertices")
-    labels = {}
-
-    def walk(node, path):
-        labels[Vertex(a.base_level, path)] = root_perm(node)
-        if len(path) + 1 < depth:
-            lvl = build_alphabet(a.oracle, a.base_level + len(path) + 1)
-            children = nontrivial_children(node)
-            ident = IdentityAut(a.oracle, node.base_level + 1)
-            for i in range(lvl.size):
-                letter = lvl.letter_at(i)
-                walk(children.get(i, ident), path + (letter,))
-
-    if depth > 0:
-        walk(a, ())
-    return Portrait(a.base_level, depth, labels)
+    labels, rows = {}, []
+    sections = {}  # section key -> (root permutation, its text, children)
+    frontier = [((), "-", None, a)]  # (letters, path text, parent text, section)
+    for d in range(depth):
+        inner = d + 1 < depth
+        if inner:
+            lvl = build_alphabet(a.oracle, a.base_level + d + 1)
+            letters = [(i, lvl.letter_at(i)) for i in range(lvl.size)]
+            names = [str(letter) for _, letter in letters]
+            ident = IdentityAut(a.oracle, a.base_level + d + 1)
+        nxt = []
+        for path, text, parent, node in frontier:
+            key = node.key()
+            got = sections.get(key)
+            if got is None:
+                r = root_perm(node)
+                got = sections[key] = (r, str(r), nontrivial_children(node) if inner else {})
+            perm, label, children = got
+            labels[Vertex(a.base_level, path)] = perm
+            rows.append((text, parent, label))
+            if inner:
+                for i, letter in letters:
+                    child_text = f"{text} {names[i]}" if path else names[i]
+                    nxt.append((path + (letter,), child_text, text, children.get(i, ident)))
+        frontier = nxt
+    return Portrait(depth, labels, rows)
 
 
 def portrait_text(p):
     lines = [f"portrait depth={p.depth}"]
-    for v in p.vertices():
-        lines.append(f"{v} {p.labels[v]}")
+    lines += [f"{path} {label}" for path, _, label in p.rows]
     return "\n".join(lines)
 
 
 def portrait_dot(p):
     lines = ["digraph portrait {"]
-    for v in p.vertices():
-        lines.append(f'  "{v}" [label="{p.labels[v]}"];')
-    for v in p.vertices():
-        if v.depth > 0:
-            parent = Vertex(p.base_level, v.letters[:-1])
-            lines.append(f'  "{parent}" -> "{v}";')
+    lines += [f'  "{path}" [label="{label}"];' for path, _, label in p.rows]
+    lines += [f'  "{parent}" -> "{path}";' for path, parent, _ in p.rows if parent is not None]
     lines.append("}")
     return "\n".join(lines)
 

@@ -32,9 +32,9 @@ from .perm import Perm, compose, compose_all
 from .resfin import TRIVIAL
 from .treeauto import (
     DEFAULT_VERTEX_CAP,
-    CapExceeded,
     Vertex,
     directed,
+    level_cycle_type,
     level_perm,
     product,
     root_perm,
@@ -538,15 +538,23 @@ def _conjugates(c, g, k):
     return decide(normal_form(g.oracle, proof)).trivial
 
 
+def _expand(counts):
+    """A cycle-length map as the sorted tuple :meth:`Perm.cycle_type` gives."""
+    return tuple(itertools.chain.from_iterable(
+        itertools.repeat(length, counts[length]) for length in sorted(counts)))
+
+
 def conjugacy_certificate(g, k, bounds=None):
     """Sound conjugacy test for two seed elements in the level-0 group.
 
     Routes, in order: (a) a witness from the input group's own conjugacy
     decider, proved by :func:`decide`; (b) a cycle-type refutation on
-    materialized level permutations of levels 1 to ``bounds.depth``; (c) a
-    bounded search over normal-form conjugator candidates, each proved by
-    :func:`decide`; (d) an honest unknown.  Every ``conjugate`` answer is
-    proved exactly, whatever the bounds."""
+    levels 1 to ``bounds.depth`` by the section recursion of
+    :func:`level_cycle_type`, stopping before the first level with more
+    than ``bounds.vertex_cap`` vertices; (c) a bounded search over
+    normal-form conjugator candidates, each proved by :func:`decide`; (d)
+    an honest unknown.  Every ``conjugate`` answer is proved exactly,
+    whatever the bounds."""
     bounds = bounds or SearchBounds()
     oracle = g.oracle
 
@@ -560,18 +568,17 @@ def conjugacy_certificate(g, k, bounds=None):
                 return Certificate("conjugate", bounds.depth, conjugator=word,
                                    note="witness from the input group decider")
 
-    # (b) cycle-type refutation
+    # (b) cycle-type refutation, on the levels within the vertex cap
     g_aut = directed(oracle, g, 0)
     k_aut = directed(oracle, k, 0)
     for d in range(1, bounds.depth + 1):
-        try:
-            ct_g = level_perm(g_aut, d, cap=bounds.vertex_cap).cycle_type()
-            ct_k = level_perm(k_aut, d, cap=bounds.vertex_cap).cycle_type()
-        except CapExceeded:
+        if vertex_count(oracle, 0, d) > bounds.vertex_cap:
             break
+        ct_g = level_cycle_type(g_aut, d)
+        ct_k = level_cycle_type(k_aut, d)
         if ct_g != ct_k:
             return Certificate("not_conjugate", bounds.depth, level=d,
-                               cycle_types=(ct_g, ct_k),
+                               cycle_types=(_expand(ct_g), _expand(ct_k)),
                                note="distinct cycle types on a tree level")
 
     # (c) bounded conjugator search

@@ -95,6 +95,46 @@ PORTRAIT_4_DIGESTS = (
     "53148179fa081e15ad8337cead49d81cc99815b5fad2494361e82a256c759e4f",
     "72e476261931af345c65ef59e17f8255b84516d683c90a854f451c59274316d6",
 )
+# sha256 of stdout, recorded while portraits were still sorted after a
+# depth-first walk and route (b) still cycled materialized levels
+PORTRAIT_3_DIGESTS = {
+    "dot": (
+        "e899baff3dcc1ed5c05530e62b4e5c40475274e8e76e3d836854e26205e0c589",
+        "7f2b4b222fd6b228ed6f21fdb744672d65368ceb300c5d01be98766c4454b87a",
+        "e2fae6cec7a6a1ef7c1d37da29f8ce1b2d3a420d5d8610b463f6dfd235bf7edc",
+    ),
+    "json": (
+        "001618a34693b388adb5f142597a3c56d7199275efe0e9e8300a682eac4586c6",
+        "881eed59743d78779fa198804c99daba3ddfa3176953e31ff3511f84c58f10dd",
+        "18d82c5376d4b1a888ceec4b30016ebc07d91f6f1d12d710c4d3e52aa779a14e",
+    ),
+}
+# (g, k, extra argv) -> digests of the text and the json stdout
+CONJ_DIGESTS = {
+    ("t|()", "t'|()", ()): (
+        "f8059e32e7bc6957d1c22a29e0c7b06357e790a91513e55f221d7ebcc0be2dcb",
+        "fd02aa4268b8d808d2a1f50887e001fbac7452bdf694f17fe01f4569360e797a",
+    ),
+    # refuted at level 2
+    ("t|()", "t t|()", ()): (
+        "cbff7b474bc4b3e86b41d1e7191c6a53cd514b9e7b30adaba7c27fe0eb870dfa",
+        "a57f5176e494bf63087569584f494c00993d7511c3f8e8e89e1461951ab241c7",
+    ),
+    # refuted at level 3
+    ("t t|()", "t t t t|()", ()): (
+        "05eefcb787d5bd11a1a704d1127227afe8675647e89d8579f4a2444a0c629ed1",
+        "62d0a34093c4f3eaac1b5457df2a91d0f5e661f64945d60cc4c3697c24ef1c37",
+    ),
+    ("a|()", "a t|()", ()): (
+        "c43bc5a006dfc632ffc183d44022818e4f6c441d31923f9bf978ab3a537152f2",
+        "435372e89e367900ec496b1c38c0117053951e8dd0924963fe3548b5bf3d17f7",
+    ),
+    # level 5 has 69 328 125 vertices: the vertex cap ends the level loop
+    ("a|()", "a t|()", ("--depth", "6")): (
+        "ac43ec19b644b00b5faada5cc7072e20243c85766deea70933d3b42c25d81ae0",
+        "7b0f159af25066783f9d78d08921f3a080370315cc87c0f872c33ace6f5e886d",
+    ),
+}
 CHAIN_DIGESTS = {
     ("dihedral_infinite", 10): "7b2ae61b52dc57ec8b34c4ffd63551bba74068856f813eb4c6acf66e8c89484e",
     ("integers", 11): "790fbc5770380345b70378413c40ad53646eed34633b5a360e18eba178c31802",
@@ -111,6 +151,23 @@ def test_portrait_depth_4_bytes(tmp_path, capsys, i):
     code, out, _ = run(capsys, "portrait", path, "--depth", "4")
     assert code == 0
     assert _digest(out) == PORTRAIT_4_DIGESTS[i]
+
+
+@pytest.mark.parametrize("fmt", sorted(PORTRAIT_3_DIGESTS))
+@pytest.mark.parametrize("i", range(len(PORTRAIT_WORDS)))
+def test_portrait_depth_3_bytes(tmp_path, capsys, fmt, i):
+    path = write(tmp_path, "w.txt", PORTRAIT_WORDS[i] + "\n")
+    code, out, _ = run(capsys, "--format", fmt, "portrait", path, "--depth", "3")
+    assert code == 0
+    assert _digest(out) == PORTRAIT_3_DIGESTS[fmt][i]
+
+
+@pytest.mark.parametrize("g,k,extra", sorted(CONJ_DIGESTS))
+def test_conj_bytes(capsys, g, k, extra):
+    for fmt, want in zip(("text", "json"), CONJ_DIGESTS[g, k, extra]):
+        code, out, _ = run(capsys, "--format", fmt, "conj", g, k, *extra)
+        assert code == 0
+        assert _digest(out) == want
 
 
 @pytest.mark.parametrize("group,level", sorted(CHAIN_DIGESTS))
@@ -176,6 +233,16 @@ def test_conj_depth_below_one_usage_error(capsys):
     code, out, _ = run(capsys, "conj", "t|()", "t|()", "--depth", "1")
     assert code == 0
     assert out.splitlines()[0] == "certificate conjugate (depth=1)"
+
+
+def test_conj_search_bound_flags_removed(capsys):
+    # every oracle the CLI builds decides conjugacy, so the conjugator
+    # search bounds never changed an answer; the flags are gone
+    for flag in ("--h-radius", "--max-h-count"):
+        code, out, err = run(capsys, "conj", "t|()", "t|()", flag, "1")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
 
 
 def test_chain_integers(capsys):

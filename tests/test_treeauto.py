@@ -2,10 +2,11 @@ import hashlib
 import random
 
 import pytest
+from sympy.combinatorics import Permutation
 
 from branchgroups.alphabet import Letter, Seed, build_alphabet, marker_perm, random_marker_perm
 from branchgroups.perm import Perm, compose, random_even_perm
-from branchgroups.resfin import DihedralOracle, IntegerOracle, parse_word
+from branchgroups.resfin import DihedralOracle, IntegerOracle, oracle_from_selector, parse_word
 from branchgroups.suites import _raw_token_aut, random_token
 from branchgroups.treeauto import (
     CapExceeded,
@@ -16,7 +17,9 @@ from branchgroups.treeauto import (
     eval_vertex,
     identity_aut,
     invert,
+    level_cycle_type,
     level_perm,
+    nontrivial_children,
     nontrivial_vertex,
     portrait,
     portrait_dot,
@@ -297,6 +300,69 @@ def test_level_perm_cap(dinf):
     a = directed(dinf, Seed(dinf, parse_word(dinf, "t")), 0)
     with pytest.raises(CapExceeded):
         level_perm(a, 3, cap=10)
+
+
+CYCLE_TYPE_GROUPS = ("dihedral_infinite", "integers", "product:integers,integers")
+
+
+def _cycle_type_words(oracle, rng):
+    """Seed letters with and without the identity marker, rooted letters,
+    and 2-4-token products whose root permutation has a cycle longer than
+    1, so that the recursion takes sections of powers."""
+    lvl = build_alphabet(oracle, 1)
+    words = []
+    for _ in range(2):
+        h = rng_seed_elem(oracle, rng)
+        words.append(directed(oracle, Seed(oracle, h.g), 0))
+        words.append(directed(oracle, h, 0))
+        words.append(rooted(oracle, 0, random_even_perm(lvl.alphabet, rng)))
+    products = 0
+    while products < 4:
+        toks = [rand_token_aut(oracle, rng) for _ in range(rng.randrange(2, 5))]
+        a = product(toks, oracle=oracle, base_level=0)
+        if any(len(c) > 1 for c in root_perm(a).cycles()) and nontrivial_children(a):
+            words.append(a)
+            products += 1
+    return words
+
+
+def _expand(counts):
+    return tuple(sorted(length for length, m in counts.items() for _ in range(m)))
+
+
+@pytest.mark.parametrize("group", CYCLE_TYPE_GROUPS)
+def test_level_cycle_type_matches_level_perm(group):
+    oracle = oracle_from_selector(group)
+    for a in _cycle_type_words(oracle, random.Random(f"cycle-type/{group}")):
+        for d in range(1, 5):
+            # the product group's level 4 has 198 206 505 vertices
+            if vertex_count(oracle, 0, d) > 600_000:
+                continue
+            counts = level_cycle_type(a, d)
+            assert sum(length * m for length, m in counts.items()) == vertex_count(oracle, 0, d)
+            assert _expand(counts) == level_perm(a, d).cycle_type()
+
+
+@pytest.mark.parametrize("group", CYCLE_TYPE_GROUPS)
+def test_level_cycle_type_matches_sympy(group):
+    oracle = oracle_from_selector(group)
+    for a in _cycle_type_words(oracle, random.Random(f"sympy/{group}")):
+        for d in range(1, 4):
+            # sympy's cycle_structure takes seconds on the product group's
+            # 54 981 level-3 vertices, which the level_perm test covers
+            if vertex_count(oracle, 0, d) > 5_000:
+                continue
+            ref = Permutation(level_perm(a, d).images.tolist())
+            assert level_cycle_type(a, d) == ref.cycle_structure
+
+
+def test_level_cycle_type_shifted(dinf):
+    # a rooted 3-cycle shifted below y@1 moves level-2 vertices below y@1 only
+    lvl2 = build_alphabet(dinf, 2)
+    inner = rooted(dinf, 1, Perm.from_cycles(lvl2.alphabet, "(q0@2 q1@2 q2@2)"))
+    a = embed_shift(vx(dinf, 0, Letter(1, "y")), inner)
+    assert level_cycle_type(a, 2) == {1: 150, 3: 1}
+    assert _expand(level_cycle_type(a, 3)) == level_perm(a, 3).cycle_type()
 
 
 def test_nontrivial_vertex_witness_is_moved(dinf):

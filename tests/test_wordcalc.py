@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 
@@ -435,6 +436,26 @@ def test_conjugacy_t_t2_refuted(dinf):
     if cert.kind == "not_conjugate":
         assert cert.level <= 4
         assert verify_certificate(cert, g, k)
+
+
+def test_tampered_refutation_fails_verification(dinf):
+    g = Seed(dinf, parse_word(dinf, "t t"))
+    k = Seed(dinf, parse_word(dinf, "t t t t"))
+    cert = conjugacy_certificate(g, k)
+    assert cert.kind == "not_conjugate" and cert.level == 3
+    assert verify_certificate(cert, g, k)
+    ct_g, ct_k = cert.cycle_types
+    # the longest cycle split in two: still a cycle type of the level
+    edited = tuple(sorted(ct_g[:-1] + (1, ct_g[-1] - 1)))
+    tampered = [
+        dataclasses.replace(cert, cycle_types=(ct_k, ct_g)),
+        dataclasses.replace(cert, cycle_types=(ct_g, ct_g)),
+        dataclasses.replace(cert, cycle_types=(edited, ct_k)),
+        dataclasses.replace(cert, level=2),
+        dataclasses.replace(cert, level=4),
+    ]
+    for bad in tampered:
+        assert not verify_certificate(bad, g, k)
 
 
 def test_conjugacy_never_false_witness(dinf):
