@@ -25,8 +25,8 @@ from .treeauto import (
     embed_shift,
     equal_to_depth,
     eval_vertex,
+    first_moved_level,
     invert,
-    level_perm,
     nontrivial_vertex,
     product,
     rooted,
@@ -310,22 +310,26 @@ def semantic_wp_oracle(oracle, aut, depth, cap=DEFAULT_VERTEX_CAP):
     independent of the word calculus.
 
     A breadth-first search over expression sections scans every vertex
-    class down to the decision depth; on the shallow levels within the
-    vertex cap the full level permutation is additionally materialized and
-    must agree with the search.  A returned witness is re-verified by
-    per-vertex evaluation."""
+    class down to the decision depth.  Every level down to the deepest one
+    within the vertex cap is additionally materialized, all in one column
+    pass (:func:`first_moved_level`), and must agree with the search: the
+    shallowest moved level is the witness's depth, and there is none when
+    the witness is None or lies deeper.  A disagreement names the
+    shallowest level where the two differ.  A returned witness is
+    re-verified by per-vertex evaluation."""
     witness = nontrivial_vertex(aut, depth)
     if witness is not None and eval_vertex(aut, witness) == witness:
         raise AssertionError("structural search returned an unmoved witness")
-    for d in range(1, depth + 1):
-        if vertex_count(oracle, 0, d) > cap:
-            break
-        moved = not level_perm(aut, d, cap=cap).is_identity
-        expected = witness is not None and witness.depth <= d
-        if moved != expected:
-            raise AssertionError(
-                f"level enumeration at depth {d} disagrees with the structural search"
-            )
+    levels = 0
+    while levels < depth and vertex_count(oracle, 0, levels + 1) <= cap:
+        levels += 1
+    moved = first_moved_level(aut, levels, cap=cap)
+    expected = witness.depth if witness is not None and witness.depth <= levels else None
+    if moved != expected:
+        d = min(x for x in (moved, expected) if x is not None)
+        raise AssertionError(
+            f"level enumeration at depth {d} disagrees with the structural search"
+        )
     return witness is None
 
 

@@ -57,6 +57,7 @@ __all__ = [
     "nontrivial_vertex",
     "equal_to_depth",
     "level_perm",
+    "first_moved_level",
     "level_cycle_type",
     "vertex_count",
     "vertex_alphabet",
@@ -496,9 +497,15 @@ def vertex_at(oracle, base_level, depth, index):
     return Vertex(base_level, tuple(letters))
 
 
-def level_perm(a, depth, cap=DEFAULT_VERTEX_CAP):
-    """The permutation induced on all depth-``depth`` vertices, enumerated
-    lexicographically by letter index.  Vectorized; guarded by ``cap``."""
+def _level_columns(a, depth, cap):
+    """The image columns of ``a`` on levels 1..``depth``; guarded by ``cap``.
+
+    An automorphism maps subtrees onto subtrees, so the image letter at
+    level k+1 depends only on the first k+1 letters of a vertex.  Column k
+    therefore holds one image letter per level-(k+1) vertex, in
+    lexicographic order; only the deepest column has as many entries as
+    the level has vertices, and the first d columns alone determine the
+    level-d permutation."""
     oracle, base = a.oracle, a.base_level
     total = vertex_count(oracle, base, depth)
     if total > cap:
@@ -506,24 +513,41 @@ def level_perm(a, depth, cap=DEFAULT_VERTEX_CAP):
             f"level {depth} has {total} vertices, beyond the cap of {cap}; "
             "use equal_to_depth or portraits instead"
         )
-    # An automorphism maps subtrees onto subtrees, so the image letter at
-    # level k+1 depends only on the first k+1 letters of a vertex.  Column k
-    # therefore holds one image letter per level-(k+1) vertex, in
-    # lexicographic order; only the deepest column has ``total`` entries.
     cols = []
     count = 1
     for i in range(depth):
         s = build_alphabet(oracle, base + i + 1).size
         cols.append(np.tile(np.arange(s, dtype=np.int64), count))
         count *= s
-    cols = _vec_apply(a, cols)
+    return _vec_apply(a, cols)
+
+
+def level_perm(a, depth, cap=DEFAULT_VERTEX_CAP):
+    """The permutation induced on all depth-``depth`` vertices, enumerated
+    lexicographically by letter index.  Vectorized; guarded by ``cap``."""
+    cols = _level_columns(a, depth, cap)
     images = cols[0] if cols else np.zeros(1, dtype=np.int64)
     for c in cols[1:]:
         s = len(c) // len(images)
         images = np.repeat(images, s)
         images *= s
         images += c
-    return Perm(vertex_alphabet(oracle, base, depth), images, check=False)
+    return Perm(vertex_alphabet(a.oracle, a.base_level, depth), images, check=False)
+
+
+def first_moved_level(a, depth, cap=DEFAULT_VERTEX_CAP):
+    """The shallowest level d <= ``depth`` on which ``a`` moves a vertex,
+    or None if ``level_perm(a, d)`` is the identity for every such d.
+
+    One pass builds the columns of every level down to ``depth``; level d
+    is moved exactly when one of its first d columns differs from the
+    letters of the vertices it indexes.  Guarded by ``cap`` like
+    :func:`level_perm`."""
+    for d, col in enumerate(_level_columns(a, depth, cap), 1):
+        s = build_alphabet(a.oracle, a.base_level + d).size
+        if (col.reshape(-1, s) != np.arange(s)).any():
+            return d
+    return None
 
 
 def level_cycle_type(a, depth):
@@ -577,14 +601,8 @@ def level_cycle_type(a, depth):
     return walk(a, depth)
 
 
-def _spread(mask, col):
-    """A mask over the vertices of one level, repeated over the vertices
-    of the deeper level that ``col`` indexes."""
-    return np.repeat(mask, len(col) // len(mask))
-
-
 def _vec_apply(a, cols):
-    """Apply ``a`` to the per-level image columns built by :func:`level_perm`."""
+    """Apply ``a`` to the per-level image columns built by :func:`_level_columns`."""
     if not cols or isinstance(a, IdentityAut):
         return cols
     if isinstance(a, RootedAut):
@@ -604,13 +622,13 @@ def _vec_apply(a, cols):
             phi = coset_action(a.oracle, a.base_level + 2, a.seed)
             mask = first == lvl.y_index
             if mask.any():
-                mask = _spread(mask, cols[1])
-                cols[1][mask] = phi.images[cols[1][mask]]
+                rows = cols[1].reshape(len(mask), -1)
+                rows[mask] = phi.images[rows[mask]]
             psi = marker_action(a.oracle, a.base_level + 2, a.seed)
             mask = first == lvl.z_index
             if mask.any():
-                mask = _spread(mask, cols[1])
-                cols[1][mask] = psi.images[cols[1][mask]]
+                rows = cols[1].reshape(len(mask), -1)
+                rows[mask] = psi.images[rows[mask]]
         return cols
     if isinstance(a, ShiftedAut):
         path = [
@@ -621,7 +639,9 @@ def _vec_apply(a, cols):
             return cols
         mask = cols[0] == path[0]
         for i in range(1, k):
-            mask = _spread(mask, cols[i]) & (cols[i] == path[i])
+            rows = cols[i].reshape(len(mask), -1) == path[i]
+            rows &= mask[:, None]
+            mask = rows.ravel()
         if mask.any():
             _apply_below(a.inner, mask, cols[k:])
         return cols
@@ -630,11 +650,13 @@ def _vec_apply(a, cols):
 
 def _apply_below(inner, mask, cols):
     """Apply ``inner`` to the subtrees below the masked vertices of the
-    level above ``cols[0]``, in place."""
-    spread = [_spread(mask, c) for c in cols]
-    sub = _vec_apply(inner, [c[m] for c, m in zip(cols, spread)])
-    for c, m, s in zip(cols, spread, sub):
-        c[m] = s
+    level above ``cols[0]``, in place.  Each column lists the subtrees of
+    that level's vertices as equal consecutive rows, so the masked
+    subtrees are the masked rows."""
+    rows = [c.reshape(len(mask), -1) for c in cols]
+    sub = _vec_apply(inner, [r[mask].ravel() for r in rows])
+    for r, s in zip(rows, sub):
+        r[mask] = s.reshape(-1, r.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -462,13 +462,12 @@ def format_efrf_output(out):
 class SearchBounds:
     """Bounds for the conjugator search: seed letters come from the group
     ball of ``h_radius`` paired with four fixed marker permutations, rooted
-    letters from ``b_gens``; any ``max_h_count`` of at least 1 tries
-    candidates with at most one seed letter.  ``depth`` is the deepest tree
-    level whose cycle types are compared.  Candidates and witnesses are
-    proved by :func:`decide`, independent of these bounds."""
+    letters from ``b_gens``; candidates carry at most one seed letter,
+    between two rooted letters.  ``depth`` is the deepest tree level whose
+    cycle types are compared.  Candidates and witnesses are proved by
+    :func:`decide`, independent of these bounds."""
 
     h_radius: int = 1
-    max_h_count: int = 1
     depth: int = 4
     b_gens: tuple | None = None
     vertex_cap: int = DEFAULT_VERTEX_CAP
@@ -614,13 +613,12 @@ def _conjugator_candidates(oracle, bounds):
     yield normal_form(oracle, [])
     for b in b_gens:
         yield normal_form(oracle, [("B", b)])
-    if bounds.max_h_count >= 1:
-        for h in seeds:
-            if seed_is_trivial(h):
-                continue
-            for b1 in b_pool:
-                for b2 in b_pool:
-                    yield normal_form(oracle, [("B", b1), ("H", h), ("B", b2)])
+    for h in seeds:
+        if seed_is_trivial(h):
+            continue
+        for b1 in b_pool:
+            for b2 in b_pool:
+                yield normal_form(oracle, [("B", b1), ("H", h), ("B", b2)])
 
 
 def verify_certificate(cert, g, k):

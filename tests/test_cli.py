@@ -140,6 +140,15 @@ CHAIN_DIGESTS = {
     ("integers", 11): "790fbc5770380345b70378413c40ad53646eed34633b5a360e18eba178c31802",
 }
 
+# sha256 of stdout, recorded while the wp-oracle suite still built one
+# level permutation per depth
+VERIFY_WP_ORACLE_DIGESTS = {
+    ("dihedral_infinite", 1): "768b66b0c4a156b1ff20624094acb4f9b8ced6372a09c4aa9cdbf58948cbe170",
+    ("dihedral_infinite", 3): "d554c0087d5518348fed26e2166904d7f1e0373bc38410a0e98bc29f149700bc",
+    ("integers", 1): "54135689d733252b4429d3187d9012a27164020945d692307d7be6a71b8b3ed5",
+    ("integers", 3): "fe78a46c03345d758d25881b1e8d0f115010d940d26c2477beccf8e8ff8709d3",
+}
+
 
 def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -175,6 +184,13 @@ def test_chain_report_bytes(capsys, group, level):
     code, out, _ = run(capsys, "--group", group, "chain", str(level))
     assert code == 0
     assert _digest(out) == CHAIN_DIGESTS[group, level]
+
+
+@pytest.mark.parametrize("group,seed", sorted(VERIFY_WP_ORACLE_DIGESTS))
+def test_verify_wp_oracle_bytes(capsys, group, seed):
+    code, out, _ = run(capsys, "--group", group, "--seed", str(seed), "verify", "wp-oracle")
+    assert code == 0
+    assert _digest(out) == VERIFY_WP_ORACLE_DIGESTS[group, seed]
 
 
 def test_portrait_identity_all_blank(tmp_path, capsys):

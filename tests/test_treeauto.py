@@ -4,6 +4,7 @@ import random
 import pytest
 from sympy.combinatorics import Permutation
 
+from branchgroups import suites
 from branchgroups.alphabet import Letter, Seed, build_alphabet, marker_perm, random_marker_perm
 from branchgroups.perm import Perm, compose, random_even_perm
 from branchgroups.resfin import DihedralOracle, IntegerOracle, oracle_from_selector, parse_word
@@ -15,6 +16,7 @@ from branchgroups.treeauto import (
     embed_shift,
     equal_to_depth,
     eval_vertex,
+    first_moved_level,
     identity_aut,
     invert,
     level_cycle_type,
@@ -298,8 +300,11 @@ def test_level_perm_shifted_matches_eval_vertex(oracle_cls):
 
 def test_level_perm_cap(dinf):
     a = directed(dinf, Seed(dinf, parse_word(dinf, "t")), 0)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as perm_exc:
         level_perm(a, 3, cap=10)
+    with pytest.raises(CapExceeded) as moved_exc:
+        first_moved_level(a, 3, cap=10)
+    assert str(moved_exc.value) == str(perm_exc.value)
 
 
 CYCLE_TYPE_GROUPS = ("dihedral_infinite", "integers", "product:integers,integers")
@@ -363,6 +368,76 @@ def test_level_cycle_type_shifted(dinf):
     a = embed_shift(vx(dinf, 0, Letter(1, "y")), inner)
     assert level_cycle_type(a, 2) == {1: 150, 3: 1}
     assert _expand(level_cycle_type(a, 3)) == level_perm(a, 3).cycle_type()
+
+
+def _wp_oracle_cases(oracle):
+    """Automorphisms first moved on levels 1, 2 and 3, with that level."""
+    lvl = build_alphabet(oracle, 1)
+    h = Seed(oracle, (), marker_perm("(x y z)"))
+    return [
+        (rooted(oracle, 0, Perm.from_cycles(lvl.alphabet, "(x@1 y@1 z@1)")), 1),
+        (directed(oracle, h, 0), 2),
+        (embed_shift(vx(oracle, 0, Letter(1, "x")), directed(oracle, h, 1)), 3),
+    ]
+
+
+def _first_moved_auts(oracle, rng):
+    """Rooted, directed, shifted and product automorphisms, trivial
+    products u u^-1, and automorphisms first moved on levels 1, 2 and 3."""
+    auts = [identity_aut(oracle)] + [a for a, _ in _wp_oracle_cases(oracle)]
+    for _ in range(3):
+        u = rand_shifted_word_aut(oracle, rng)
+        auts += [
+            rand_word_aut(oracle, rng),
+            u,
+            product([u, invert(u)], oracle=oracle, base_level=0),
+            product([invert(u), u], oracle=oracle, base_level=0),
+        ]
+    return auts
+
+
+@pytest.mark.parametrize("group", CYCLE_TYPE_GROUPS)
+def test_first_moved_level_matches_level_perm(group):
+    oracle = oracle_from_selector(group)
+    # level 4 of the product group has 198 206 505 vertices
+    depth = max(d for d in range(1, 5) if vertex_count(oracle, 0, d) <= 600_000)
+    seen = set()
+    for a in _first_moved_auts(oracle, random.Random(f"first-moved/{group}")):
+        moved = [d for d in range(1, depth + 1) if not level_perm(a, d).is_identity]
+        want = min(moved, default=None)
+        for d in range(depth + 1):
+            assert first_moved_level(a, d) == (want if moved and want <= d else None)
+        seen.add(want)
+    assert {None, 1, 2, 3} <= seen
+
+
+@pytest.mark.parametrize("group", ["dihedral_infinite", "integers"])
+def test_semantic_wp_oracle_rejects_a_disagreeing_search(group, monkeypatch):
+    oracle = oracle_from_selector(group)
+    search = suites.nontrivial_vertex
+    for a, level in _wp_oracle_cases(oracle):
+        assert search(a, 4).depth == level
+        assert suites.semantic_wp_oracle(oracle, a, 4) is False
+        # a witness below the levels within the cap is not compared
+        cap = vertex_count(oracle, 0, level - 1)
+        assert suites.semantic_wp_oracle(oracle, a, 4, cap=cap) is False
+
+        # the search misses a moved automorphism
+        monkeypatch.setattr(suites, "nontrivial_vertex", lambda aut, depth: None)
+        with pytest.raises(AssertionError, match=f"at depth {level} disagrees"):
+            suites.semantic_wp_oracle(oracle, a, 4)
+
+        # the search returns a moved vertex one level too deep: every
+        # child of a moved vertex is moved
+        def deeper(aut, depth):
+            v = search(aut, depth)
+            return v.child(build_alphabet(oracle, v.depth + 1).letter_at(0))
+
+        assert eval_vertex(a, deeper(a, 4)) != deeper(a, 4)
+        monkeypatch.setattr(suites, "nontrivial_vertex", deeper)
+        with pytest.raises(AssertionError, match=f"at depth {level} disagrees"):
+            suites.semantic_wp_oracle(oracle, a, 4)
+        monkeypatch.setattr(suites, "nontrivial_vertex", search)
 
 
 def test_nontrivial_vertex_witness_is_moved(dinf):
