@@ -210,14 +210,12 @@ def coset_action(oracle, n, seed):
     which makes the result even.  Cached per level and group element.
     """
     level = build_alphabet(oracle, n)
-    gkey = oracle.element_key(seed.g) if isinstance(seed, Seed) else oracle.element_key(seed)
-    word = seed.g if isinstance(seed, Seed) else tuple(seed)
-    cache_key = ("coset_action", n, gkey)
+    cache_key = ("coset_action", n, oracle.element_key(seed.g))
     got = oracle.cache.get(cache_key)
     if got is not None:
         return got
     quotient = level.quotient
-    img = quotient.apply_word(word)
+    img = quotient.apply_word(seed.g)
     images = np.arange(level.size, dtype=np.int64)
     images[: quotient.order] = quotient.left_mult_images(img)
     coset_part = Perm(IndexedAlphabet(quotient.order, name=f"cosets:{oracle.name}:{n}"),
@@ -236,7 +234,7 @@ def marker_action(oracle, n, seed):
     with o standing for the identity coset; all other cosets are fixed.
     """
     level = build_alphabet(oracle, n)
-    marker = seed.marker if isinstance(seed, Seed) else seed
+    marker = seed.marker
     cache_key = ("marker_action", n, marker.images.tobytes())
     got = oracle.cache.get(cache_key)
     if got is not None:

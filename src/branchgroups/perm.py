@@ -57,13 +57,6 @@ class IndexedAlphabet:
         self._index = None
         self._decimal = None
 
-    def label(self, i):
-        if not 0 <= i < self.size:
-            raise IndexError(f"letter index {i} out of range")
-        if self._labels is None:
-            return str(i)
-        return self._labels[i]
-
     @property
     def labels(self):
         if self._labels is not None:

@@ -3,13 +3,16 @@
 Automorphisms are symbolic expression trees over five node kinds:
 identity, rooted (a permutation of the first-level letters), directed (the
 recursively defined action of a seed pair), an automorphism shifted into
-the subtree below a vertex, and products.  Inverses are normalized away
-eagerly by :func:`invert`; directed seeds invert exactly because the seed
-assignment is a homomorphism, which the test suite checks.
+the subtree below one first-level letter, and products.  A shift below a
+longer path nests one shift per letter of the path.  Inverses are
+normalized away eagerly by :func:`invert`; directed seeds invert exactly
+because the seed assignment is a homomorphism, which the test suite checks.
 
 Nothing is materialized unless asked for: sections, vertex evaluation and
-the breadth-first triviality search all run on the expression structure.
-Full level permutations are only built on demand, under a hard vertex cap.
+the breadth-first triviality search all run on the expression structure,
+with paths as tuples of letter indices; a :class:`Vertex` is converted on
+the way in and out only.  Full level permutations are only built on
+demand, under a hard vertex cap.
 
 A directed automorphism at base level n fixes every first-level letter and
 acts below letter d as follows: below x it is the directed automorphism of
@@ -73,18 +76,14 @@ DEFAULT_VERTEX_CAP = 2_000_000
 @dataclass(frozen=True)
 class Vertex:
     """A path in the tree rooted at ``base_level``: the i-th letter lives
-    at level ``base_level + 1 + i``.  The empty path is the root."""
+    at level ``base_level + 1 + i``.  The empty path is the root.
+
+    Construction does not check the level run; :func:`embed_shift`,
+    :func:`section` and :func:`eval_vertex` reject a vertex that breaks
+    it with ``ValueError``."""
 
     base_level: int
     letters: tuple = ()
-
-    def __post_init__(self):
-        for i, letter in enumerate(self.letters):
-            if letter.level != self.base_level + 1 + i:
-                raise ValueError(
-                    f"letter {letter} at position {i} breaks the level run "
-                    f"starting at {self.base_level + 1}"
-                )
 
     @property
     def depth(self):
@@ -95,6 +94,22 @@ class Vertex:
 
     def __str__(self):
         return " ".join(str(l) for l in self.letters) if self.letters else "-"
+
+
+def _indices(oracle, vertex):
+    """The letter indices of a vertex's path; ``ValueError`` when a letter
+    is not at the level of its position."""
+    return tuple(
+        build_alphabet(oracle, vertex.base_level + 1 + i).letter_index(letter)
+        for i, letter in enumerate(vertex.letters)
+    )
+
+
+def _vertex(oracle, base_level, indices):
+    return Vertex(base_level, tuple(
+        build_alphabet(oracle, base_level + 1 + i).letter_at(ix)
+        for i, ix in enumerate(indices)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -149,52 +164,41 @@ class DirectedAut(TreeAut):
 
 
 class ShiftedAut(TreeAut):
-    __slots__ = ("vertex", "inner")
+    """``inner`` acting below the first-level letter ``index``."""
 
-    def __init__(self, oracle, vertex, inner):
-        super().__init__(oracle, vertex.base_level)
-        self.vertex = vertex
+    __slots__ = ("index", "inner")
+
+    def __init__(self, oracle, base_level, index, inner):
+        super().__init__(oracle, base_level)
+        self.index = index
         self.inner = inner
 
     def _make_key(self):
-        lvl_indices = tuple(
-            build_alphabet(self.oracle, l.level).letter_index(l) for l in self.vertex.letters
-        )
-        return ("sh", self.base_level, lvl_indices, self.inner.key())
+        return ("sh", self.base_level, self.index, self.inner.key())
 
 
 class ProductAut(TreeAut):
-    __slots__ = ("factors", "_suffix", "_suffix_inv")
+    __slots__ = ("factors", "_suffix_inv")
 
     def __init__(self, oracle, base_level, factors):
         super().__init__(oracle, base_level)
         self.factors = tuple(factors)
-        self._suffix = None
         self._suffix_inv = None
 
     def _make_key(self):
         return ("pr", self.base_level, tuple(f.key() for f in self.factors))
 
-    def suffix_images(self):
-        """suffix_images()[i] is the first-level image array of the product
-        of factors i..end; the last entry is the identity array."""
-        if self._suffix is None:
+    def suffix_inverses(self):
+        """suffix_inverses()[i] is the inverse of the first-level image
+        array of the product of factors i..end; the last entry is the
+        identity array."""
+        if self._suffix_inv is None:
             n = build_alphabet(self.oracle, self.base_level + 1).size
             out = [np.arange(n, dtype=np.int64)]
             for f in reversed(self.factors):
-                out.append(root_perm(f).images[out[-1]])
+                out.append(out[-1][root_perm(f).inverse().images])
             out.reverse()
-            self._suffix = out
-        return self._suffix
-
-    def suffix_inverses(self):
-        if self._suffix_inv is None:
-            inv = []
-            for arr in self.suffix_images():
-                a = np.empty_like(arr)
-                a[arr] = np.arange(len(arr))
-                inv.append(a)
-            self._suffix_inv = inv
+            self._suffix_inv = out
         return self._suffix_inv
 
 
@@ -257,11 +261,12 @@ def embed_shift(vertex, inner):
         raise ValueError(
             f"inner automorphism must live at level {vertex.base_level + vertex.depth}"
         )
+    indices = _indices(inner.oracle, vertex)
     if isinstance(inner, IdentityAut):
         return IdentityAut(inner.oracle, vertex.base_level)
-    if vertex.depth == 0:
-        return inner
-    return ShiftedAut(inner.oracle, vertex, inner)
+    for i in reversed(range(len(indices))):
+        inner = ShiftedAut(inner.oracle, vertex.base_level + i, indices[i], inner)
+    return inner
 
 
 def invert(a):
@@ -274,7 +279,7 @@ def invert(a):
     if isinstance(a, DirectedAut):
         return DirectedAut(a.oracle, a.base_level, a.seed.inv())
     if isinstance(a, ShiftedAut):
-        return ShiftedAut(a.oracle, a.vertex, invert(a.inner))
+        return ShiftedAut(a.oracle, a.base_level, a.index, invert(a.inner))
     if isinstance(a, ProductAut):
         return ProductAut(a.oracle, a.base_level, [invert(f) for f in reversed(a.factors)])
     raise TypeError(f"not a tree automorphism: {a!r}")
@@ -300,60 +305,44 @@ def root_perm(a):
     return a._root
 
 
-def _directed_children(a):
-    lvl = build_alphabet(a.oracle, a.base_level + 1)
-    out = {}
-    child = DirectedAut(a.oracle, a.base_level + 1, a.seed)
-    out[lvl.x_index] = child
-    phi = coset_action(a.oracle, a.base_level + 2, a.seed)
-    if not phi.is_identity:
-        out[lvl.y_index] = RootedAut(a.oracle, a.base_level + 1, phi)
-    psi = marker_action(a.oracle, a.base_level + 2, a.seed)
-    if not psi.is_identity:
-        out[lvl.z_index] = RootedAut(a.oracle, a.base_level + 1, psi)
-    return out
-
-
 def nontrivial_children(a):
     """Map from first-level letter index to the section there, for exactly
-    those letters whose section is not structurally the identity."""
+    those letters whose section is not structurally the identity.
+
+    This is the one place sections are taken.  A product's section at x
+    multiplies, in factor order, each factor's section at the image of x
+    under the factors to its right."""
     if isinstance(a, (IdentityAut, RootedAut)):
         return {}
     if isinstance(a, DirectedAut):
-        return _directed_children(a)
+        lvl = build_alphabet(a.oracle, a.base_level + 1)
+        out = {lvl.x_index: DirectedAut(a.oracle, a.base_level + 1, a.seed)}
+        phi = coset_action(a.oracle, a.base_level + 2, a.seed)
+        if not phi.is_identity:
+            out[lvl.y_index] = RootedAut(a.oracle, a.base_level + 1, phi)
+        psi = marker_action(a.oracle, a.base_level + 2, a.seed)
+        if not psi.is_identity:
+            out[lvl.z_index] = RootedAut(a.oracle, a.base_level + 1, psi)
+        return out
     if isinstance(a, ShiftedAut):
-        first = a.vertex.letters[0]
-        idx = build_alphabet(a.oracle, a.base_level + 1).letter_index(first)
-        rest = Vertex(a.base_level + 1, a.vertex.letters[1:])
-        return {idx: embed_shift(rest, a.inner)}
+        return {a.index: a.inner}
     if isinstance(a, ProductAut):
         inv = a.suffix_inverses()
         slots = {}
         for i, f in enumerate(a.factors):
             for e, child in nontrivial_children(f).items():
-                x = int(inv[i + 1][e])
-                slots.setdefault(x, []).append((i, child))
-        out = {}
-        for x, pieces in slots.items():
-            pieces.sort(key=lambda t: t[0])
-            out[x] = product([c for _, c in pieces], oracle=a.oracle, base_level=a.base_level + 1)
-        return out
+                slots.setdefault(int(inv[i + 1][e]), []).append(child)
+        return {
+            x: product(pieces, oracle=a.oracle, base_level=a.base_level + 1)
+            for x, pieces in slots.items()
+        }
     raise TypeError(f"not a tree automorphism: {a!r}")
 
 
 def section_at(a, letter_index):
     """The section at a single first-level letter, as an automorphism one
-    level down.  Satisfies the product rule: the section of a product at x
-    is the product of the factor sections at the successive images of x."""
-    if isinstance(a, ProductAut):
-        suffix = a.suffix_images()
-        parts = []
-        for i, f in enumerate(a.factors):
-            e = int(suffix[i + 1][letter_index])
-            parts.append(section_at(f, e))
-        return product(parts, oracle=a.oracle, base_level=a.base_level + 1)
-    children = nontrivial_children(a)
-    got = children.get(letter_index)
+    level down; see :func:`nontrivial_children`."""
+    got = nontrivial_children(a).get(letter_index)
     if got is not None:
         return got
     return IdentityAut(a.oracle, a.base_level + 1)
@@ -365,8 +354,7 @@ def section(a, vertex):
     if vertex.base_level != a.base_level:
         raise ValueError("section vertex must start at the automorphism's base level")
     node = a
-    for letter in vertex.letters:
-        idx = build_alphabet(a.oracle, letter.level).letter_index(letter)
+    for idx in _indices(a.oracle, vertex):
         node = section_at(node, idx)
     return node
 
@@ -379,15 +367,7 @@ def eval_vertex(a, vertex):
     """Image of a vertex; length and prefix structure are preserved."""
     if vertex.base_level != a.base_level:
         raise ValueError("vertex must start at the automorphism's base level")
-    indices = [
-        build_alphabet(a.oracle, l.level).letter_index(l) for l in vertex.letters
-    ]
-    out = _eval_indices(a, indices)
-    letters = tuple(
-        build_alphabet(a.oracle, a.base_level + 1 + i).letter_at(ix)
-        for i, ix in enumerate(out)
-    )
-    return Vertex(a.base_level, letters)
+    return _vertex(a.oracle, a.base_level, _eval_indices(a, _indices(a.oracle, vertex)))
 
 
 def _eval_indices(a, indices):
@@ -402,20 +382,9 @@ def _eval_indices(a, indices):
         for f in reversed(a.factors):
             out = _eval_indices(f, out)
         return out
-    if isinstance(a, DirectedAut):
-        first = indices[0]
-        child = section_at(a, first)
-        return [first] + _eval_indices(child, indices[1:])
-    if isinstance(a, ShiftedAut):
-        path = [
-            build_alphabet(a.oracle, l.level).letter_index(l) for l in a.vertex.letters
-        ]
-        k = len(path)
-        if len(indices) <= k:
-            return list(indices)
-        if list(indices[:k]) != path:
-            return list(indices)
-        return path + _eval_indices(a.inner, indices[k:])
+    if isinstance(a, (DirectedAut, ShiftedAut)):
+        # both fix the first level
+        return [indices[0]] + _eval_indices(section_at(a, indices[0]), indices[1:])
     raise TypeError(f"not a tree automorphism: {a!r}")
 
 
@@ -436,18 +405,17 @@ def section_search(start, depth, root_of, children_of):
     """
     states = {start.key(): (start, ())}
     for d in range(depth):
-        lvl = build_alphabet(start.oracle, start.base_level + d + 1)
         nxt = {}
         for node, path in states.values():
             r = root_of(node)
             moved = (r.images != np.arange(r.alphabet.size)).nonzero()[0]
             if moved.size:
-                return Vertex(start.base_level, path + (lvl.letter_at(int(moved[0])),))
+                return _vertex(start.oracle, start.base_level, path + (int(moved[0]),))
             if d + 1 < depth:
                 for idx, child in children_of(node).items():
                     k = child.key()
                     if k not in nxt:
-                        nxt[k] = (child, path + (lvl.letter_at(idx),))
+                        nxt[k] = (child, path + (idx,))
         states = nxt
         if not states:
             break
@@ -488,13 +456,11 @@ def vertex_alphabet(oracle, base_level, depth):
 
 
 def vertex_at(oracle, base_level, depth, index):
-    sizes = [build_alphabet(oracle, base_level + i + 1).size for i in range(depth)]
-    letters = []
+    indices = []
     for i in reversed(range(depth)):
-        index, rem = divmod(index, sizes[i])
-        letters.append(build_alphabet(oracle, base_level + i + 1).letter_at(rem))
-    letters.reverse()
-    return Vertex(base_level, tuple(letters))
+        index, rem = divmod(index, build_alphabet(oracle, base_level + i + 1).size)
+        indices.append(rem)
+    return _vertex(oracle, base_level, indices[::-1])
 
 
 def _level_columns(a, depth, cap):
@@ -631,19 +597,10 @@ def _vec_apply(a, cols):
                 rows[mask] = psi.images[rows[mask]]
         return cols
     if isinstance(a, ShiftedAut):
-        path = [
-            build_alphabet(a.oracle, l.level).letter_index(l) for l in a.vertex.letters
-        ]
-        k = len(path)
-        if len(cols) <= k:
-            return cols
-        mask = cols[0] == path[0]
-        for i in range(1, k):
-            rows = cols[i].reshape(len(mask), -1) == path[i]
-            rows &= mask[:, None]
-            mask = rows.ravel()
-        if mask.any():
-            _apply_below(a.inner, mask, cols[k:])
+        if len(cols) > 1:
+            mask = cols[0] == a.index
+            if mask.any():
+                _apply_below(a.inner, mask, cols[1:])
         return cols
     raise TypeError(f"not a tree automorphism: {a!r}")
 
@@ -735,7 +692,6 @@ def wreath_decompose(a):
     """First-level wreath decomposition: the root permutation together
     with the full map from first-level letters to their sections."""
     lvl = build_alphabet(a.oracle, a.base_level + 1)
-    children = {}
-    for i in range(lvl.size):
-        children[lvl.letter_at(i)] = section_at(a, i)
-    return root_perm(a), children
+    children = nontrivial_children(a)
+    ident = IdentityAut(a.oracle, a.base_level + 1)
+    return root_perm(a), {lvl.letter_at(i): children.get(i, ident) for i in range(lvl.size)}

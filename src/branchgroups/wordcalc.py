@@ -291,25 +291,6 @@ def _h_contribution(oracle, base_level, seed, e):
     return None
 
 
-def _section_tokens(word, letter_index):
-    """Per-letter contributions of the section, right to left, using the
-    product rule: each letter's section is taken at the image of the
-    chosen first-level letter under everything to its right."""
-    oracle = word.oracle
-    contributions = []
-    e = letter_index
-    # interleave b(n+1), h(n), b(n), ..., h(1), b(1) from the right
-    n = word.h_count
-    e = word.bs[n](e)
-    for i in range(n - 1, -1, -1):
-        c = _h_contribution(oracle, word.base_level, word.hs[i], e)
-        if c is not None:
-            contributions.append(c)
-        e = word.bs[i](e)
-    contributions.reverse()
-    return contributions
-
-
 def section_word(word, letter_index):
     """The symbolic section at a first-level letter, one level down, in
     normal form.  The projection of the result equals the semantic section
@@ -317,16 +298,25 @@ def section_word(word, letter_index):
     of the original seed letters in order, so the underlying letters form
     a fragmented subword, and the seed-letter count at most halves
     (rounded up)."""
-    toks = _section_tokens(word, letter_index)
-    items = _reduce(word.oracle, word.base_level + 1, toks)
-    return _assemble(word.oracle, word.base_level + 1, items, word.sigma_length)
+    return section_word_traced(word, letter_index)[0]
 
 
 def section_word_traced(word, letter_index):
     """Like :func:`section_word` but also returns, per surviving seed
-    letter, the list of original seed letters merged into it."""
-    toks = _section_tokens(word, letter_index)
-    items = _reduce(word.oracle, word.base_level + 1, toks)
+    letter, the list of original seed letters merged into it.
+
+    By the product rule, each seed letter's section is taken at the image
+    of the chosen first-level letter under everything to its right."""
+    # interleave b(n+1), h(n), b(n), ..., h(1), b(1) from the right
+    n = word.h_count
+    e = word.bs[n](letter_index)
+    toks = []
+    for i in range(n - 1, -1, -1):
+        c = _h_contribution(word.oracle, word.base_level, word.hs[i], e)
+        if c is not None:
+            toks.append(c)
+        e = word.bs[i](e)
+    items = _reduce(word.oracle, word.base_level + 1, toks[::-1])
     blocks = [entry[2] for entry in items if entry[0] == "H"]
     return _assemble(word.oracle, word.base_level + 1, items, word.sigma_length), blocks
 
@@ -460,14 +450,12 @@ def format_efrf_output(out):
 
 @dataclass
 class SearchBounds:
-    """Bounds for the conjugator search: seed letters come from the group
-    ball of ``h_radius`` paired with four fixed marker permutations, rooted
-    letters from ``b_gens``; candidates carry at most one seed letter,
-    between two rooted letters.  ``depth`` is the deepest tree level whose
-    cycle types are compared.  Candidates and witnesses are proved by
-    :func:`decide`, independent of these bounds."""
+    """Bounds for the conjugator search: rooted letters come from
+    ``b_gens``, and candidates carry at most one seed letter (see
+    :data:`_SEARCH_MARKERS`), between two rooted letters.  ``depth`` is the
+    deepest tree level whose cycle types are compared.  Candidates and
+    witnesses are proved by :func:`decide`, independent of these bounds."""
 
-    h_radius: int = 1
     depth: int = 4
     b_gens: tuple | None = None
     vertex_cap: int = DEFAULT_VERTEX_CAP
@@ -590,8 +578,9 @@ def conjugacy_certificate(g, k, bounds=None):
     return Certificate("unknown", bounds.depth, note="bounds exhausted")
 
 
-# marker parts of the seed letters the conjugator search pairs with the
-# group ball
+# the seed letters of the conjugator search pair the group ball of radius
+# _SEARCH_RADIUS with these marker parts
+_SEARCH_RADIUS = 1
 _SEARCH_MARKERS = (
     Perm.identity(MARKER_ALPHABET),
     marker_perm("(x y z)"),
@@ -607,7 +596,7 @@ def _conjugator_candidates(oracle, bounds):
     b_pool = (ident,) + tuple(b_gens)
     seeds = [
         Seed(oracle, gword, m)
-        for gword in oracle.ball(bounds.h_radius)
+        for gword in oracle.ball(_SEARCH_RADIUS)
         for m in _SEARCH_MARKERS
     ]
     yield normal_form(oracle, [])

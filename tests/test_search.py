@@ -1,15 +1,18 @@
 """The shared breadth-first section search behind ``decide`` and
-``nontrivial_vertex``, and the names the benchmark's span recorders wrap."""
+``nontrivial_vertex``, the names the benchmark's span recorders wrap, and
+the names each module exports."""
 
 import hashlib
 import importlib
 import importlib.util
 import itertools
 import pathlib
+import pkgutil
 import random
 
 import pytest
 
+import branchgroups
 from branchgroups.alphabet import MARKER_ALPHABET, Seed, build_alphabet, random_marker_perm
 from branchgroups.perm import Perm
 from branchgroups.resfin import oracle_from_selector
@@ -214,3 +217,14 @@ def test_traced_functions_resolve():
             assert attr in vars(getattr(module, cls_name)), f"{mod_name}.{qual}"
         else:
             assert callable(getattr(module, qual, None)), f"{mod_name}.{qual}"
+
+
+def test_exports_resolve():
+    # a deletion that leaves its name in an __all__ list would otherwise
+    # only surface on a star import
+    modules = [info.name for info in pkgutil.iter_modules(branchgroups.__path__)]
+    assert {"treeauto", "wordcalc", "alphabet"} <= set(modules)
+    for mod_name in modules:
+        module = importlib.import_module(f"branchgroups.{mod_name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{mod_name}.{name}"

@@ -123,22 +123,6 @@ def test_section_cases(dinf):
     assert section(rooted(dinf, 0, sigma), vx(dinf, 0, Letter(1, "x"))).key() == identity_aut(dinf, 1).key()
 
 
-def test_nontrivial_children_match_sections(dinf):
-    from branchgroups.treeauto import identity_aut as ident, nontrivial_children
-
-    rng = random.Random(42)
-    lvl = build_alphabet(dinf, 1)
-    for _ in range(15):
-        a = rand_word_aut(dinf, rng, max_tokens=4)
-        fast = nontrivial_children(a)
-        for idx in range(lvl.size):
-            sec = section_at(a, idx)
-            if idx in fast:
-                assert fast[idx].key() == sec.key()
-            else:
-                assert sec.key() == identity_aut(dinf, 1).key()
-
-
 def test_section_formula_random(dinf):
     rng = random.Random(5)
     lvl = build_alphabet(dinf, 1)
@@ -155,18 +139,29 @@ def test_section_formula_random(dinf):
 
 
 def test_deep_sections_satisfy_defining_property(dinf):
-    # a(v + w) = a(v) + section(a, v)(w) for paths v of length 2
+    # a(v + w) = a(v) + section(a, v)(w) for paths v of length 2, on
+    # products of level-0 tokens at random paths and on products with
+    # shifted factors at every path along nontrivial sections; per-vertex
+    # evaluation checks the product rule of section()
     rng = random.Random(40)
+    lvl1 = build_alphabet(dinf, 1)
     lvl2 = build_alphabet(dinf, 2)
     lvl3 = build_alphabet(dinf, 3)
+    cases = []
     for _ in range(10):
         a = rand_word_aut(dinf, rng, max_tokens=3)
-        v = vx(dinf, 0,
-               build_alphabet(dinf, 1).letter_at(rng.randrange(build_alphabet(dinf, 1).size)),
-               lvl2.letter_at(rng.randrange(lvl2.size)))
+        v = vx(dinf, 0, lvl1.letter_at(rng.randrange(lvl1.size)), lvl2.letter_at(rng.randrange(lvl2.size)))
+        cases.append((a, v))
+    shifted = random.Random(43)
+    for _ in range(20):
+        a = rand_shifted_word_aut(dinf, shifted)
+        for i, sec in nontrivial_children(a).items():
+            cases += [(a, vx(dinf, 0, lvl1.letter_at(i), lvl2.letter_at(j))) for j in nontrivial_children(sec)]
+    assert len(cases) > 20
+    for a, v in cases:
         sec = section(a, v)
         head = eval_vertex(a, v)
-        for idx in range(0, lvl3.size, 5):
+        for idx in range(lvl3.size):
             tail = Vertex(2, (lvl3.letter_at(idx),))
             whole = Vertex(0, v.letters + tail.letters)
             expected = Vertex(0, head.letters + eval_vertex(sec, tail).letters)
@@ -539,3 +534,18 @@ def test_embed_shift_level_mismatch(dinf):
 def test_eval_level_mismatch(dinf):
     with pytest.raises(ValueError):
         eval_vertex(identity_aut(dinf, 1), Vertex(0, (Letter(1, "x"),)))
+
+
+def test_vertex_breaking_the_level_run_is_rejected(dinf):
+    # a Vertex is built unchecked; the functions taking a caller's path
+    # check each letter's level against its position
+    bad = Vertex(0, (Letter(2, "x"),))
+    h = Seed(dinf, parse_word(dinf, "t"))
+    for a in (identity_aut(dinf), directed(dinf, h, 0)):
+        with pytest.raises(ValueError):
+            eval_vertex(a, bad)
+        with pytest.raises(ValueError):
+            section(a, bad)
+    for inner in (identity_aut(dinf, 1), directed(dinf, h, 1)):
+        with pytest.raises(ValueError):
+            embed_shift(bad, inner)

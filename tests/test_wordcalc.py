@@ -487,7 +487,7 @@ def test_conjugacy_search_route():
     oracle = _hidden_conjugacy(DihedralOracle)
     g = Seed(oracle, parse_word(oracle, "t"))
     k = Seed(oracle, parse_word(oracle, "t'"))
-    cert = conjugacy_certificate(g, k, SearchBounds(h_radius=1, depth=3, b_gens=()))
+    cert = conjugacy_certificate(g, k, SearchBounds(depth=3, b_gens=()))
     assert cert.kind == "conjugate"
     assert verify_certificate(cert, g, k)
 
