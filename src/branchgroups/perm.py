@@ -253,9 +253,10 @@ def _least_letters(images):
 
 
 def _cycle_lengths(images):
-    """Cycle lengths of an image array, fixed points included."""
-    _, counts = np.unique(_least_letters(images), return_counts=True)
-    return counts
+    """Cycle lengths of an image array, fixed points included, in the
+    order of each cycle's least letter."""
+    counts = np.bincount(_least_letters(images))
+    return counts[counts > 0]
 
 
 def _cycle_walk(images):

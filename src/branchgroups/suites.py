@@ -310,21 +310,24 @@ def semantic_wp_oracle(oracle, aut, depth, cap=DEFAULT_VERTEX_CAP):
     independent of the word calculus.
 
     A breadth-first search over expression sections scans every vertex
-    class down to the decision depth.  Every level down to the deepest one
-    within the vertex cap is additionally materialized, all in one column
-    pass (:func:`first_moved_level`), and must agree with the search: the
+    class down to the decision depth.  The levels within the vertex cap
+    are additionally materialized in one column pass
+    (:func:`first_moved_level`) and must agree with the search: the
     shallowest moved level is the witness's depth, and there is none when
-    the witness is None or lies deeper.  A disagreement names the
-    shallowest level where the two differ.  A returned witness is
-    re-verified by per-vertex evaluation."""
+    the witness is None or lies deeper.  Levels are materialized down to
+    the witness's depth when it lies within the cap, since every vertex
+    below a moved vertex is moved, and otherwise down to the deepest level
+    within the cap.  A disagreement names the shallowest level where the
+    two differ.  A returned witness is re-verified by per-vertex
+    evaluation."""
     witness = nontrivial_vertex(aut, depth)
     if witness is not None and eval_vertex(aut, witness) == witness:
         raise AssertionError("structural search returned an unmoved witness")
     levels = 0
     while levels < depth and vertex_count(oracle, 0, levels + 1) <= cap:
         levels += 1
-    moved = first_moved_level(aut, levels, cap=cap)
     expected = witness.depth if witness is not None and witness.depth <= levels else None
+    moved = first_moved_level(aut, expected or levels, cap=cap)
     if moved != expected:
         d = min(x for x in (moved, expected) if x is not None)
         raise AssertionError(

@@ -117,13 +117,14 @@ def _vertex(oracle, base_level, indices):
 
 
 class TreeAut:
-    __slots__ = ("oracle", "base_level", "_key", "_root")
+    __slots__ = ("oracle", "base_level", "_key", "_root", "_children")
 
     def __init__(self, oracle, base_level):
         self.oracle = oracle
         self.base_level = base_level
         self._key = None
         self._root = None
+        self._children = None
 
     def key(self):
         if self._key is None:
@@ -311,7 +312,14 @@ def nontrivial_children(a):
 
     This is the one place sections are taken.  A product's section at x
     multiplies, in factor order, each factor's section at the image of x
-    under the factors to its right."""
+    under the factors to its right.  Memoized per node, like
+    :func:`root_perm`; callers must not mutate the returned dict."""
+    if a._children is None:
+        a._children = _children(a)
+    return a._children
+
+
+def _children(a):
     if isinstance(a, (IdentityAut, RootedAut)):
         return {}
     if isinstance(a, DirectedAut):

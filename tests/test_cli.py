@@ -148,6 +148,14 @@ VERIFY_WP_ORACLE_DIGESTS = {
     ("integers", 1): "54135689d733252b4429d3187d9012a27164020945d692307d7be6a71b8b3ed5",
     ("integers", 3): "fe78a46c03345d758d25881b1e8d0f115010d940d26c2477beccf8e8ff8709d3",
 }
+# sha256 of stdout, recorded while every section lookup rebuilt the
+# node's whole children map
+VERIFY_SECTION_DIGESTS = {
+    ("contraction", 1): "b0fa83baf5ad3835d676d2d2b71ef8910145be4f13ed02332f543a5eb0954b14",
+    ("contraction", 3): "e3732f3413472cc57e0e06dccc34327f44317b5db306456d632b1210a5afffe4",
+    ("sections", 1): "1cb2d3d03049d4db324f7dcfd6f376445b811e2e6c0c4b424ead5aaa5b20e5a9",
+    ("sections", 3): "4a0a99a5d686663c3e13c55e845debd85622299a36d726e32d217997902160ca",
+}
 
 
 def _digest(text):
@@ -191,6 +199,13 @@ def test_verify_wp_oracle_bytes(capsys, group, seed):
     code, out, _ = run(capsys, "--group", group, "--seed", str(seed), "verify", "wp-oracle")
     assert code == 0
     assert _digest(out) == VERIFY_WP_ORACLE_DIGESTS[group, seed]
+
+
+@pytest.mark.parametrize("suite,seed", sorted(VERIFY_SECTION_DIGESTS))
+def test_verify_section_suites_bytes(capsys, suite, seed):
+    code, out, _ = run(capsys, "--group", "dihedral_infinite", "--seed", str(seed), "verify", suite)
+    assert code == 0
+    assert _digest(out) == VERIFY_SECTION_DIGESTS[suite, seed]
 
 
 def test_portrait_identity_all_blank(tmp_path, capsys):

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
@@ -217,6 +217,26 @@ def test_cycle_kernels_match_sympy(images, label_kind):
     p = _check_cycle_notation(images, label_kind)
     ref = Permutation(images)
     assert p.cycle_type() == tuple(sorted(k for k, m in ref.cycle_structure.items() for _ in range(m)))
+
+
+@given(
+    n=st.integers(1, 5_000),
+    kind=st.sampled_from(["identity", "uniform", "sparse"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, kind="uniform", seed=0)
+@example(n=5_000, kind="identity", seed=0)
+def test_cycle_lengths_in_least_letter_order(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    images = np.arange(n, dtype=np.int64)
+    if kind == "uniform":
+        images = rng.permutation(n)
+    elif kind == "sparse":
+        moved = rng.choice(n, size=min(n, 7), replace=False)
+        images[moved] = rng.permutation(moved)
+    # the least letters counted by sorting, cycles in order of that letter
+    _, want = np.unique(perm_module._least_letters(images), return_counts=True)
+    assert perm_module._cycle_lengths(images).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("label_kind", LABEL_KINDS)

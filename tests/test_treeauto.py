@@ -435,6 +435,58 @@ def test_semantic_wp_oracle_rejects_a_disagreeing_search(group, monkeypatch):
         monkeypatch.setattr(suites, "nontrivial_vertex", search)
 
 
+@pytest.mark.parametrize("group", ["dihedral_infinite", "integers"])
+def test_semantic_wp_oracle_builds_levels_down_to_the_witness(group, monkeypatch):
+    oracle = oracle_from_selector(group)
+    bounds = []
+
+    def spy(aut, depth, cap):
+        bounds.append(depth)
+        return first_moved_level(aut, depth, cap=cap)
+
+    monkeypatch.setattr(suites, "first_moved_level", spy)
+    # every level of depth 4 is within the default cap
+    assert suites.semantic_wp_oracle(oracle, identity_aut(oracle), 4) is True
+    assert bounds.pop() == 4
+    for a, level in _wp_oracle_cases(oracle):
+        assert suites.semantic_wp_oracle(oracle, a, 4) is False
+        assert bounds.pop() == level
+        # the witness lies below the levels within the cap
+        cap = vertex_count(oracle, 0, level - 1)
+        assert suites.semantic_wp_oracle(oracle, a, 4, cap=cap) is False
+        assert bounds.pop() == level - 1
+        # the witness lies below the decision depth
+        assert suites.semantic_wp_oracle(oracle, a, level - 1) is True
+        assert bounds.pop() == level - 1
+
+
+@pytest.mark.parametrize("group", CYCLE_TYPE_GROUPS)
+def test_children_are_memoized_per_node(group):
+    """A node's children are computed once, and agree with a fresh equal
+    node and with the node's level-3 permutation, which is computed
+    without sections: a(x w) = a(x) a|x(w)."""
+    oracle = oracle_from_selector(group)
+    rng = random.Random(f"children/{group}")
+    size = build_alphabet(oracle, 1).size
+    below = vertex_count(oracle, 1, 2)
+    auts = _first_moved_auts(oracle, rng) + [rand_shifted_word_aut(oracle, rng) for _ in range(3)]
+    for a in auts:
+        children = nontrivial_children(a)
+        assert nontrivial_children(a) is children
+        fresh = invert(invert(a))
+        assert fresh is a or fresh._children is None
+        assert {x: c.key() for x, c in children.items()} == {
+            x: c.key() for x, c in nontrivial_children(fresh).items()
+        }
+        images = level_perm(a, 3).images.reshape(size, below)
+        root = root_perm(a)
+        for x in range(size):
+            sec = section_at(a, x)
+            assert sec.key() == section_at(fresh, x).key()
+            want = images[x] - root(x) * below
+            assert (level_perm(sec, 2).images == want).all()
+
+
 def test_nontrivial_vertex_witness_is_moved(dinf):
     rng = random.Random(11)
     found = 0
