@@ -100,7 +100,7 @@ def cmd_wp(args):
     depth_cap = _setting(args, "depth_cap", int)
     if 2 * sigma_length > depth_cap:
         raise CapExceeded(f"decision depth {2 * sigma_length} exceeds the depth cap {depth_cap}")
-    word = normal_form(oracle, tokens, sigma_length=sigma_length)
+    word = normal_form(oracle, tokens)
     decision = decide(word)
     payload = {
         "command": "wp",

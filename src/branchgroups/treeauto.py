@@ -179,28 +179,14 @@ class ShiftedAut(TreeAut):
 
 
 class ProductAut(TreeAut):
-    __slots__ = ("factors", "_suffix_inv")
+    __slots__ = ("factors",)
 
     def __init__(self, oracle, base_level, factors):
         super().__init__(oracle, base_level)
         self.factors = tuple(factors)
-        self._suffix_inv = None
 
     def _make_key(self):
         return ("pr", self.base_level, tuple(f.key() for f in self.factors))
-
-    def suffix_inverses(self):
-        """suffix_inverses()[i] is the inverse of the first-level image
-        array of the product of factors i..end; the last entry is the
-        identity array."""
-        if self._suffix_inv is None:
-            n = build_alphabet(self.oracle, self.base_level + 1).size
-            out = [np.arange(n, dtype=np.int64)]
-            for f in reversed(self.factors):
-                out.append(out[-1][root_perm(f).inverse().images])
-            out.reverse()
-            self._suffix_inv = out
-        return self._suffix_inv
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +321,17 @@ def _children(a):
     if isinstance(a, ShiftedAut):
         return {a.index: a.inner}
     if isinstance(a, ProductAut):
-        inv = a.suffix_inverses()
+        # backs[k] is the inverse first-level image array of the last k
+        # factors: the child at letter e of the factor before them is the
+        # product's section piece at letter backs[k][e]
+        n = build_alphabet(a.oracle, a.base_level + 1).size
+        backs = [np.arange(n, dtype=np.int64)]
+        for f in reversed(a.factors[1:]):
+            backs.append(backs[-1][root_perm(f).inverse().images])
         slots = {}
-        for i, f in enumerate(a.factors):
+        for f, back in zip(a.factors, reversed(backs)):
             for e, child in nontrivial_children(f).items():
-                slots.setdefault(int(inv[i + 1][e]), []).append(child)
+                slots.setdefault(int(back[e]), []).append(child)
         return {
             x: product(pieces, oracle=a.oracle, base_level=a.base_level + 1)
             for x, pieces in slots.items()

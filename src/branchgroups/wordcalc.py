@@ -99,7 +99,7 @@ class NormalWord:
     normalization), which calibrates the decision depth.
     """
 
-    __slots__ = ("oracle", "base_level", "bs", "hs", "sigma_length", "_key", "_root")
+    __slots__ = ("oracle", "base_level", "bs", "hs", "sigma_length")
 
     def __init__(self, oracle, base_level, bs, hs, sigma_length):
         self.oracle = oracle
@@ -107,8 +107,6 @@ class NormalWord:
         self.bs = tuple(bs)
         self.hs = tuple(hs)
         self.sigma_length = sigma_length
-        self._key = None
-        self._root = None
 
     @property
     def h_count(self):
@@ -121,19 +119,15 @@ class NormalWord:
         return not self.hs and self.bs[0].is_identity
 
     def key(self):
-        if self._key is None:
-            self._key = (
-                self.base_level,
-                tuple(b.images.tobytes() for b in self.bs),
-                tuple(h.key() for h in self.hs),
-            )
-        return self._key
+        return (
+            self.base_level,
+            tuple(b.images.tobytes() for b in self.bs),
+            tuple(h.key() for h in self.hs),
+        )
 
     def root_perm(self):
-        if self._root is None:
-            lvl = build_alphabet(self.oracle, self.base_level + 1)
-            self._root = compose_all(self.bs, alphabet=lvl.alphabet)
-        return self._root
+        lvl = build_alphabet(self.oracle, self.base_level + 1)
+        return compose_all(self.bs, alphabet=lvl.alphabet)
 
     def tokens(self):
         out = []
@@ -169,60 +163,58 @@ def format_token(kind, payload):
 
 
 def _reduce(oracle, base_level, tokens):
-    """Stack reduction to the alternating shape; returns (items, blocks)
-    where blocks lists, for every surviving seed letter, the raw seed
-    letters merged into it, in order."""
+    """Reduce resolved tokens straight into the alternating shape.
+
+    Returns ``(bs, hs, blocks)`` with ``len(bs) == len(hs) + 1``: a rooted
+    letter composes into ``bs[-1]``; a seed letter merges into ``hs[-1]``
+    when ``bs[-1]`` is the identity, and a trivial merge drops that seed
+    letter with its trailing identity; any other nontrivial seed letter
+    opens a new slot.  ``blocks[i]`` lists the raw seed letters multiplied
+    into ``hs[i]``, in order."""
     lvl = build_alphabet(oracle, base_level + 1)
-    items = []  # alternating ("B", perm) / ("H", seed, origin_list)
-    for tok in tokens:
-        kind, payload = tok[0], tok[1]
+    ident = Perm.identity(lvl.alphabet)
+    bs, hs, blocks = [ident], [], []
+    for kind, payload in tokens:
         if kind == "B":
             if payload.alphabet != lvl.alphabet:
                 raise ValueError(f"rooted letter acts on the wrong alphabet for level {base_level}")
             if payload.sign != 1:
                 raise ValueError("rooted letters must be even permutations")
-            if payload.is_identity:
-                continue
-            entry = ["B", payload, None]
-        else:
-            if payload.oracle is not oracle:
-                raise ValueError("seed letter belongs to a different input group")
-            if seed_is_trivial(payload):
-                continue
-            entry = ["H", payload, [payload]]
-        while items and items[-1][0] == entry[0]:
-            prev = items.pop()
-            if entry[0] == "B":
-                merged = compose(prev[1], entry[1])
-                if merged.is_identity:
-                    entry = None
-                    break
-                entry = ["B", merged, None]
+            bs[-1] = compose(bs[-1], payload)
+            continue
+        if payload.oracle is not oracle:
+            raise ValueError("seed letter belongs to a different input group")
+        if seed_is_trivial(payload):
+            continue
+        if hs and bs[-1].is_identity:
+            merged = hs[-1].mul(payload)
+            if seed_is_trivial(merged):
+                hs.pop()
+                blocks.pop()
+                bs.pop()
             else:
-                merged = prev[1].mul(entry[1])
-                if seed_is_trivial(merged):
-                    entry = None
-                    break
-                entry = ["H", merged, prev[2] + entry[2]]
-        if entry is not None:
-            items.append(entry)
-    return items
+                hs[-1] = merged
+                blocks[-1].append(payload)
+        else:
+            hs.append(payload)
+            blocks.append([payload])
+            bs.append(ident)
+    return bs, hs, blocks
 
 
-def normal_form(oracle, tokens, base_level=0, sigma_length=None):
-    """Normalize a token sequence into a :class:`NormalWord`.
+def normal_form(oracle, tokens):
+    """Normalize a token sequence into a level-0 :class:`NormalWord`.
 
     Tokens are ``("B", perm)``, ``("H", seed)`` or :data:`INVERSE`, which
     inverts the preceding token.  Adjacent letters of the same kind merge;
     letters that become trivial are elided (group-part triviality decided
     by the oracle's word problem).  The image under the projection to the
-    automorphism group is unchanged by normalization.
+    automorphism group is unchanged by normalization, and ``sigma_length``
+    is the tokens' :func:`token_length`.
     """
     resolved = _resolve_inverses(tokens)
-    if sigma_length is None:
-        sigma_length = token_length(resolved)
-    items = _reduce(oracle, base_level, resolved)
-    return _assemble(oracle, base_level, items, sigma_length)
+    bs, hs, _ = _reduce(oracle, 0, resolved)
+    return NormalWord(oracle, 0, bs, hs, sum(_token_cost(k, p) for k, p in resolved))
 
 
 def token_length(tokens):
@@ -244,26 +236,6 @@ def _resolve_inverses(tokens):
     return resolved
 
 
-def _assemble(oracle, base_level, items, sigma_length):
-    lvl = build_alphabet(oracle, base_level + 1)
-    ident = Perm.identity(lvl.alphabet)
-    bs, hs = [], []
-    expect_b = True
-    for entry in items:
-        if entry[0] == "B":
-            bs.append(entry[1])
-            expect_b = False
-        else:
-            if expect_b:
-                bs.append(ident)
-            hs.append(entry[1])
-            expect_b = True
-    if expect_b or not items:
-        bs.append(ident)
-    assert len(bs) == len(hs) + 1
-    return NormalWord(oracle, base_level, bs, hs, sigma_length)
-
-
 def is_fragmented_subword(v_seq, w_seq):
     """Whether ``v_seq`` embeds in ``w_seq`` as an ordered, not necessarily
     contiguous subsequence (letters compared as group elements)."""
@@ -277,18 +249,36 @@ def is_fragmented_subword(v_seq, w_seq):
     return True
 
 
-def _h_contribution(oracle, base_level, seed, e):
-    """The section of a directed letter at first-level letter ``e``."""
-    lvl = build_alphabet(oracle, base_level + 1)
-    if e == lvl.x_index:
-        return ("H", seed)
-    if e == lvl.y_index:
-        phi = coset_action(oracle, base_level + 2, seed)
-        return None if phi.is_identity else ("B", phi)
-    if e == lvl.z_index:
-        psi = marker_action(oracle, base_level + 2, seed)
-        return None if psi.is_identity else ("B", psi)
-    return None
+def _section_tokens(word):
+    """Map from first-level letter index to the raw tokens of the section
+    there, right to left, in one walk over the word.
+
+    By the product rule, each seed letter's section is taken at the image
+    of the letter under the rooted letters to its right.  ``back`` is the
+    inverse image array of those rooted letters, so the letters sent to
+    x, y and z receive the seed letter, its coset action and its marker
+    action.  Letters absent from the map get no tokens."""
+    oracle, level = word.oracle, word.base_level + 2
+    lvl = build_alphabet(oracle, word.base_level + 1)
+    out = {}
+    back = word.bs[-1].inverse().images
+    for i in range(word.h_count - 1, -1, -1):
+        h = word.hs[i]
+        for e, tok in (
+            (lvl.x_index, ("H", h)),
+            (lvl.y_index, ("B", coset_action(oracle, level, h))),
+            (lvl.z_index, ("B", marker_action(oracle, level, h))),
+        ):
+            out.setdefault(int(back[e]), []).append(tok)
+        back = back[word.bs[i].inverse().images]
+    return out
+
+
+def _section(word, right_to_left):
+    """The normal form one level down of section tokens given right to
+    left, with the blocks of :func:`_reduce`."""
+    bs, hs, blocks = _reduce(word.oracle, word.base_level + 1, right_to_left[::-1])
+    return NormalWord(word.oracle, word.base_level + 1, bs, hs, word.sigma_length), blocks
 
 
 def section_word(word, letter_index):
@@ -303,47 +293,22 @@ def section_word(word, letter_index):
 
 def section_word_traced(word, letter_index):
     """Like :func:`section_word` but also returns, per surviving seed
-    letter, the list of original seed letters merged into it.
-
-    By the product rule, each seed letter's section is taken at the image
-    of the chosen first-level letter under everything to its right."""
-    # interleave b(n+1), h(n), b(n), ..., h(1), b(1) from the right
-    n = word.h_count
-    e = word.bs[n](letter_index)
-    toks = []
-    for i in range(n - 1, -1, -1):
-        c = _h_contribution(word.oracle, word.base_level, word.hs[i], e)
-        if c is not None:
-            toks.append(c)
-        e = word.bs[i](e)
-    items = _reduce(word.oracle, word.base_level + 1, toks[::-1])
-    blocks = [entry[2] for entry in items if entry[0] == "H"]
-    return _assemble(word.oracle, word.base_level + 1, items, word.sigma_length), blocks
+    letter, the list of original seed letters merged into it.  Raises
+    ``ValueError`` for a letter index outside the first-level alphabet."""
+    size = build_alphabet(word.oracle, word.base_level + 1).size
+    if not 0 <= letter_index < size:
+        raise ValueError(f"letter index {letter_index} outside the first-level alphabet of size {size}")
+    return _section(word, _section_tokens(word).get(letter_index, []))
 
 
 def section_letters(word):
-    """Map from first-level letter index to its nontrivial normalized
-    section; letters absent from the map have identity sections.
-
-    Only letters whose successive images hit one of x, y, z below some
-    seed letter can contribute, so at most three letters per seed letter
-    appear."""
-    oracle = word.oracle
-    lvl = build_alphabet(oracle, word.base_level + 1)
-    specials = (lvl.x_index, lvl.y_index, lvl.z_index)
-    candidates = set()
-    m = word.h_count
-    # walk right to left; before handling seed letter i, suffix_inv is the
-    # inverse image array of the rooted product strictly to its right
-    suffix_inv = word.bs[m].inverse().images
-    for i in range(m - 1, -1, -1):
-        for s in specials:
-            candidates.add(int(suffix_inv[s]))
-        b_inv = word.bs[i].inverse().images
-        suffix_inv = suffix_inv[b_inv]
+    """Map from first-level letter index, in increasing order, to its
+    nontrivial normalized section; letters absent from the map have
+    identity sections.  All sections come from one walk over the word, so
+    at most three letters per seed letter appear."""
     out = {}
-    for x in sorted(candidates):
-        sec = section_word(word, x)
+    for x, toks in sorted(_section_tokens(word).items()):
+        sec = _section(word, toks)[0]
         if not sec.is_identity_word:
             out[x] = sec
     return out
@@ -668,14 +633,14 @@ def _lex(text):
     return tokens
 
 
-def parse_tokens(oracle, text, base_level=0):
-    """Parse word-file text into raw tokens for :func:`normal_form`.
+def parse_tokens(oracle, text):
+    """Parse word-file text into raw level-0 tokens for :func:`normal_form`.
 
     Token syntax: ``B(<cycles over first-level letters>)``,
     ``H(<group word>|<marker cycles>)``, a postfix ``'`` for inversion
     (attached or standalone).  Raises :class:`ParseError` with the
     offending position."""
-    lvl = build_alphabet(oracle, base_level + 1)
+    lvl = build_alphabet(oracle, 1)
     out = []
     for raw, pos in _lex(text):
         line, col = pos

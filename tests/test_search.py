@@ -2,6 +2,7 @@
 ``nontrivial_vertex``, the names the benchmark's span recorders wrap, and
 the names each module exports."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -217,6 +218,25 @@ def test_traced_functions_resolve():
             assert attr in vars(getattr(module, cls_name)), f"{mod_name}.{qual}"
         else:
             assert callable(getattr(module, qual, None)), f"{mod_name}.{qual}"
+
+
+def test_perfbench_package_references_resolve():
+    # the benchmark scripts call into the package by attribute and by
+    # import; a rename or removal would otherwise only surface when the
+    # benchmark runs
+    modules = {"wordcalc", "treeauto", "resfin", "cli"}
+    seen = 0
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                module = importlib.import_module(f"branchgroups.{node.value.id}")
+                assert hasattr(module, node.attr), f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                seen += 1
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("branchgroups."):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+    assert seen > 0
 
 
 def test_exports_resolve():

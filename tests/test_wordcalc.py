@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import random
 
 import numpy as np
@@ -32,6 +33,7 @@ from branchgroups.treeauto import (
     directed,
     equal_to_depth,
     eval_vertex,
+    identity_aut,
     level_perm,
     product,
     rooted,
@@ -221,17 +223,27 @@ def test_section_base_case_y(dinf):
 
 
 def test_section_letters_matches_bruteforce(dinf):
+    # against the tree layer's own section rule, letter by letter
     rng = random.Random(6)
     lvl = build_alphabet(dinf, 1)
     for _ in range(10):
         w = rand_normal_word(dinf, rng, rng.randrange(1, 4))
         fast = section_letters(w)
+        assert list(fast) == sorted(fast)
+        aut = w.to_aut()
         for idx in range(lvl.size):
-            sec = section_word(w, idx)
-            if sec.is_identity_word:
-                assert idx not in fast
-            else:
-                assert idx in fast and fast[idx].key() == sec.key()
+            got = fast[idx].to_aut() if idx in fast else identity_aut(dinf, 1)
+            assert equal_to_depth(got, section_at(aut, idx), 3)
+
+
+def test_section_word_rejects_letters_outside_the_alphabet(dinf):
+    w = rand_normal_word(dinf, random.Random(9), 2)
+    size = build_alphabet(dinf, 1).size
+    for idx in (-1, size):
+        with pytest.raises(ValueError, match="outside the first-level alphabet"):
+            section_word_traced(w, idx)
+        with pytest.raises(ValueError, match="outside the first-level alphabet"):
+            section_word(w, idx)
 
 
 def test_section_contraction_and_fragmentation(dinf):
@@ -674,6 +686,74 @@ def test_normal_form_is_idempotent(selector, data):
     again = normal_form(oracle, w.tokens())
     assert again.key() == w.key()
     assert str(again) == str(w)
+
+
+def _assert_alternating(word):
+    assert len(word.bs) == len(word.hs) + 1
+    assert not any(b.is_identity for b in word.bs[1:-1])
+    assert not any(seed_is_trivial(h) for h in word.hs)
+
+
+@pytest.mark.parametrize("selector", _DECIDE_GROUPS)
+@given(data=st.data())
+def test_normal_forms_and_sections_alternate(selector, data):
+    oracle = _parse_oracle(selector)
+    tokens = []
+    for tok, inverted in data.draw(st.lists(st.tuples(_tokens(oracle, max_group_len=2), st.booleans()), max_size=6)):
+        tokens += [tok, INVERSE] if inverted else [tok]
+    w = normal_form(oracle, tokens)
+    _assert_alternating(w)
+    for sec in section_letters(w).values():
+        _assert_alternating(sec)
+
+
+def _pin_tokens(oracle, rng):
+    """Raw tokens drawn from small pools, so that letters cancel, merge
+    and meet inverse marks often."""
+    lvl = build_alphabet(oracle, 1)
+    rooted_pool = [Perm.identity(lvl.alphabet)] + [random_even_perm(lvl.alphabet, rng) for _ in range(2)]
+    markers = [marker_perm("()"), marker_perm("(x y z)"), marker_perm("(o p q)")]
+    tokens = []
+    for _ in range(rng.randrange(7)):
+        if rng.random() < 0.4:
+            tok = ("B", rng.choice(rooted_pool))
+        else:
+            g = tuple(rng.randrange(len(oracle.gen_names)) for _ in range(rng.randrange(3)))
+            tok = ("H", Seed(oracle, g, rng.choice(markers)))
+        tokens.append(tok)
+        roll = rng.random()
+        if roll < 0.2:
+            tokens.append(INVERSE)
+        elif roll < 0.35:
+            tokens += [tok, INVERSE]
+    return tokens
+
+
+# sha256 over 150 seeded words per group: each normal form's text,
+# sigma_length and key, its section_letters, and section_word_traced
+# (text and block keys) at every first-level letter
+_WORD_CALCULUS_PINS = {
+    "dihedral_infinite": "23ae82f3e0f2d300b7ab9dd635fc35e289bdcd19b2d0976d80db7d9555442ca4",
+    "integers": "1d57690abd79c6423c89f0f787a58d315e5987540f0e008da8146f280cba716f",
+    "product:integers,integers": "5297793eec986e9359503782db7ff32c699e79a275b826ab51384dbcb466af36",
+    "finite:3": "0b1aeefd7b87b6e51b13e8f7ac3ad7630323e6bbe15dc3fb49aa9df129a4276f",
+}
+
+
+@pytest.mark.parametrize("selector", sorted(_WORD_CALCULUS_PINS))
+def test_word_calculus_bytes(selector):
+    oracle = oracle_from_selector(selector)
+    size = build_alphabet(oracle, 1).size
+    rng = random.Random(f"pins/{selector}")
+    h = hashlib.sha256()
+    for _ in range(150):
+        w = normal_form(oracle, _pin_tokens(oracle, rng))
+        h.update(repr((str(w), w.sigma_length, w.key())).encode())
+        h.update(repr([(i, str(s), s.key()) for i, s in section_letters(w).items()]).encode())
+        for idx in range(size):
+            sec, blocks = section_word_traced(w, idx)
+            h.update(repr((str(sec), [[s.key() for s in block] for block in blocks])).encode())
+    assert h.hexdigest() == _WORD_CALCULUS_PINS[selector]
 
 
 @st.composite
