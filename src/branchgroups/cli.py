@@ -21,8 +21,7 @@ import json
 import os
 import sys
 
-from . import resfin, suites, wordcalc
-from .alphabet import Seed, marker_perm
+from . import suites, wordcalc
 from .resfin import build_level_map, format_quotient_map, kernel_min_length_check, oracle_from_selector, parse_group_descriptor
 from .treeauto import CapExceeded, portrait, portrait_dot, portrait_text
 from .wordcalc import ParseError, SearchBounds, conjugacy_certificate, decide, normal_form, parse_tokens, token_length
@@ -147,15 +146,14 @@ def cmd_portrait(args):
 
 
 def _parse_seed_spec(oracle, text):
+    """A seed literal ``t``, ``t|()`` or ``H(t|())`` (see
+    :func:`wordcalc.parse_seed`)."""
     body = text.strip()
     if body.startswith("H(") and body.endswith(")"):
         body = body[2:-1]
     if "|" not in body:
         body = body + "|()"
-    gtext, mtext = body.split("|", 1)
-    gword = resfin.parse_word(oracle, gtext)
-    marker = marker_perm(mtext) if mtext.strip() else marker_perm("()")
-    return Seed(oracle, gword, marker)
+    return wordcalc.parse_seed(oracle, body)
 
 
 def cmd_conj(args):

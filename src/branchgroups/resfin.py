@@ -44,7 +44,6 @@ __all__ = [
     "format_quotient_map",
     "oracle_from_selector",
     "parse_group_descriptor",
-    "format_group_descriptor",
 ]
 
 
@@ -642,14 +641,6 @@ def oracle_from_selector(selector):
             acc = ProductOracle(acc, nxt)
         return acc
     raise ValueError(f"unknown group selector {selector!r}")
-
-
-def format_group_descriptor(oracle):
-    lines = [f"group {oracle.name}"]
-    for i, name in enumerate(oracle.gen_names):
-        lines.append(f"gen {name} inverse {oracle.gen_names[oracle.inverse[i]]}")
-    lines.append(f"family {oracle.name}")
-    return "\n".join(lines)
 
 
 def parse_group_descriptor(text):

@@ -26,6 +26,7 @@ from .treeauto import (
     equal_to_depth,
     eval_vertex,
     first_moved_level,
+    identity_aut,
     invert,
     nontrivial_vertex,
     product,
@@ -40,8 +41,7 @@ from .wordcalc import (
     default_b_gens,
     is_fragmented_subword,
     normal_form,
-    section_word,
-    section_word_traced,
+    section_letters,
     seed_is_trivial,
     verify_certificate,
 )
@@ -198,10 +198,11 @@ def suite_sections(oracle, seed=0, pairs=100, depth=3):
             [_raw_token_aut(oracle, alpha), _raw_token_aut(oracle, beta)],
             oracle=oracle, base_level=0,
         )
+        sections = section_letters(word)
         for idx in range(lvl.size):
-            sym = section_word(word, idx)
+            sym = sections[idx].to_aut() if idx in sections else identity_aut(oracle, 1)
             sem = section_at(semantic, idx)
-            if not equal_to_depth(sym.to_aut(), sem, depth):
+            if not equal_to_depth(sym, sem, depth):
                 failures.append({"case": case, "letter": idx})
                 break
     return _result("sections", failures, {"pairs": pairs, "depth": depth})
@@ -230,9 +231,11 @@ def suite_contraction(oracle, seed=0, words=100, depth=3, semantic_sample=3):
         bound = (word.h_count + 1) // 2
         semantic = word.to_aut()
         sem_letters = rng.sample(range(lvl.size), min(semantic_sample, lvl.size))
+        sections = section_letters(word)
         for idx in range(lvl.size):
-            sec, blocks = section_word_traced(word, idx)
-            if sec.h_count > bound:
+            sec = sections.get(idx)
+            h_count, blocks = (sec.h_count, sec.blocks) if sec is not None else (0, ())
+            if h_count > bound:
                 failures.append({"case": case, "letter": idx, "reason": "contraction bound"})
                 break
             flat = [h for block in blocks for h in block]
@@ -240,7 +243,8 @@ def suite_contraction(oracle, seed=0, words=100, depth=3, semantic_sample=3):
                 failures.append({"case": case, "letter": idx, "reason": "not a fragmented subword"})
                 break
             if idx in sem_letters:
-                if not equal_to_depth(sec.to_aut(), section_at(semantic, idx), depth):
+                sym = sec.to_aut() if sec is not None else identity_aut(oracle, 1)
+                if not equal_to_depth(sym, section_at(semantic, idx), depth):
                     failures.append({"case": case, "letter": idx, "reason": "semantic mismatch"})
                     break
     return _result("contraction", failures, {"words": checked})
@@ -354,41 +358,34 @@ def suite_wp_oracle(oracle, seed=0, random_count=200, max_len=4, cap=DEFAULT_VER
     not rely on the calculus under test.  The decider runs on the
     normalized word; the oracle evaluates the raw token product
     semantically."""
-    failures = []
     toks = representative_tokens(oracle)
     exhaustive = [[t] for t in toks] + [[t, u] for t in toks for u in toks]
+
+    def cases():
+        for i, tseq in enumerate(exhaustive):
+            yield "exhaustive", i, tseq
+        rng = random.Random(seed)
+        for case in range(1, random_count + 1):
+            length = rng.randrange(1, max_len + 1)
+            tseq = [random_token(oracle, rng) for _ in range(length)]
+            if case % 10 == 0:  # salt in guaranteed trivial words: u followed by u inverted
+                half = [random_token(oracle, rng) for _ in range(max(1, length // 2))]
+                tseq = half + [(k, p.inverse() if k == "B" else p.inv()) for k, p in reversed(half)]
+            yield "random", case, tseq
+
+    failures = []
     trivial_seen = 0
-    for i, tseq in enumerate(exhaustive):
+    for phase, case, tseq in cases():
         word = normal_form(oracle, tseq)
         got = decide(word)
         want = semantic_wp_oracle(oracle, _raw_token_aut(oracle, tseq), 2 * word.sigma_length, cap=cap)
-        if got.trivial != want:
-            failures.append({"phase": "exhaustive", "case": i})
-        trivial_seen += got.trivial
-    rng = random.Random(seed)
-    produced = 0
-    case = 0
-    while produced < random_count:
-        case += 1
-        length = rng.randrange(1, max_len + 1)
-        tseq = [random_token(oracle, rng) for _ in range(length)]
-        if case % 10 == 0:  # salt in guaranteed trivial words: u followed by u inverted
-            half = [random_token(oracle, rng) for _ in range(max(1, length // 2))]
-            inv = []
-            for kind, payload in reversed(half):
-                inv.append((kind, payload.inverse() if kind == "B" else payload.inv()))
-            tseq = half + inv
-        word = normal_form(oracle, tseq)
-        got = decide(word)
-        want = semantic_wp_oracle(oracle, _raw_token_aut(oracle, tseq), 2 * word.sigma_length, cap=cap)
-        produced += 1
         trivial_seen += got.trivial
         if got.trivial != want:
-            failures.append({"phase": "random", "case": case})
+            failures.append({"phase": phase, "case": case})
     return _result(
         "wp-oracle",
         failures,
-        {"exhaustive": len(exhaustive), "random": produced, "trivial_decisions": trivial_seen},
+        {"exhaustive": len(exhaustive), "random": random_count, "trivial_decisions": trivial_seen},
     )
 
 

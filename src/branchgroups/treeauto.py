@@ -67,7 +67,6 @@ __all__ = [
     "portrait",
     "portrait_text",
     "portrait_dot",
-    "wreath_decompose",
 ]
 
 DEFAULT_VERTEX_CAP = 2_000_000
@@ -687,11 +686,3 @@ def portrait_dot(p):
     lines.append("}")
     return "\n".join(lines)
 
-
-def wreath_decompose(a):
-    """First-level wreath decomposition: the root permutation together
-    with the full map from first-level letters to their sections."""
-    lvl = build_alphabet(a.oracle, a.base_level + 1)
-    children = nontrivial_children(a)
-    ident = IdentityAut(a.oracle, a.base_level + 1)
-    return root_perm(a), {lvl.letter_at(i): children.get(i, ident) for i in range(lvl.size)}

@@ -51,8 +51,6 @@ __all__ = [
     "ParseError",
     "normal_form",
     "is_fragmented_subword",
-    "section_word",
-    "section_word_traced",
     "section_letters",
     "decide",
     "efrf_output",
@@ -62,12 +60,10 @@ __all__ = [
     "default_b_gens",
     "seed_is_trivial",
     "parse_tokens",
+    "parse_seed",
     "token_length",
     "format_token",
-    "INVERSE",
 ]
-
-INVERSE = ("inv", None)
 
 
 def seed_is_trivial(seed):
@@ -96,16 +92,20 @@ class NormalWord:
     Interior rooted letters and all seed letters are nontrivial; the two
     end letters may be the identity.  ``sigma_length`` remembers the
     generator-token count of the raw input (never increased by
-    normalization), which calibrates the decision depth.
+    normalization), which calibrates the decision depth.  ``blocks[i]``
+    lists the input seed letters multiplied into ``hs[i]``, in order: those
+    given to :func:`normal_form`, or for a section those of the word it
+    was taken from.  :meth:`key` leaves them out.
     """
 
-    __slots__ = ("oracle", "base_level", "bs", "hs", "sigma_length")
+    __slots__ = ("oracle", "base_level", "bs", "hs", "blocks", "sigma_length")
 
-    def __init__(self, oracle, base_level, bs, hs, sigma_length):
+    def __init__(self, oracle, base_level, bs, hs, blocks, sigma_length):
         self.oracle = oracle
         self.base_level = base_level
         self.bs = tuple(bs)
         self.hs = tuple(hs)
+        self.blocks = tuple(blocks)
         self.sigma_length = sigma_length
 
     @property
@@ -163,14 +163,14 @@ def format_token(kind, payload):
 
 
 def _reduce(oracle, base_level, tokens):
-    """Reduce resolved tokens straight into the alternating shape.
+    """Reduce letters straight into the alternating shape.
 
     Returns ``(bs, hs, blocks)`` with ``len(bs) == len(hs) + 1``: a rooted
     letter composes into ``bs[-1]``; a seed letter merges into ``hs[-1]``
     when ``bs[-1]`` is the identity, and a trivial merge drops that seed
     letter with its trailing identity; any other nontrivial seed letter
-    opens a new slot.  ``blocks[i]`` lists the raw seed letters multiplied
-    into ``hs[i]``, in order."""
+    opens a new slot.  ``blocks[i]`` lists the seed letters of ``tokens``
+    multiplied into ``hs[i]``, in order."""
     lvl = build_alphabet(oracle, base_level + 1)
     ident = Perm.identity(lvl.alphabet)
     bs, hs, blocks = [ident], [], []
@@ -203,37 +203,28 @@ def _reduce(oracle, base_level, tokens):
 
 
 def normal_form(oracle, tokens):
-    """Normalize a token sequence into a level-0 :class:`NormalWord`.
+    """Normalize letters into a level-0 :class:`NormalWord`.
 
-    Tokens are ``("B", perm)``, ``("H", seed)`` or :data:`INVERSE`, which
-    inverts the preceding token.  Adjacent letters of the same kind merge;
-    letters that become trivial are elided (group-part triviality decided
-    by the oracle's word problem).  The image under the projection to the
-    automorphism group is unchanged by normalization, and ``sigma_length``
-    is the tokens' :func:`token_length`.
+    Tokens are ``("B", perm)`` and ``("H", seed)``; :func:`parse_tokens`
+    has already applied any inverse marks.  Adjacent letters of the same
+    kind merge; letters that become trivial are elided (group-part
+    triviality decided by the oracle's word problem).  The image under the
+    projection to the automorphism group is unchanged by normalization,
+    and ``sigma_length`` is the tokens' :func:`token_length`.
     """
-    resolved = _resolve_inverses(tokens)
-    bs, hs, _ = _reduce(oracle, 0, resolved)
-    return NormalWord(oracle, 0, bs, hs, sum(_token_cost(k, p) for k, p in resolved))
+    bs, hs, blocks = _reduce(oracle, 0, tokens)
+    return NormalWord(oracle, 0, bs, hs, blocks, token_length(tokens))
 
 
 def token_length(tokens):
     """The generator-token count of raw tokens, which :func:`normal_form`
     records as ``sigma_length``, found without normalizing them."""
-    return sum(_token_cost(k, p) for k, p in _resolve_inverses(tokens))
+    return sum(_token_cost(k, p) for k, p in tokens)
 
 
-def _resolve_inverses(tokens):
-    resolved = []
-    for tok in tokens:
-        if tok[0] == "inv":
-            if not resolved:
-                raise ValueError("inverse marker with nothing to invert")
-            kind, payload = resolved.pop()
-            resolved.append((kind, payload.inverse() if kind == "B" else payload.inv()))
-        else:
-            resolved.append((tok[0], tok[1]))
-    return resolved
+def _inverse(letter):
+    kind, payload = letter
+    return (kind, payload.inverse() if kind == "B" else payload.inv())
 
 
 def is_fragmented_subword(v_seq, w_seq):
@@ -274,41 +265,20 @@ def _section_tokens(word):
     return out
 
 
-def _section(word, right_to_left):
-    """The normal form one level down of section tokens given right to
-    left, with the blocks of :func:`_reduce`."""
-    bs, hs, blocks = _reduce(word.oracle, word.base_level + 1, right_to_left[::-1])
-    return NormalWord(word.oracle, word.base_level + 1, bs, hs, word.sigma_length), blocks
-
-
-def section_word(word, letter_index):
-    """The symbolic section at a first-level letter, one level down, in
-    normal form.  The projection of the result equals the semantic section
-    of the projection; the seed letters of the result multiply out blocks
-    of the original seed letters in order, so the underlying letters form
-    a fragmented subword, and the seed-letter count at most halves
-    (rounded up)."""
-    return section_word_traced(word, letter_index)[0]
-
-
-def section_word_traced(word, letter_index):
-    """Like :func:`section_word` but also returns, per surviving seed
-    letter, the list of original seed letters merged into it.  Raises
-    ``ValueError`` for a letter index outside the first-level alphabet."""
-    size = build_alphabet(word.oracle, word.base_level + 1).size
-    if not 0 <= letter_index < size:
-        raise ValueError(f"letter index {letter_index} outside the first-level alphabet of size {size}")
-    return _section(word, _section_tokens(word).get(letter_index, []))
-
-
 def section_letters(word):
     """Map from first-level letter index, in increasing order, to its
-    nontrivial normalized section; letters absent from the map have
-    identity sections.  All sections come from one walk over the word, so
-    at most three letters per seed letter appear."""
+    nontrivial section, in normal form one level down; letters absent from
+    the map have identity sections.  All sections come from one walk over
+    the word, so at most three letters per seed letter appear.
+
+    The projection of a section equals the semantic section of the
+    projection.  Its ``blocks`` are runs of the word's own seed letters,
+    in order, so they form a fragmented subword, and the seed-letter count
+    at most halves (rounded up)."""
     out = {}
-    for x, toks in sorted(_section_tokens(word).items()):
-        sec = _section(word, toks)[0]
+    for x, right_to_left in sorted(_section_tokens(word).items()):
+        bs, hs, blocks = _reduce(word.oracle, word.base_level + 1, right_to_left[::-1])
+        sec = NormalWord(word.oracle, word.base_level + 1, bs, hs, blocks, word.sigma_length)
         if not sec.is_identity_word:
             out[x] = sec
     return out
@@ -485,8 +455,7 @@ def _conjugates(c, g, k):
     c^-1 H(g) c H(k)^-1 is decided trivial by :func:`decide`, which is exact
     at depth 2*ell."""
     toks = c.tokens()
-    inverse = [tok for t in reversed(toks) for tok in (t, INVERSE)]
-    proof = inverse + [("H", g)] + toks + [("H", k), INVERSE]
+    proof = [_inverse(t) for t in reversed(toks)] + [("H", g)] + toks + [("H", k.inv())]
     return decide(normal_form(g.oracle, proof)).trivial
 
 
@@ -633,26 +602,43 @@ def _lex(text):
     return tokens
 
 
+def parse_seed(oracle, text):
+    """A seed letter from its literal ``<group word>|<marker cycles>``.
+    Raises ``ValueError`` for any bad input."""
+    if "|" not in text:
+        raise ValueError("seed letter needs the form H(<group word>|<marker cycles>)")
+    gtext, mtext = text.split("|", 1)
+    gword = resfin.parse_word(oracle, gtext)
+    try:
+        marker = marker_perm(mtext)
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"bad marker cycles: {exc}") from None
+    return Seed(oracle, gword, marker)
+
+
 def parse_tokens(oracle, text):
-    """Parse word-file text into raw level-0 tokens for :func:`normal_form`.
+    """Parse word-file text into level-0 letters for :func:`normal_form`.
 
     Token syntax: ``B(<cycles over first-level letters>)``,
-    ``H(<group word>|<marker cycles>)``, a postfix ``'`` for inversion
-    (attached or standalone).  Raises :class:`ParseError` with the
-    offending position."""
+    ``H(<group word>|<marker cycles>)`` (see :func:`parse_seed`), and a
+    postfix ``'`` for inversion.  The parser applies the marks: attached
+    marks invert their own letter when their count is odd, and a
+    standalone ``'`` inverts the letter before it, so the result holds
+    only ``("B", perm)`` and ``("H", seed)``.  Raises :class:`ParseError`
+    with the offending position, also for a standalone ``'`` with no
+    letter before it."""
     lvl = build_alphabet(oracle, 1)
     out = []
     for raw, pos in _lex(text):
         line, col = pos
-        body = raw
-        inverses = 0
-        while body.endswith("'"):
-            inverses += 1
-            body = body[:-1]
+        body = raw.rstrip("'")
+        inverses = len(raw) - len(body)
         if not body:
             if inverses != 1:
                 raise ParseError("bare inverse markers must be single quotes", line, col)
-            out.append(INVERSE)
+            if not out:
+                raise ParseError("inverse marker with nothing to invert", line, col)
+            out.append(_inverse(out.pop()))
             continue
         if body.startswith("B(") and body.endswith(")"):
             try:
@@ -661,22 +647,13 @@ def parse_tokens(oracle, text):
                 raise ParseError(f"bad rooted letter: {exc}", line, col) from None
             if perm.sign != 1:
                 raise ParseError("rooted letters must be even permutations", line, col)
-            out.append(("B", perm))
+            letter = ("B", perm)
         elif body.startswith("H(") and body.endswith(")"):
-            inner = body[2:-1]
-            if "|" not in inner:
-                raise ParseError("seed letter needs the form H(<group word>|<marker cycles>)", line, col)
-            gtext, mtext = inner.split("|", 1)
             try:
-                gword = resfin.parse_word(oracle, gtext)
+                letter = ("H", parse_seed(oracle, body[2:-1]))
             except ValueError as exc:
                 raise ParseError(str(exc), line, col) from None
-            try:
-                marker = marker_perm(mtext) if mtext.strip() else marker_perm("()")
-            except (ValueError, KeyError) as exc:
-                raise ParseError(f"bad marker cycles: {exc}", line, col) from None
-            out.append(("H", Seed(oracle, gword, marker)))
         else:
             raise ParseError(f"unrecognized token {raw!r}", line, col)
-        out.extend([INVERSE] * inverses)
+        out.append(_inverse(letter) if inverses % 2 else letter)
     return out

@@ -54,6 +54,15 @@ def test_wp_parse_error_exit_2(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_wp_leading_inverse_mark_is_a_parse_error(tmp_path, capsys):
+    path = write(tmp_path, "w.txt", "' H(t|())")
+    code, out, err = run(capsys, "wp", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: line 1, column 1")
+    assert "Traceback" not in err
+
+
 def test_wp_depth_cap_exit_3(tmp_path, capsys):
     path = write(tmp_path, "w.txt", "H(t|()) H(a|()) H(t|()) H(a|())")
     code, out, err = run(capsys, "--depth-cap", "4", "wp", path)
@@ -264,6 +273,19 @@ def test_conj_depth_below_one_usage_error(capsys):
     code, out, _ = run(capsys, "conj", "t|()", "t|()", "--depth", "1")
     assert code == 0
     assert out.splitlines()[0] == "certificate conjugate (depth=1)"
+
+
+@pytest.mark.parametrize("g, k", [
+    ("t|(x w)", "t|()"),  # unknown marker letter
+    ("t|()", "H(t|(x w))"),
+    ("t|(x y)", "t|()"),  # odd marker
+])
+def test_conj_bad_marker_exit_2(capsys, g, k):
+    code, out, err = run(capsys, "conj", g, k)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad marker cycles")
+    assert "Traceback" not in err
 
 
 def test_conj_search_bound_flags_removed(capsys):

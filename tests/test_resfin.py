@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from branchgroups.resfin import (
     build_level_map,
     decide_word_problem,
     efrf_query,
-    format_group_descriptor,
     format_quotient_map,
     kernel_min_length_check,
     level_components,
@@ -329,9 +329,19 @@ def test_quotient_map_format(zz):
     assert lines[2] == "t' -> (0 1)"
 
 
+# the descriptor file shown in README
+README_DESCRIPTOR = """group dihedral_infinite
+gen a inverse a
+gen t inverse t'
+gen t' inverse t
+family dihedral_infinite
+"""
+
+
 def test_group_descriptor_roundtrip(dinf):
-    text = format_group_descriptor(dinf)
-    oracle = parse_group_descriptor(text)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"```\n{README_DESCRIPTOR}```" in readme
+    oracle = parse_group_descriptor(README_DESCRIPTOR)
     assert oracle.gen_names == dinf.gen_names
     assert oracle.inverse == dinf.inverse
 

@@ -33,7 +33,6 @@ from branchgroups.treeauto import (
     section_at,
     vertex_at,
     vertex_count,
-    wreath_decompose,
 )
 
 
@@ -168,15 +167,20 @@ def test_deep_sections_satisfy_defining_property(dinf):
             assert eval_vertex(a, whole) == expected
 
 
+# The first-level wreath decomposition of an automorphism is its root
+# permutation together with its section at every first-level letter.
+
+
 def test_wreath_decompose_at_higher_base_level(dinf):
     rng = random.Random(41)
     h = rng_seed_elem(dinf, rng)
     a = directed(dinf, h, 2)
-    root, children = wreath_decompose(a)
-    assert root.is_identity
+    assert root_perm(a).is_identity
     lvl = build_alphabet(dinf, 3)
-    x3 = lvl.letter_at(lvl.x_index)
-    assert children[x3].base_level == 3
+    assert root_perm(a).alphabet == lvl.alphabet
+    for idx in range(lvl.size):
+        assert section_at(a, idx).base_level == 3
+    assert nontrivial_children(a)[lvl.x_index].base_level == 3
 
 
 def test_directed_is_homomorphism_small(dinf):
@@ -535,28 +539,30 @@ def test_portrait_identity_and_text(zz):
 
 def test_wreath_decompose_roundtrip(dinf):
     rng = random.Random(12)
+    lvl = build_alphabet(dinf, 1)
     for _ in range(6):
         a = rand_word_aut(dinf, rng)
-        root, children = wreath_decompose(a)
-        shifts = [
-            embed_shift(Vertex(0, (letter,)), sec)
-            for letter, sec in children.items()
-            if not sec.key()[0] == "id"
-        ]
+        root = root_perm(a)
+        children = nontrivial_children(a)
+        shifts = [embed_shift(Vertex(0, (lvl.letter_at(idx),)), sec) for idx, sec in children.items()]
         recomposed = product([rooted(dinf, 0, root)] + shifts if not root.is_identity else shifts,
                              oracle=dinf, base_level=0)
         assert equal_to_depth(a, recomposed, 3)
+        for idx in range(lvl.size):
+            if idx not in children:
+                assert section_at(a, idx).key() == identity_aut(dinf, 1).key()
 
 
 def test_wreath_decompose_directed(dinf):
     h = Seed(dinf, parse_word(dinf, "t"), marker_perm("(x y z)"))
     a = directed(dinf, h, 0)
-    root, children = wreath_decompose(a)
-    assert root.is_identity
-    assert children[Letter(1, "x")].key() == directed(dinf, h, 1).key()
-    for letter, sec in children.items():
+    assert root_perm(a).is_identity
+    lvl = build_alphabet(dinf, 1)
+    assert section_at(a, lvl.x_index).key() == directed(dinf, h, 1).key()
+    for idx in range(lvl.size):
+        letter = lvl.letter_at(idx)
         if letter.kind == "coset" or letter.kind in ("p", "q"):
-            assert sec.key() == identity_aut(dinf, 1).key()
+            assert section_at(a, idx).key() == identity_aut(dinf, 1).key()
 
 
 def test_embed_shift(dinf):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from branchgroups import suites
 from branchgroups.alphabet import (
     MARKER_ALPHABET,
     Letter,
@@ -40,7 +41,6 @@ from branchgroups.treeauto import (
     section_at,
 )
 from branchgroups.wordcalc import (
-    INVERSE,
     Certificate,
     ParseError,
     SearchBounds,
@@ -51,10 +51,9 @@ from branchgroups.wordcalc import (
     format_token,
     is_fragmented_subword,
     normal_form,
+    parse_seed,
     parse_tokens,
     section_letters,
-    section_word,
-    section_word_traced,
     seed_is_trivial,
     verify_certificate,
 )
@@ -68,6 +67,22 @@ def dinf():
 @pytest.fixture(scope="module")
 def zz():
     return IntegerOracle()
+
+
+# An inverse mark in a token list: it inverts the letter before it, as a
+# standalone ``'`` does in a word file.  ``_resolve`` applies the marks.
+_INV = ("inv", None)
+
+
+def _resolve(tokens):
+    out = []
+    for tok in tokens:
+        if tok is _INV:
+            kind, payload = out.pop()
+            out.append((kind, payload.inverse() if kind == "B" else payload.inv()))
+        else:
+            out.append(tok)
+    return out
 
 
 def rand_seed(oracle, rng, max_len=2, allow_trivial=True):
@@ -129,9 +144,9 @@ def test_normal_form_rejects_odd_b(dinf):
 
 
 def test_normal_form_inverse_marker(dinf):
-    h = Seed(dinf, parse_word(dinf, "t"))
-    w = normal_form(dinf, [("H", h), INVERSE])
-    assert w.hs[0].g == parse_word(dinf, "t'")
+    for text in ["H(t|())'", "H(t|()) '"]:
+        w = normal_form(dinf, parse_tokens(dinf, text))
+        assert w.hs[0].g == parse_word(dinf, "t'")
 
 
 def test_normalization_preserves_image_random(dinf):
@@ -203,7 +218,7 @@ def test_section_base_case_x(dinf):
     b2 = Perm(lvl.alphabet, img)
     assert b2.sign == 1
     w = normal_form(dinf, [("B", b1), ("H", h1), ("B", b2)])
-    sec = section_word(w, d)
+    sec = section_letters(w)[d]
     assert sec.h_count == 1
     assert sec.hs[0] == h1
     assert sec.bs[0].is_identity and sec.bs[1].is_identity
@@ -217,7 +232,7 @@ def test_section_base_case_y(dinf):
     img[d], img[lvl.y_index], img[other] = lvl.y_index, other, d
     b2 = Perm(lvl.alphabet, img)
     w = normal_form(dinf, [("H", h1), ("B", b2)])
-    sec = section_word(w, d)
+    sec = section_letters(w)[d]
     assert sec.h_count == 0
     assert sec.bs[0] == coset_action(dinf, 2, h1)
 
@@ -236,26 +251,15 @@ def test_section_letters_matches_bruteforce(dinf):
             assert equal_to_depth(got, section_at(aut, idx), 3)
 
 
-def test_section_word_rejects_letters_outside_the_alphabet(dinf):
-    w = rand_normal_word(dinf, random.Random(9), 2)
-    size = build_alphabet(dinf, 1).size
-    for idx in (-1, size):
-        with pytest.raises(ValueError, match="outside the first-level alphabet"):
-            section_word_traced(w, idx)
-        with pytest.raises(ValueError, match="outside the first-level alphabet"):
-            section_word(w, idx)
-
-
 def test_section_contraction_and_fragmentation(dinf):
     rng = random.Random(7)
     lvl = build_alphabet(dinf, 1)
     for _ in range(15):
         n = rng.randrange(1, 7)
         w = rand_normal_word(dinf, rng, n)
-        for idx in range(lvl.size):
-            sec, blocks = section_word_traced(w, idx)
+        for sec in section_letters(w).values():
             assert sec.h_count <= (w.h_count + 1) // 2
-            flat = [h for block in blocks for h in block]
+            flat = [h for block in sec.blocks for h in block]
             assert is_fragmented_subword(flat, list(w.hs))
 
 
@@ -265,10 +269,21 @@ def test_section_word_semantic_agreement(dinf):
     for _ in range(8):
         w = rand_normal_word(dinf, rng, rng.randrange(1, 4))
         aut = w.to_aut()
+        sections = section_letters(w)
         for idx in range(0, lvl.size, 3):
-            sym = section_word(w, idx)
+            sym = sections[idx].to_aut() if idx in sections else identity_aut(dinf, 1)
             sem = section_at(aut, idx)
-            assert equal_to_depth(sym.to_aut(), sem, 3)
+            assert equal_to_depth(sym, sem, 3)
+
+
+@pytest.mark.parametrize("suite", [suites.suite_sections, suites.suite_contraction])
+def test_section_suites_check_absent_letters(dinf, monkeypatch, suite):
+    # with every section reported absent, the identity stands in at each
+    # letter, and the semantic comparison has to catch it
+    monkeypatch.setattr(suites, "section_letters", lambda word: {})
+    report = suite(dinf, seed=1, depth=2)
+    assert not report["ok"]
+    assert all(f.get("reason", "semantic mismatch") == "semantic mismatch" for f in report["failures"])
 
 
 def test_decide_trivial_words(dinf):
@@ -541,6 +556,53 @@ def test_parse_tokens_roundtrip(dinf):
     assert w.key() == w2.key()
 
 
+def test_parse_tokens_applies_inverse_marks(dinf):
+    b = Perm.from_cycles(build_alphabet(dinf, 1).alphabet, "(x@1 y@1 z@1)")
+    t = Seed(dinf, parse_word(dinf, "t"), marker_perm("(x y z)"))
+    cases = {
+        "H(t|(x y z)) B((x@1 y@1 z@1))": [("H", t), ("B", b)],
+        "H(t|(x y z)) B((x@1 y@1 z@1)) '": [("H", t), ("B", b.inverse())],
+        "H(t|(x y z)) B((x@1 y@1 z@1))'": [("H", t), ("B", b.inverse())],
+        "H(t|(x y z))' B((x@1 y@1 z@1))": [("H", t.inv()), ("B", b)],
+        "H(t|(x y z)) ' B((x@1 y@1 z@1))''": [("H", t.inv()), ("B", b)],
+        "H(t|(x y z))'' ' B((x@1 y@1 z@1))''' '": [("H", t.inv()), ("B", b)],
+    }
+    for text, want in cases.items():
+        got = parse_tokens(dinf, text)
+        assert [kind for kind, _ in got] == [kind for kind, _ in want]
+        assert got[0][1].g == want[0][1].g and got[0][1].marker == want[0][1].marker
+        assert got[1][1] == want[1][1]
+
+
+@pytest.mark.parametrize("text, line, column", [("'", 1, 1), ("' H(t|())", 1, 1), ("\n  '\nH(t|())", 2, 3)])
+def test_parse_tokens_rejects_a_leading_inverse_mark(dinf, text, line, column):
+    with pytest.raises(ParseError, match="inverse marker with nothing to invert") as err:
+        parse_tokens(dinf, text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t|(x w)", "bad marker cycles"),  # an unknown marker letter
+    ("t|(x y)", "bad marker cycles: marker permutations must be even"),
+    ("t|(x y z", "bad marker cycles"),
+    ("t", "seed letter needs the form"),
+    ("b|()", "unknown generator"),
+])
+def test_parse_seed_raises_value_error(dinf, text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_seed(dinf, text)
+    with pytest.raises(ParseError, match=message):
+        parse_tokens(dinf, f"H({text})")
+
+
+def test_parse_seed_literals(dinf):
+    # an empty marker part is the identity
+    cases = [("t a|", "t a", "()"), ("t a|()", "t a", "()"), ("|(x y z)", "", "(x y z)"), (" t |(o p q) ", "t", "(o p q)")]
+    for text, g, marker in cases:
+        seed = parse_seed(dinf, text)
+        assert seed.g == parse_word(dinf, g) and seed.marker == marker_perm(marker)
+
+
 def test_parse_tokens_errors(dinf):
     with pytest.raises(ParseError) as err:
         parse_tokens(dinf, "B((x@1 y@1))")
@@ -627,7 +689,8 @@ def test_parse_tokens_inverts_format_token(selector, data):
     for tok, _, inverted in drawn:
         expected.append(tok)
         if inverted:
-            expected.append(INVERSE)
+            expected.append(_INV)
+    expected = _resolve(expected)
     got = parse_tokens(oracle, text)
     assert [t[0] for t in got] == [t[0] for t in expected]
     for (kind, payload), (_, want) in zip(got, expected):
@@ -681,8 +744,8 @@ def test_normal_form_is_idempotent(selector, data):
     oracle = _parse_oracle(selector)
     tokens = []
     for tok, inverted in data.draw(st.lists(st.tuples(_tokens(oracle, max_group_len=2), st.booleans()), max_size=6)):
-        tokens += [tok, INVERSE] if inverted else [tok]
-    w = normal_form(oracle, tokens)
+        tokens += [tok, _INV] if inverted else [tok]
+    w = normal_form(oracle, _resolve(tokens))
     again = normal_form(oracle, w.tokens())
     assert again.key() == w.key()
     assert str(again) == str(w)
@@ -700,11 +763,30 @@ def test_normal_forms_and_sections_alternate(selector, data):
     oracle = _parse_oracle(selector)
     tokens = []
     for tok, inverted in data.draw(st.lists(st.tuples(_tokens(oracle, max_group_len=2), st.booleans()), max_size=6)):
-        tokens += [tok, INVERSE] if inverted else [tok]
-    w = normal_form(oracle, tokens)
+        tokens += [tok, _INV] if inverted else [tok]
+    w = normal_form(oracle, _resolve(tokens))
     _assert_alternating(w)
     for sec in section_letters(w).values():
         _assert_alternating(sec)
+
+
+@pytest.mark.parametrize("selector", _DECIDE_GROUPS)
+@given(data=st.data())
+def test_section_blocks_multiply_out_a_fragmented_subword(selector, data):
+    oracle = _parse_oracle(selector)
+    tokens = []
+    for tok, inverted in data.draw(st.lists(st.tuples(_tokens(oracle, max_group_len=2), st.booleans()), max_size=6)):
+        tokens += [tok, _INV] if inverted else [tok]
+    tokens = _resolve(tokens)
+    w = normal_form(oracle, tokens)
+    raw_seeds = [payload for kind, payload in tokens if kind == "H"]
+    for word, source in [(w, raw_seeds)] + [(sec, list(w.hs)) for sec in section_letters(w).values()]:
+        assert len(word.blocks) == word.h_count
+        for h, block in zip(word.hs, word.blocks):
+            merged = functools.reduce(Seed.mul, block)
+            assert merged.g == h.g and merged.marker == h.marker
+        flat = [h for block in word.blocks for h in block]
+        assert is_fragmented_subword(flat, source)
 
 
 def _pin_tokens(oracle, rng):
@@ -723,15 +805,16 @@ def _pin_tokens(oracle, rng):
         tokens.append(tok)
         roll = rng.random()
         if roll < 0.2:
-            tokens.append(INVERSE)
+            tokens.append(_INV)
         elif roll < 0.35:
-            tokens += [tok, INVERSE]
-    return tokens
+            tokens += [tok, _INV]
+    return _resolve(tokens)
 
 
 # sha256 over 150 seeded words per group: each normal form's text,
-# sigma_length and key, its section_letters, and section_word_traced
-# (text and block keys) at every first-level letter
+# sigma_length and key, its section_letters, and the section at every
+# first-level letter (text and block keys; an absent letter hashes as the
+# empty word with no blocks)
 _WORD_CALCULUS_PINS = {
     "dihedral_infinite": "23ae82f3e0f2d300b7ab9dd635fc35e289bdcd19b2d0976d80db7d9555442ca4",
     "integers": "1d57690abd79c6423c89f0f787a58d315e5987540f0e008da8146f280cba716f",
@@ -749,10 +832,12 @@ def test_word_calculus_bytes(selector):
     for _ in range(150):
         w = normal_form(oracle, _pin_tokens(oracle, rng))
         h.update(repr((str(w), w.sigma_length, w.key())).encode())
-        h.update(repr([(i, str(s), s.key()) for i, s in section_letters(w).items()]).encode())
+        sections = section_letters(w)
+        h.update(repr([(i, str(s), s.key()) for i, s in sections.items()]).encode())
         for idx in range(size):
-            sec, blocks = section_word_traced(w, idx)
-            h.update(repr((str(sec), [[s.key() for s in block] for block in blocks])).encode())
+            sec = sections.get(idx)
+            text, blocks = (str(sec), sec.blocks) if sec is not None else ("(empty)", [])
+            h.update(repr((text, [[s.key() for s in block] for block in blocks])).encode())
     assert h.hexdigest() == _WORD_CALCULUS_PINS[selector]
 
 
@@ -783,7 +868,7 @@ def test_decide_is_conjugation_invariant(selector, data):
         word = word + data.draw(_trivial_commutators(oracle)) + _spelled_inverse(oracle, word)
     t = data.draw(_tokens(oracle, max_group_len=2))
     plain = decide(normal_form(oracle, word))
-    conjugated = decide(normal_form(oracle, [t] + word + [t, INVERSE]))
+    conjugated = decide(normal_form(oracle, _resolve([t] + word + [t, _INV])))
     assert conjugated.trivial == plain.trivial
 
 
