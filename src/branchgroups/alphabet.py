@@ -18,8 +18,6 @@ seeds generate the directed tree automorphisms in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .perm import IndexedAlphabet, Perm, compose, random_even_perm
@@ -28,63 +26,24 @@ from .resfin import build_level_map, format_word, word_inverse
 __all__ = [
     "MARKERS",
     "MARKER_ALPHABET",
-    "Letter",
     "AlphabetLevel",
     "Seed",
     "build_alphabet",
     "coset_action",
     "marker_action",
     "marker_perm",
-    "parse_letter",
     "random_marker_perm",
 ]
 
 MARKERS = ("x", "y", "z", "o", "p", "q")
 MARKER_ALPHABET = IndexedAlphabet(6, labels=MARKERS, name="markers")
 
-_SPECIALS = ("x", "y", "z", "p", "q")
-
-
-@dataclass(frozen=True)
-class Letter:
-    """One symbol of a level alphabet: a coset index or a special letter.
-
-    Letters at distinct levels are distinct values; the level is part of
-    the identity.
-    """
-
-    level: int
-    kind: str  # "coset", "x", "y", "z", "p" or "q"
-    coset: int | None = None
-
-    def __post_init__(self):
-        if self.kind == "coset":
-            if self.coset is None or self.coset < 0:
-                raise ValueError("coset letter needs a nonnegative index")
-        elif self.kind not in _SPECIALS:
-            raise ValueError(f"unknown letter kind {self.kind!r}")
-
-    def __str__(self):
-        if self.kind == "coset":
-            return f"q{self.coset}@{self.level}"
-        return f"{self.kind}@{self.level}"
-
-
-def parse_letter(text):
-    """Parse a letter literal: ``q<i>@<n>`` for cosets, ``x@<n>`` etc."""
-    if "@" not in text:
-        raise ValueError(f"letter literal {text!r} lacks a level suffix")
-    head, _, lvl = text.partition("@")
-    level = int(lvl)
-    if head in _SPECIALS:
-        return Letter(level, head)
-    if head.startswith("q") and head[1:].isdigit():
-        return Letter(level, "coset", int(head[1:]))
-    raise ValueError(f"cannot parse letter literal {text!r}")
-
-
 class AlphabetLevel:
-    """The alphabet at one level: quotient cosets first, then x y z p q."""
+    """The alphabet at one level: quotient cosets first, then x y z p q.
+
+    Each letter is named by its label in ``alphabet``: ``q<i>@<n>`` for
+    coset i and ``x@<n>`` to ``q@<n>`` for the special letters, so letters
+    at distinct levels have distinct labels."""
 
     def __init__(self, oracle, level, quotient):
         self.oracle = oracle
@@ -92,7 +51,7 @@ class AlphabetLevel:
         self.quotient = quotient
         self.size = quotient.order + 5
         labels = [f"q{i}@{level}" for i in range(quotient.order)]
-        labels += [f"{s}@{level}" for s in _SPECIALS]
+        labels += [f"{s}@{level}" for s in "xyzpq"]
         self.alphabet = IndexedAlphabet(self.size, labels=labels, name=f"letters:{oracle.name}:{level}")
         base = quotient.order
         self.x_index = base
@@ -101,19 +60,8 @@ class AlphabetLevel:
         self.p_index = base + 3
         self.q_index = base + 4
 
-    def letter_index(self, letter):
-        if letter.level != self.level:
-            raise ValueError(f"letter {letter} does not belong to level {self.level}")
-        if letter.kind == "coset":
-            if letter.coset >= self.quotient.order:
-                raise ValueError(f"coset index {letter.coset} out of range at level {self.level}")
-            return letter.coset
-        return self.quotient.order + _SPECIALS.index(letter.kind)
-
     def letter_at(self, index):
-        if index < self.quotient.order:
-            return Letter(self.level, "coset", index)
-        return Letter(self.level, _SPECIALS[index - self.quotient.order])
+        return self.alphabet.labels[index]
 
     def __repr__(self):
         return f"AlphabetLevel({self.oracle.name}, n={self.level}, size={self.size})"

@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import suites, wordcalc
-from .resfin import build_level_map, format_quotient_map, kernel_min_length_check, oracle_from_selector, parse_group_descriptor
+from .resfin import build_level_map, format_quotient_map, kernel_min_length_check, oracle_from_selector
 from .treeauto import CapExceeded, portrait, portrait_dot, portrait_text
 from .wordcalc import ParseError, SearchBounds, conjugacy_certificate, decide, normal_form, parse_tokens, token_length
 
@@ -63,12 +63,7 @@ def _setting(args, name, cast=str):
 
 
 def _resolve_oracle(args):
-    selector = _setting(args, "group")
-    if selector.startswith("file:"):
-        path = selector[5:]
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_group_descriptor(fh.read())
-    return oracle_from_selector(selector)
+    return oracle_from_selector(_setting(args, "group"))
 
 
 def _emit(args, payload, text_lines):
@@ -228,7 +223,7 @@ def build_parser():
     # given up front
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--group", default=argparse.SUPPRESS,
-                        help="group selector: dihedral_infinite | integers | finite:<order> | product:<a>,<b> | file:<descriptor>")
+                        help="group selector: dihedral_infinite | integers | finite:<order> | product:<a>,<b>")
     common.add_argument("--depth-cap", dest="depth_cap", type=int, default=argparse.SUPPRESS,
                         help="maximum evaluation depth")
     common.add_argument("--vertex-cap", dest="vertex_cap", type=int, default=argparse.SUPPRESS,

@@ -43,7 +43,6 @@ __all__ = [
     "format_word",
     "format_quotient_map",
     "oracle_from_selector",
-    "parse_group_descriptor",
 ]
 
 
@@ -641,39 +640,3 @@ def oracle_from_selector(selector):
             acc = ProductOracle(acc, nxt)
         return acc
     raise ValueError(f"unknown group selector {selector!r}")
-
-
-def parse_group_descriptor(text):
-    """Parse a group descriptor file and resolve it to a bundled oracle.
-
-    The descriptor names the group, lists generators with their involution
-    pairing, and names the quotient family (a bundled selector).  The
-    generator list is validated against the resolved oracle."""
-    name = None
-    family = None
-    gens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "group" and len(parts) == 2:
-            name = parts[1]
-        elif parts[0] == "gen" and len(parts) == 4 and parts[2] == "inverse":
-            gens.append((parts[1], parts[3]))
-        elif parts[0] == "family" and len(parts) == 2:
-            family = parts[1]
-        else:
-            raise ValueError(f"bad descriptor line {lineno}: {raw!r}")
-    if name is None or family is None:
-        raise ValueError("descriptor must name a group and a quotient family")
-    oracle = oracle_from_selector(family)
-    if gens:
-        declared = [g for g, _ in gens]
-        if list(oracle.gen_names) != declared:
-            raise ValueError("descriptor generators do not match the quotient family")
-        for g, ginv in gens:
-            i = oracle.gen_names.index(g)
-            if oracle.gen_names[oracle.inverse[i]] != ginv:
-                raise ValueError(f"descriptor pairing for generator {g!r} is wrong")
-    return oracle

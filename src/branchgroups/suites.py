@@ -279,9 +279,7 @@ def suite_branch_identities(oracle, seed=0, count=20, depth=4):
     lvl = build_alphabet(oracle, 1)
     if lvl.size < 7:
         raise ValueError("first-level alphabet must have at least 7 letters")
-    x1 = Vertex(0, (lvl.letter_at(lvl.x_index),))
-    y1 = Vertex(0, (lvl.letter_at(lvl.y_index),))
-    z1 = Vertex(0, (lvl.letter_at(lvl.z_index),))
+    x1, y1, z1 = Vertex(0, ("x@1",)), Vertex(0, ("y@1",)), Vertex(0, ("z@1",))
     failures = []
     for case in range(count):
         h = random_seed_elem(oracle, rng)

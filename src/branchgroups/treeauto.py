@@ -10,9 +10,9 @@ because the seed assignment is a homomorphism, which the test suite checks.
 
 Nothing is materialized unless asked for: sections, vertex evaluation and
 the breadth-first triviality search all run on the expression structure,
-with paths as tuples of letter indices; a :class:`Vertex` is converted on
-the way in and out only.  Full level permutations are only built on
-demand, under a hard vertex cap.
+with paths as tuples of letter indices; a :class:`Vertex`, a path of
+alphabet labels, is converted on the way in and out only.  Full level
+permutations are only built on demand, under a hard vertex cap.
 
 A directed automorphism at base level n fixes every first-level letter and
 acts below letter d as follows: below x it is the directed automorphism of
@@ -53,7 +53,6 @@ __all__ = [
     "invert",
     "root_perm",
     "section_at",
-    "section",
     "eval_vertex",
     "nontrivial_children",
     "section_search",
@@ -74,12 +73,13 @@ DEFAULT_VERTEX_CAP = 2_000_000
 
 @dataclass(frozen=True)
 class Vertex:
-    """A path in the tree rooted at ``base_level``: the i-th letter lives
-    at level ``base_level + 1 + i``.  The empty path is the root.
+    """A path in the tree rooted at ``base_level``: the i-th letter is a
+    label of the level-``base_level + 1 + i`` alphabet, such as ``"x@1"``
+    or ``"q3@2"``.  The empty path is the root.
 
-    Construction does not check the level run; :func:`embed_shift`,
-    :func:`section` and :func:`eval_vertex` reject a vertex that breaks
-    it with ``ValueError``."""
+    Construction does not check the labels; :func:`embed_shift` and
+    :func:`eval_vertex` reject a vertex with a label that is not a letter
+    of its position's level with ``ValueError``."""
 
     base_level: int
     letters: tuple = ()
@@ -92,21 +92,25 @@ class Vertex:
         return Vertex(self.base_level, self.letters + (letter,))
 
     def __str__(self):
-        return " ".join(str(l) for l in self.letters) if self.letters else "-"
+        return " ".join(self.letters) if self.letters else "-"
 
 
 def _indices(oracle, vertex):
-    """The letter indices of a vertex's path; ``ValueError`` when a letter
-    is not at the level of its position."""
-    return tuple(
-        build_alphabet(oracle, vertex.base_level + 1 + i).letter_index(letter)
-        for i, letter in enumerate(vertex.letters)
-    )
+    """The letter indices of a vertex's path; ``ValueError`` when a label
+    is not a letter of the level of its position."""
+    out = []
+    for i, label in enumerate(vertex.letters):
+        level = vertex.base_level + 1 + i
+        try:
+            out.append(build_alphabet(oracle, level).alphabet.index(label))
+        except KeyError:
+            raise ValueError(f"{label!r} is not a letter of level {level}") from None
+    return tuple(out)
 
 
 def _vertex(oracle, base_level, indices):
     return Vertex(base_level, tuple(
-        build_alphabet(oracle, base_level + 1 + i).letter_at(ix)
+        build_alphabet(oracle, base_level + 1 + i).alphabet.labels[ix]
         for i, ix in enumerate(indices)
     ))
 
@@ -347,17 +351,6 @@ def section_at(a, letter_index):
     return IdentityAut(a.oracle, a.base_level + 1)
 
 
-def section(a, vertex):
-    """Deep section: fold single-letter sections along the path; the
-    section at a composite path is the section of the section."""
-    if vertex.base_level != a.base_level:
-        raise ValueError("section vertex must start at the automorphism's base level")
-    node = a
-    for idx in _indices(a.oracle, vertex):
-        node = section_at(node, idx)
-    return node
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -452,14 +445,6 @@ def vertex_alphabet(oracle, base_level, depth):
             key, IndexedAlphabet(n, name=f"vertices:{oracle.name}:{base_level}:{depth}")
         )
     return got
-
-
-def vertex_at(oracle, base_level, depth, index):
-    indices = []
-    for i in reversed(range(depth)):
-        index, rem = divmod(index, build_alphabet(oracle, base_level + i + 1).size)
-        indices.append(rem)
-    return _vertex(oracle, base_level, indices[::-1])
 
 
 def _level_columns(a, depth, cap):
@@ -647,13 +632,11 @@ def portrait(a, depth, cap=DEFAULT_VERTEX_CAP):
             raise CapExceeded(f"portrait would label more than {cap} vertices")
     labels, rows = {}, []
     sections = {}  # section key -> (root permutation, its text, children)
-    frontier = [((), "-", None, a)]  # (letters, path text, parent text, section)
+    frontier = [((), "-", None, a)]  # (labels, path text, parent text, section)
     for d in range(depth):
         inner = d + 1 < depth
         if inner:
-            lvl = build_alphabet(a.oracle, a.base_level + d + 1)
-            letters = [(i, lvl.letter_at(i)) for i in range(lvl.size)]
-            names = [str(letter) for _, letter in letters]
+            names = build_alphabet(a.oracle, a.base_level + d + 1).alphabet.labels
             ident = IdentityAut(a.oracle, a.base_level + d + 1)
         nxt = []
         for path, text, parent, node in frontier:
@@ -666,9 +649,9 @@ def portrait(a, depth, cap=DEFAULT_VERTEX_CAP):
             labels[Vertex(a.base_level, path)] = perm
             rows.append((text, parent, label))
             if inner:
-                for i, letter in letters:
-                    child_text = f"{text} {names[i]}" if path else names[i]
-                    nxt.append((path + (letter,), child_text, text, children.get(i, ident)))
+                for i, name in enumerate(names):
+                    child_text = f"{text} {name}" if path else name
+                    nxt.append((path + (name,), child_text, text, children.get(i, ident)))
         frontier = nxt
     return Portrait(depth, labels, rows)
 

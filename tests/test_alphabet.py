@@ -4,13 +4,11 @@ import pytest
 
 from branchgroups.alphabet import (
     MARKER_ALPHABET,
-    Letter,
     Seed,
     build_alphabet,
     coset_action,
     marker_action,
     marker_perm,
-    parse_letter,
     random_marker_perm,
 )
 from branchgroups.perm import Perm, compose
@@ -40,22 +38,23 @@ def test_alphabet_sizes(zz):
         assert build_alphabet(zz, n).size == build_alphabet(zz, n).quotient.order + 5
 
 
-def test_letter_order_and_literals(zz):
-    lvl = build_alphabet(zz, 1)
-    assert lvl.letter_at(0) == Letter(1, "coset", 0)
-    assert lvl.letter_at(lvl.x_index) == Letter(1, "x")
-    assert str(Letter(2, "coset", 3)) == "q3@2"
-    assert parse_letter("q3@2") == Letter(2, "coset", 3)
-    assert parse_letter("x@4") == Letter(4, "x")
-    with pytest.raises(ValueError):
-        parse_letter("w@1")
-    with pytest.raises(ValueError):
-        parse_letter("x")
+def test_letter_order_and_literals(dinf):
+    lvl = build_alphabet(dinf, 2)
+    order = lvl.quotient.order
+    assert lvl.alphabet.labels == tuple(f"q{i}@2" for i in range(order)) + ("x@2", "y@2", "z@2", "p@2", "q@2")
+    assert lvl.letter_at(3) == "q3@2"
+    assert lvl.letter_at(lvl.x_index) == "x@2"
+    assert [lvl.alphabet.index(s) for s in ("x@2", "y@2", "z@2", "p@2", "q@2")] == [
+        lvl.x_index, lvl.y_index, lvl.z_index, lvl.p_index, lvl.q_index
+    ]
+    for label in ("w@2", "x", "x@1", f"q{order}@2"):
+        with pytest.raises(KeyError):
+            lvl.alphabet.index(label)
 
 
-def test_letters_at_distinct_levels_differ():
-    assert Letter(1, "x") != Letter(2, "x")
-    assert Letter(1, "coset", 0) != Letter(2, "coset", 0)
+def test_letters_at_distinct_levels_differ(zz):
+    labels = [set(build_alphabet(zz, n).alphabet.labels) for n in (1, 2, 3)]
+    assert labels[0].isdisjoint(labels[1]) and labels[1].isdisjoint(labels[2])
 
 
 def test_coset_action_integers_level1(zz):

@@ -421,11 +421,13 @@ def test_env_override(tmp_path, capsys, monkeypatch):
     assert out.splitlines()[0] == "order 4"
 
 
-def test_group_descriptor_file(tmp_path, capsys):
-    desc = write(tmp_path, "g.grp", "group zz\nfamily integers\n")
-    code, out, _ = run(capsys, "--group", f"file:{desc}", "chain", "1")
-    assert code == 0
-    assert out.splitlines()[0] == "order 2"
+def test_file_selector_is_unknown(capsys):
+    # group descriptor files are gone: a descriptor could only name a
+    # bundled family, which --group takes directly
+    code, out, err = run(capsys, "--group", "file:x", "chain", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown group selector 'file:x'\n"
 
 
 def test_missing_file_exit_2(capsys):

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from branchgroups.resfin import (
     kernel_min_length_check,
     level_components,
     oracle_from_selector,
-    parse_group_descriptor,
     parse_word,
     word_inverse,
 )
@@ -327,32 +325,6 @@ def test_quotient_map_format(zz):
     assert lines[0] == "order 2"
     assert lines[1] == "t -> (0 1)"
     assert lines[2] == "t' -> (0 1)"
-
-
-# the descriptor file shown in README
-README_DESCRIPTOR = """group dihedral_infinite
-gen a inverse a
-gen t inverse t'
-gen t' inverse t
-family dihedral_infinite
-"""
-
-
-def test_group_descriptor_roundtrip(dinf):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    assert f"```\n{README_DESCRIPTOR}```" in readme
-    oracle = parse_group_descriptor(README_DESCRIPTOR)
-    assert oracle.gen_names == dinf.gen_names
-    assert oracle.inverse == dinf.inverse
-
-
-def test_group_descriptor_errors():
-    with pytest.raises(ValueError):
-        parse_group_descriptor("group x\nfamily unknown_thing")
-    with pytest.raises(ValueError):
-        parse_group_descriptor("group x\ngen b inverse b\nfamily integers")
-    with pytest.raises(ValueError):
-        parse_group_descriptor("gibberish line\n")
 
 
 def test_selector_errors():

@@ -248,3 +248,42 @@ def test_exports_resolve():
         module = importlib.import_module(f"branchgroups.{mod_name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{mod_name}.{name}"
+
+
+# Read only by tests until ROADMAP item 5 gives them a caller or deletes them.
+_READ_ONLY_BY_TESTS = {"wordcalc.efrf_output", "wordcalc.format_efrf_output"}
+
+
+def _reads(tree):
+    """Every name a module reads: loaded names, attributes, import aliases
+    and string constants (perfbench/tracing.py names its targets by
+    string, as ``"Perm.cycle_type"``), without its own ``__all__`` entries."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = {id(c) for c in ast.walk(node.value)}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in exported:
+            if all(part.isidentifier() for part in node.value.split(".")):
+                out.update(node.value.split("."))
+    return out
+
+
+def test_every_export_has_a_reader_outside_tests():
+    # a public name that only tests read is API that nothing uses; a
+    # definition (def, class or assignment) is not a read
+    paths = sorted((ROOT / "src" / "branchgroups").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    reads = set()
+    for path in paths:
+        reads |= _reads(ast.parse(path.read_text(encoding="utf-8")))
+    modules = ["alphabet", "perm", "resfin", "suites", "treeauto", "wordcalc"]
+    exports = {f"{m}.{name}" for m in modules for name in importlib.import_module(f"branchgroups.{m}").__all__}
+    unread = sorted(q for q in exports if q.split(".")[1] not in reads)
+    assert unread == sorted(_READ_ONLY_BY_TESTS)

@@ -5,13 +5,15 @@ import pytest
 from sympy.combinatorics import Permutation
 
 from branchgroups import suites
-from branchgroups.alphabet import Letter, Seed, build_alphabet, marker_perm, random_marker_perm
+from branchgroups.alphabet import Seed, build_alphabet, marker_perm, random_marker_perm
 from branchgroups.perm import Perm, compose, random_even_perm
 from branchgroups.resfin import DihedralOracle, IntegerOracle, oracle_from_selector, parse_word
 from branchgroups.suites import _raw_token_aut, random_token
 from branchgroups.treeauto import (
     CapExceeded,
     Vertex,
+    _indices,
+    _vertex,
     directed,
     embed_shift,
     equal_to_depth,
@@ -29,11 +31,10 @@ from branchgroups.treeauto import (
     product,
     root_perm,
     rooted,
-    section,
     section_at,
-    vertex_at,
     vertex_count,
 )
+from conftest import section, vertex_at
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +69,7 @@ def vx(oracle, base, *letters):
 
 
 def test_eval_identity(zz):
-    v = vx(zz, 0, Letter(1, "x"), Letter(2, "y"))
+    v = vx(zz, 0, "x@1", "y@2")
     assert eval_vertex(identity_aut(zz), v) == v
 
 
@@ -76,10 +77,10 @@ def test_eval_rooted(zz):
     lvl = build_alphabet(zz, 1)
     sigma = Perm.from_cycles(lvl.alphabet, "(q0@1 q1@1 x@1)")
     a = rooted(zz, 0, sigma)
-    v = vx(zz, 0, Letter(1, "coset", 0), Letter(2, "z"))
+    v = vx(zz, 0, "q0@1", "z@2")
     out = eval_vertex(a, v)
-    assert out.letters[0] == Letter(1, "coset", 1)
-    assert out.letters[1] == Letter(2, "z")
+    assert out.letters[0] == "q1@1"
+    assert out.letters[1] == "z@2"
 
 
 def test_eval_directed_two_level_unfold(dinf):
@@ -90,12 +91,11 @@ def test_eval_directed_two_level_unfold(dinf):
     h = Seed(dinf, parse_word(dinf, "t"))
     a = directed(dinf, h, 0)
     lvl3 = build_alphabet(dinf, 3)
-    c = Letter(3, "coset", 0)
-    v = vx(dinf, 0, Letter(1, "x"), Letter(2, "y"), c)
+    v = vx(dinf, 0, "x@1", "y@2", "q0@3")
     out = eval_vertex(a, v)
-    expected = coset_action(dinf, 3, h)(lvl3.letter_index(c))
+    expected = coset_action(dinf, 3, h)(lvl3.alphabet.index("q0@3"))
     assert out.letters[:2] == v.letters[:2]
-    assert lvl3.letter_index(out.letters[2]) == expected
+    assert lvl3.alphabet.index(out.letters[2]) == expected
 
 
 def test_directed_stabilizes_level_one(dinf):
@@ -119,7 +119,7 @@ def test_section_cases(dinf):
     assert root_perm(csec).is_identity
     # rooted automorphisms have trivial sections below level 1
     sigma = random_even_perm(lvl.alphabet, random.Random(4))
-    assert section(rooted(dinf, 0, sigma), vx(dinf, 0, Letter(1, "x"))).key() == identity_aut(dinf, 1).key()
+    assert section(rooted(dinf, 0, sigma), vx(dinf, 0, "x@1")).key() == identity_aut(dinf, 1).key()
 
 
 def test_section_formula_random(dinf):
@@ -197,8 +197,8 @@ def test_prefix_preservation(dinf):
     rng = random.Random(7)
     for _ in range(10):
         a = rand_word_aut(dinf, rng)
-        v = vx(dinf, 0, Letter(1, "x"), Letter(2, "z"))
-        w = v.child(Letter(3, "coset", 1))
+        v = vx(dinf, 0, "x@1", "z@2")
+        w = v.child("q1@3")
         assert eval_vertex(a, w).letters[:2] == eval_vertex(a, v).letters
 
 
@@ -364,7 +364,7 @@ def test_level_cycle_type_shifted(dinf):
     # a rooted 3-cycle shifted below y@1 moves level-2 vertices below y@1 only
     lvl2 = build_alphabet(dinf, 2)
     inner = rooted(dinf, 1, Perm.from_cycles(lvl2.alphabet, "(q0@2 q1@2 q2@2)"))
-    a = embed_shift(vx(dinf, 0, Letter(1, "y")), inner)
+    a = embed_shift(vx(dinf, 0, "y@1"), inner)
     assert level_cycle_type(a, 2) == {1: 150, 3: 1}
     assert _expand(level_cycle_type(a, 3)) == level_perm(a, 3).cycle_type()
 
@@ -376,7 +376,7 @@ def _wp_oracle_cases(oracle):
     return [
         (rooted(oracle, 0, Perm.from_cycles(lvl.alphabet, "(x@1 y@1 z@1)")), 1),
         (directed(oracle, h, 0), 2),
-        (embed_shift(vx(oracle, 0, Letter(1, "x")), directed(oracle, h, 1)), 3),
+        (embed_shift(vx(oracle, 0, "x@1"), directed(oracle, h, 1)), 3),
     ]
 
 
@@ -509,7 +509,7 @@ def test_equal_to_depth_detects_difference(dinf):
     assert not equal_to_depth(a, identity_aut(dinf), 2)
     d = nontrivial_vertex(a, 2)
     assert d is not None and d.depth == 2
-    assert d.letters[0] == Letter(1, "z")
+    assert d.letters[0] == "z@1"
 
 
 def test_portrait_directed_marker(dinf):
@@ -518,10 +518,10 @@ def test_portrait_directed_marker(dinf):
     a = directed(dinf, h, 0)
     p = portrait(a, 2)
     assert p.labels[Vertex(0)].is_identity
-    z1 = Vertex(0, (Letter(1, "z"),))
+    z1 = Vertex(0, ("z@1",))
     lvl2 = build_alphabet(dinf, 2)
     assert p.labels[z1] == Perm.from_cycles(lvl2.alphabet, "(x@2 y@2 z@2)")
-    x1 = Vertex(0, (Letter(1, "x"),))
+    x1 = Vertex(0, ("x@1",))
     assert p.labels[x1].is_identity
 
 
@@ -560,25 +560,24 @@ def test_wreath_decompose_directed(dinf):
     lvl = build_alphabet(dinf, 1)
     assert section_at(a, lvl.x_index).key() == directed(dinf, h, 1).key()
     for idx in range(lvl.size):
-        letter = lvl.letter_at(idx)
-        if letter.kind == "coset" or letter.kind in ("p", "q"):
+        if idx not in (lvl.x_index, lvl.y_index, lvl.z_index):
             assert section_at(a, idx).key() == identity_aut(dinf, 1).key()
 
 
 def test_embed_shift(dinf):
     h = Seed(dinf, (), marker_perm("(o p q)"))
     inner = directed(dinf, h, 2)
-    v = vx(dinf, 0, Letter(1, "x"), Letter(2, "x"))
+    v = vx(dinf, 0, "x@1", "x@2")
     a = embed_shift(v, inner)
     # inside the subtree: acts as inner
-    w = v.child(Letter(3, "x"))
+    w = v.child("x@3")
     assert eval_vertex(a, w).letters == w.letters
-    deep = Vertex(0, v.letters + (Letter(3, "z"), Letter(4, "coset", 0)))
+    deep = Vertex(0, v.letters + ("z@3", "q0@4"))
     out = eval_vertex(a, deep)
     assert out.letters[:3] == deep.letters[:3]
     assert out != deep  # marker action moves the identity coset
     # outside: fixed
-    other = vx(dinf, 0, Letter(1, "y"), Letter(2, "x"), Letter(3, "x"))
+    other = vx(dinf, 0, "y@1", "x@2", "x@3")
     assert eval_vertex(a, other) == other
     # identity inner collapses
     assert embed_shift(v, identity_aut(dinf, 2)).key() == identity_aut(dinf, 0).key()
@@ -586,24 +585,37 @@ def test_embed_shift(dinf):
 
 def test_embed_shift_level_mismatch(dinf):
     with pytest.raises(ValueError):
-        embed_shift(Vertex(0, (Letter(1, "x"),)), identity_aut(dinf, 3))
+        embed_shift(Vertex(0, ("x@1",)), identity_aut(dinf, 3))
 
 
 def test_eval_level_mismatch(dinf):
     with pytest.raises(ValueError):
-        eval_vertex(identity_aut(dinf, 1), Vertex(0, (Letter(1, "x"),)))
+        eval_vertex(identity_aut(dinf, 1), Vertex(0, ("x@1",)))
 
 
 def test_vertex_breaking_the_level_run_is_rejected(dinf):
     # a Vertex is built unchecked; the functions taking a caller's path
-    # check each letter's level against its position
-    bad = Vertex(0, (Letter(2, "x"),))
+    # look each label up in the alphabet of its position's level, and a
+    # label from another level or from no level is a ValueError
     h = Seed(dinf, parse_word(dinf, "t"))
-    for a in (identity_aut(dinf), directed(dinf, h, 0)):
-        with pytest.raises(ValueError):
-            eval_vertex(a, bad)
-        with pytest.raises(ValueError):
-            section(a, bad)
-    for inner in (identity_aut(dinf, 1), directed(dinf, h, 1)):
-        with pytest.raises(ValueError):
-            embed_shift(bad, inner)
+    for bad in (Vertex(0, ("x@2",)), Vertex(0, ("w@1",))):
+        for a in (identity_aut(dinf), directed(dinf, h, 0)):
+            with pytest.raises(ValueError):
+                eval_vertex(a, bad)
+            with pytest.raises(ValueError):
+                section(a, bad)
+        for inner in (identity_aut(dinf, 1), directed(dinf, h, 1)):
+            with pytest.raises(ValueError):
+                embed_shift(bad, inner)
+
+
+@pytest.mark.parametrize("group", CYCLE_TYPE_GROUPS)
+def test_vertex_labels_round_trip_letter_indices(group):
+    oracle = oracle_from_selector(group)
+    rng = random.Random(f"round-trip/{group}")
+    sizes = [build_alphabet(oracle, n).size for n in (1, 2, 3)]
+    for _ in range(50):
+        path = tuple(rng.randrange(s) for s in sizes[: rng.randrange(4)])
+        v = _vertex(oracle, 0, path)
+        assert all(isinstance(label, str) for label in v.letters)
+        assert _indices(oracle, v) == path

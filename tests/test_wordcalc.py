@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from branchgroups import suites
 from branchgroups.alphabet import (
     MARKER_ALPHABET,
-    Letter,
     Seed,
     build_alphabet,
     coset_action,
@@ -308,7 +307,7 @@ def test_decide_marker_seed_witness_below_z(dinf):
     d = decide(w)
     assert not d.trivial
     assert d.witness.depth == 2
-    assert d.witness.letters[0] == Letter(1, "z")
+    assert d.witness.letters[0] == "z@1"
 
 
 def test_decide_agrees_with_semantics(dinf):
@@ -352,7 +351,8 @@ def test_trivial_words_stay_fixed_beyond_decision_depth(dinf):
 def test_decide_agrees_with_scalar_vertex_enumeration(zz):
     # the most literal oracle: walk every vertex of depth 2*ell one by one
     # with the scalar evaluator; affordable on the integer group only
-    from branchgroups.treeauto import vertex_at, vertex_count
+    from branchgroups.treeauto import vertex_count
+    from conftest import vertex_at
 
     lvl = build_alphabet(zz, 1)
     b = Perm.from_cycles(lvl.alphabet, "(q0@1 x@1 y@1)")
@@ -401,7 +401,8 @@ def test_efrf_output(dinf):
     assert len(out["generators"]) == 1
     # re-evaluate the emitted action: some moved vertex must extend the
     # witness (the witness may sit above the table depth)
-    from branchgroups.treeauto import vertex_at, vertex_count
+    from branchgroups.treeauto import vertex_count
+    from conftest import vertex_at
 
     action = Perm.from_cycles(
         level_perm(rooted(dinf, 0, b), 2).alphabet, out["generators"][0]["action"]
@@ -839,6 +840,44 @@ def test_word_calculus_bytes(selector):
             text, blocks = (str(sec), sec.blocks) if sec is not None else ("(empty)", [])
             h.update(repr((text, [[s.key() for s in block] for block in blocks])).encode())
     assert h.hexdigest() == _WORD_CALCULUS_PINS[selector]
+
+
+def _block_pin_tokens(oracle, rng):
+    """Four to eight seed letters, each after a random rooted letter, so
+    that one first-level letter often receives seed letters from several
+    places of the word and its section has two or more blocks."""
+    lvl = build_alphabet(oracle, 1)
+    tokens = []
+    for _ in range(rng.randrange(4, 9)):
+        g = tuple(rng.randrange(len(oracle.gen_names)) for _ in range(rng.randrange(1, 3)))
+        tokens.append(("B", random_even_perm(lvl.alphabet, rng)))
+        tokens.append(("H", Seed(oracle, g, random_marker_perm(rng))))
+    return tokens
+
+
+# sha256 over 100 seeded words per group of _block_pin_tokens: every
+# section's letter, text and blocks (seed keys in order); the blocks of
+# one section differ, so storing them in another order changes the digest
+_BLOCK_ORDER_PINS = {
+    "dihedral_infinite": "bdd8cce28c725bd9362ddc722c1d262eb561b6f10c310f61d6368ec1234c7660",
+    "integers": "78ff6e276be7537fdb621476dbde0edc30b0262da033490b2a86314942a8aa89",
+    "product:integers,integers": "120dce1cca0e24f75e2085062b11b584d50bf4d4e9700905a62d0f97656eecdc",
+}
+
+
+@pytest.mark.parametrize("selector", sorted(_BLOCK_ORDER_PINS))
+def test_section_block_order_bytes(selector):
+    oracle = oracle_from_selector(selector)
+    rng = random.Random(f"blocks/{selector}")
+    h = hashlib.sha256()
+    multi = 0
+    for _ in range(100):
+        w = normal_form(oracle, _block_pin_tokens(oracle, rng))
+        for i, s in section_letters(w).items():
+            h.update(repr((i, str(s), [[seed.key() for seed in block] for block in s.blocks])).encode())
+            multi += len(s.blocks) >= 2
+    assert multi >= 30
+    assert h.hexdigest() == _BLOCK_ORDER_PINS[selector]
 
 
 @st.composite
