@@ -15,6 +15,7 @@ Words are plain tuples of generator indices.  The inverse of generator
 from __future__ import annotations
 
 from array import array
+from functools import reduce
 from itertools import islice
 
 import numpy as np
@@ -82,25 +83,44 @@ def _int_row(values):
 def _closure(rows):
     """Breadth-first closure from code 0 over ambient rows, ``rows[s][c]``
     being the code of ``c`` times generator ``s``.  Returns the label of
-    every code (its element index, or -1 where unreached), the codes of
-    the elements in order, and the spanning tree ``parent``, ``via``."""
-    label = array("i", [-1]) * len(rows[0])
-    label[0] = 0
-    codes = array("i", [0])
-    parent = array("i", [0])
-    via = array("i", [0])
-    steps = tuple(enumerate(rows))
-    order = 1
-    for x, code in enumerate(codes):
-        for s, row in steps:
+    every code (its element index, or -1 where unreached) and the codes of
+    the elements in the order the search reaches them."""
+    seen = bytearray(len(rows[0]))
+    seen[0] = 1
+    codes = [0]
+    append = codes.append
+    for code in codes:
+        for row in rows:
             nxt = row[code]
-            if label[nxt] < 0:
-                label[nxt] = order
-                order += 1
-                codes.append(nxt)
-                parent.append(x)
-                via.append(s)
-    return _ints(label), _ints(codes), parent, via
+            if not seen[nxt]:
+                seen[nxt] = 1
+                append(nxt)
+    codes = np.array(codes, dtype=np.int32)
+    label = np.full(len(seen), -1, dtype=np.int32)
+    label[codes] = np.arange(len(codes), dtype=np.int32)
+    return label, codes
+
+
+def _spanning_tree(right):
+    """The spanning tree of the breadth-first search, read off its right
+    rows: element ``x`` is element ``parent[x]`` times generator
+    ``via[x]``, reached first in that order.
+
+    The search labels elements in the order it reaches them, expanding
+    element ``p`` by every generator before ``p + 1``.  So once ``p`` is
+    expanded the labels handed out are exactly ``0..reach[p]``, where
+    ``reach`` is the running maximum of each element's row entries;
+    ``parent[x]`` is the first ``p`` with ``reach[p] >= x``, and
+    ``via[x]`` the first generator taking ``parent[x]`` to ``x``.  Both
+    are 0 at the identity."""
+    reach = np.maximum.accumulate(reduce(np.maximum, right))
+    x = np.arange(len(reach), dtype=np.int32)
+    parent = np.searchsorted(reach, x).astype(np.int32)
+    via = np.zeros_like(x)
+    for s in reversed(range(len(right))):
+        via[right[s][parent] == x] = s
+    via[0] = 0
+    return parent, via
 
 
 class FiniteQuotient:
@@ -124,25 +144,28 @@ class FiniteQuotient:
       ``s`` and ``left[s][x]`` that of generator ``s`` times element
       ``x``.
 
-    The search records only the tree and the label of each code it
-    reaches; the right rows are gathered from the ambient rows once it
-    ends, and the left rows are walked along the spanning tree.  The
-    ambient rows and the label table are dropped afterwards; every
-    product is a walk in these tables.  ``key`` identifies the quotient
-    up to an identical homomorphism from the source, and is used to
-    deduplicate components in product constructions.
+    The search records only the order in which it reaches the codes.  The
+    label of each code is its place in that order; the right rows are
+    gathered from the ambient rows once the search ends, the spanning
+    tree is read off the right rows (:func:`_spanning_tree`), and the
+    left rows are walked along the tree.  The ambient rows and the label
+    table are dropped afterwards; every product is a walk in these
+    tables.  ``key`` identifies the quotient up to an identical
+    homomorphism from the source, and is used to deduplicate components
+    in product constructions.
     """
 
     def __init__(self, rows, key=None):
-        label, codes, parent, via = _closure(rows)
-        self._store(parent, via, (label[np.asarray(row)[codes]] for row in rows), key)
+        label, codes = _closure(rows)
+        self._store((label[np.asarray(row)[codes]] for row in rows), key)
         self.left = tuple(_int_row(self._tree_images(g, self)) for g in self.gen_images)
 
-    def _store(self, parent, via, right, key):
-        self.order = len(parent)
-        self.parent = parent
-        self.via = via
+    def _store(self, right, key):
         self.right = tuple(map(_int_row, right))
+        parent, via = _spanning_tree([_ints(row) for row in self.right])
+        self.order = len(parent)
+        self.parent = _int_row(parent)
+        self.via = _int_row(via)
         self.gen_images = tuple(row[0] for row in self.right)
         self.key = key
 
@@ -185,12 +208,14 @@ class FiniteQuotient:
         """The image of the source in this quotient times ``other``: the
         closure over the codes ``i * other.order + j`` of the pairs.
 
-        Both row sets pair the two factors' rows, ``(i, j)`` times
-        generator ``s`` on either side having code ``here[s][i] * width +
-        there[s][j]``; they are gathered at the reached codes only, after
-        the ambient rows are dropped."""
+        The closure runs over the ambient right rows and records only the
+        order in which it reaches the codes.  Both row sets then pair the
+        two factors' rows, ``(i, j)`` times generator ``s`` on either
+        side having code ``here[s][i] * width + there[s][j]``; they are
+        gathered at the reached codes only, after the ambient rows are
+        dropped, and the spanning tree is read off the right rows."""
         width = other.order
-        label, codes, parent, via = _closure(
+        label, codes = _closure(
             [_int_row(np.add.outer(_ints(here) * width, _ints(there)).ravel()) for here, there in zip(self.right, other.right)]
         )
         i, j = np.divmod(codes, width)
@@ -200,7 +225,7 @@ class FiniteQuotient:
                 yield label[_ints(here)[i] * width + _ints(there)[j]]
 
         image = FiniteQuotient.__new__(FiniteQuotient)
-        image._store(parent, via, paired(self.right, other.right), None)
+        image._store(paired(self.right, other.right), None)
         image.left = tuple(map(_int_row, paired(self.left, other.left)))
         return image
 

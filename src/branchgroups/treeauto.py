@@ -97,13 +97,14 @@ class Vertex:
 
 def _indices(oracle, vertex):
     """The letter indices of a vertex's path; ``ValueError`` when a label
-    is not a letter of the level of its position."""
+    is not a letter of the level of its position, an unhashable label
+    included."""
     out = []
     for i, label in enumerate(vertex.letters):
         level = vertex.base_level + 1 + i
         try:
             out.append(build_alphabet(oracle, level).alphabet.index(label))
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValueError(f"{label!r} is not a letter of level {level}") from None
     return tuple(out)
 

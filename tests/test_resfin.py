@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from branchgroups import resfin
 from branchgroups.alphabet import Seed
@@ -90,6 +92,68 @@ def test_level_components_match_all_words_sweep(selector):
         prefix[len(w)] = len(keys)
     for n in range(1, top + 1):
         assert [q.key for q in level_components(oracle, n)] == keys[: prefix[n]], n
+
+
+def _reference_closure(rows):
+    """The closure loop as it was when it wrote the spanning tree while
+    searching: the label of every code (-1 where unreached), the reached
+    codes in order, and ``parent``, ``via`` of each element."""
+    label = [-1] * len(rows[0])
+    label[0] = 0
+    codes, parent, via = [0], [0], [0]
+    steps = tuple(enumerate(rows))
+    order = 1
+    for x, code in enumerate(codes):
+        for s, row in steps:
+            nxt = row[code]
+            if label[nxt] < 0:
+                label[nxt] = order
+                order += 1
+                codes.append(nxt)
+                parent.append(x)
+                via.append(s)
+    return label, codes, parent, via
+
+
+@st.composite
+def _ambient_rows(draw):
+    """Row tables over 1 to 300 codes: each row an arbitrary function or
+    a permutation of the codes below ``live`` (codes from ``live`` up are
+    never reached), with generator 0 acting trivially, a duplicated row,
+    or an identity row passed as a ``range`` mixed in."""
+    n = draw(st.integers(1, 300))
+    live = min(n, draw(st.integers(1, 300)))
+    gens = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.sampled_from(["functions", "permutations"])) == "functions":
+        rows = [rng.integers(live, size=n).tolist() for _ in range(gens)]
+    else:
+        rows = [rng.permutation(live).tolist() + rng.integers(live, size=n - live).tolist() for _ in range(gens)]
+    if draw(st.booleans()):
+        rows[0] = list(range(n))
+    if gens > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[draw(st.integers(0, gens - 2))])
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, gens - 1))] = range(n)
+    return rows
+
+
+@given(rows=_ambient_rows())
+@example(rows=[[1, 0, 0, 2]])  # codes 2 and 3 unreachable
+@example(rows=[[1, 2, 0], [1, 2, 0]])  # duplicate rows
+@example(rows=[[0, 1, 2], [1, 2, 0]])  # generator 0 acts trivially
+@example(rows=[[1, 0], range(2)])  # the other side of a product projection
+@example(rows=[[0], [0]])  # the trivial group
+def test_closure_matches_reference_loop(rows):
+    label, codes, parent, via = _reference_closure(rows)
+    got_label, got_codes = resfin._closure(rows)
+    assert got_label.tolist() == label
+    assert got_codes.tolist() == codes
+    quotient = resfin.FiniteQuotient(rows)
+    assert quotient.order == len(codes)
+    assert [list(row) for row in quotient.right] == [[label[row[c]] for c in codes] for row in rows]
+    assert list(quotient.parent) == parent
+    assert list(quotient.via) == via
 
 
 def _tuple_closure(components, n_gens, limit):

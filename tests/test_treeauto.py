@@ -596,9 +596,10 @@ def test_eval_level_mismatch(dinf):
 def test_vertex_breaking_the_level_run_is_rejected(dinf):
     # a Vertex is built unchecked; the functions taking a caller's path
     # look each label up in the alphabet of its position's level, and a
-    # label from another level or from no level is a ValueError
+    # label from another level or from no level, or an unhashable one
+    # that no alphabet could hold, is a ValueError
     h = Seed(dinf, parse_word(dinf, "t"))
-    for bad in (Vertex(0, ("x@2",)), Vertex(0, ("w@1",))):
+    for bad in (Vertex(0, ("x@2",)), Vertex(0, ("w@1",)), Vertex(0, (["x@1"],))):
         for a in (identity_aut(dinf), directed(dinf, h, 0)):
             with pytest.raises(ValueError):
                 eval_vertex(a, bad)
