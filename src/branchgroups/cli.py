@@ -22,8 +22,15 @@ import os
 import sys
 
 from . import suites, wordcalc
-from .resfin import build_level_map, format_quotient_map, kernel_min_length_check, oracle_from_selector
-from .treeauto import CapExceeded, portrait, portrait_dot, portrait_text
+from .resfin import (
+    CyclicOracle,
+    ProductOracle,
+    build_level_map,
+    format_quotient_map,
+    kernel_min_length_check,
+    oracle_from_selector,
+)
+from .treeauto import DEFAULT_VERTEX_CAP, CapExceeded, portrait, portrait_dot, portrait_text
 from .wordcalc import ParseError, SearchBounds, conjugacy_certificate, decide, normal_form, parse_tokens, token_length
 
 SCHEMA = 1
@@ -31,7 +38,7 @@ SCHEMA = 1
 _DEFAULTS = {
     "group": "dihedral_infinite",
     "depth_cap": 12,
-    "vertex_cap": 2_000_000,
+    "vertex_cap": DEFAULT_VERTEX_CAP,
     "format": "text",
     "seed": 0,
 }
@@ -63,7 +70,19 @@ def _setting(args, name, cast=str):
 
 
 def _resolve_oracle(args):
-    return oracle_from_selector(_setting(args, "group"))
+    """The selected oracle.  A finite component's quotient holds one code
+    per element, so an order above the vertex cap is refused before any
+    quotient is built."""
+    oracle = oracle_from_selector(_setting(args, "group"))
+    cap = _setting(args, "vertex_cap", int)
+    parts = [oracle]
+    while parts:
+        part = parts.pop()
+        if isinstance(part, ProductOracle):
+            parts += [part.left, part.right]
+        elif isinstance(part, CyclicOracle) and part.group_order > cap:
+            raise CapExceeded(f"finite group order {part.group_order} exceeds the vertex cap {cap}")
+    return oracle
 
 
 def _emit(args, payload, text_lines):
@@ -187,7 +206,7 @@ def cmd_chain(args):
     if args.level > depth_cap:
         raise CapExceeded(f"chain level {args.level} exceeds the depth cap {depth_cap}")
     qm = build_level_map(oracle, args.level, cap=_setting(args, "vertex_cap", int))
-    report = kernel_min_length_check(oracle, args.level, args.level)
+    report = kernel_min_length_check(oracle, args.level)
     text = format_quotient_map(qm)
     payload = {
         "command": "chain",

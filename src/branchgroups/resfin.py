@@ -608,22 +608,20 @@ def decide_word_problem(oracle, word):
     return qm.apply(word) == 0
 
 
-def kernel_min_length_check(oracle, n, radius, level_map=None):
-    """Confirm on the radius ball that the level-n kernel contains no short
-    nontrivial element.  Returns a dict report with a counterexample word
-    on failure.  ``level_map`` overrides the built map, which lets a test
-    feed a deliberately corrupted one."""
-    if radius > n:
-        raise ValueError("radius must not exceed the chain level")
+def kernel_min_length_check(oracle, n, level_map=None):
+    """Confirm on the radius-n ball that the level-n kernel contains no
+    short nontrivial element.  Returns a dict report with a counterexample
+    word on failure.  ``level_map`` overrides the built map, which lets a
+    test feed a deliberately corrupted one."""
     qm = level_map if level_map is not None else build_level_map(oracle, n)
     checked = 0
-    for w in oracle.ball(radius):
+    for w in oracle.ball(n):
         if not w or oracle.is_identity(w):
             continue
         checked += 1
         if qm.apply(w) == 0:
-            return {"passed": False, "level": n, "radius": radius, "checked": checked, "counterexample": format_word(oracle, w)}
-    return {"passed": True, "level": n, "radius": radius, "checked": checked, "counterexample": None}
+            return {"passed": False, "level": n, "radius": n, "checked": checked, "counterexample": format_word(oracle, w)}
+    return {"passed": True, "level": n, "radius": n, "checked": checked, "counterexample": None}
 
 
 # ---------------------------------------------------------------------------

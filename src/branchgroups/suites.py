@@ -1,12 +1,12 @@
 """Seeded verification suites shared by the test suite and the CLI.
 
-Every suite takes an explicit random seed and returns a JSON-ready dict
-with an ``ok`` flag, counts, and failure details.  The suites implement
-the package's cross-checking strategy: symbolic machinery (normal forms,
-section rewriting, the stabilizer decider) is always validated against an
-independent semantic route (per-vertex evaluation, materialized level
-permutations, or structural breadth-first search over expression
-sections).
+Every suite is ``suite(oracle, seed=0)``: its sizes and depths are fixed,
+and it returns a JSON-ready dict with an ``ok`` flag, counts, and failure
+details.  The suites implement the package's cross-checking strategy:
+symbolic machinery (normal forms, section rewriting, the stabilizer
+decider) is always validated against an independent semantic route
+(per-vertex evaluation, materialized level permutations, or structural
+breadth-first search over expression sections).
 """
 
 from __future__ import annotations
@@ -117,11 +117,13 @@ def _result(name, failures, extra=None):
 # suites
 
 
-def suite_perm(seed=0, samples=50):
+def suite_perm(oracle, seed=0):
     """Seeded instances of the alternating-generation checker, all expected
-    to generate the full even group when the preconditions hold."""
+    to generate the full even group when the preconditions hold.  The
+    instances are abstract alphabets, so ``oracle`` is not read."""
     rng = random.Random(seed)
     failures = []
+    samples = 50
     done = 0
     while done < samples:
         size = rng.randrange(5, 9)
@@ -160,29 +162,29 @@ def suite_perm(seed=0, samples=50):
     return _result("perm", failures, {"samples": samples})
 
 
-def suite_alphabet(oracles, seed=0, samples=500, max_level=4):
-    """Both letter actions land in the even permutations at every level,
-    and the coset action always fixes x, y and z."""
+def suite_alphabet(oracle, seed=0):
+    """Both letter actions land in the even permutations on levels 1 to
+    4, and the coset action always fixes x, y and z."""
     rng = random.Random(seed)
     failures = []
-    per = max(1, samples // len(oracles))
-    for oracle in oracles:
-        for case in range(per):
-            n = rng.randrange(1, max_level + 1)
-            h = random_seed_elem(oracle, rng, max_len=3)
-            phi = coset_action(oracle, n, h)
-            psi = marker_action(oracle, n, h)
-            lvl = build_alphabet(oracle, n)
-            if phi.sign != 1 or psi.sign != 1:
-                failures.append({"oracle": oracle.name, "case": case, "reason": "odd action"})
-            if any(phi(i) != i for i in (lvl.x_index, lvl.y_index, lvl.z_index)):
-                failures.append({"oracle": oracle.name, "case": case, "reason": "moved x, y or z"})
-    return _result("alphabet", failures, {"samples": per * len(oracles)})
+    samples = 500
+    for case in range(samples):
+        n = rng.randrange(1, 5)
+        h = random_seed_elem(oracle, rng, max_len=3)
+        phi = coset_action(oracle, n, h)
+        psi = marker_action(oracle, n, h)
+        lvl = build_alphabet(oracle, n)
+        if phi.sign != 1 or psi.sign != 1:
+            failures.append({"oracle": oracle.name, "case": case, "reason": "odd action"})
+        if any(phi(i) != i for i in (lvl.x_index, lvl.y_index, lvl.z_index)):
+            failures.append({"oracle": oracle.name, "case": case, "reason": "moved x, y or z"})
+    return _result("alphabet", failures, {"samples": samples})
 
 
-def suite_sections(oracle, seed=0, pairs=100, depth=3):
-    """Symbolic section words agree with semantic sections for every
-    first-level letter, on random pair products of generator tokens.
+def suite_sections(oracle, seed=0):
+    """Symbolic section words agree with semantic sections to depth 3 for
+    every first-level letter, on 100 random pair products of generator
+    tokens.
 
     The semantic side sections the raw product of the two factors (the
     product rule applies across the pair); the symbolic side rewrites the
@@ -190,6 +192,7 @@ def suite_sections(oracle, seed=0, pairs=100, depth=3):
     rng = random.Random(seed)
     lvl = build_alphabet(oracle, 1)
     failures = []
+    pairs, depth = 100, 3
     for case in range(pairs):
         alpha = [random_token(oracle, rng) for _ in range(rng.randrange(1, 3))]
         beta = [random_token(oracle, rng) for _ in range(rng.randrange(1, 3))]
@@ -208,16 +211,16 @@ def suite_sections(oracle, seed=0, pairs=100, depth=3):
     return _result("sections", failures, {"pairs": pairs, "depth": depth})
 
 
-def suite_contraction(oracle, seed=0, words=100, depth=3, semantic_sample=3):
-    """Sections of normal-form words contract: the seed-letter count at
-    most halves (rounded up), the surviving letters multiply out a
-    fragmented subword, and the rewriting agrees with the semantic
-    section."""
+def suite_contraction(oracle, seed=0):
+    """Sections of 100 random normal-form words contract: the seed-letter
+    count at most halves (rounded up), the surviving letters multiply out
+    a fragmented subword, and at three random first-level letters per
+    word the rewriting agrees with the semantic section to depth 3."""
     rng = random.Random(seed)
     lvl = build_alphabet(oracle, 1)
     failures = []
     checked = 0
-    for case in range(words):
+    for case in range(100):
         n = rng.randrange(1, 7)
         toks = []
         for _ in range(n):
@@ -230,7 +233,7 @@ def suite_contraction(oracle, seed=0, words=100, depth=3, semantic_sample=3):
         checked += 1
         bound = (word.h_count + 1) // 2
         semantic = word.to_aut()
-        sem_letters = rng.sample(range(lvl.size), min(semantic_sample, lvl.size))
+        sem_letters = rng.sample(range(lvl.size), min(3, lvl.size))
         sections = section_letters(word)
         for idx in range(lvl.size):
             sec = sections.get(idx)
@@ -244,7 +247,7 @@ def suite_contraction(oracle, seed=0, words=100, depth=3, semantic_sample=3):
                 break
             if idx in sem_letters:
                 sym = sec.to_aut() if sec is not None else identity_aut(oracle, 1)
-                if not equal_to_depth(sym, section_at(semantic, idx), depth):
+                if not equal_to_depth(sym, section_at(semantic, idx), 3):
                     failures.append({"case": case, "letter": idx, "reason": "semantic mismatch"})
                     break
     return _result("contraction", failures, {"words": checked})
@@ -266,7 +269,7 @@ def _displacing_perm(oracle, rng):
     return Perm(lvl.alphabet, img, check=False)
 
 
-def suite_branch_identities(oracle, seed=0, count=20, depth=4):
+def suite_branch_identities(oracle, seed=0):
     """Machine-check the two section identities behind the branch property.
 
     For a rooted even letter s fixing z and displacing {x, y} off itself:
@@ -274,13 +277,14 @@ def suite_branch_identities(oracle, seed=0, count=20, depth=4):
     another directed letter is supported below z, where it acts as the
     rooted marker action of the seed commutator; (ii) a directed letter
     times correcting shifts below y and z equals its own shift below x.
-    Both identities are checked to ``depth`` on random seeds."""
+    Both identities are checked to depth 4 on 20 random seed pairs."""
     rng = random.Random(seed)
     lvl = build_alphabet(oracle, 1)
     if lvl.size < 7:
         raise ValueError("first-level alphabet must have at least 7 letters")
     x1, y1, z1 = Vertex(0, ("x@1",)), Vertex(0, ("y@1",)), Vertex(0, ("z@1",))
     failures = []
+    count = 20
     for case in range(count):
         h = random_seed_elem(oracle, rng)
         k = random_seed_elem(oracle, rng)
@@ -291,7 +295,7 @@ def suite_branch_identities(oracle, seed=0, count=20, depth=4):
         u = product([invert(s), hd, s])
         comm = product([invert(u), invert(kd), u, kd])
         expected = rooted(oracle, 1, marker_action(oracle, 2, h.commutator(k)))
-        if not equal_to_depth(comm, embed_shift(z1, expected), depth):
+        if not equal_to_depth(comm, embed_shift(z1, expected), 4):
             failures.append({"case": case, "identity": "commutator-support"})
 
         phi = coset_action(oracle, 2, h)
@@ -302,7 +306,7 @@ def suite_branch_identities(oracle, seed=0, count=20, depth=4):
             embed_shift(z1, rooted(oracle, 1, psi.inverse())),
         ], oracle=oracle, base_level=0)
         rhs = embed_shift(x1, directed(oracle, h, 1))
-        if not equal_to_depth(lhs, rhs, depth):
+        if not equal_to_depth(lhs, rhs, 4):
             failures.append({"case": case, "identity": "shift-product"})
     return _result("branch-identities", failures, {"samples": count, "first_level_size": lvl.size})
 
@@ -346,17 +350,18 @@ def _raw_token_aut(oracle, tseq):
     return product(parts, oracle=oracle, base_level=0)
 
 
-def suite_wp_oracle(oracle, seed=0, random_count=200, max_len=4, cap=DEFAULT_VERTEX_CAP):
+def suite_wp_oracle(oracle, seed=0):
     """Word-problem decider versus the semantic oracle.
 
     Exhaustively over all words of length up to two in a representative
-    token alphabet, then on seeded random words of length up to
-    ``max_len``; every tenth random word is replaced by a token sequence
+    token alphabet, then on 200 seeded random words of length up to 4;
+    every tenth random word is replaced by a token sequence
     followed by its formal inverse, guaranteeing trivial inputs that do
     not rely on the calculus under test.  The decider runs on the
     normalized word; the oracle evaluates the raw token product
     semantically."""
     toks = representative_tokens(oracle)
+    random_count = 200
     exhaustive = [[t] for t in toks] + [[t, u] for t in toks for u in toks]
 
     def cases():
@@ -364,7 +369,7 @@ def suite_wp_oracle(oracle, seed=0, random_count=200, max_len=4, cap=DEFAULT_VER
             yield "exhaustive", i, tseq
         rng = random.Random(seed)
         for case in range(1, random_count + 1):
-            length = rng.randrange(1, max_len + 1)
+            length = rng.randrange(1, 5)
             tseq = [random_token(oracle, rng) for _ in range(length)]
             if case % 10 == 0:  # salt in guaranteed trivial words: u followed by u inverted
                 half = [random_token(oracle, rng) for _ in range(max(1, length // 2))]
@@ -376,7 +381,7 @@ def suite_wp_oracle(oracle, seed=0, random_count=200, max_len=4, cap=DEFAULT_VER
     for phase, case, tseq in cases():
         word = normal_form(oracle, tseq)
         got = decide(word)
-        want = semantic_wp_oracle(oracle, _raw_token_aut(oracle, tseq), 2 * word.sigma_length, cap=cap)
+        want = semantic_wp_oracle(oracle, _raw_token_aut(oracle, tseq), 2 * word.sigma_length)
         trivial_seen += got.trivial
         if got.trivial != want:
             failures.append({"phase": phase, "case": case})
@@ -387,10 +392,13 @@ def suite_wp_oracle(oracle, seed=0, random_count=200, max_len=4, cap=DEFAULT_VER
     )
 
 
-def suite_frattini(oracle, seed=0, conj_pairs=20, nonconj_pairs=10, depth=4):
-    """Forward direction of conjugacy preservation: conjugate input-group
-    pairs yield verified witnesses; non-conjugate pairs never yield one."""
+def suite_frattini(oracle, seed=0):
+    """Forward direction of conjugacy preservation: 20 conjugate
+    input-group pairs yield verified witnesses; 10 non-conjugate pairs
+    never yield one.  Cycle types are compared to depth 4."""
     rng = random.Random(seed)
+    bounds = SearchBounds(depth=4)
+    conj_pairs = 20
     failures = []
     outcomes = {"conjugate": 0, "not_conjugate": 0, "unknown": 0}
     made = 0
@@ -401,18 +409,18 @@ def suite_frattini(oracle, seed=0, conj_pairs=20, nonconj_pairs=10, depth=4):
         c_word = tuple(rng.randrange(len(oracle.gen_names)) for _ in range(rng.randrange(0, 4)))
         k_word = word_inverse(oracle, c_word) + g_word + c_word
         g, k = Seed(oracle, g_word), Seed(oracle, k_word)
-        cert = conjugacy_certificate(g, k, SearchBounds(depth=depth))
+        cert = conjugacy_certificate(g, k, bounds)
         made += 1
         if cert.kind != "conjugate":
             failures.append({"phase": "conjugate", "case": made, "kind": cert.kind})
             continue
         if not verify_certificate(cert, g, k):
             failures.append({"phase": "conjugate", "case": made, "reason": "verification failed"})
-    pairs = _nonconjugate_pairs(oracle, nonconj_pairs)
+    pairs = _nonconjugate_pairs(oracle, 10)
     for i, (g_word, k_word) in enumerate(pairs):
         g, k = Seed(oracle, g_word), Seed(oracle, k_word)
         assert oracle.conjugate(g_word, k_word) in (NOT_CONJUGATE, UNSUPPORTED)
-        cert = conjugacy_certificate(g, k, SearchBounds(depth=depth))
+        cert = conjugacy_certificate(g, k, bounds)
         outcomes[cert.kind] += 1
         if cert.kind == "conjugate":
             failures.append({"phase": "nonconjugate", "case": i, "reason": "false witness"})
@@ -446,13 +454,13 @@ def _nonconjugate_pairs(oracle, count):
 
 
 SUITES = {
-    "perm": lambda oracle, seed: suite_perm(seed=seed),
-    "alphabet": lambda oracle, seed: suite_alphabet([oracle], seed=seed),
-    "sections": lambda oracle, seed: suite_sections(oracle, seed=seed),
-    "contraction": lambda oracle, seed: suite_contraction(oracle, seed=seed),
-    "branch-identities": lambda oracle, seed: suite_branch_identities(oracle, seed=seed),
-    "wp-oracle": lambda oracle, seed: suite_wp_oracle(oracle, seed=seed),
-    "frattini": lambda oracle, seed: suite_frattini(oracle, seed=seed),
+    "perm": suite_perm,
+    "alphabet": suite_alphabet,
+    "sections": suite_sections,
+    "contraction": suite_contraction,
+    "branch-identities": suite_branch_identities,
+    "wp-oracle": suite_wp_oracle,
+    "frattini": suite_frattini,
 }
 
 

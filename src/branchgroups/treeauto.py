@@ -88,9 +88,6 @@ class Vertex:
     def depth(self):
         return len(self.letters)
 
-    def child(self, letter):
-        return Vertex(self.base_level, self.letters + (letter,))
-
     def __str__(self):
         return " ".join(self.letters) if self.letters else "-"
 

@@ -7,9 +7,10 @@ nontrivial seed letters.  The module implements the normalization, the
 seed-letter count and its contraction under taking sections, a
 word-problem decider working by bounded stabilizer evaluation (a word
 assembled from w generator tokens is trivial exactly when it fixes every
-vertex of depth 2w), effective residual-finiteness output for the level-0
-group, and a sound conjugacy-certificate testbed whose conjugator words
-are proved by that same decider.
+vertex of depth 2w) whose moved witness at depth d shows the word
+surviving in the finite action on level d, and a sound
+conjugacy-certificate testbed whose conjugator words are proved by that
+same decider.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .alphabet import (
     marker_perm,
 )
 from .perm import Perm, compose, compose_all
-from .resfin import TRIVIAL
 from .treeauto import (
     DEFAULT_VERTEX_CAP,
     Vertex,
@@ -37,7 +37,6 @@ from .treeauto import (
     level_cycle_type,
     level_perm,
     product,
-    root_perm,
     rooted,
     section_search,
     vertex_count,
@@ -53,8 +52,6 @@ __all__ = [
     "is_fragmented_subword",
     "section_letters",
     "decide",
-    "efrf_output",
-    "format_efrf_output",
     "conjugacy_certificate",
     "verify_certificate",
     "default_b_gens",
@@ -310,73 +307,6 @@ def decide(word):
     depth = 2 * ell
     witness = section_search(word, depth, NormalWord.root_perm, section_letters)
     return Decision(witness is None, ell, depth, witness)
-
-
-def efrf_output(word, cap=DEFAULT_VERTEX_CAP):
-    """Effective residual-finiteness output for the level-0 group.
-
-    Returns :data:`TRIVIAL` for trivial words.  Otherwise emits the
-    evaluation homomorphism onto depth-``2*ell`` vertex permutations as a
-    generator-image table over the word's letters, plus a moved witness
-    vertex.  If the vertex count exceeds the cap the table degrades to the
-    first-level action of every letter, documented by ``degraded: true``.
-    """
-    decision = decide(word)
-    if decision.trivial:
-        return TRIVIAL
-    oracle = word.oracle
-    depth = decision.depth
-    domain = vertex_count(oracle, 0, depth)
-    degraded = domain > cap
-    gens = []
-    names = []
-    for i, h in enumerate(word.hs):
-        if not word.bs[i].is_identity:
-            names.append((f"b{i + 1}", ("B", word.bs[i])))
-        names.append((f"h{i + 1}", ("H", h)))
-    if not word.bs[-1].is_identity:
-        names.append((f"b{word.h_count + 1}", ("B", word.bs[-1])))
-    for name, (kind, payload) in names:
-        if kind == "B":
-            aut = rooted(oracle, 0, payload)
-        else:
-            aut = directed(oracle, payload, 0)
-        entry = {
-            "name": name,
-            "token": format_token(kind, payload),
-            "first_level": str(root_perm(aut)),
-        }
-        if not degraded:
-            entry["action"] = str(level_perm(aut, depth, cap=cap))
-        gens.append(entry)
-    return {
-        "status": "nontrivial",
-        "ell": decision.ell,
-        "depth": depth,
-        "order": domain,
-        "witness": str(decision.witness),
-        "degraded": degraded,
-        "generators": gens,
-    }
-
-
-def format_efrf_output(out):
-    """Render the residual-finiteness output as text: an ``order`` header
-    (the permutation degree, the count of depth-2*ell vertices), one
-    generator legend line and one image line per letter, and the witness.
-    """
-    if out is TRIVIAL:
-        return "trivial"
-    lines = [f"order {out['order']}"]
-    for gen in out["generators"]:
-        lines.append(f"gen {gen['name']} {gen['token']}")
-    for gen in out["generators"]:
-        if "action" in gen:
-            lines.append(f"{gen['name']} -> {gen['action']}")
-        else:
-            lines.append(f"{gen['name']} -> deferred (vertex cap); first level {gen['first_level']}")
-    lines.append(f"witness {out['witness']}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import json
 import signal
 import time
@@ -166,6 +167,26 @@ VERIFY_SECTION_DIGESTS = {
     ("sections", 3): "4a0a99a5d686663c3e13c55e845debd85622299a36d726e32d217997902160ca",
 }
 
+# sha256 of stdout, recorded before every suite took only (oracle, seed)
+VERIFY_SUITE_DIGESTS = {
+    ("perm", "dihedral_infinite", 1): "f6a58ffb97e2ce5727f418dcc232d9eb11a838ff8bdc598d110c4d87fff5008c",
+    ("perm", "dihedral_infinite", 3): "0df9eadfe1b6e88f22e5864b87670ee64ebda467c89b3f26a8e2348ab5ecb8ec",
+    ("perm", "integers", 1): "d3b5ff4ca8cc598c1a023116c6f178ee93678bf3f3b74da419ed037a50d97f7d",
+    ("perm", "integers", 3): "ee9c21cc275849bde798ecac6f3b9001bdfd7cdfbf756f7e4db47482a0deac38",
+    ("alphabet", "dihedral_infinite", 1): "4b0175034c9728b41b1fb2ec457b068c020270d8428a9ca2ef6978b8c83798ba",
+    ("alphabet", "dihedral_infinite", 3): "f0e5b5234375688af0a7239ca050780abf77a61f3ef098e9fa2081a7b94eb7d8",
+    ("alphabet", "integers", 1): "c036a65847ac0f970b056bc50814f44738ee06924aa80c241eb5895149e34508",
+    ("alphabet", "integers", 3): "896a3f47a79a03f35f43f368eac778d4d08738eeb6ed96e29052848e23e912be",
+    ("branch-identities", "dihedral_infinite", 1): "df04b212c90dd2110b3985949c85e1ebae3e882fd4d127d4875ba1d84bf9d01d",
+    ("branch-identities", "dihedral_infinite", 3): "1d61b9774aa74f9cdc0994e908206cc4fcd5e253b279e62c94079e5697721cc3",
+    ("branch-identities", "integers", 1): "4845fb271042281c7583ee211f6f9af5fb1b34929204a9cbad977e6c45b32f49",
+    ("branch-identities", "integers", 3): "8a61583d1dd35f7bb796eb9051218b521bc9904c4994b479e61b4185c5bd72c1",
+    ("frattini", "dihedral_infinite", 1): "2f23c243b4d665ce2278982a519e2771eaf022a14d6628f86306ccba6edaca82",
+    ("frattini", "dihedral_infinite", 3): "3ffe47c4090eba9998bd5c466f8de372225be9b3b1571ad72059ad300ec5b53c",
+    ("frattini", "integers", 1): "7368c8de5afe8fa96dce7fb1292dc2ac4b023e195c0f15983972c84d898de8f0",
+    ("frattini", "integers", 3): "495ff55b95544de0c10d8b044d00389eede57cb4215b876dcfa4361879e957c8",
+}
+
 
 def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -215,6 +236,13 @@ def test_verify_section_suites_bytes(capsys, suite, seed):
     code, out, _ = run(capsys, "--group", "dihedral_infinite", "--seed", str(seed), "verify", suite)
     assert code == 0
     assert _digest(out) == VERIFY_SECTION_DIGESTS[suite, seed]
+
+
+@pytest.mark.parametrize("suite,group,seed", sorted(VERIFY_SUITE_DIGESTS))
+def test_verify_suite_bytes(capsys, suite, group, seed):
+    code, out, _ = run(capsys, "--group", group, "--seed", str(seed), "verify", suite)
+    assert code == 0
+    assert _digest(out) == VERIFY_SUITE_DIGESTS[suite, group, seed]
 
 
 def test_portrait_identity_all_blank(tmp_path, capsys):
@@ -373,6 +401,34 @@ def test_chain_fold_cap_follows_vertex_cap(capsys):
     code, out, _ = run(capsys, "chain", "10")
     assert code == 0
     assert out.splitlines()[0] == "order 55440"
+
+
+@pytest.mark.parametrize("group, order", [
+    ("finite:1000000000", 1_000_000_000),
+    ("finite:1_000_000_000", 1_000_000_000),
+    ("product:integers,finite:2000001", 2_000_001),
+    ("product:finite:3,integers,finite:5000000", 5_000_000),
+])
+@pytest.mark.parametrize("command", [("chain", "1"), ("wp", "-")])
+def test_finite_order_above_vertex_cap_exit_3(capsys, monkeypatch, group, order, command):
+    # a cyclic quotient holds one code per element, so an order above the
+    # cap is refused before it is built
+    monkeypatch.setattr("sys.stdin", io.StringIO("H(t|())"))
+    with budget(5):
+        code, out, err = run(capsys, "--group", group, *command)
+    assert code == 3 and out == ""
+    assert err == f"cap exceeded: finite group order {order} exceeds the vertex cap 2000000\n"
+
+
+def test_finite_order_refusal_follows_vertex_cap(capsys):
+    code, out, err = run(capsys, "--vertex-cap", "5", "--group", "finite:6", "chain", "1")
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: finite group order 6 exceeds the vertex cap 5\n"
+    code, out, _ = run(capsys, "--vertex-cap", "5", "--group", "product:integers,finite:6", "chain", "1")
+    assert code == 3 and out == ""
+    code, out, _ = run(capsys, "--vertex-cap", "6", "--group", "finite:6", "chain", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "order 6"
 
 
 def test_verify_suite_json(capsys):

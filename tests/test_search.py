@@ -250,10 +250,6 @@ def test_exports_resolve():
             assert hasattr(module, name), f"{mod_name}.{name}"
 
 
-# Read only by tests until ROADMAP item 5 gives them a caller or deletes them.
-_READ_ONLY_BY_TESTS = {"wordcalc.efrf_output", "wordcalc.format_efrf_output"}
-
-
 def _reads(tree):
     """Every name a module reads: loaded names, attributes, import aliases
     and string constants (perfbench/tracing.py names its targets by
@@ -286,4 +282,4 @@ def test_every_export_has_a_reader_outside_tests():
     modules = ["alphabet", "perm", "resfin", "suites", "treeauto", "wordcalc"]
     exports = {f"{m}.{name}" for m in modules for name in importlib.import_module(f"branchgroups.{m}").__all__}
     unread = sorted(q for q in exports if q.split(".")[1] not in reads)
-    assert unread == sorted(_READ_ONLY_BY_TESTS)
+    assert unread == []

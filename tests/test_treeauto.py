@@ -198,7 +198,7 @@ def test_prefix_preservation(dinf):
     for _ in range(10):
         a = rand_word_aut(dinf, rng)
         v = vx(dinf, 0, "x@1", "z@2")
-        w = v.child("q1@3")
+        w = Vertex(v.base_level, v.letters + ("q1@3",))
         assert eval_vertex(a, w).letters[:2] == eval_vertex(a, v).letters
 
 
@@ -430,7 +430,7 @@ def test_semantic_wp_oracle_rejects_a_disagreeing_search(group, monkeypatch):
         # child of a moved vertex is moved
         def deeper(aut, depth):
             v = search(aut, depth)
-            return v.child(build_alphabet(oracle, v.depth + 1).letter_at(0))
+            return Vertex(v.base_level, v.letters + (build_alphabet(oracle, v.depth + 1).letter_at(0),))
 
         assert eval_vertex(a, deeper(a, 4)) != deeper(a, 4)
         monkeypatch.setattr(suites, "nontrivial_vertex", deeper)
@@ -570,7 +570,7 @@ def test_embed_shift(dinf):
     v = vx(dinf, 0, "x@1", "x@2")
     a = embed_shift(v, inner)
     # inside the subtree: acts as inner
-    w = v.child("x@3")
+    w = Vertex(v.base_level, v.letters + ("x@3",))
     assert eval_vertex(a, w).letters == w.letters
     deep = Vertex(0, v.letters + ("z@3", "q0@4"))
     out = eval_vertex(a, deep)

@@ -20,7 +20,6 @@ from branchgroups.alphabet import (
 from branchgroups.perm import Perm, random_even_perm
 from branchgroups.resfin import (
     NOT_CONJUGATE,
-    TRIVIAL,
     UNSUPPORTED,
     DihedralOracle,
     IntegerOracle,
@@ -34,7 +33,6 @@ from branchgroups.treeauto import (
     equal_to_depth,
     eval_vertex,
     identity_aut,
-    level_perm,
     product,
     rooted,
     section_at,
@@ -46,7 +44,6 @@ from branchgroups.wordcalc import (
     conjugacy_certificate,
     decide,
     default_b_gens,
-    efrf_output,
     format_token,
     is_fragmented_subword,
     normal_form,
@@ -280,7 +277,7 @@ def test_section_suites_check_absent_letters(dinf, monkeypatch, suite):
     # with every section reported absent, the identity stands in at each
     # letter, and the semantic comparison has to catch it
     monkeypatch.setattr(suites, "section_letters", lambda word: {})
-    report = suite(dinf, seed=1, depth=2)
+    report = suite(dinf, seed=1)
     assert not report["ok"]
     assert all(f.get("reason", "semantic mismatch") == "semantic mismatch" for f in report["failures"])
 
@@ -390,53 +387,6 @@ def test_decide_commutator_relation(dinf):
     assert d.trivial
 
 
-def test_efrf_output(dinf):
-    assert efrf_output(normal_form(dinf, [])) is TRIVIAL
-    lvl = build_alphabet(dinf, 1)
-    b = Perm.from_cycles(lvl.alphabet, "(q0@1 q1@1 q2@1)")
-    out = efrf_output(normal_form(dinf, [("B", b)]))
-    assert out["status"] == "nontrivial"
-    assert out["ell"] == 1 and out["depth"] == 2
-    assert not out["degraded"]
-    assert len(out["generators"]) == 1
-    # re-evaluate the emitted action: some moved vertex must extend the
-    # witness (the witness may sit above the table depth)
-    from branchgroups.treeauto import vertex_count
-    from conftest import vertex_at
-
-    action = Perm.from_cycles(
-        level_perm(rooted(dinf, 0, b), 2).alphabet, out["generators"][0]["action"]
-    )
-    witness = out["witness"]
-    n = vertex_count(dinf, 0, 2)
-    moved = [str(vertex_at(dinf, 0, 2, i)) for i in range(n) if action(i) != i]
-    assert any(v == witness or v.startswith(witness + " ") for v in moved)
-
-
-def test_efrf_output_degraded(dinf):
-    lvl = build_alphabet(dinf, 1)
-    b = Perm.from_cycles(lvl.alphabet, "(q0@1 q1@1 q2@1)")
-    out = efrf_output(normal_form(dinf, [("B", b)]), cap=10)
-    assert out["degraded"]
-    assert "action" not in out["generators"][0]
-    assert out["generators"][0]["first_level"] == str(b)
-
-
-def test_format_efrf_output(dinf):
-    from branchgroups.wordcalc import format_efrf_output
-
-    assert format_efrf_output(TRIVIAL) == "trivial"
-    lvl = build_alphabet(dinf, 1)
-    b = Perm.from_cycles(lvl.alphabet, "(q0@1 q1@1 q2@1)")
-    out = efrf_output(normal_form(dinf, [("B", b)]))
-    text = format_efrf_output(out)
-    lines = text.splitlines()
-    assert lines[0].startswith("order ")
-    assert lines[1] == "gen b1 B((q0@1 q1@1 q2@1))"
-    assert lines[2].startswith("b1 -> (")
-    assert lines[-1].startswith("witness ")
-
-
 def test_conjugacy_same_element(dinf):
     g = Seed(dinf, parse_word(dinf, "t"))
     cert = conjugacy_certificate(g, g)
@@ -541,7 +491,7 @@ def test_default_b_gens(dinf):
 
 
 def test_branch_identities(dinf):
-    report = suite_branch_identities(dinf, seed=10, count=5, depth=4)
+    report = suite_branch_identities(dinf, seed=10)
     assert report["failed"] == 0
     assert report["first_level_size"] >= 7
 
