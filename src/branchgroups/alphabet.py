@@ -18,8 +18,6 @@ seeds generate the directed tree automorphisms in
 
 from __future__ import annotations
 
-import numpy as np
-
 from .perm import IndexedAlphabet, Perm, compose, random_even_perm
 from .resfin import build_level_map, format_word, word_inverse
 
@@ -164,7 +162,7 @@ def coset_action(oracle, n, seed):
         return got
     quotient = level.quotient
     img = quotient.apply_word(seed.g)
-    images = np.arange(level.size, dtype=np.int64)
+    images = level.alphabet.identity_images.copy()
     images[: quotient.order] = quotient.left_mult_images(img)
     coset_part = Perm(IndexedAlphabet(quotient.order, name=f"cosets:{oracle.name}:{n}"),
                       images[: quotient.order].copy(), check=False)
@@ -188,7 +186,7 @@ def marker_action(oracle, n, seed):
     if got is not None:
         return got
     spots = [level.x_index, level.y_index, level.z_index, 0, level.p_index, level.q_index]
-    images = np.arange(level.size, dtype=np.int64)
+    images = level.alphabet.identity_images.copy()
     for sym in range(6):
         images[spots[sym]] = spots[marker(sym)]
     p = Perm(level.alphabet, images, check=False)

@@ -38,9 +38,13 @@ class IndexedAlphabet:
     parsing and printing only.  An alphabet may be constructed without
     explicit labels, in which case decimal strings are used, built on
     first use; such alphabets compare equal by ``(name, size)``.
+
+    ``identity_images`` is the alphabet's one int64 array ``0..size-1``,
+    built on first use and read-only: identity permutations share it, and
+    code that writes images starts from a ``.copy()`` of it.
     """
 
-    __slots__ = ("size", "_labels", "name", "_index", "_decimal")
+    __slots__ = ("size", "_labels", "name", "_index", "_decimal", "_identity")
 
     def __init__(self, size, labels=None, name=None):
         if size < 1:
@@ -56,6 +60,15 @@ class IndexedAlphabet:
         self.name = name
         self._index = None
         self._decimal = None
+        self._identity = None
+
+    @property
+    def identity_images(self):
+        if self._identity is None:
+            arr = np.arange(self.size, dtype=np.int64)
+            arr.setflags(write=False)
+            self._identity = arr
+        return self._identity
 
     @property
     def labels(self):
@@ -129,7 +142,7 @@ class Perm:
 
     @classmethod
     def identity(cls, alphabet):
-        p = cls(alphabet, np.arange(alphabet.size, dtype=np.int64), check=False)
+        p = cls(alphabet, alphabet.identity_images, check=False)
         p._sign = 1
         return p
 
@@ -141,7 +154,7 @@ class Perm:
         disjoint.
         """
         stripped = text.strip()
-        images = np.arange(alphabet.size, dtype=np.int64)
+        images = list(range(alphabet.size))
         seen = set()
         transpositions = 0
         for m in _CYCLE_RE.finditer(stripped):
@@ -167,11 +180,13 @@ class Perm:
 
     @property
     def is_identity(self):
-        return bool((self.images == np.arange(self.alphabet.size)).all())
+        """Whether every letter is fixed: the image bytes equal those of
+        the alphabet's identity array."""
+        return self.images.tobytes() == self.alphabet.identity_images.tobytes()
 
     def inverse(self):
         inv = np.empty(self.alphabet.size, dtype=np.int64)
-        inv[self.images] = np.arange(self.alphabet.size)
+        inv[self.images] = self.alphabet.identity_images
         p = Perm(self.alphabet, inv, check=False)
         p._sign = self._sign
         return p
@@ -201,9 +216,11 @@ class Perm:
         return self._sign
 
     def __eq__(self, other):
+        """Equal alphabets and equal image bytes (every image array is
+        int64, so equal bytes are equal images)."""
         if not isinstance(other, Perm):
             return NotImplemented
-        return self.alphabet == other.alphabet and np.array_equal(self.images, other.images)
+        return self.alphabet == other.alphabet and self.images.tobytes() == other.images.tobytes()
 
     def __hash__(self):
         if self._hash is None:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from .alphabet import Seed, build_alphabet, coset_action, marker_action, marker_perm, random_marker_perm
 from .perm import IndexedAlphabet, Perm, check_alternating_generation, orbit, random_even_perm
 from .resfin import NOT_CONJUGATE, UNSUPPORTED, parse_word, word_inverse
@@ -259,7 +257,7 @@ def _displacing_perm(oracle, rng):
     lvl = build_alphabet(oracle, 1)
     others = [i for i in range(lvl.size) if i not in (lvl.x_index, lvl.y_index, lvl.z_index)]
     a1, a2 = rng.sample(others, 2)
-    img = np.arange(lvl.size, dtype=np.int64)
+    img = lvl.alphabet.identity_images.copy()
     img[lvl.x_index], img[a1] = a1, lvl.x_index
     img[lvl.y_index], img[a2] = a2, lvl.y_index
     rest = [i for i in others if i not in (a1, a2)]

@@ -325,8 +325,7 @@ def _children(a):
         # backs[k] is the inverse first-level image array of the last k
         # factors: the child at letter e of the factor before them is the
         # product's section piece at letter backs[k][e]
-        n = build_alphabet(a.oracle, a.base_level + 1).size
-        backs = [np.arange(n, dtype=np.int64)]
+        backs = [build_alphabet(a.oracle, a.base_level + 1).alphabet.identity_images]
         for f in reversed(a.factors[1:]):
             backs.append(backs[-1][root_perm(f).inverse().images])
         slots = {}
@@ -398,8 +397,8 @@ def section_search(start, depth, root_of, children_of):
         nxt = {}
         for node, path in states.values():
             r = root_of(node)
-            moved = (r.images != np.arange(r.alphabet.size)).nonzero()[0]
-            if moved.size:
+            if not r.is_identity:
+                moved = np.flatnonzero(r.images != r.alphabet.identity_images)
                 return _vertex(start.oracle, start.base_level, path + (int(moved[0]),))
             if d + 1 < depth:
                 for idx, child in children_of(node).items():
@@ -464,9 +463,9 @@ def _level_columns(a, depth, cap):
     cols = []
     count = 1
     for i in range(depth):
-        s = build_alphabet(oracle, base + i + 1).size
-        cols.append(np.tile(np.arange(s, dtype=np.int64), count))
-        count *= s
+        letters = build_alphabet(oracle, base + i + 1).alphabet.identity_images
+        cols.append(np.tile(letters, count))
+        count *= len(letters)
     return _vec_apply(a, cols)
 
 
@@ -492,8 +491,8 @@ def first_moved_level(a, depth, cap=DEFAULT_VERTEX_CAP):
     letters of the vertices it indexes.  Guarded by ``cap`` like
     :func:`level_perm`."""
     for d, col in enumerate(_level_columns(a, depth, cap), 1):
-        s = build_alphabet(a.oracle, a.base_level + d).size
-        if (col.reshape(-1, s) != np.arange(s)).any():
+        letters = build_alphabet(a.oracle, a.base_level + d).alphabet.identity_images
+        if (col.reshape(-1, len(letters)) != letters).any():
             return d
     return None
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import resfin
 from .alphabet import (
     MARKER_ALPHABET,
@@ -351,7 +349,7 @@ def default_b_gens(oracle):
     out = []
     for a, b, c in itertools.combinations(spots, 3):
         for trip in ((a, b, c), (a, c, b)):
-            img = np.arange(lvl.size, dtype=np.int64)
+            img = lvl.alphabet.identity_images.copy()
             img[trip[0]], img[trip[1]], img[trip[2]] = trip[1], trip[2], trip[0]
             out.append(Perm(lvl.alphabet, img, check=False))
     return tuple(out)

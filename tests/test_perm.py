@@ -172,6 +172,45 @@ def _images(draw):
     return images
 
 
+def _old_is_identity(p):
+    return bool((p.images == np.arange(p.alphabet.size)).all())
+
+
+def _old_eq(p, q):
+    return p.alphabet == q.alphabet and np.array_equal(p.images, q.images)
+
+
+@given(images=_images(), data=st.data())
+def test_identity_and_equality_by_bytes_match_array_compare(images, data):
+    n = len(images)
+    other = data.draw(st.permutations(range(n)))
+    al = IndexedAlphabet(n)
+    wide = np.stack([images, images[::-1]], axis=1)[:, 0]
+    assert n == 1 or not wide.flags.c_contiguous
+    p = Perm(al, images)
+    built = [
+        p,
+        Perm(al, np.array(images, dtype=np.int32)),
+        Perm(al, wide),
+        Perm.identity(al),
+        Perm.from_cycles(al, "()"),
+        compose(p, p.inverse()),
+        p.inverse(),
+        Perm(al, other),
+    ]
+    for a in built:
+        assert a.is_identity == _old_is_identity(a)
+        for b in built:
+            assert (a == b) == _old_eq(a, b)
+            if a == b:
+                assert hash(a) == hash(b)
+    # equal images over another alphabet of the same size stay unequal
+    for al2 in (IndexedAlphabet(n, name="other"), IndexedAlphabet(n, labels=[f"x{i}" for i in range(n)])):
+        q = Perm(al2, images)
+        assert q != p and not _old_eq(q, p)
+        assert q.is_identity == _old_is_identity(q)
+
+
 def _labels(kind, n):
     """Decimal labels, ``x<i>``, or level-alphabet labels (``q0@1``, ...,
     ``x@1``, ``y@1``, ``z@1``, ``p@1``, ``q@1``)."""

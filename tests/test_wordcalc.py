@@ -14,10 +14,11 @@ from branchgroups.alphabet import (
     Seed,
     build_alphabet,
     coset_action,
+    marker_action,
     marker_perm,
     random_marker_perm,
 )
-from branchgroups.perm import Perm, random_even_perm
+from branchgroups.perm import Perm, compose, random_even_perm
 from branchgroups.resfin import (
     NOT_CONJUGATE,
     UNSUPPORTED,
@@ -828,6 +829,67 @@ def test_section_block_order_bytes(selector):
             multi += len(s.blocks) >= 2
     assert multi >= 30
     assert h.hexdigest() == _BLOCK_ORDER_PINS[selector]
+
+
+@pytest.mark.parametrize("selector", _DECIDE_GROUPS)
+def test_warm_decider_builds_no_identity_arrays(selector, monkeypatch):
+    """Once its levels are built, the decider reads each alphabet's one
+    identity array and compares image bytes: a warm parse, normal form
+    and decision loop calls neither numpy.arange nor numpy.array_equal."""
+    oracle = oracle_from_selector(selector)
+    rng = random.Random(f"warm/{selector}")
+    texts = []
+    for _ in range(40):
+        letters = [format_token(*tok) for tok in _pin_tokens(oracle, rng) + _block_pin_tokens(oracle, rng)[:4]]
+        if rng.random() < 0.5:
+            letters += [f"{text}'" for text in reversed(letters)]
+        texts.append(" ".join(letters))
+
+    def decide_all():
+        return [decide(normal_form(oracle, parse_tokens(oracle, text))).trivial for text in texts]
+
+    warm = decide_all()
+    assert True in warm and False in warm
+    calls = {"arange": 0, "array_equal": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    assert decide_all() == warm
+    assert calls == {"arange": 0, "array_equal": 0}
+
+
+@pytest.mark.parametrize("selector", _DECIDE_GROUPS)
+def test_identity_images_are_read_only_and_never_aliased(selector):
+    oracle = oracle_from_selector(selector)
+    lvl = build_alphabet(oracle, 1)
+    ident = lvl.alphabet.identity_images
+    assert ident.tolist() == list(range(lvl.size)) and lvl.alphabet.identity_images is ident
+    with pytest.raises(ValueError):
+        ident[0] = 1
+    assert Perm.identity(lvl.alphabet).images is ident
+    rng = random.Random(selector)
+    p = random_even_perm(lvl.alphabet, rng)
+    results = [
+        Perm.from_cycles(lvl.alphabet, "()"),
+        Perm.from_cycles(lvl.alphabet, str(p)),
+        p.inverse(),
+        Perm.identity(lvl.alphabet).inverse(),
+        compose(p, p.inverse()),
+        compose(Perm.identity(lvl.alphabet), Perm.identity(lvl.alphabet)),
+        *default_b_gens(oracle),
+        *(suites._displacing_perm(oracle, rng) for _ in range(5)),
+    ]
+    for n in (1, 2):
+        for g in ((), (0,)):
+            for marker in ("()", "(x y z)", "(o p q)"):
+                seed = Seed(oracle, g, marker_perm(marker))
+                results += [coset_action(oracle, n, seed), marker_action(oracle, n, seed)]
+    for r in results:
+        assert not np.shares_memory(r.images, r.alphabet.identity_images)
 
 
 @st.composite
