@@ -31,6 +31,7 @@ __all__ = [
     "marker_action",
     "marker_perm",
     "random_marker_perm",
+    "seed_is_trivial",
 ]
 
 MARKERS = ("x", "y", "z", "o", "p", "q")
@@ -126,11 +127,6 @@ class Seed:
         """``self^-1 other^-1 self other``."""
         return self.inv().mul(other.inv()).mul(self).mul(other)
 
-    @property
-    def is_identity_native(self):
-        """Triviality via the oracle's own normal form (cheap, total)."""
-        return self.oracle.is_identity(self.g) and self.marker.is_identity
-
     def key(self):
         if self._key is None:
             self._key = (self.oracle.element_key(self.g), self.marker.images.tobytes())
@@ -146,6 +142,14 @@ class Seed:
 
     def __repr__(self):
         return f"Seed({format_word(self.oracle, self.g)!r}, {self.marker})"
+
+
+def seed_is_trivial(seed):
+    """Triviality of a seed letter: the marker part directly, the group
+    part through the oracle's own word problem, in O(|g|).  The tests
+    check it against the reference decider
+    :func:`resfin.decide_word_problem`."""
+    return seed.marker.is_identity and seed.oracle.is_identity(seed.g)
 
 
 def coset_action(oracle, n, seed):
@@ -164,12 +168,13 @@ def coset_action(oracle, n, seed):
     img = quotient.apply_word(seed.g)
     images = level.alphabet.identity_images.copy()
     images[: quotient.order] = quotient.left_mult_images(img)
-    coset_part = Perm(IndexedAlphabet(quotient.order, name=f"cosets:{oracle.name}:{n}"),
-                      images[: quotient.order].copy(), check=False)
-    if coset_part.sign == -1:
+    p = Perm(level.alphabet, images, check=False)
+    # x, y, z, p and q are still fixed, so this sign is the coset block's
+    if p.sign == -1:
+        images = images.copy()
         images[level.p_index] = level.q_index
         images[level.q_index] = level.p_index
-    p = Perm(level.alphabet, images, check=False)
+        p = Perm(level.alphabet, images, check=False)
     return oracle.cache.setdefault(cache_key, p)
 
 

@@ -5,10 +5,9 @@ certificate), ``chain`` (quotient chain report), ``verify`` (seeded
 verification suites).  Every command is deterministic for a fixed
 configuration and input.
 
-Configuration precedence: command-line flag, then environment variable
-(``BRANCHGROUPS_GROUP``, ``BRANCHGROUPS_DEPTH_CAP``,
-``BRANCHGROUPS_VERTEX_CAP``, ``BRANCHGROUPS_FORMAT``,
-``BRANCHGROUPS_SEED``), then the built-in default.
+The shared settings (``--group``, ``--depth-cap``, ``--vertex-cap``,
+``--format``, ``--seed``) are flags of the top-level parser, so they come
+before the command: ``branchgroups --group integers chain 3``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 resource cap exceeded.
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import suites, wordcalc
@@ -35,46 +33,16 @@ from .wordcalc import ParseError, SearchBounds, conjugacy_certificate, decide, n
 
 SCHEMA = 1
 
-_DEFAULTS = {
-    "group": "dihedral_infinite",
-    "depth_cap": 12,
-    "vertex_cap": DEFAULT_VERTEX_CAP,
-    "format": "text",
-    "seed": 0,
-}
-
-_ENV = {
-    "group": "BRANCHGROUPS_GROUP",
-    "depth_cap": "BRANCHGROUPS_DEPTH_CAP",
-    "vertex_cap": "BRANCHGROUPS_VERTEX_CAP",
-    "format": "BRANCHGROUPS_FORMAT",
-    "seed": "BRANCHGROUPS_SEED",
-}
-
-
 class UsageError(ValueError):
     pass
-
-
-def _setting(args, name, cast=str):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    env = os.environ.get(_ENV[name])
-    if env is not None:
-        try:
-            return cast(env)
-        except ValueError:
-            raise UsageError(f"bad value {env!r} for {_ENV[name]}") from None
-    return _DEFAULTS[name]
 
 
 def _resolve_oracle(args):
     """The selected oracle.  A finite component's quotient holds one code
     per element, so an order above the vertex cap is refused before any
     quotient is built."""
-    oracle = oracle_from_selector(_setting(args, "group"))
-    cap = _setting(args, "vertex_cap", int)
+    oracle = oracle_from_selector(args.group)
+    cap = args.vertex_cap
     parts = [oracle]
     while parts:
         part = parts.pop()
@@ -86,8 +54,7 @@ def _resolve_oracle(args):
 
 
 def _emit(args, payload, text_lines):
-    fmt = _setting(args, "format")
-    if fmt == "json":
+    if args.format == "json":
         payload = dict(payload)
         payload["schema"] = SCHEMA
         print(json.dumps(payload, sort_keys=True))
@@ -110,9 +77,8 @@ def cmd_wp(args):
     tokens = _read_word(oracle, args.word_file)
     # checked on the raw tokens, so that no work precedes the cap
     sigma_length = token_length(tokens)
-    depth_cap = _setting(args, "depth_cap", int)
-    if 2 * sigma_length > depth_cap:
-        raise CapExceeded(f"decision depth {2 * sigma_length} exceeds the depth cap {depth_cap}")
+    if 2 * sigma_length > args.depth_cap:
+        raise CapExceeded(f"decision depth {2 * sigma_length} exceeds the depth cap {args.depth_cap}")
     word = normal_form(oracle, tokens)
     decision = decide(word)
     payload = {
@@ -137,16 +103,14 @@ def cmd_portrait(args):
     if args.depth < 0:
         raise UsageError(f"portrait depth must be at least 0, got {args.depth}")
     oracle = _resolve_oracle(args)
-    depth_cap = _setting(args, "depth_cap", int)
-    if args.depth > depth_cap:
-        raise CapExceeded(f"portrait depth {args.depth} exceeds the depth cap {depth_cap}")
+    if args.depth > args.depth_cap:
+        raise CapExceeded(f"portrait depth {args.depth} exceeds the depth cap {args.depth_cap}")
     tokens = _read_word(oracle, args.word_file)
     word = normal_form(oracle, tokens)
-    p = portrait(word.to_aut(), args.depth, cap=_setting(args, "vertex_cap", int))
-    fmt = _setting(args, "format")
-    if fmt == "dot":
+    p = portrait(word.to_aut(), args.depth, cap=args.vertex_cap)
+    if args.format == "dot":
         print(portrait_dot(p))
-    elif fmt == "json":
+    elif args.format == "json":
         payload = {
             "schema": SCHEMA,
             "command": "portrait",
@@ -176,7 +140,7 @@ def cmd_conj(args):
     oracle = _resolve_oracle(args)
     g = _parse_seed_spec(oracle, args.g)
     k = _parse_seed_spec(oracle, args.k)
-    bounds = SearchBounds(depth=args.depth, vertex_cap=_setting(args, "vertex_cap", int))
+    bounds = SearchBounds(depth=args.depth, vertex_cap=args.vertex_cap)
     cert = conjugacy_certificate(g, k, bounds)
     verified = wordcalc.verify_certificate(cert, g, k)
     payload = {
@@ -202,10 +166,9 @@ def cmd_conj(args):
 
 def cmd_chain(args):
     oracle = _resolve_oracle(args)
-    depth_cap = _setting(args, "depth_cap", int)
-    if args.level > depth_cap:
-        raise CapExceeded(f"chain level {args.level} exceeds the depth cap {depth_cap}")
-    qm = build_level_map(oracle, args.level, cap=_setting(args, "vertex_cap", int))
+    if args.level > args.depth_cap:
+        raise CapExceeded(f"chain level {args.level} exceeds the depth cap {args.depth_cap}")
+    qm = build_level_map(oracle, args.level, cap=args.vertex_cap)
     report = kernel_min_length_check(oracle, args.level)
     text = format_quotient_map(qm)
     payload = {
@@ -226,49 +189,38 @@ def cmd_chain(args):
 
 def cmd_verify(args):
     oracle = _resolve_oracle(args)
-    seed = _setting(args, "seed", int)
-    report = suites.run_suite(args.suite, oracle, seed=seed)
-    report = dict(report)
+    report = dict(suites.run_suite(args.suite, oracle, seed=args.seed))
     report["schema"] = SCHEMA
     report["group"] = oracle.name
-    report["seed"] = seed
+    report["seed"] = args.seed
     print(json.dumps(report, sort_keys=True))
     return 0 if report["ok"] else 1
 
 
 def build_parser():
-    # the shared flags are accepted both before and after the subcommand;
-    # SUPPRESS defaults keep a subcommand from clobbering a value that was
-    # given up front
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--group", default=argparse.SUPPRESS,
-                        help="group selector: dihedral_infinite | integers | finite:<order> | product:<a>,<b>")
-    common.add_argument("--depth-cap", dest="depth_cap", type=int, default=argparse.SUPPRESS,
-                        help="maximum evaluation depth")
-    common.add_argument("--vertex-cap", dest="vertex_cap", type=int, default=argparse.SUPPRESS,
-                        help="maximum materialized vertex count, and maximum codes of a chain fold")
-    common.add_argument("--format", choices=["text", "json", "dot"], default=argparse.SUPPRESS,
-                        help="output format")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized suites")
-
     parser = argparse.ArgumentParser(
         prog="branchgroups",
         description="Decision procedures for branch groups built over a residually finite input group.",
-        parents=[common],
     )
+    parser.add_argument("--group", default="dihedral_infinite",
+                        help="group selector: dihedral_infinite | integers | finite:<order> | product:<a>,<b>")
+    parser.add_argument("--depth-cap", type=int, default=12, help="maximum evaluation depth")
+    parser.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP,
+                        help="maximum materialized vertex count, and maximum codes of a chain fold")
+    parser.add_argument("--format", choices=["text", "json", "dot"], default="text", help="output format")
+    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("wp", parents=[common], help="decide the word problem for a word file")
+    p = sub.add_parser("wp", help="decide the word problem for a word file")
     p.add_argument("word_file", help="path to a token file, or - for stdin")
     p.set_defaults(func=cmd_wp)
 
-    p = sub.add_parser("portrait", parents=[common], help="emit the portrait of a word")
+    p = sub.add_parser("portrait", help="emit the portrait of a word")
     p.add_argument("word_file")
     p.add_argument("--depth", type=int, default=2)
     p.set_defaults(func=cmd_portrait)
 
-    p = sub.add_parser("conj", parents=[common], help="conjugacy certificate for two seed elements")
+    p = sub.add_parser("conj", help="conjugacy certificate for two seed elements")
     p.add_argument("g", help="seed element literal, e.g. 't|()' or 'H(t|(x y z))'")
     p.add_argument("k")
     p.add_argument("--depth", type=int, default=4,
@@ -276,11 +228,11 @@ def build_parser():
                         "conjugators are proved by the word-problem decider whatever the depth")
     p.set_defaults(func=cmd_conj)
 
-    p = sub.add_parser("chain", parents=[common], help="report the level-n quotient of the input group")
+    p = sub.add_parser("chain", help="report the level-n quotient of the input group")
     p.add_argument("level", type=int)
     p.set_defaults(func=cmd_chain)
 
-    p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
+    p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(suites.SUITES))
     p.set_defaults(func=cmd_verify)
     return parser

@@ -122,12 +122,16 @@ class Perm:
     key.  ``images[i]`` is the image of letter ``i``.  The sign is carried
     through ``identity``, ``from_cycles``, ``inverse`` and ``compose``;
     only a permutation built from raw images decomposes its cycles, once.
+
+    ``Perm(alphabet, images)`` copies and validates the images.  With
+    ``check=False`` it does neither: the caller hands over a fresh int64
+    array that nothing else writes, and the permutation marks it read-only.
     """
 
     __slots__ = ("alphabet", "images", "_hash", "_sign")
 
     def __init__(self, alphabet, images, check=True):
-        arr = np.asarray(images, dtype=np.int64)
+        arr = np.array(images, dtype=np.int64) if check else np.asarray(images, dtype=np.int64)
         if arr.shape != (alphabet.size,):
             raise ValueError("image array does not match alphabet size")
         if check:

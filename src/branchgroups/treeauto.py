@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import build_alphabet, coset_action, marker_action
+from .alphabet import build_alphabet, coset_action, marker_action, seed_is_trivial
 from .perm import IndexedAlphabet, Perm, compose_all
 from .resfin import CapExceeded
 
@@ -62,7 +62,6 @@ __all__ = [
     "first_moved_level",
     "level_cycle_type",
     "vertex_count",
-    "vertex_alphabet",
     "portrait",
     "portrait_text",
     "portrait_dot",
@@ -213,7 +212,7 @@ def rooted(oracle, base_level, perm):
 
 def directed(oracle, seed, base_level=0):
     """The recursively defined automorphism of a seed pair."""
-    if seed.is_identity_native:
+    if seed_is_trivial(seed):
         return IdentityAut(oracle, base_level)
     return DirectedAut(oracle, base_level, seed)
 
@@ -433,17 +432,6 @@ def vertex_count(oracle, base_level, depth):
     return n
 
 
-def vertex_alphabet(oracle, base_level, depth):
-    key = ("vertex_alphabet", base_level, depth)
-    got = oracle.cache.get(key)
-    if got is None:
-        n = vertex_count(oracle, base_level, depth)
-        got = oracle.cache.setdefault(
-            key, IndexedAlphabet(n, name=f"vertices:{oracle.name}:{base_level}:{depth}")
-        )
-    return got
-
-
 def _level_columns(a, depth, cap):
     """The image columns of ``a`` on levels 1..``depth``; guarded by ``cap``.
 
@@ -479,7 +467,8 @@ def level_perm(a, depth, cap=DEFAULT_VERTEX_CAP):
         images = np.repeat(images, s)
         images *= s
         images += c
-    return Perm(vertex_alphabet(a.oracle, a.base_level, depth), images, check=False)
+    alphabet = IndexedAlphabet(len(images), name=f"vertices:{a.oracle.name}:{a.base_level}:{depth}")
+    return Perm(alphabet, images, check=False)
 
 
 def first_moved_level(a, depth, cap=DEFAULT_VERTEX_CAP):

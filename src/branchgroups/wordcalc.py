@@ -26,6 +26,7 @@ from .alphabet import (
     coset_action,
     marker_action,
     marker_perm,
+    seed_is_trivial,
 )
 from .perm import Perm, compose, compose_all
 from .treeauto import (
@@ -59,14 +60,6 @@ __all__ = [
     "token_length",
     "format_token",
 ]
-
-
-def seed_is_trivial(seed):
-    """Triviality of a seed letter: the marker part directly, the group
-    part through the oracle's own word problem, in O(|g|).  The tests
-    check it against the reference decider
-    :func:`resfin.decide_word_problem`."""
-    return seed.marker.is_identity and seed.oracle.is_identity(seed.g)
 
 
 def _token_cost(kind, payload):

@@ -10,6 +10,7 @@ from branchgroups.alphabet import (
     marker_action,
     marker_perm,
     random_marker_perm,
+    seed_is_trivial,
 )
 from branchgroups.perm import Perm, compose
 from branchgroups.resfin import DihedralOracle, IntegerOracle, parse_word
@@ -131,7 +132,7 @@ def test_seed_group_laws(dinf):
     rng = random.Random(11)
     for _ in range(20):
         u = random_seed_elem(dinf, rng)
-        assert u.mul(u.inv()).is_identity_native
+        assert seed_is_trivial(u.mul(u.inv()))
     u = Seed(dinf, parse_word(dinf, "t a"), marker_perm("(x y z)"))
     v = Seed(dinf, parse_word(dinf, "t"), marker_perm("(x y)(p q)"))
     w = u.mul(v)

@@ -1,13 +1,17 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
+import pathlib
 import signal
 import time
 
 import pytest
 
-from branchgroups.cli import main
+from branchgroups.cli import build_parser, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -466,15 +470,44 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
-def test_env_override(tmp_path, capsys, monkeypatch):
+def test_shared_flags_have_one_source(tmp_path, capsys, monkeypatch):
+    # a shared flag is accepted only before the command
+    path = write(tmp_path, "w.txt", "")
+    code, out, err = run(capsys, "wp", path, "--group", "integers")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --group integers" in err
+    # the environment sets nothing: the default group stays in force
     monkeypatch.setenv("BRANCHGROUPS_GROUP", "integers")
     code, out, _ = run(capsys, "chain", "1")
     assert code == 0
-    assert out.splitlines()[0] == "order 2"
-    # flag wins over env
-    code, out, _ = run(capsys, "--group", "dihedral_infinite", "chain", "1")
-    assert code == 0
     assert out.splitlines()[0] == "order 4"
+
+
+def test_benchmark_argvs_parse(tmp_path, monkeypatch):
+    # the benchmark drives the CLI with argument vectors of its own; a
+    # parser change that rejects one would otherwise only surface when the
+    # benchmark runs
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    parser = build_parser()
+    cli_cold = workloads.CliCold(0, str(tmp_path / "cli-cold"))
+    cli_cold.setup()
+    ops = cli_cold.catalog_ops()
+    commands = {parser.parse_args(cli_cold.argv(op)).command for op in ops}
+    assert commands == {"wp", "portrait", "conj", "chain"}
+    # a verify round builds its argument vectors inside run(); parse them
+    # there instead of running them
+    seen = []
+
+    def parse_only(argv):
+        seen.append(parser.parse_args(argv))
+        return "", 0
+
+    monkeypatch.setattr(workloads, "call_cli", parse_only)
+    verify = workloads.VerifySuites(0)
+    verify.run(verify.catalog_ops()[0])
+    assert seen and {args.command for args in seen} == {"verify"}
 
 
 def test_file_selector_is_unknown(capsys):

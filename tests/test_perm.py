@@ -134,6 +134,14 @@ def test_raw_image_sign_is_computed_once(monkeypatch):
     assert compose(p, p.inverse()).sign == 1
 
 
+def test_validated_images_are_copied():
+    a = np.array([1, 0, 2], dtype=np.int64)
+    p = Perm(IndexedAlphabet(3), a)
+    a[0] = 2
+    assert p.images.tolist() == [1, 0, 2]
+    assert not np.shares_memory(p.images, a)
+
+
 def test_cycle_type():
     al4 = IndexedAlphabet(4)
     assert Perm.identity(al4).cycle_type() == (1, 1, 1, 1)
