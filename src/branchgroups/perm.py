@@ -36,15 +36,16 @@ class IndexedAlphabet:
 
     Permutations act on the index range ``0..size-1``.  Labels exist for
     parsing and printing only.  An alphabet may be constructed without
-    explicit labels, in which case decimal strings are used, built on
-    first use; such alphabets compare equal by ``(name, size)``.
+    explicit labels; its letters are then named by their decimal indices,
+    which are written straight from the index arrays and never stored,
+    and it compares equal by ``(name, size)``.
 
     ``identity_images`` is the alphabet's one int64 array ``0..size-1``,
     built on first use and read-only: identity permutations share it, and
     code that writes images starts from a ``.copy()`` of it.
     """
 
-    __slots__ = ("size", "_labels", "name", "_index", "_decimal", "_identity")
+    __slots__ = ("size", "_labels", "name", "_index", "_identity")
 
     def __init__(self, size, labels=None, name=None):
         if size < 1:
@@ -59,7 +60,6 @@ class IndexedAlphabet:
         self._labels = labels
         self.name = name
         self._index = None
-        self._decimal = None
         self._identity = None
 
     @property
@@ -72,11 +72,8 @@ class IndexedAlphabet:
 
     @property
     def labels(self):
-        if self._labels is not None:
-            return self._labels
-        if self._decimal is None:
-            self._decimal = tuple(map(str, range(self.size)))
-        return self._decimal
+        """The label of each letter, or None for an anonymous alphabet."""
+        return self._labels
 
     def index(self, label):
         if self._labels is None:
@@ -232,7 +229,12 @@ class Perm:
         return self._hash
 
     def __str__(self):
+        """Cycle notation over the letter labels; an anonymous alphabet's
+        letters are written as decimal indices (:func:`_decimal_cycles`)."""
         letters, bounds = _cycle_walk(self.images)
+        labels = self.alphabet.labels
+        if labels is None:
+            return _decimal_cycles(letters, bounds)
         if not len(letters):
             return "()"
         # letter labels at the even places; after each one " ", or ")("
@@ -241,7 +243,7 @@ class Perm:
         tail[bounds[1:] - 1] = ")("
         tail[-1] = ")"
         text = [None] * (2 * len(letters))
-        text[::2] = np.asarray(self.alphabet.labels, dtype=object)[letters].tolist()
+        text[::2] = np.asarray(labels, dtype=object)[letters].tolist()
         text[1::2] = tail.tolist()
         return "(" + "".join(text)
 
@@ -318,6 +320,42 @@ def _cycle_walk(images):
     letters = np.empty(m, dtype=np.int64)
     letters[(ends - lengths)[rep] + place] = moved
     return letters, np.concatenate(([0], ends[at_rep]))
+
+
+def _inverse_walk(letters, bounds):
+    """The cycle walk of the inverse permutation, from that of the
+    permutation: each cycle keeps its least letter first and runs its
+    other letters backwards, so the cycles keep their order and
+    ``bounds``."""
+    starts = bounds[:-1]
+    # place i of the cycle letters[a:b] takes place a + b - i, but a stays
+    take = np.repeat(starts + bounds[1:], np.diff(bounds)) - np.arange(len(letters))
+    take[starts] = starts
+    return letters[take], bounds
+
+
+def _decimal_cycles(letters, bounds):
+    """Cycle notation of a cycle walk over decimal letter names, written
+    as bytes with one row per letter: its digits, most significant first,
+    then ``" "``, or ``")("`` where its cycle ends and ``")"`` after the
+    last letter.  Cells before a letter's leading digit and the unused
+    second separator cell hold 0 and are dropped."""
+    if not len(letters):
+        return "()"
+    top = int(letters.max())
+    width = len(str(top))
+    text = np.zeros((len(letters), width + 2), dtype=np.uint8)
+    rest = letters.astype(np.min_scalar_type(top))
+    text[:, width - 1] = rest % 10 + ord("0")
+    for col in reversed(range(width - 1)):
+        rest //= 10
+        np.add(rest % 10, ord("0"), out=text[:, col], where=rest > 0, casting="unsafe")
+    ends = bounds[1:] - 1
+    text[:, width] = ord(" ")
+    text[ends, width] = ord(")")
+    text[ends[:-1], width + 1] = ord("(")
+    text = text.ravel()
+    return "(" + text[text != 0].tobytes().decode("ascii")
 
 
 def compose(p, q):

@@ -20,7 +20,7 @@ from itertools import islice
 
 import numpy as np
 
-from .perm import IndexedAlphabet, Perm
+from .perm import _cycle_walk, _decimal_cycles, _inverse_walk
 
 __all__ = [
     "TRIVIAL",
@@ -333,10 +333,11 @@ class _CyclicBase(GroupOracle):
 
     def _cyclic(self, k):
         # code c stands for t^c
-        return self._quotient(
-            ("cyclic", k),
-            lambda: FiniteQuotient([[(c + step) % k for c in range(k)] for step in (1, -1)], key=("cyclic", k)),
-        )
+        def build():
+            codes = np.arange(k, dtype=np.int32)
+            return FiniteQuotient([_int_row((codes + step) % k) for step in (1, -1)], key=("cyclic", k))
+
+        return self._quotient(("cyclic", k), build)
 
     def conjugate(self, g, k):
         if self.element_key(g) == self.element_key(k):
@@ -631,12 +632,19 @@ def kernel_min_length_check(oracle, n, level_map=None):
 def format_quotient_map(qm):
     """Homomorphism output: an ``order`` header, then one line per
     generator with its image as a permutation of the quotient enumeration
-    (left multiplication), in cycle notation over element indices."""
+    (left multiplication), in cycle notation over element indices.
+
+    The left rows are walked once per pair of mutually inverse
+    generators: the image of ``inverse[s]`` is that of ``s`` inverted,
+    whose cycles are those of ``s`` with each tail reversed."""
     quotient = qm.quotient
-    alphabet = IndexedAlphabet(quotient.order, name=f"quotient:{qm.oracle.name}:{qm.level}")
+    inverse = qm.oracle.inverse
     lines = [f"order {quotient.order}"]
-    for name, row in zip(qm.oracle.gen_names, quotient.left):
-        lines.append(f"{name} -> {Perm(alphabet, row, check=False)}")
+    walks = []
+    for s, (name, row) in enumerate(zip(qm.oracle.gen_names, quotient.left)):
+        walk = _inverse_walk(*walks[inverse[s]]) if inverse[s] < s else _cycle_walk(_ints(row))
+        walks.append(walk)
+        lines.append(f"{name} -> {_decimal_cycles(*walk)}")
     return "\n".join(lines)
 
 

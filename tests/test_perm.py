@@ -249,21 +249,57 @@ def _check_cycle_notation(images, label_kind):
     n = len(images)
     labels = _labels(label_kind, n)
     p = Perm(IndexedAlphabet(n, labels=labels), images)
-    cyclic = [tuple(c) for c in Permutation(images).cyclic_form]
-    assert p.cycles() == cyclic == _walk_cycles(images)
+    cyclic = _walk_cycles(images)
+    if n <= 300:  # sympy takes seconds on 100 001 letters
+        assert cyclic == [tuple(c) for c in Permutation(images).cyclic_form]
+    assert p.cycles() == cyclic
     names = labels or [str(i) for i in range(n)]
     assert str(p) == ("".join("(" + " ".join(names[i] for i in c) + ")" for c in cyclic) or "()")
     return p
 
 
+def _digit_boundary_images():
+    """Decimal notation changes its digit count at these sizes: one long
+    cycle through every letter, transpositions of every neighbouring pair,
+    and cycles of 1 to 4 letters through fixed points (a run of two fixed
+    points after each cycle)."""
+    for n in (10, 11, 100, 101, 1_000, 1_001, 10_001, 100_001):
+        order = random.Random(n).sample(range(n), n)
+        long_cycle = list(range(n))
+        for a, b in zip(order, order[1:] + order[:1]):
+            long_cycle[a] = b
+        pairs = list(range(n))
+        for a in range(0, n - 1, 2):
+            pairs[a], pairs[a + 1] = a + 1, a
+        mixed = list(range(n))
+        start, length = 0, 1
+        while start + length <= n:
+            cycle = order[start : start + length]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                mixed[a] = b
+            start += length + 2
+            length = length % 4 + 1
+        yield from (long_cycle, pairs, mixed)
+
+
+def _with_digit_boundary_examples(test):
+    for images in _digit_boundary_images():
+        test = example(images=images, label_kind="decimal")(test)
+    return test
+
+
 LABEL_KINDS = ["decimal", "x", "level"]
 
 
+@_with_digit_boundary_examples
 @given(images=_images(), label_kind=st.sampled_from(LABEL_KINDS))
 def test_cycle_kernels_match_sympy(images, label_kind):
     p = _check_cycle_notation(images, label_kind)
-    ref = Permutation(images)
-    assert p.cycle_type() == tuple(sorted(k for k, m in ref.cycle_structure.items() for _ in range(m)))
+    lengths = [len(c) for c in p.cycles()]
+    assert p.cycle_type() == tuple(sorted(lengths + [1] * (len(images) - sum(lengths))))
+    if len(images) <= 300:
+        ref = Permutation(images)
+        assert p.cycle_type() == tuple(sorted(k for k, m in ref.cycle_structure.items() for _ in range(m)))
 
 
 @given(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from branchgroups import resfin
 from branchgroups.alphabet import Seed
+from branchgroups.perm import IndexedAlphabet
 from branchgroups.resfin import (
     NOT_CONJUGATE,
     TRIVIAL,
@@ -439,6 +440,8 @@ CANONICAL_DIGESTS = {
     ("finite:6", 1): "1f0295c34e55bb91ef9cd15bcb1453d20a4907c53d47eede3c7dfa73beddf61e",
     ("finite:6", 2): "1f0295c34e55bb91ef9cd15bcb1453d20a4907c53d47eede3c7dfa73beddf61e",
     ("finite:6", 3): "1f0295c34e55bb91ef9cd15bcb1453d20a4907c53d47eede3c7dfa73beddf61e",
+    # an involution beside two inverse pairs of generators
+    ("product:dihedral_infinite,integers", 3): "a37578c872ad1ba2d49d172b8c4478dd07bdd81317f480b8abc123e14be2c90b",
 }
 
 
@@ -448,6 +451,41 @@ def test_canonical_enumeration_digests():
         oracle = oracles.setdefault(selector, oracle_from_selector(selector))
         text = format_quotient_map(build_level_map(oracle, n))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (selector, n)
+
+
+@pytest.mark.parametrize(
+    "selector",
+    ["integers", "dihedral_infinite", "finite:6", "product:integers,integers", "product:dihedral_infinite,integers"],
+)
+def test_left_rows_of_inverse_generators_are_inverse(selector):
+    """The report prints the image of ``inverse[s]`` as that of ``s``
+    inverted; it rests on ``left[inverse[s]]`` undoing ``left[s]``."""
+    oracle = oracle_from_selector(selector)
+    for n in (1, 2, 3, 4):
+        left = [np.asarray(row) for row in build_level_map(oracle, n).quotient.left]
+        for s, t in enumerate(oracle.inverse):
+            assert np.array_equal(left[t][left[s]], np.arange(len(left[s]))), (n, s)
+
+
+def test_quotient_report_walks_once_per_inverse_pair(dinf, monkeypatch):
+    """``a`` is walked on its own and ``t'`` is printed from the walk of
+    ``t``; no alphabet labels are read, since element indices are
+    written straight from the walk."""
+    qm = build_level_map(dinf, 10)
+    walks = []
+
+    def counted(images, _real=resfin._cycle_walk):
+        walks.append(len(images))
+        return _real(images)
+
+    def no_labels(alphabet):
+        raise AssertionError("alphabet labels read")
+
+    monkeypatch.setattr(resfin, "_cycle_walk", counted)
+    monkeypatch.setattr(IndexedAlphabet, "labels", property(no_labels))
+    text = format_quotient_map(qm)
+    assert walks == [qm.quotient.order] * 2
+    assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_DIGESTS[("dihedral_infinite", 10)]
 
 
 def test_quotient_products_agree(zz, dinf):
