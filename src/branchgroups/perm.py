@@ -41,11 +41,12 @@ class IndexedAlphabet:
     and it compares equal by ``(name, size)``.
 
     ``identity_images`` is the alphabet's one int64 array ``0..size-1``,
-    built on first use and read-only: identity permutations share it, and
-    code that writes images starts from a ``.copy()`` of it.
+    built on first use and read-only: code that writes images starts from
+    a ``.copy()`` of it.  Beside it the alphabet keeps its one identity
+    :class:`Perm`, which :meth:`Perm.identity` returns.
     """
 
-    __slots__ = ("size", "_labels", "name", "_index", "_identity")
+    __slots__ = ("size", "_labels", "name", "_index", "_identity", "_identity_perm")
 
     def __init__(self, size, labels=None, name=None):
         if size < 1:
@@ -61,6 +62,7 @@ class IndexedAlphabet:
         self.name = name
         self._index = None
         self._identity = None
+        self._identity_perm = None
 
     @property
     def identity_images(self):
@@ -110,6 +112,7 @@ class IndexedAlphabet:
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_CYCLES_ONLY_RE = re.compile(r"\s*(?:\([^()]*\)\s*)*")
 
 
 class Perm:
@@ -143,8 +146,12 @@ class Perm:
 
     @classmethod
     def identity(cls, alphabet):
-        p = cls(alphabet, alphabet.identity_images, check=False)
-        p._sign = 1
+        """The alphabet's one identity permutation, built on first use."""
+        p = alphabet._identity_perm
+        if p is None:
+            p = cls(alphabet, alphabet.identity_images, check=False)
+            p._sign = 1
+            alphabet._identity_perm = p
         return p
 
     @classmethod
@@ -152,25 +159,27 @@ class Perm:
         """Parse cycle notation like ``(a b c)(d e)`` over label names.
 
         ``()`` and the empty string denote the identity.  Cycles must be
-        disjoint.
+        disjoint.  Each cycle's labels are checked in order, then the
+        text around the cycles, which may only be whitespace.
         """
-        stripped = text.strip()
         images = list(range(alphabet.size))
         seen = set()
         transpositions = 0
-        for m in _CYCLE_RE.finditer(stripped):
-            body = m.group(1).split()
-            if not body:
+        for body in _CYCLE_RE.findall(text):
+            idx = list(map(alphabet.index, body.split()))
+            if not idx:
                 continue
-            idx = [alphabet.index(s) for s in body]
-            if len(set(idx)) != len(idx) or seen.intersection(idx):
-                raise ValueError(f"cycles are not disjoint in {text!r}")
+            before = len(seen)
             seen.update(idx)
+            # the set grows by one per letter only when the cycle repeats
+            # no letter and meets no earlier cycle
+            if len(seen) != before + len(idx):
+                raise ValueError(f"cycles are not disjoint in {text!r}")
             transpositions += len(idx) - 1
             for a, b in zip(idx, idx[1:] + idx[:1]):
                 images[a] = b
-        rest = _CYCLE_RE.sub("", stripped).strip()
-        if rest:
+        if not _CYCLES_ONLY_RE.fullmatch(text):
+            rest = _CYCLE_RE.sub("", text).strip()
             raise ValueError(f"unexpected text {rest!r} in cycle notation")
         p = cls(alphabet, images, check=False)
         p._sign = -1 if transpositions % 2 else 1
@@ -385,14 +394,22 @@ def compose_all(perms, alphabet=None):
 
 
 def random_even_perm(alphabet, rng):
-    """Uniform-ish even permutation: shuffle, then fix parity by one swap."""
-    n = alphabet.size
-    img = list(range(n))
-    rng.shuffle(img)
-    p = Perm(alphabet, img, check=False)
-    if p.sign == -1:
+    """Uniform-ish even permutation: shuffle, then fix parity by one swap.
+
+    The shuffle is ``random.shuffle``'s own loop, so the images are those
+    of ``rng.shuffle`` on ``0..size-1``; each swap of two distinct places
+    flips the sign, so the sign is known without a cycle decomposition."""
+    img = list(range(alphabet.size))
+    odd = False
+    for i in reversed(range(1, len(img))):
+        j = rng.randrange(i + 1)
+        if j != i:
+            img[i], img[j] = img[j], img[i]
+            odd = not odd
+    if odd:
         img[0], img[1] = img[1], img[0]
-        p = Perm(alphabet, img, check=False)
+    p = Perm(alphabet, img, check=False)
+    p._sign = 1
     return p
 
 

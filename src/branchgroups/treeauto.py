@@ -384,29 +384,37 @@ def section_search(start, depth, root_of, children_of):
     """The first vertex of depth at most ``depth`` moved by ``start``, or
     None if every such vertex is fixed.
 
-    Breadth-first over sections with structural deduplication: nodes are
-    tree automorphisms or normal words, ``root_of(node)`` is the node's
-    first-level permutation and ``children_of(node)`` maps first-level
-    letter indices to the node's nontrivial sections.  Two vertices whose
-    sections have equal keys share their entire subtree behavior, so one
-    representative path per key suffices.
+    Breadth-first over sections: nodes are tree automorphisms or normal
+    words, ``root_of(node)`` is the node's first-level permutation and
+    ``children_of(node)`` maps first-level letter indices to the node's
+    nontrivial sections.  Each level tests the root of every node before
+    it expands any node, so a moved root one level down ends the search
+    without a further expansion.  Two vertices whose sections have equal
+    keys share their entire subtree behavior, so only the first node of a
+    level with a given key is expanded, and keys are computed only for
+    the nodes of a level that is expanded.  A level may hold duplicates;
+    they have equal roots, so the first moved node of a level is the same
+    with and without them.
     """
-    states = {start.key(): (start, ())}
+    level = [(start, ())]
     for d in range(depth):
-        nxt = {}
-        for node, path in states.values():
+        for node, path in level:
             r = root_of(node)
             if not r.is_identity:
                 moved = np.flatnonzero(r.images != r.alphabet.identity_images)
                 return _vertex(start.oracle, start.base_level, path + (int(moved[0]),))
-            if d + 1 < depth:
-                for idx, child in children_of(node).items():
-                    k = child.key()
-                    if k not in nxt:
-                        nxt[k] = (child, path + (idx,))
-        states = nxt
-        if not states:
+        if d + 1 == depth:
             break
+        expanded = set()
+        nxt = []
+        for node, path in level:
+            k = node.key()
+            if k not in expanded:
+                expanded.add(k)
+                nxt.extend((child, path + (idx,)) for idx, child in children_of(node).items())
+        if not nxt:
+            break
+        level = nxt
     return None
 
 

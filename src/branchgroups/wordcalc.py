@@ -154,7 +154,8 @@ def _reduce(oracle, base_level, tokens):
     """Reduce letters straight into the alternating shape.
 
     Returns ``(bs, hs, blocks)`` with ``len(bs) == len(hs) + 1``: a rooted
-    letter composes into ``bs[-1]``; a seed letter merges into ``hs[-1]``
+    letter composes into ``bs[-1]``, or takes the slot as it is while the
+    slot holds the alphabet's identity; a seed letter merges into ``hs[-1]``
     when ``bs[-1]`` is the identity, and a trivial merge drops that seed
     letter with its trailing identity; any other nontrivial seed letter
     opens a new slot.  ``blocks[i]`` lists the seed letters of ``tokens``
@@ -168,7 +169,7 @@ def _reduce(oracle, base_level, tokens):
                 raise ValueError(f"rooted letter acts on the wrong alphabet for level {base_level}")
             if payload.sign != 1:
                 raise ValueError("rooted letters must be even permutations")
-            bs[-1] = compose(bs[-1], payload)
+            bs[-1] = payload if bs[-1] is ident else compose(bs[-1], payload)
             continue
         if payload.oracle is not oracle:
             raise ValueError("seed letter belongs to a different input group")
@@ -488,38 +489,40 @@ class ParseError(ValueError):
 
 
 def _lex(text):
-    """Split a word file into top-level tokens, tracking positions.
-    Whitespace separates tokens except inside parentheses."""
-    tokens = []
-    line, col = 1, 1
-    cur = []
-    cur_pos = None
+    """Split a word file into top-level tokens with their (line, column)
+    positions, both counted from 1.  Whitespace separates tokens except
+    inside parentheses, where a newline reads as a space; a ``)`` with no
+    open parenthesis is an ordinary character.  One pass finds each
+    token's span; the tokens are then sliced out of the text."""
+    spans = []
+    start = -1
     depth = 0
-    for ch in text:
-        if ch == "\n":
-            if cur and depth == 0:
-                tokens.append(("".join(cur), cur_pos))
-                cur, cur_pos = [], None
-            elif cur:
-                cur.append(" ")
-            line += 1
-            col = 1
-            continue
-        if ch.isspace() and depth == 0:
-            if cur:
-                tokens.append(("".join(cur), cur_pos))
-                cur, cur_pos = [], None
-        else:
-            if not cur:
-                cur_pos = (line, col)
-            cur.append(ch)
-            if ch == "(":
+    for i, ch in enumerate(text):
+        if depth:
+            if ch == ")":
+                depth -= 1
+            elif ch == "(":
                 depth += 1
-            elif ch == ")":
-                depth = max(0, depth - 1)
-        col += 1
-    if cur:
-        tokens.append(("".join(cur), cur_pos))
+        elif ch.isspace():
+            if start >= 0:
+                spans.append((start, i))
+                start = -1
+        else:
+            if start < 0:
+                start = i
+            if ch == "(":
+                depth = 1
+    if start >= 0:
+        spans.append((start, len(text)))
+    tokens = []
+    line, line_start, counted = 1, 0, 0
+    for start, end in spans:
+        newlines = text.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", counted, start) + 1
+        counted = start
+        tokens.append((text[start:end].replace("\n", " "), (line, start - line_start + 1)))
     return tokens
 
 

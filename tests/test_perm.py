@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -345,6 +346,93 @@ def test_parse_rejects_garbage(abc):
         perm_of(abc, "ab")
     with pytest.raises(KeyError):
         perm_of(abc, "(a z)")
+
+
+def _old_from_cycles(alphabet, text):
+    """``Perm.from_cycles`` as it was written before it read the cycles
+    with ``findall`` and checked the leftover text with one ``fullmatch``:
+    returns ``(images, sign)``."""
+    cycle_re = re.compile(r"\(([^()]*)\)")
+    stripped = text.strip()
+    images = list(range(alphabet.size))
+    seen = set()
+    transpositions = 0
+    for m in cycle_re.finditer(stripped):
+        body = m.group(1).split()
+        if not body:
+            continue
+        idx = [alphabet.index(s) for s in body]
+        if len(set(idx)) != len(idx) or seen.intersection(idx):
+            raise ValueError(f"cycles are not disjoint in {text!r}")
+        seen.update(idx)
+        transpositions += len(idx) - 1
+        for a, b in zip(idx, idx[1:] + idx[:1]):
+            images[a] = b
+    rest = cycle_re.sub("", stripped).strip()
+    if rest:
+        raise ValueError(f"unexpected text {rest!r} in cycle notation")
+    return images, -1 if transpositions % 2 else 1
+
+
+def _outcome(parse, alphabet, text):
+    try:
+        return parse(alphabet, text)
+    except Exception as exc:  # the exception is what is compared
+        return type(exc), str(exc)
+
+
+# Pieces of cycle notation over the labels a, b, c and the anonymous
+# letters 0..4: letters, unknown and non-numeric names, parentheses,
+# whitespace of several kinds (\x1c is whitespace to str.isspace) and
+# stray text
+_CYCLE_PIECES = ["(", ")", "()", " ", "\t", "\n", "\r", "\x0b", "\x1c", "a", "b", "c", "0", "1", "4",
+                 "7", "-1", "w", "z", "(a b)", "(b c a)", "(0 1 2)", "(3 4)", "|", "'"]
+
+
+@pytest.mark.parametrize("alphabet", [IndexedAlphabet(3, labels=["a", "b", "c"]), IndexedAlphabet(5)],
+                         ids=["labels", "anonymous"])
+@given(text=st.one_of(st.text(), st.lists(st.sampled_from(_CYCLE_PIECES), max_size=12).map("".join)))
+@example(text="(x w) z")
+@example(text="(a b) z")
+@example(text="(a b)(b c) z")
+@example(text="\x1c(a b)\x1c")
+def test_from_cycles_matches_its_former_parser(alphabet, text):
+    got = _outcome(Perm.from_cycles, alphabet, text)
+    if isinstance(got, Perm):
+        assert not got.images.flags.writeable
+        got = (got.images.tolist(), got._sign)
+    assert got == _outcome(_old_from_cycles, alphabet, text)
+
+
+def test_identity_is_one_shared_read_only_perm():
+    for al in (IndexedAlphabet(4), IndexedAlphabet(3, labels=["a", "b", "c"])):
+        e = Perm.identity(al)
+        assert Perm.identity(al) is e
+        assert compose_all([], alphabet=al) is e
+        assert e.images is al.identity_images and e.sign == 1
+        with pytest.raises(ValueError):
+            e.images[0] = 1
+    # an equal alphabet object has its own identity
+    assert Perm.identity(IndexedAlphabet(4)) is not Perm.identity(IndexedAlphabet(4))
+
+
+@given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+@example(n=2, seed=0)
+@example(n=41, seed=7)
+def test_random_even_perm_is_a_shuffle_with_its_sign(n, seed):
+    # the images are rng.shuffle's on 0..n-1, with the first two swapped
+    # when the shuffle is odd, and the carried sign is that of the images
+    al = IndexedAlphabet(n)
+    rng, ref = random.Random(seed), random.Random(seed)
+    p = random_even_perm(al, rng)
+    images = list(range(n))
+    ref.shuffle(images)
+    if Perm(al, images).sign == -1:
+        images[0], images[1] = images[1], images[0]
+    assert p.images.tolist() == images
+    assert p._sign == Perm(al, p.images.copy()).sign == 1
+    # both generators made the same draws
+    assert rng.random() == ref.random()
 
 
 def test_associativity_random():

@@ -14,12 +14,21 @@ import random
 import pytest
 
 import branchgroups
+from branchgroups import wordcalc
 from branchgroups.alphabet import MARKER_ALPHABET, Seed, build_alphabet, random_marker_perm
 from branchgroups.perm import Perm
 from branchgroups.resfin import oracle_from_selector
 from branchgroups.suites import _raw_token_aut, random_token
-from branchgroups.treeauto import eval_vertex, identity_aut, nontrivial_vertex, rooted
-from branchgroups.wordcalc import decide, normal_form
+from branchgroups.treeauto import (
+    eval_vertex,
+    identity_aut,
+    nontrivial_children,
+    nontrivial_vertex,
+    root_perm,
+    rooted,
+    section_search,
+)
+from branchgroups.wordcalc import NormalWord, decide, normal_form, section_letters
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -199,6 +208,84 @@ def test_deep_witnesses(selector):
         depths.append(d.witness.depth)
     assert len(depths) == len(pinned) >= 5
     assert min(depths) >= 3 and max(depths) >= 4
+
+
+# single seed letters with a nontrivial marker, spelled with two
+# generator tokens, so that the search may go down to depth 4
+_SEED_LETTERS = ("H(|(x y z))", "H({g} {g}|(x y z))", "H({g} {g}|(o p q))")
+
+
+@pytest.mark.parametrize("selector", [*sorted(_SEARCH_DIGESTS), "finite:3"])
+def test_seed_letter_is_decided_with_one_section_walk(selector, monkeypatch):
+    # the sections of a single seed letter hold its witness one level
+    # down, so the search tests their roots before it expands one of them
+    oracle = oracle_from_selector(selector)
+    walks = []
+
+    def counted(word):
+        walks.append(word.base_level)
+        return section_letters(word)
+
+    monkeypatch.setattr(wordcalc, "section_letters", counted)
+    for spelled in _SEED_LETTERS:
+        text = spelled.format(g=oracle.gen_names[0])
+        walks.clear()
+        d = decide(normal_form(oracle, wordcalc.parse_tokens(oracle, text)))
+        assert not d.trivial and d.depth == 4 and d.witness.depth == 2, text
+        assert walks == [0], text
+
+
+def _spied_search(start, depth, root_of, children_of):
+    """``section_search`` with spies: its witness, the levels (counted
+    from the start) on which a root moves, and the expanded nodes."""
+    moved, expanded = set(), []
+
+    def root_spy(node):
+        r = root_of(node)
+        if not r.is_identity:
+            moved.add(node.base_level - start.base_level)
+        return r
+
+    def children_spy(node):
+        expanded.append(node)
+        return children_of(node)
+
+    return section_search(start, depth, root_spy, children_spy), moved, expanded
+
+
+@pytest.mark.parametrize("selector", sorted(_SEARCH_DIGESTS))
+def test_search_expands_no_level_with_a_moved_root(selector, monkeypatch):
+    oracle = oracle_from_selector(selector)
+    keyed = []
+    key = NormalWord.key
+
+    def counted_key(self):
+        keyed.append(self)
+        return key(self)
+
+    monkeypatch.setattr(NormalWord, "key", counted_key)
+    found = 0
+    for tseq in _search_words(oracle, random.Random(404), count=60):
+        word = normal_form(oracle, tseq)
+        decided = decide(word).witness
+        keyed.clear()
+        witness, moved, expanded = _spied_search(word, 2 * word.sigma_length, NormalWord.root_perm, section_letters)
+        assert witness == decided
+        # a level with a moved root ends the search before any expansion
+        levels = {n.base_level for n in expanded}
+        assert not moved & levels
+        if witness is not None:
+            assert max(moved) == witness.depth - 1
+            found += 1
+        # keys are computed only on the levels that are expanded, and every
+        # expanded node was keyed first
+        assert {n.base_level for n in keyed} <= levels
+        assert {id(n) for n in expanded} <= {id(n) for n in keyed}
+        # the same holds for automorphism nodes
+        aut = _raw_token_aut(oracle, tseq)
+        _, moved, expanded = _spied_search(aut, 4, root_perm, nontrivial_children)
+        assert not moved & {n.base_level - aut.base_level for n in expanded}
+    assert found >= 10
 
 
 def _tracing_targets():

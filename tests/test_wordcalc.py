@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from branchgroups import suites
+from branchgroups import suites, wordcalc
 from branchgroups.alphabet import (
     MARKER_ALPHABET,
     Seed,
@@ -665,6 +665,55 @@ def test_parse_tokens_raises_only_parse_error(selector, text):
         parse_tokens(_parse_oracle(selector), text)
     except ParseError:
         pass
+
+
+def _old_lex(text):
+    """The word-file lexer as it was written before it sliced tokens by
+    index: one character at a time, into a list of characters."""
+    tokens = []
+    line, col = 1, 1
+    cur = []
+    cur_pos = None
+    depth = 0
+    for ch in text:
+        if ch == "\n":
+            if cur and depth == 0:
+                tokens.append(("".join(cur), cur_pos))
+                cur, cur_pos = [], None
+            elif cur:
+                cur.append(" ")
+            line += 1
+            col = 1
+            continue
+        if ch.isspace() and depth == 0:
+            if cur:
+                tokens.append(("".join(cur), cur_pos))
+                cur, cur_pos = [], None
+        else:
+            if not cur:
+                cur_pos = (line, col)
+            cur.append(ch)
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth = max(0, depth - 1)
+        col += 1
+    if cur:
+        tokens.append(("".join(cur), cur_pos))
+    return tokens
+
+
+# Pieces of word files: parentheses (balanced or not), inverse marks,
+# whitespace of every kind the lexer treats differently (\x0b and \x1c
+# are whitespace to str.isspace; only \n starts a line), labels and
+# whole tokens
+_LEX_PIECES = ["(", ")", "'", "\n", "\r", "\t", " ", "\x0b", "\x1c", "\r\n", "B(", "H(", "|", "x@1",
+               "q0@1", "t", "a", "B((x@1 y@1 z@1))", "H(t|(x y z))", "H(a|())'", "(x\ny)", "))", "(("]
+
+
+@given(text=st.one_of(st.text(), st.lists(st.sampled_from(_LEX_PIECES), max_size=16).map("".join)))
+def test_lex_matches_its_former_character_loop(text):
+    assert wordcalc._lex(text) == _old_lex(text)
 
 
 # The decision properties of ROADMAP item 4.  Seed letters carry at most
