@@ -37,21 +37,20 @@ __all__ = [
 MARKERS = ("x", "y", "z", "o", "p", "q")
 MARKER_ALPHABET = IndexedAlphabet(6, labels=MARKERS, name="markers")
 
-class AlphabetLevel:
+class AlphabetLevel(IndexedAlphabet):
     """The alphabet at one level: quotient cosets first, then x y z p q.
 
-    Each letter is named by its label in ``alphabet``: ``q<i>@<n>`` for
-    coset i and ``x@<n>`` to ``q@<n>`` for the special letters, so letters
-    at distinct levels have distinct labels."""
+    A letter's label is a rule of its index and the level n: ``q<i>@<n>``
+    for coset i and ``x@<n>`` to ``q@<n>`` for the special letters, so
+    letters at distinct levels have distinct labels."""
+
+    __slots__ = ("level", "quotient", "x_index", "y_index", "z_index", "p_index", "q_index")
+    anonymous = False
 
     def __init__(self, oracle, level, quotient):
-        self.oracle = oracle
+        super().__init__(quotient.order + 5, name=f"letters:{oracle.name}:{level}")
         self.level = level
         self.quotient = quotient
-        self.size = quotient.order + 5
-        labels = [f"q{i}@{level}" for i in range(quotient.order)]
-        labels += [f"{s}@{level}" for s in "xyzpq"]
-        self.alphabet = IndexedAlphabet(self.size, labels=labels, name=f"letters:{oracle.name}:{level}")
         base = quotient.order
         self.x_index = base
         self.y_index = base + 1
@@ -59,11 +58,32 @@ class AlphabetLevel:
         self.p_index = base + 3
         self.q_index = base + 4
 
-    def letter_at(self, index):
-        return self.alphabet.labels[index]
+    @property
+    def alphabet(self):
+        return self
 
-    def __repr__(self):
-        return f"AlphabetLevel({self.oracle.name}, n={self.level}, size={self.size})"
+    def label(self, i):
+        if i < self.x_index:
+            return f"q{i}@{self.level}"
+        return f"{'xyzpq'[i - self.x_index]}@{self.level}"
+
+    letter_at = label
+
+    def _parse(self, label):
+        # exactly what label() writes, else KeyError; TypeError for a
+        # label that is not a string
+        head, _, at = str.partition(label, "@")
+        if at == str(self.level):
+            digits = head[1:]
+            if digits.isdecimal():
+                # int() takes any Unicode decimal, so the label is written
+                # back; the length test keeps int() off long text
+                i = int(digits) if len(digits) < 19 else self.x_index
+                if i < self.x_index and head == f"q{i}":
+                    return i
+            elif len(head) == 1 and head in "xyzpq":
+                return self.x_index + "xyzpq".index(head)
+        raise KeyError(f"unknown letter {label!r}")
 
 
 def build_alphabet(oracle, n):
@@ -166,15 +186,15 @@ def coset_action(oracle, n, seed):
         return got
     quotient = level.quotient
     img = quotient.apply_word(seed.g)
-    images = level.alphabet.identity_images.copy()
+    images = level.identity_images.copy()
     images[: quotient.order] = quotient.left_mult_images(img)
-    p = Perm(level.alphabet, images, check=False)
+    p = Perm(level, images, check=False)
     # x, y, z, p and q are still fixed, so this sign is the coset block's
     if p.sign == -1:
         images = images.copy()
         images[level.p_index] = level.q_index
         images[level.q_index] = level.p_index
-        p = Perm(level.alphabet, images, check=False)
+        p = Perm(level, images, check=False)
     return oracle.cache.setdefault(cache_key, p)
 
 
@@ -191,8 +211,8 @@ def marker_action(oracle, n, seed):
     if got is not None:
         return got
     spots = [level.x_index, level.y_index, level.z_index, 0, level.p_index, level.q_index]
-    images = level.alphabet.identity_images.copy()
+    images = level.identity_images.copy()
     for sym in range(6):
         images[spots[sym]] = spots[marker(sym)]
-    p = Perm(level.alphabet, images, check=False)
+    p = Perm(level, images, check=False)
     return oracle.cache.setdefault(cache_key, p)

@@ -35,10 +35,11 @@ class IndexedAlphabet:
     """An ordered finite alphabet.
 
     Permutations act on the index range ``0..size-1``.  Labels exist for
-    parsing and printing only.  An alphabet may be constructed without
-    explicit labels; its letters are then named by their decimal indices,
-    which are written straight from the index arrays and never stored,
-    and it compares equal by ``(name, size)``.
+    parsing (:meth:`index`) and printing (:meth:`label`) only.  Without
+    literal labels or a subclass's label rule an alphabet is anonymous:
+    its letters are named by their decimal indices, written straight
+    from the index arrays.  Two alphabets of the same class compare
+    equal by ``(name, size, literal labels)``.
 
     ``identity_images`` is the alphabet's one int64 array ``0..size-1``,
     built on first use and read-only: code that writes images starts from
@@ -51,16 +52,17 @@ class IndexedAlphabet:
     def __init__(self, size, labels=None, name=None):
         if size < 1:
             raise ValueError("alphabet size must be positive")
+        self._index = {}
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != size:
                 raise ValueError("label count does not match alphabet size")
-            if len(set(labels)) != size:
+            self._index = {s: i for i, s in enumerate(labels)}
+            if len(self._index) != size:
                 raise ValueError("labels must be pairwise distinct")
         self.size = size
         self._labels = labels
         self.name = name
-        self._index = None
         self._identity = None
         self._identity_perm = None
 
@@ -73,42 +75,51 @@ class IndexedAlphabet:
         return self._identity
 
     @property
+    def anonymous(self):
+        return self._labels is None
+
+    @property
     def labels(self):
         """The label of each letter, or None for an anonymous alphabet."""
-        return self._labels
+        if self.anonymous:
+            return None
+        return tuple(map(self.label, range(self.size)))
+
+    def label(self, i):
+        return str(i) if self._labels is None else self._labels[i]
 
     def index(self, label):
-        if self._labels is None:
-            i = int(label)
-            if not 0 <= i < self.size:
-                raise KeyError(label)
-            return i
-        if self._index is None:
-            self._index = {s: i for i, s in enumerate(self._labels)}
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError(f"unknown letter {label!r}") from None
+        """The index of the letter named ``label``.  Labels read once are
+        kept: a word file names few distinct letters, so nearly every
+        lookup is a hit."""
+        i = self._index.get(label)
+        if i is None:
+            i = self._index[label] = self._parse(label)
+        return i
 
-    def _key(self):
+    def _parse(self, label):
+        # literal labels are all kept from the start
         if self._labels is not None:
-            return ("labels", self._labels)
-        return ("anon", self.name, self.size)
+            raise KeyError(f"unknown letter {label!r}")
+        i = int(label)
+        if not 0 <= i < self.size:
+            raise KeyError(label)
+        return i
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, IndexedAlphabet):
-            return NotImplemented
-        return self.size == other.size and self._key() == other._key()
+        if self is other or not isinstance(other, IndexedAlphabet):
+            return self is other
+        if type(self) is not type(other):
+            return False
+        return (self.name, self.size, self._labels) == (other.name, other.size, other._labels)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.name, self.size))
 
     def __repr__(self):
         if self.name:
-            return f"IndexedAlphabet({self.size}, name={self.name!r})"
-        return f"IndexedAlphabet({self.size})"
+            return f"{type(self).__name__}({self.size}, name={self.name!r})"
+        return f"{type(self).__name__}({self.size})"
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -238,23 +249,15 @@ class Perm:
         return self._hash
 
     def __str__(self):
-        """Cycle notation over the letter labels; an anonymous alphabet's
-        letters are written as decimal indices (:func:`_decimal_cycles`)."""
+        """Cycle notation over the letter labels: an anonymous alphabet's
+        letters are written as decimal indices (:func:`_decimal_cycles`);
+        any other alphabet formats the labels of the moved letters only."""
         letters, bounds = _cycle_walk(self.images)
-        labels = self.alphabet.labels
-        if labels is None:
+        if self.alphabet.anonymous:
             return _decimal_cycles(letters, bounds)
-        if not len(letters):
-            return "()"
-        # letter labels at the even places; after each one " ", or ")("
-        # where its cycle ends
-        tail = np.full(len(letters), " ", dtype=object)
-        tail[bounds[1:] - 1] = ")("
-        tail[-1] = ")"
-        text = [None] * (2 * len(letters))
-        text[::2] = np.asarray(labels, dtype=object)[letters].tolist()
-        text[1::2] = tail.tolist()
-        return "(" + "".join(text)
+        names = list(map(self.alphabet.label, letters.tolist()))
+        cycles = ["(" + " ".join(names[a:b]) + ")" for a, b in itertools.pairwise(bounds.tolist())]
+        return "".join(cycles) or "()"
 
     def __repr__(self):
         return f"Perm({self})"

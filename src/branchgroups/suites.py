@@ -79,7 +79,7 @@ def random_token(oracle, rng):
     kinds spell exactly one generator of the level-0 group."""
     lvl = build_alphabet(oracle, 1)
     if rng.random() < 0.4:
-        return ("B", random_even_perm(lvl.alphabet, rng))
+        return ("B", random_even_perm(lvl, rng))
     g = (rng.randrange(len(oracle.gen_names)),)
     return ("H", Seed(oracle, g, random_marker_perm(rng)))
 
@@ -98,9 +98,9 @@ def representative_tokens(oracle):
     toks.append(("B", bg[len(bg) // 2]))
     lvl = build_alphabet(oracle, 1)
     if lvl.quotient.order >= 3:
-        toks.append(("B", Perm.from_cycles(lvl.alphabet, "(q0@1 q1@1 q2@1)")))
+        toks.append(("B", Perm.from_cycles(lvl, "(q0@1 q1@1 q2@1)")))
     else:
-        toks.append(("B", Perm.from_cycles(lvl.alphabet, "(q0@1 q1@1)(p@1 q@1)")))
+        toks.append(("B", Perm.from_cycles(lvl, "(q0@1 q1@1)(p@1 q@1)")))
     return toks
 
 
@@ -222,9 +222,9 @@ def suite_contraction(oracle, seed=0):
         n = rng.randrange(1, 7)
         toks = []
         for _ in range(n):
-            toks.append(("B", random_even_perm(lvl.alphabet, rng)))
+            toks.append(("B", random_even_perm(lvl, rng)))
             toks.append(("H", random_seed_elem(oracle, rng, nontrivial=True)))
-        toks.append(("B", random_even_perm(lvl.alphabet, rng)))
+        toks.append(("B", random_even_perm(lvl, rng)))
         word = normal_form(oracle, toks)
         if word.h_count < 1:
             continue
@@ -257,14 +257,14 @@ def _displacing_perm(oracle, rng):
     lvl = build_alphabet(oracle, 1)
     others = [i for i in range(lvl.size) if i not in (lvl.x_index, lvl.y_index, lvl.z_index)]
     a1, a2 = rng.sample(others, 2)
-    img = lvl.alphabet.identity_images.copy()
+    img = lvl.identity_images.copy()
     img[lvl.x_index], img[a1] = a1, lvl.x_index
     img[lvl.y_index], img[a2] = a2, lvl.y_index
     rest = [i for i in others if i not in (a1, a2)]
     if len(rest) >= 3 and rng.random() < 0.5:
         r1, r2, r3 = rng.sample(rest, 3)
         img[r1], img[r2], img[r3] = img[r2], img[r3], img[r1]
-    return Perm(lvl.alphabet, img, check=False)
+    return Perm(lvl, img, check=False)
 
 
 def suite_branch_identities(oracle, seed=0):

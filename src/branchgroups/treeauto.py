@@ -99,7 +99,7 @@ def _indices(oracle, vertex):
     for i, label in enumerate(vertex.letters):
         level = vertex.base_level + 1 + i
         try:
-            out.append(build_alphabet(oracle, level).alphabet.index(label))
+            out.append(build_alphabet(oracle, level).index(label))
         except (KeyError, TypeError):
             raise ValueError(f"{label!r} is not a letter of level {level}") from None
     return tuple(out)
@@ -107,7 +107,7 @@ def _indices(oracle, vertex):
 
 def _vertex(oracle, base_level, indices):
     return Vertex(base_level, tuple(
-        build_alphabet(oracle, base_level + 1 + i).alphabet.labels[ix]
+        build_alphabet(oracle, base_level + 1 + i).label(ix)
         for i, ix in enumerate(indices)
     ))
 
@@ -201,7 +201,7 @@ def rooted(oracle, base_level, perm):
     """The automorphism permuting first-level letters by ``perm`` and
     fixing everything below."""
     lvl = build_alphabet(oracle, base_level + 1)
-    if perm.alphabet != lvl.alphabet:
+    if perm.alphabet != lvl:
         raise ValueError(
             f"rooted permutation must act on the level-{base_level + 1} alphabet"
         )
@@ -282,11 +282,11 @@ def root_perm(a):
         lvl = build_alphabet(a.oracle, a.base_level + 1)
         if isinstance(a, (IdentityAut, DirectedAut, ShiftedAut)):
             # directed and shifted automorphisms stabilize the first level
-            a._root = Perm.identity(lvl.alphabet)
+            a._root = Perm.identity(lvl)
         elif isinstance(a, RootedAut):
             a._root = a.perm
         elif isinstance(a, ProductAut):
-            a._root = compose_all([root_perm(f) for f in a.factors], alphabet=lvl.alphabet)
+            a._root = compose_all([root_perm(f) for f in a.factors], alphabet=lvl)
         else:
             raise TypeError(f"not a tree automorphism: {a!r}")
     return a._root
@@ -311,12 +311,10 @@ def _children(a):
     if isinstance(a, DirectedAut):
         lvl = build_alphabet(a.oracle, a.base_level + 1)
         out = {lvl.x_index: DirectedAut(a.oracle, a.base_level + 1, a.seed)}
-        phi = coset_action(a.oracle, a.base_level + 2, a.seed)
-        if not phi.is_identity:
-            out[lvl.y_index] = RootedAut(a.oracle, a.base_level + 1, phi)
-        psi = marker_action(a.oracle, a.base_level + 2, a.seed)
-        if not psi.is_identity:
-            out[lvl.z_index] = RootedAut(a.oracle, a.base_level + 1, psi)
+        for letter, action in ((lvl.y_index, coset_action), (lvl.z_index, marker_action)):
+            perm = action(a.oracle, a.base_level + 2, a.seed)
+            if not perm.is_identity:
+                out[letter] = RootedAut(a.oracle, a.base_level + 1, perm)
         return out
     if isinstance(a, ShiftedAut):
         return {a.index: a.inner}
@@ -324,7 +322,7 @@ def _children(a):
         # backs[k] is the inverse first-level image array of the last k
         # factors: the child at letter e of the factor before them is the
         # product's section piece at letter backs[k][e]
-        backs = [build_alphabet(a.oracle, a.base_level + 1).alphabet.identity_images]
+        backs = [build_alphabet(a.oracle, a.base_level + 1).identity_images]
         for f in reversed(a.factors[1:]):
             backs.append(backs[-1][root_perm(f).inverse().images])
         slots = {}
@@ -459,7 +457,7 @@ def _level_columns(a, depth, cap):
     cols = []
     count = 1
     for i in range(depth):
-        letters = build_alphabet(oracle, base + i + 1).alphabet.identity_images
+        letters = build_alphabet(oracle, base + i + 1).identity_images
         cols.append(np.tile(letters, count))
         count *= len(letters)
     return _vec_apply(a, cols)
@@ -488,7 +486,7 @@ def first_moved_level(a, depth, cap=DEFAULT_VERTEX_CAP):
     letters of the vertices it indexes.  Guarded by ``cap`` like
     :func:`level_perm`."""
     for d, col in enumerate(_level_columns(a, depth, cap), 1):
-        letters = build_alphabet(a.oracle, a.base_level + d).alphabet.identity_images
+        letters = build_alphabet(a.oracle, a.base_level + d).identity_images
         if (col.reshape(-1, len(letters)) != letters).any():
             return d
     return None
@@ -563,16 +561,11 @@ def _vec_apply(a, cols):
             mask = first == lvl.x_index
             if mask.any():
                 _apply_below(DirectedAut(a.oracle, a.base_level + 1, a.seed), mask, cols[1:])
-            phi = coset_action(a.oracle, a.base_level + 2, a.seed)
-            mask = first == lvl.y_index
-            if mask.any():
-                rows = cols[1].reshape(len(mask), -1)
-                rows[mask] = phi.images[rows[mask]]
-            psi = marker_action(a.oracle, a.base_level + 2, a.seed)
-            mask = first == lvl.z_index
-            if mask.any():
-                rows = cols[1].reshape(len(mask), -1)
-                rows[mask] = psi.images[rows[mask]]
+            rows = cols[1].reshape(len(first), -1)
+            for letter, action in ((lvl.y_index, coset_action), (lvl.z_index, marker_action)):
+                mask = first == letter
+                if mask.any():
+                    rows[mask] = action(a.oracle, a.base_level + 2, a.seed).images[rows[mask]]
         return cols
     if isinstance(a, ShiftedAut):
         if len(cols) > 1:
@@ -630,7 +623,7 @@ def portrait(a, depth, cap=DEFAULT_VERTEX_CAP):
     for d in range(depth):
         inner = d + 1 < depth
         if inner:
-            names = build_alphabet(a.oracle, a.base_level + d + 1).alphabet.labels
+            names = build_alphabet(a.oracle, a.base_level + d + 1).labels
             ident = IdentityAut(a.oracle, a.base_level + d + 1)
         nxt = []
         for path, text, parent, node in frontier:

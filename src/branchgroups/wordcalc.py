@@ -15,6 +15,7 @@ same decider.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -115,7 +116,7 @@ class NormalWord:
 
     def root_perm(self):
         lvl = build_alphabet(self.oracle, self.base_level + 1)
-        return compose_all(self.bs, alphabet=lvl.alphabet)
+        return compose_all(self.bs, alphabet=lvl)
 
     def tokens(self):
         out = []
@@ -161,11 +162,11 @@ def _reduce(oracle, base_level, tokens):
     opens a new slot.  ``blocks[i]`` lists the seed letters of ``tokens``
     multiplied into ``hs[i]``, in order."""
     lvl = build_alphabet(oracle, base_level + 1)
-    ident = Perm.identity(lvl.alphabet)
+    ident = Perm.identity(lvl)
     bs, hs, blocks = [ident], [], []
     for kind, payload in tokens:
         if kind == "B":
-            if payload.alphabet != lvl.alphabet:
+            if payload.alphabet != lvl:
                 raise ValueError(f"rooted letter acts on the wrong alphabet for level {base_level}")
             if payload.sign != 1:
                 raise ValueError("rooted letters must be even permutations")
@@ -343,25 +344,16 @@ def default_b_gens(oracle):
     out = []
     for a, b, c in itertools.combinations(spots, 3):
         for trip in ((a, b, c), (a, c, b)):
-            img = lvl.alphabet.identity_images.copy()
+            img = lvl.identity_images.copy()
             img[trip[0]], img[trip[1]], img[trip[2]] = trip[1], trip[2], trip[0]
-            out.append(Perm(lvl.alphabet, img, check=False))
+            out.append(Perm(lvl, img, check=False))
     return tuple(out)
 
 
-_EVEN_MARKERS = None
-
-
+@functools.cache
 def _even_markers():
-    global _EVEN_MARKERS
-    if _EVEN_MARKERS is None:
-        out = []
-        for images in itertools.permutations(range(6)):
-            p = Perm(MARKER_ALPHABET, images, check=False)
-            if p.sign == 1:
-                out.append(p)
-        _EVEN_MARKERS = tuple(out)
-    return _EVEN_MARKERS
+    perms = (Perm(MARKER_ALPHABET, images, check=False) for images in itertools.permutations(range(6)))
+    return tuple(p for p in perms if p.sign == 1)
 
 
 def _marker_conjugator(a, b):
@@ -448,7 +440,7 @@ _SEARCH_MARKERS = (
 def _conjugator_candidates(oracle, bounds):
     b_gens = bounds.b_gens if bounds.b_gens is not None else default_b_gens(oracle)
     lvl = build_alphabet(oracle, 1)
-    ident = Perm.identity(lvl.alphabet)
+    ident = Perm.identity(lvl)
     b_pool = (ident,) + tuple(b_gens)
     seeds = [
         Seed(oracle, gword, m)
@@ -566,7 +558,7 @@ def parse_tokens(oracle, text):
             continue
         if body.startswith("B(") and body.endswith(")"):
             try:
-                perm = Perm.from_cycles(lvl.alphabet, body[2:-1])
+                perm = Perm.from_cycles(lvl, body[2:-1])
             except (ValueError, KeyError) as exc:
                 raise ParseError(f"bad rooted letter: {exc}", line, col) from None
             if perm.sign != 1:

@@ -26,7 +26,7 @@ def vertex_at(oracle, base_level, depth, index):
     lexicographic letter-index order of ``level_perm``."""
     labels = []
     for i in reversed(range(depth)):
-        alphabet = build_alphabet(oracle, base_level + i + 1).alphabet
-        index, rem = divmod(index, alphabet.size)
-        labels.append(alphabet.labels[rem])
+        lvl = build_alphabet(oracle, base_level + i + 1)
+        index, rem = divmod(index, lvl.size)
+        labels.append(lvl.label(rem))
     return Vertex(base_level, tuple(labels[::-1]))

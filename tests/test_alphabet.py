@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
 from branchgroups.alphabet import (
     MARKER_ALPHABET,
+    AlphabetLevel,
     Seed,
     build_alphabet,
     coset_action,
@@ -12,8 +14,9 @@ from branchgroups.alphabet import (
     random_marker_perm,
     seed_is_trivial,
 )
-from branchgroups.perm import Perm, compose
-from branchgroups.resfin import DihedralOracle, IntegerOracle, parse_word
+from branchgroups.perm import IndexedAlphabet, Perm, compose
+from branchgroups.resfin import DihedralOracle, IntegerOracle, build_level_map, oracle_from_selector, parse_word
+from branchgroups.treeauto import rooted
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,59 @@ def test_letter_order_and_literals(dinf):
     for label in ("w@2", "x", "x@1", f"q{order}@2"):
         with pytest.raises(KeyError):
             lvl.alphabet.index(label)
+
+
+def test_level_alphabet_stores_no_labels():
+    """A level alphabet is its size and a label rule: building one over a
+    200 000-element quotient allocates no per-letter structure (the
+    labels alone took 21.9 MiB when they were stored)."""
+    oracle = oracle_from_selector("finite:200000")
+    quotient = build_level_map(oracle, 1).quotient
+    tracemalloc.start()
+    try:
+        lvl = AlphabetLevel(oracle, 1, quotient)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lvl.size == quotient.order + 5 > 200_000
+    assert peak < 2**20
+
+
+def test_level_alphabet_keeps_only_parsed_labels(dinf):
+    """A level alphabet starts with no parsed labels and keeps a label
+    only once it has parsed it; a label it refuses is not kept."""
+    lvl = AlphabetLevel(dinf, 3, build_level_map(dinf, 3).quotient)
+    assert lvl._index == {}
+    for _ in range(2):
+        assert [lvl.index(s) for s in ("q1@3", "x@3", "q1@3")] == [1, lvl.x_index, 1]
+        with pytest.raises(KeyError):
+            lvl.index("q01@3")
+    assert lvl._index == {"q1@3": 1, "x@3": lvl.x_index}
+
+
+def test_level_alphabet_differs_from_anonymous_alphabet(dinf):
+    """An anonymous alphabet with a level's name and size parses and
+    prints letters differently, so it is a different alphabet."""
+    lvl = build_alphabet(dinf, 1)
+    anon = IndexedAlphabet(lvl.size, name=lvl.name)
+    assert lvl != anon and anon != lvl
+    assert lvl == AlphabetLevel(dinf, 1, lvl.quotient)
+    with pytest.raises(ValueError, match="level-1 alphabet"):
+        rooted(dinf, 0, Perm.from_cycles(anon, "(0 1 2)"))
+
+
+def test_printing_formats_moved_letters_only(dinf, monkeypatch):
+    lvl = build_alphabet(dinf, 10)
+    p = Perm.from_cycles(lvl, "(q5@10 x@10 q@10)")
+    formatted = []
+
+    def counted(self, i, _real=AlphabetLevel.label):
+        formatted.append(i)
+        return _real(self, i)
+
+    monkeypatch.setattr(AlphabetLevel, "label", counted)
+    assert str(p) == "(q5@10 x@10 q@10)"
+    assert formatted == [5, lvl.x_index, lvl.q_index]
 
 
 def test_letters_at_distinct_levels_differ(zz):

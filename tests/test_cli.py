@@ -59,6 +59,17 @@ def test_wp_parse_error_exit_2(tmp_path, capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("letter", ["q03@1", "q٣@1", "q²@1"])
+def test_wp_noncanonical_coset_number_exit_2(tmp_path, capsys, letter):
+    """Coset numbers are canonical ASCII decimals; the messages were
+    recorded when every label was a stored string."""
+    path = tmp_path / "w.txt"
+    path.write_text(f"B(({letter} x@1 y@1))", encoding="utf-8")
+    code, out, err = run(capsys, "wp", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: line 1, column 1: bad rooted letter: \"unknown letter '{letter}'\"\n"
+
+
 def test_wp_leading_inverse_mark_is_a_parse_error(tmp_path, capsys):
     path = write(tmp_path, "w.txt", "' H(t|())")
     code, out, err = run(capsys, "wp", path)

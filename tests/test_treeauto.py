@@ -620,3 +620,26 @@ def test_vertex_labels_round_trip_letter_indices(group):
         v = _vertex(oracle, 0, path)
         assert all(isinstance(label, str) for label in v.letters)
         assert _indices(oracle, v) == path
+
+
+@pytest.mark.parametrize("group", CYCLE_TYPE_GROUPS)
+def test_level_label_rule_parses_exactly_what_it_writes(group):
+    """Every label reads back as its index, and nothing else reads: not a
+    coset number with a leading zero, a sign or non-ASCII digits (``int()``
+    takes Arabic-Indic digits; ``isdigit()`` takes superscripts, which
+    ``int()`` refuses), not a wrong case, level or coset number, not the
+    marker symbol o, and no text without a letter.  A label that is not a
+    string raises ``KeyError`` or ``TypeError``, as :func:`_indices`
+    expects."""
+    oracle = oracle_from_selector(group)
+    for n in (1, 2, 3):
+        lvl = build_alphabet(oracle, n)
+        assert [lvl.index(lvl.label(i)) for i in range(lvl.size)] == list(range(lvl.size))
+        heads = ["q03", "q00", "q٣", "q١", "q²", "q-1", "q+1", "Q1", f"q{lvl.quotient.order}", "o", ""]
+        for bad in [f"{h}@{n}" for h in heads] + [f"q1@0{n}", f"x@{n + 1}", "x", ""]:
+            with pytest.raises(KeyError) as err:
+                lvl.index(bad)
+            assert err.value.args == (f"unknown letter {bad!r}",)
+        for bad in (["x@1"], None, 1):
+            with pytest.raises((KeyError, TypeError)):
+                lvl.index(bad)
