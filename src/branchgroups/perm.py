@@ -171,9 +171,12 @@ class Perm:
 
         ``()`` and the empty string denote the identity.  Cycles must be
         disjoint.  Each cycle's labels are checked in order, then the
-        text around the cycles, which may only be whitespace.
+        text around the cycles, which may only be whitespace.  The images
+        start from a copy of the alphabet's identity array and only the
+        moved letters are written, so a cycle costs its own length, not
+        the alphabet's.
         """
-        images = list(range(alphabet.size))
+        images = alphabet.identity_images.copy()
         seen = set()
         transpositions = 0
         for body in _CYCLE_RE.findall(text):

@@ -438,15 +438,36 @@ def vertex_count(oracle, base_level, depth):
     return n
 
 
+def _base_column(oracle, base, level):
+    """The identity column of ``level`` below ``base``: the level's letter
+    indices tiled once over each vertex of the level above.
+
+    Built once per oracle in the narrowest unsigned type that holds the
+    level's letters, and kept read-only in ``oracle.cache``; one column
+    holds ``vertex_count(oracle, base, level - base)`` entries of one,
+    two or four bytes."""
+    key = ("base_column", base, level)
+    got = oracle.cache.get(key)
+    if got is None:
+        size = build_alphabet(oracle, level).size
+        letters = np.arange(size, dtype=np.min_scalar_type(size - 1))
+        got = np.tile(letters, vertex_count(oracle, base, level - base - 1))
+        got.setflags(write=False)
+        got = oracle.cache.setdefault(key, got)
+    return got
+
+
 def _level_columns(a, depth, cap):
-    """The image columns of ``a`` on levels 1..``depth``; guarded by ``cap``.
+    """The identity columns of levels 1..``depth`` below ``a``'s base
+    level and the image columns of ``a`` on them; guarded by ``cap``.
 
     An automorphism maps subtrees onto subtrees, so the image letter at
     level k+1 depends only on the first k+1 letters of a vertex.  Column k
     therefore holds one image letter per level-(k+1) vertex, in
     lexicographic order; only the deepest column has as many entries as
     the level has vertices, and the first d columns alone determine the
-    level-d permutation."""
+    level-d permutation.  The image columns are copies of the shared
+    identity columns (:func:`_base_column`) and keep their type."""
     oracle, base = a.oracle, a.base_level
     total = vertex_count(oracle, base, depth)
     if total > cap:
@@ -454,21 +475,16 @@ def _level_columns(a, depth, cap):
             f"level {depth} has {total} vertices, beyond the cap of {cap}; "
             "use equal_to_depth or portraits instead"
         )
-    cols = []
-    count = 1
-    for i in range(depth):
-        letters = build_alphabet(oracle, base + i + 1).identity_images
-        cols.append(np.tile(letters, count))
-        count *= len(letters)
-    return _vec_apply(a, cols)
+    bases = [_base_column(oracle, base, base + i + 1) for i in range(depth)]
+    return bases, _vec_apply(a, [c.copy() for c in bases])
 
 
 def level_perm(a, depth, cap=DEFAULT_VERTEX_CAP):
     """The permutation induced on all depth-``depth`` vertices, enumerated
     lexicographically by letter index.  Vectorized; guarded by ``cap``."""
-    cols = _level_columns(a, depth, cap)
-    images = cols[0] if cols else np.zeros(1, dtype=np.int64)
-    for c in cols[1:]:
+    _, cols = _level_columns(a, depth, cap)
+    images = np.zeros(1, dtype=np.int64)
+    for c in cols:
         s = len(c) // len(images)
         images = np.repeat(images, s)
         images *= s
@@ -483,11 +499,11 @@ def first_moved_level(a, depth, cap=DEFAULT_VERTEX_CAP):
 
     One pass builds the columns of every level down to ``depth``; level d
     is moved exactly when one of its first d columns differs from the
-    letters of the vertices it indexes.  Guarded by ``cap`` like
+    identity column of its level.  Guarded by ``cap`` like
     :func:`level_perm`."""
-    for d, col in enumerate(_level_columns(a, depth, cap), 1):
-        letters = build_alphabet(a.oracle, a.base_level + d).identity_images
-        if (col.reshape(-1, len(letters)) != letters).any():
+    bases, cols = _level_columns(a, depth, cap)
+    for d, (base, col) in enumerate(zip(bases, cols), 1):
+        if (col != base).any():
             return d
     return None
 
@@ -548,7 +564,7 @@ def _vec_apply(a, cols):
     if not cols or isinstance(a, IdentityAut):
         return cols
     if isinstance(a, RootedAut):
-        cols[0] = a.perm.images[cols[0]]
+        cols[0][:] = a.perm.images[cols[0]]
         return cols
     if isinstance(a, ProductAut):
         for f in reversed(a.factors):

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,6 +403,23 @@ def test_from_cycles_matches_its_former_parser(alphabet, text):
         assert not got.images.flags.writeable
         got = (got.images.tolist(), got._sign)
     assert got == _outcome(_old_from_cycles, alphabet, text)
+
+
+def test_from_cycles_stores_only_the_moved_letters():
+    """One 3-cycle on a 200 005-letter alphabet allocates one int64 copy
+    of the identity images (1.6 MB), not a list of every letter (about
+    7 MB with its int objects)."""
+    al = IndexedAlphabet(200_005)
+    al.identity_images  # built on first use; not part of the parse
+    tracemalloc.start()
+    try:
+        p = Perm.from_cycles(al, "(7 200004 3)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * al.size
+    assert p.cycles() == [(3, 7, 200004)] and p.sign == 1
+    assert not p.images.flags.writeable and not np.shares_memory(p.images, al.identity_images)
 
 
 def test_identity_is_one_shared_read_only_perm():

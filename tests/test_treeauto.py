@@ -1,18 +1,27 @@
 import hashlib
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from sympy.combinatorics import Permutation
 
 from branchgroups import suites
-from branchgroups.alphabet import Seed, build_alphabet, marker_perm, random_marker_perm
+from branchgroups.alphabet import Seed, build_alphabet, coset_action, marker_action, marker_perm, random_marker_perm
 from branchgroups.perm import Perm, compose, random_even_perm
 from branchgroups.resfin import DihedralOracle, IntegerOracle, oracle_from_selector, parse_word
 from branchgroups.suites import _raw_token_aut, random_token
 from branchgroups.treeauto import (
     CapExceeded,
+    DirectedAut,
+    IdentityAut,
+    ProductAut,
+    RootedAut,
+    ShiftedAut,
     Vertex,
+    _base_column,
     _indices,
+    _level_columns,
     _vertex,
     directed,
     embed_shift,
@@ -408,6 +417,130 @@ def test_first_moved_level_matches_level_perm(group):
             assert first_moved_level(a, d) == (want if moved and want <= d else None)
         seen.add(want)
     assert {None, 1, 2, 3} <= seen
+
+
+def _int64_columns(a, depth):
+    """The column pass as it was written with int64 columns tiled afresh
+    for every call: the image columns of ``a`` on levels 1..``depth``."""
+    cols, count = [], 1
+    for i in range(depth):
+        letters = build_alphabet(a.oracle, a.base_level + i + 1).identity_images
+        cols.append(np.tile(letters, count))
+        count *= len(letters)
+    return _int64_apply(a, cols)
+
+
+def _int64_apply(a, cols):
+    if not cols or isinstance(a, IdentityAut):
+        return cols
+    if isinstance(a, RootedAut):
+        cols[0] = a.perm.images[cols[0]]
+    elif isinstance(a, ProductAut):
+        for f in reversed(a.factors):
+            cols = _int64_apply(f, cols)
+    elif isinstance(a, DirectedAut) and len(cols) > 1:
+        lvl = build_alphabet(a.oracle, a.base_level + 1)
+        first = cols[0]
+        mask = first == lvl.x_index
+        if mask.any():
+            _int64_below(DirectedAut(a.oracle, a.base_level + 1, a.seed), mask, cols[1:])
+        rows = cols[1].reshape(len(first), -1)
+        for letter, action in ((lvl.y_index, coset_action), (lvl.z_index, marker_action)):
+            mask = first == letter
+            if mask.any():
+                rows[mask] = action(a.oracle, a.base_level + 2, a.seed).images[rows[mask]]
+    elif isinstance(a, ShiftedAut) and len(cols) > 1:
+        mask = cols[0] == a.index
+        if mask.any():
+            _int64_below(a.inner, mask, cols[1:])
+    return cols
+
+
+def _int64_below(inner, mask, cols):
+    rows = [c.reshape(len(mask), -1) for c in cols]
+    sub = _int64_apply(inner, [r[mask].ravel() for r in rows])
+    for r, s in zip(rows, sub):
+        r[mask] = s.reshape(-1, r.shape[1])
+
+
+def _int64_level_perm(a, depth):
+    images = np.zeros(1, dtype=np.int64)
+    for c in _int64_columns(a, depth):
+        s = len(c) // len(images)
+        images = np.repeat(images, s) * s + c
+    return images
+
+
+def _int64_first_moved_level(a, depth):
+    for d, col in enumerate(_int64_columns(a, depth), 1):
+        letters = build_alphabet(a.oracle, a.base_level + d).identity_images
+        if (col.reshape(-1, len(letters)) != letters).any():
+            return d
+    return None
+
+
+@pytest.mark.parametrize("group, depth, dtype", [("finite:300", 2, np.uint16), ("finite:70000", 1, np.uint32)])
+def test_wide_alphabets_match_the_int64_column_pass(group, depth, dtype):
+    """Letters past 255 and 65 535 keep their values in two- and four-byte
+    columns: rooted, directed and ``u u^-1`` product automorphisms."""
+    oracle = oracle_from_selector(group)
+    rng = random.Random(f"wide/{group}")
+    lvl = build_alphabet(oracle, 1)
+    rot = rooted(oracle, 0, random_even_perm(lvl, rng))
+    last = rooted(oracle, 0, Perm.from_cycles(lvl, f"(q0@1 q@1 q{lvl.size - 7}@1)"))
+    seed = directed(oracle, Seed(oracle, (0, 0, 0), marker_perm("(x z)(y o)")), 0)
+    u = product([rot, seed, last, seed], oracle=oracle, base_level=0)
+    for a in (rot, last, seed, u, product([u, invert(u)], oracle=oracle, base_level=0)):
+        for d in range(depth + 1):
+            images = level_perm(a, d).images
+            assert np.array_equal(images, _int64_level_perm(a, d))
+            assert first_moved_level(a, d) == _int64_first_moved_level(a, d)
+    assert {_base_column(oracle, 0, d).dtype for d in range(1, depth + 1)} == {np.dtype(dtype)}
+
+
+def _cached_columns(oracle):
+    return {k: v for k, v in oracle.cache.items() if k[0] == "base_column"}
+
+
+@pytest.mark.parametrize("group", CYCLE_TYPE_GROUPS)
+def test_shared_base_columns_stay_identity_columns(group):
+    """The identity columns are built once per oracle and level, stay
+    read-only, and still equal fresh tiles after moving automorphisms ran
+    through both column passes; the image columns keep their type."""
+    oracle = oracle_from_selector(group)
+    depth = max(d for d in range(1, 5) if vertex_count(oracle, 0, d) <= 600_000)
+    for a in _first_moved_auts(oracle, random.Random(f"base-columns/{group}")):
+        first_moved_level(a, depth)
+        level_perm(a, depth)
+        bases, cols = _level_columns(a, depth, cap=600_000)
+        assert [c.dtype for c in cols] == [c.dtype for c in bases]
+    cached = _cached_columns(oracle)
+    assert sorted(cached) == [("base_column", 0, d) for d in range(1, depth + 1)]
+    for (_, _, d), col in cached.items():
+        size = build_alphabet(oracle, d).size
+        fresh = np.tile(np.arange(size, dtype=np.min_scalar_type(size - 1)), vertex_count(oracle, 0, d - 1))
+        assert not col.flags.writeable
+        # equal values of one type are equal bytes
+        assert col.dtype == fresh.dtype and np.array_equal(col, fresh)
+        assert _base_column(oracle, 0, d) is col
+
+
+def test_trivial_product_checks_depth_4_in_byte_columns(dinf):
+    """Once its levels are built, checking a trivial product on dihedral
+    level 4 (554 625 vertices of 125 letters) copies byte columns: its
+    peak stays under 1.5 MB, against 4.9 MB with int64 columns tiled
+    afresh."""
+    u = rand_shifted_word_aut(dinf, random.Random(4))
+    a = product([u, invert(u)], oracle=dinf, base_level=0)
+    assert first_moved_level(a, 4) is None
+    tracemalloc.start()
+    try:
+        assert first_moved_level(a, 4) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vertex_count(dinf, 0, 4) == 554_625
+    assert peak < 1.5 * 2**20
 
 
 @pytest.mark.parametrize("group", ["dihedral_infinite", "integers"])
