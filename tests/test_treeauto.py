@@ -498,10 +498,6 @@ def test_wide_alphabets_match_the_int64_column_pass(group, depth, dtype):
     assert {_base_column(oracle, 0, d).dtype for d in range(1, depth + 1)} == {np.dtype(dtype)}
 
 
-def _cached_columns(oracle):
-    return {k: v for k, v in oracle.cache.items() if k[0] == "base_column"}
-
-
 @pytest.mark.parametrize("group", CYCLE_TYPE_GROUPS)
 def test_shared_base_columns_stay_identity_columns(group):
     """The identity columns are built once per oracle and level, stay
@@ -514,7 +510,7 @@ def test_shared_base_columns_stay_identity_columns(group):
         level_perm(a, depth)
         bases, cols = _level_columns(a, depth, cap=600_000)
         assert [c.dtype for c in cols] == [c.dtype for c in bases]
-    cached = _cached_columns(oracle)
+    cached = {k: v for k, v in oracle.cache.items() if k[0] == "base_column"}
     assert sorted(cached) == [("base_column", 0, d) for d in range(1, depth + 1)]
     for (_, _, d), col in cached.items():
         size = build_alphabet(oracle, d).size
