@@ -309,26 +309,40 @@ def _cycle_walk(images):
     doubles the jump, until every letter points at its least letter.
     The work arrays are as long as the alphabet, so each is dropped as
     soon as it is spent.
+
+    Images that are not a bijection raise ``ValueError``: a moved
+    letter's image must be moved, and no two moved letters may share an
+    image.  A bijection's places settle within ``ceil(log2 m) + 1``
+    rounds, and the jumping stops there in any case.
     """
     moved = np.flatnonzero(images != np.arange(len(images)))
     m = len(moved)
     if not m:
         return moved, moved
+    targets = images[moved]
+    if (images[targets] == targets).any():
+        raise ValueError("images do not form a bijection")
     local = np.arange(m)
     index = np.empty(len(images), dtype=np.int64)
     index[moved] = local
-    step = index[images[moved]]
-    del index
-    rep = _least_letters(step)
+    step = index[targets]
+    del index, targets
     jump = np.empty(m, dtype=np.int64)
     jump[step] = local
+    if not np.array_equal(jump[step], local):
+        raise ValueError("images do not form a bijection")
+    rep = _least_letters(step)
     del step
     at_rep = rep == local
     jump[at_rep] = local[at_rep]
     place = (~at_rep).astype(np.int64)
-    while not np.array_equal(jump, rep):
+    for _ in range((m - 1).bit_length() + 1):
+        if np.array_equal(jump, rep):
+            break
         place += place[jump]
         jump = jump[jump]
+    else:
+        raise ValueError("images do not form a bijection")
     del jump, local
     lengths = np.bincount(rep, minlength=m)
     ends = np.cumsum(lengths)

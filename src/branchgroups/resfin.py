@@ -17,6 +17,7 @@ from __future__ import annotations
 from array import array
 from functools import reduce
 from itertools import islice
+from math import lcm
 
 import numpy as np
 
@@ -153,7 +154,15 @@ class FiniteQuotient:
     tables.  ``key`` identifies the quotient up to an identical
     homomorphism from the source, and is used to deduplicate components
     in product constructions.
+
+    The cyclic and dihedral quotients of the bundled groups skip the
+    search: :func:`_cyclic_quotient` and :func:`_dihedral_quotient` write
+    the visit order and both row sets in closed form, and mark the
+    quotient with ``_family``, the builder and its parameter.  Two
+    quotients of one family fold and factor by that parameter alone.
     """
+
+    _family = None
 
     def __init__(self, rows, key=None):
         label, codes = _closure(rows)
@@ -200,7 +209,12 @@ class FiniteQuotient:
 
         The candidate map sends ``other``'s element ``x`` to the image of
         its spanning-tree word; it is the factorization exactly when it
-        commutes with every generator row."""
+        commutes with every generator row.  Within one family, C_a
+        (or D_a) is a quotient of C_b (or D_b) exactly when a divides b."""
+        family = self._same_family(other)
+        if family is not None:
+            _, a, b = family
+            return b % a == 0
         images = self._tree_images(0, other)
         return all(np.array_equal(images[_ints(there)], _ints(here)[images]) for here, there in zip(self.right, other.right))
 
@@ -213,7 +227,16 @@ class FiniteQuotient:
         two factors' rows, ``(i, j)`` times generator ``s`` on either
         side having code ``here[s][i] * width + there[s][j]``; they are
         gathered at the reached codes only, after the ambient rows are
-        dropped, and the spanning tree is read off the right rows."""
+        dropped, and the spanning tree is read off the right rows.
+
+        Within one family the image is the family's quotient at the lcm
+        of the two parameters: ``t`` maps to an element of order lcm(a, b)
+        in C_a x C_b (or D_a x D_b), and the enumeration depends only on
+        the kernel."""
+        family = self._same_family(other)
+        if family is not None:
+            builder, a, b = family
+            return builder(lcm(a, b))
         width = other.order
         label, codes = _closure(
             [_int_row(np.add.outer(_ints(here) * width, _ints(there)).ravel()) for here, there in zip(self.right, other.right)]
@@ -229,8 +252,61 @@ class FiniteQuotient:
         image.left = tuple(map(_int_row, paired(self.left, other.left)))
         return image
 
+    def _same_family(self, other):
+        """``(builder, a, b)`` when both quotients come from one
+        closed-form builder, at parameters ``a`` and ``b``; else None."""
+        if self._family and other._family and self._family[0] is other._family[0]:
+            return (*self._family, other._family[1])
+        return None
+
     def __repr__(self):
         return f"FiniteQuotient(order={self.order}, key={self.key!r})"
+
+
+def _closed_form(codes, right, left, key, family):
+    """A quotient whose breadth-first visit order is known: ``codes``
+    holds the ambient codes in the order the search reaches them,
+    ``right[s]`` and ``left[s]`` the codes of those elements times
+    generator ``s`` on either side (``left`` None when it equals
+    ``right``).  Labels are places in ``codes``, so each row is one
+    gather.  ``family`` is ``(builder, parameter)``."""
+    label = np.empty(len(codes), dtype=np.int32)
+    label[codes] = np.arange(len(codes), dtype=np.int32)
+    quotient = FiniteQuotient.__new__(FiniteQuotient)
+    quotient._store((label[row] for row in right), key)
+    quotient.left = quotient.right if left is None else tuple(_int_row(label[row]) for row in left)
+    quotient._family = family
+    return quotient
+
+
+def _cyclic_quotient(k):
+    """The cyclic group of order ``k`` over ``t``, ``t'``, code ``c``
+    standing for ``t^c``.  The search reaches t^0, t^1, t^-1, t^2,
+    t^-2, ...; at even ``k``, ``t^(k/2)`` is reached first as a positive
+    power.  The group is abelian, so the left rows are the right rows."""
+    x = np.arange(k, dtype=np.int32)
+    codes = np.where(x % 2 == 1, (x + 1) // 2, k - x // 2) % k
+    return _closed_form(codes, [(codes + 1) % k, (codes - 1) % k], None, ("cyclic", k), (_cyclic_quotient, k))
+
+
+def _dihedral_quotient(h):
+    """The dihedral group of order ``2h`` over ``a``, ``t``, ``t'``, code
+    ``e*h + m`` standing for ``a^e t^m``.  The search reaches (0, 0),
+    (1, 0), then (0, m), (0, -m), (1, m), (1, -m) for m = 1, 2, ...,
+    each code where it first appears; at even ``h``, ``m = h/2`` adds
+    (0, h/2) and (1, h/2) only.  On the right, ``a`` flips e and negates
+    m and ``t`` adds 1 to m; on the left, ``a`` flips e only and ``t``
+    adds 1 to m when e = 0 and subtracts 1 when e = 1."""
+    m = np.arange(1, (h + 1) // 2, dtype=np.int32)
+    first = np.array([0, h], dtype=np.int32)
+    middle = first + h // 2 if h % 2 == 0 else first[:0]
+    codes = np.concatenate((first, np.stack([m, h - m, h + m, 2 * h - m], axis=1).ravel(), middle))
+    e, m = np.divmod(codes, h)
+    flip = (1 - e) * h
+    shift = 1 - 2 * e
+    right = [flip + -m % h, e * h + (m + 1) % h, e * h + (m - 1) % h]
+    left = [flip + m, e * h + (m + shift) % h, e * h + (m - shift) % h]
+    return _closed_form(codes, right, left, ("dihedral", h), (_dihedral_quotient, h))
 
 
 class GroupOracle:
@@ -332,12 +408,7 @@ class _CyclicBase(GroupOracle):
         super().__init__(name, ("t", "t'"), (1, 0))
 
     def _cyclic(self, k):
-        # code c stands for t^c
-        def build():
-            codes = np.arange(k, dtype=np.int32)
-            return FiniteQuotient([_int_row((codes + step) % k) for step in (1, -1)], key=("cyclic", k))
-
-        return self._quotient(("cyclic", k), build)
+        return self._quotient(("cyclic", k), lambda: _cyclic_quotient(k))
 
     def conjugate(self, g, k):
         if self.element_key(g) == self.element_key(k):
@@ -391,18 +462,7 @@ class DihedralOracle(GroupOracle):
         return (eps, m)
 
     def _dihedral(self, half):
-        # code e * half + m stands for a^e t^m; right multiplication by a
-        # flips e and negates m, by t or t' shifts m
-        def build():
-            codes = [divmod(c, half) for c in range(2 * half)]
-            rows = [
-                [(e ^ 1) * half + (-m % half) for e, m in codes],
-                [e * half + (m + 1) % half for e, m in codes],
-                [e * half + (m - 1) % half for e, m in codes],
-            ]
-            return FiniteQuotient(rows, key=("dihedral", half))
-
-        return self._quotient(("dihedral", half), build)
+        return self._quotient(("dihedral", half), lambda: _dihedral_quotient(half))
 
     def detect(self, word):
         if self.is_identity(word):

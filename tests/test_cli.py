@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import importlib
+import importlib.util
 import io
 import json
 import pathlib
@@ -533,3 +534,20 @@ def test_file_selector_is_unknown(capsys):
 def test_missing_file_exit_2(capsys):
     code, out, err = run(capsys, "wp", "/nonexistent/file.txt")
     assert code == 2
+
+
+def test_benchmark_chain_reports_match_golden_digests():
+    # the benchmark's cli-cold workload counts a chain report whose bytes
+    # moved as failed; the same reports, checked here, guard those bytes
+    # on every run of the suite
+    spec = importlib.util.spec_from_file_location("_perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))["ops"]
+    assert len(inputs.CHAIN_OPS) == 7
+    for group, level in inputs.CHAIN_OPS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--group", group, "chain", str(level)])
+        digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16]
+        assert [digest, code] == golden[f"chain:{group}:{level}"], (group, level)

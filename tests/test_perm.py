@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import signal
 import time
 import tracemalloc
 
@@ -329,6 +330,27 @@ def test_identities_print_empty_cycle(label_kind):
     for n in range(1, 301):
         p = _check_cycle_notation(list(range(n)), label_kind)
         assert str(p) == "()" and p.cycles() == []
+
+
+@pytest.mark.parametrize(
+    "images",
+    [
+        [5, 6, 0, 6, 3, 4, 5, 2],  # two letters share an image; the jumping used to loop forever
+        [1, 1, 3, 2],  # a moved letter maps onto a fixed one; this used to print (0)(2 3)
+    ],
+)
+def test_cycle_walk_rejects_non_bijections(images):
+    p = Perm(IndexedAlphabet(len(images)), images, check=False)
+    previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the cycle walk did not return"))
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="images do not form a bijection"):
+            str(p)
+        with pytest.raises(ValueError, match="images do not form a bijection"):
+            p.cycles()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_cycle_notation_roundtrip(abc):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -231,6 +232,88 @@ def test_factors_through(zz, dinf):
     second, _ = efrf_query(product, parse_word(product, "2.t"))
     assert not second.factors_through(first)
     assert second.factors_through(first.fold(second))
+
+
+def _cyclic_by_closure(k):
+    """The cyclic quotient closed over its rows as they were defined
+    before the closed form: code c stands for t^c."""
+    codes = np.arange(k, dtype=np.int32)
+    return resfin.FiniteQuotient([(codes + step) % k for step in (1, -1)], key=("cyclic", k))
+
+
+def _dihedral_by_closure(h):
+    """The dihedral quotient closed over its former rows: code e*h + m
+    stands for a^e t^m."""
+    codes = [divmod(c, h) for c in range(2 * h)]
+    rows = [
+        [(e ^ 1) * h + (-m % h) for e, m in codes],
+        [e * h + (m + 1) % h for e, m in codes],
+        [e * h + (m - 1) % h for e, m in codes],
+    ]
+    return resfin.FiniteQuotient(rows, key=("dihedral", h))
+
+
+FAMILIES = [(resfin._cyclic_quotient, _cyclic_by_closure), (resfin._dihedral_quotient, _dihedral_by_closure)]
+
+
+def _assert_same_quotient(got, want):
+    # array("i") rows compare entry by entry
+    assert got.order == want.order
+    assert got.right == want.right and got.left == want.left
+    assert got.parent == want.parent and got.via == want.via
+    assert got.gen_images == want.gen_images
+
+
+@pytest.mark.parametrize("closed_form, by_closure", FAMILIES)
+def test_closed_forms_match_closure(closed_form, by_closure):
+    for n in range(2, 301):
+        got, want = closed_form(n), by_closure(n)
+        _assert_same_quotient(got, want)
+        assert got.key == want.key, n
+        assert want._family is None and got._family == (closed_form, n)
+
+
+@pytest.mark.parametrize("closed_form, by_closure", FAMILIES)
+def test_same_family_fold_and_factoring_match_generic(closed_form, by_closure):
+    # quotients built by the closure carry no family, so they take the
+    # generic fold and factoring test; one closed-form side alone does too
+    plain = {n: by_closure(n) for n in range(2, 61)}
+    built = {n: closed_form(n) for n in range(2, 61)}
+    for a, b in itertools.product(range(2, 61), repeat=2):
+        generic = plain[a].factors_through(plain[b])
+        assert built[a].factors_through(built[b]) == generic == (b % a == 0), (a, b)
+        assert built[a].factors_through(plain[b]) == generic, (a, b)
+    # every pair up to 20; past that, b = 60 against every a, consecutive
+    # (coprime) pairs and multiples
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations_with_replacement(range(2, 61), 2)
+        if b <= 20 or b == 60 or b == a + 1 or b % a == 0
+    ]
+    for a, b in pairs:
+        generic = plain[a].fold(plain[b])
+        for got in (built[a].fold(built[b]), built[b].fold(built[a])):
+            _assert_same_quotient(got, generic)
+            assert got._family == (closed_form, math.lcm(a, b)), (a, b)
+        if b <= 8:
+            mixed = built[a].fold(plain[b])
+            _assert_same_quotient(mixed, generic)
+            assert mixed._family is None
+
+
+def test_bundled_level_maps_skip_closure_and_tree_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("closure or tree walk ran")
+
+    monkeypatch.setattr(resfin, "_closure", refuse)
+    monkeypatch.setattr(resfin.FiniteQuotient, "_tree_images", refuse)
+    for oracle in (IntegerOracle(), DihedralOracle()):
+        for n in range(1, 12):
+            assert build_level_map(oracle, n).quotient.order > 1
+    for m in (2, 7, 500_000):
+        oracle = oracle_from_selector(f"finite:{m}")
+        assert [q.order for q in level_components(oracle, 3)] == [m]
+        assert build_level_map(oracle, 3).quotient.order == m
 
 
 def test_level_map_order_cap():
