@@ -177,7 +177,10 @@ def coset_action(oracle, n, seed):
 
     Cosets move by left multiplication; x, y, z stay fixed; p and q swap
     exactly when left multiplication is an odd permutation of the cosets,
-    which makes the result even.  Cached per level and group element.
+    which makes the result even.  The sign of left multiplication by an
+    element of order o in a quotient of order N is (-1)^(N - N/o)
+    (:meth:`FiniteQuotient.left_mult_sign`), so no cycle decomposition
+    runs.  Cached per level and group element.
     """
     level = build_alphabet(oracle, n)
     cache_key = ("coset_action", n, oracle.element_key(seed.g))
@@ -187,15 +190,12 @@ def coset_action(oracle, n, seed):
     quotient = level.quotient
     img = quotient.apply_word(seed.g)
     images = level.identity_images.copy()
-    images[: quotient.order] = quotient.left_mult_images(img)
-    p = Perm(level, images, check=False)
-    # x, y, z, p and q are still fixed, so this sign is the coset block's
-    if p.sign == -1:
-        images = images.copy()
+    block = quotient.left_mult_images(img)
+    images[: quotient.order] = block
+    if quotient.left_mult_sign(block) == -1:
         images[level.p_index] = level.q_index
         images[level.q_index] = level.p_index
-        p = Perm(level, images, check=False)
-    return oracle.cache.setdefault(cache_key, p)
+    return oracle.cache.setdefault(cache_key, Perm(level, images, check=False, sign=1))
 
 
 def marker_action(oracle, n, seed):
@@ -214,5 +214,5 @@ def marker_action(oracle, n, seed):
     images = level.identity_images.copy()
     for sym in range(6):
         images[spots[sym]] = spots[marker(sym)]
-    p = Perm(level, images, check=False)
-    return oracle.cache.setdefault(cache_key, p)
+    # the marker part is even, and so is its action on six letters
+    return oracle.cache.setdefault(cache_key, Perm(level, images, check=False, sign=1))

@@ -137,11 +137,13 @@ class Perm:
     ``Perm(alphabet, images)`` copies and validates the images.  With
     ``check=False`` it does neither: the caller hands over a fresh int64
     array that nothing else writes, and the permutation marks it read-only.
+    A caller that knows the sign from the construction passes it as
+    ``sign``, which is trusted.
     """
 
     __slots__ = ("alphabet", "images", "_hash", "_sign")
 
-    def __init__(self, alphabet, images, check=True):
+    def __init__(self, alphabet, images, check=True, sign=None):
         arr = np.array(images, dtype=np.int64) if check else np.asarray(images, dtype=np.int64)
         if arr.shape != (alphabet.size,):
             raise ValueError("image array does not match alphabet size")
@@ -153,15 +155,14 @@ class Perm:
         self.alphabet = alphabet
         self.images = arr
         self._hash = None
-        self._sign = None
+        self._sign = sign
 
     @classmethod
     def identity(cls, alphabet):
         """The alphabet's one identity permutation, built on first use."""
         p = alphabet._identity_perm
         if p is None:
-            p = cls(alphabet, alphabet.identity_images, check=False)
-            p._sign = 1
+            p = cls(alphabet, alphabet.identity_images, check=False, sign=1)
             alphabet._identity_perm = p
         return p
 
@@ -195,9 +196,7 @@ class Perm:
         if not _CYCLES_ONLY_RE.fullmatch(text):
             rest = _CYCLE_RE.sub("", text).strip()
             raise ValueError(f"unexpected text {rest!r} in cycle notation")
-        p = cls(alphabet, images, check=False)
-        p._sign = -1 if transpositions % 2 else 1
-        return p
+        return cls(alphabet, images, check=False, sign=-1 if transpositions % 2 else 1)
 
     def __call__(self, i):
         return int(self.images[i])
@@ -211,9 +210,7 @@ class Perm:
     def inverse(self):
         inv = np.empty(self.alphabet.size, dtype=np.int64)
         inv[self.images] = self.alphabet.identity_images
-        p = Perm(self.alphabet, inv, check=False)
-        p._sign = self._sign
-        return p
+        return Perm(self.alphabet, inv, check=False, sign=self._sign)
 
     def cycles(self):
         """Nontrivial cycles as index tuples, each starting at its least
@@ -391,10 +388,8 @@ def compose(p, q):
     """The product ``p o q``: apply ``q`` first, then ``p``."""
     if p.alphabet != q.alphabet:
         raise ValueError("cannot compose permutations of different alphabets")
-    r = Perm(p.alphabet, p.images[q.images], check=False)
-    if p._sign is not None and q._sign is not None:
-        r._sign = p._sign * q._sign
-    return r
+    sign = p._sign * q._sign if p._sign is not None and q._sign is not None else None
+    return Perm(p.alphabet, p.images[q.images], check=False, sign=sign)
 
 
 def compose_all(perms, alphabet=None):
@@ -428,9 +423,7 @@ def random_even_perm(alphabet, rng):
             odd = not odd
     if odd:
         img[0], img[1] = img[1], img[0]
-    p = Perm(alphabet, img, check=False)
-    p._sign = 1
-    return p
+    return Perm(alphabet, img, check=False, sign=1)
 
 
 def orbit(gen_rows, starts, act=getitem):

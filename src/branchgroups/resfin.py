@@ -15,9 +15,9 @@ Words are plain tuples of generator indices.  The inverse of generator
 from __future__ import annotations
 
 from array import array
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -135,31 +135,46 @@ class FiniteQuotient:
     depends only on which generator words are equal in the group, not on
     the codes.
 
-    The closure keeps what it computes and nothing else:
+    The closure keeps ``right[s]``, an ``array("i")`` row per generator,
+    where ``right[s][x]`` is the index of element ``x`` times generator
+    ``s``.  The search records only the order in which it reaches the
+    codes; the label of each code is its place in that order, the right
+    rows are gathered from the ambient rows once the search ends, and the
+    ambient rows and the label table are dropped.  Two more tables are
+    built the first time something reads them:
 
-    - the spanning tree of the search, where element ``x`` is element
-      ``parent[x]`` times generator ``via[x]``, reached first in that
-      order;
-    - ``right[s]`` and ``left[s]``, ``array("i")`` rows per generator,
-      where ``right[s][x]`` is the index of element ``x`` times generator
-      ``s`` and ``left[s][x]`` that of generator ``s`` times element
-      ``x``.
+    - ``left[s]``, where ``left[s][x]`` is the index of generator ``s``
+      times element ``x``;
+    - ``_tree``, the spanning tree of the search as the pair of rows
+      ``(parent, via)``, where element ``x`` is element ``parent[x]``
+      times generator ``via[x]``, reached first in that order
+      (:func:`_spanning_tree`).
 
-    The search records only the order in which it reaches the codes.  The
-    label of each code is its place in that order; the right rows are
-    gathered from the ambient rows once the search ends, the spanning
-    tree is read off the right rows (:func:`_spanning_tree`), and the
-    left rows are walked along the tree.  The ambient rows and the label
-    table are dropped afterwards; every product is a walk in these
-    tables.  ``key`` identifies the quotient up to an identical
-    homomorphism from the source, and is used to deduplicate components
-    in product constructions.
+    Such a generic quotient multiplies on the left by a walk along its
+    spanning tree (:meth:`_tree_images`).  ``key`` identifies the quotient
+    up to an identical homomorphism from the source, and is used to
+    deduplicate components in product constructions.
 
     The cyclic and dihedral quotients of the bundled groups skip the
-    search: :func:`_cyclic_quotient` and :func:`_dihedral_quotient` write
-    the visit order and both row sets in closed form, and mark the
-    quotient with ``_family``, the builder and its parameter.  Two
-    quotients of one family fold and factor by that parameter alone.
+    search and the tree: :func:`_cyclic_quotient` and
+    :func:`_dihedral_quotient` write the visit order and the right rows in
+    closed form.  Such a quotient keeps its visit order, ``codes`` (the
+    ambient code of each element) and ``label`` (the element of each
+    code), and is marked with ``_family``, the builder and its parameter
+    ``n``.  Ambient code ``e*n + m`` stands for a^e t^m, with e = 0 only
+    in C_n, so its left regular representation is known outright:
+
+    - left multiplication is one gather of the product rule
+      a^e' t^m' . a^e t^m = a^(e'+e) t^((-1)^e m' + m);
+    - ``t`` is one n-cycle t^0 -> t^1 -> ... in C_n, and two in D_n,
+      (0, m) -> (0, m+1) from element 0 and (1, m) -> (1, m-1) from
+      element 1; ``a`` swaps (0, m) and (1, m), (0, m) first, the cycles
+      in the visit order of the rotations (:meth:`cycle_walk`);
+    - an element's order is 2 for a reflection and n / gcd(m, n) for a
+      rotation, which gives the sign of its left multiplication
+      (:meth:`left_mult_sign`).
+
+    Two quotients of one family fold and factor by ``n`` alone.
     """
 
     _family = None
@@ -167,16 +182,20 @@ class FiniteQuotient:
     def __init__(self, rows, key=None):
         label, codes = _closure(rows)
         self._store((label[np.asarray(row)[codes]] for row in rows), key)
-        self.left = tuple(_int_row(self._tree_images(g, self)) for g in self.gen_images)
 
     def _store(self, right, key):
         self.right = tuple(map(_int_row, right))
-        parent, via = _spanning_tree([_ints(row) for row in self.right])
-        self.order = len(parent)
-        self.parent = _int_row(parent)
-        self.via = _int_row(via)
+        self.order = len(self.right[0])
         self.gen_images = tuple(row[0] for row in self.right)
         self.key = key
+
+    @cached_property
+    def _tree(self):
+        return tuple(map(_int_row, _spanning_tree([_ints(row) for row in self.right])))
+
+    @cached_property
+    def left(self):
+        return tuple(_int_row(self._left_images(g)) for g in self.gen_images)
 
     def _tree_images(self, start, tree):
         """Images in this quotient of ``tree``'s spanning-tree words, each
@@ -186,14 +205,60 @@ class FiniteQuotient:
         right = self.right
         images = array("i", [start])
         append = images.append
-        for p, s in islice(zip(tree.parent, tree.via), 1, None):
+        for p, s in islice(zip(*tree._tree), 1, None):
             append(right[s][images[p]])
         return _ints(images)
 
+    def _left_images(self, i):
+        """The int32 images of left multiplication by element ``i``."""
+        if self._family is None:
+            return self._tree_images(i, self)
+        n = self._family[1]
+        e, m = np.divmod(self.codes, n)
+        f, k = divmod(int(self.codes[i]), n)
+        return self.label[(e ^ f) * n + (m + k * (1 - 2 * e)) % n]
+
     def left_mult_images(self, i):
-        """Image array of left multiplication by element ``i``; for a
-        generator's image this is its ``left`` row."""
-        return self._tree_images(i, self).astype(np.int64)
+        """Image array of left multiplication by element ``i``: one gather
+        in a closed-form quotient, a spanning-tree walk in a generic one.
+        For a generator's image this is its ``left`` row."""
+        return self._left_images(i).astype(np.int64)
+
+    def left_mult_sign(self, images):
+        """The sign of the left multiplication whose image array is
+        ``images``, that of element ``i = images[0]``, the image of the
+        identity.  Cayley's representation is semiregular: all N/o cycles
+        have length o, the order of ``i``, so the sign is (-1)^(N - N/o).
+        A closed-form quotient reads o off the code of ``i``; a generic one
+        walks the cycle of ``images`` through the identity, which runs
+        through the o powers of ``i``."""
+        x = int(images[0])
+        if self._family is None:
+            o = 1
+            while x:
+                o, x = o + 1, int(images[x])
+        else:
+            n = self._family[1]
+            e, m = divmod(int(self.codes[x]), n)
+            o = 2 if e else n // gcd(m, n)
+        return -1 if (self.order - self.order // o) % 2 else 1
+
+    def cycle_walk(self, s):
+        """Left multiplication by generator ``s`` as a cycle walk
+        (:func:`perm._cycle_walk`).  A generic quotient walks its left row;
+        a closed-form one writes the cycles of ``a``, ``t`` or ``t'`` from
+        its visit order, each cycle from its least element."""
+        if self._family is None:
+            return _cycle_walk(_ints(self.left[s]))
+        n = self._family[1]
+        codes, label = self.codes, self.label
+        e, m = divmod(int(codes[self.gen_images[s]]), n)
+        if e:
+            rotations = codes[codes < n]
+            return label[np.stack([rotations, rotations + n], axis=1).ravel()], np.arange(0, self.order + 1, 2)
+        steps = np.arange(n, dtype=np.int32) * (1 if m == 1 else -1)
+        cycles = (steps % n, n + -steps % n)[: self.order // n]
+        return label[np.concatenate(cycles)], np.arange(0, self.order + 1, n)
 
     def apply_word(self, word):
         acc = 0
@@ -227,7 +292,7 @@ class FiniteQuotient:
         two factors' rows, ``(i, j)`` times generator ``s`` on either
         side having code ``here[s][i] * width + there[s][j]``; they are
         gathered at the reached codes only, after the ambient rows are
-        dropped, and the spanning tree is read off the right rows.
+        dropped.
 
         Within one family the image is the family's quotient at the lcm
         of the two parameters: ``t`` maps to an element of order lcm(a, b)
@@ -263,18 +328,19 @@ class FiniteQuotient:
         return f"FiniteQuotient(order={self.order}, key={self.key!r})"
 
 
-def _closed_form(codes, right, left, key, family):
+def _closed_form(codes, right, key, family):
     """A quotient whose breadth-first visit order is known: ``codes``
     holds the ambient codes in the order the search reaches them,
-    ``right[s]`` and ``left[s]`` the codes of those elements times
-    generator ``s`` on either side (``left`` None when it equals
-    ``right``).  Labels are places in ``codes``, so each row is one
-    gather.  ``family`` is ``(builder, parameter)``."""
+    ``right[s]`` the codes of those elements times generator ``s``.
+    Labels are places in ``codes``, so each row is one gather; the
+    quotient keeps ``codes`` and ``label``.  ``family`` is
+    ``(builder, n)``."""
     label = np.empty(len(codes), dtype=np.int32)
     label[codes] = np.arange(len(codes), dtype=np.int32)
     quotient = FiniteQuotient.__new__(FiniteQuotient)
     quotient._store((label[row] for row in right), key)
-    quotient.left = quotient.right if left is None else tuple(_int_row(label[row]) for row in left)
+    quotient.codes = codes
+    quotient.label = label
     quotient._family = family
     return quotient
 
@@ -283,10 +349,10 @@ def _cyclic_quotient(k):
     """The cyclic group of order ``k`` over ``t``, ``t'``, code ``c``
     standing for ``t^c``.  The search reaches t^0, t^1, t^-1, t^2,
     t^-2, ...; at even ``k``, ``t^(k/2)`` is reached first as a positive
-    power.  The group is abelian, so the left rows are the right rows."""
+    power."""
     x = np.arange(k, dtype=np.int32)
     codes = np.where(x % 2 == 1, (x + 1) // 2, k - x // 2) % k
-    return _closed_form(codes, [(codes + 1) % k, (codes - 1) % k], None, ("cyclic", k), (_cyclic_quotient, k))
+    return _closed_form(codes, [(codes + 1) % k, (codes - 1) % k], ("cyclic", k), (_cyclic_quotient, k))
 
 
 def _dihedral_quotient(h):
@@ -295,18 +361,14 @@ def _dihedral_quotient(h):
     (1, 0), then (0, m), (0, -m), (1, m), (1, -m) for m = 1, 2, ...,
     each code where it first appears; at even ``h``, ``m = h/2`` adds
     (0, h/2) and (1, h/2) only.  On the right, ``a`` flips e and negates
-    m and ``t`` adds 1 to m; on the left, ``a`` flips e only and ``t``
-    adds 1 to m when e = 0 and subtracts 1 when e = 1."""
+    m and ``t`` adds 1 to m."""
     m = np.arange(1, (h + 1) // 2, dtype=np.int32)
     first = np.array([0, h], dtype=np.int32)
     middle = first + h // 2 if h % 2 == 0 else first[:0]
     codes = np.concatenate((first, np.stack([m, h - m, h + m, 2 * h - m], axis=1).ravel(), middle))
     e, m = np.divmod(codes, h)
-    flip = (1 - e) * h
-    shift = 1 - 2 * e
-    right = [flip + -m % h, e * h + (m + 1) % h, e * h + (m - 1) % h]
-    left = [flip + m, e * h + (m + shift) % h, e * h + (m - shift) % h]
-    return _closed_form(codes, right, left, ("dihedral", h), (_dihedral_quotient, h))
+    right = [(1 - e) * h + -m % h, e * h + (m + 1) % h, e * h + (m - 1) % h]
+    return _closed_form(codes, right, ("dihedral", h), (_dihedral_quotient, h))
 
 
 class GroupOracle:
@@ -350,7 +412,11 @@ class GroupOracle:
 
     def ball(self, radius):
         """Shortest representative words for all elements of the radius ball,
-        identity included, in deterministic (length, lex) order."""
+        identity included, in deterministic (length, lex) order: a tuple,
+        searched once per radius."""
+        got = self.cache.get(("ball", radius))
+        if got is not None:
+            return got
         reps = {self.element_key(()): ()}
         out = [()]
         frontier = [()]
@@ -365,7 +431,7 @@ class GroupOracle:
                         out.append(cand)
                         new.append(cand)
             frontier = new
-        return out
+        return self.cache.setdefault(("ball", radius), tuple(out))
 
     def _quotient(self, key, builder):
         got = self.cache.get(("quotient", key))
@@ -694,15 +760,17 @@ def format_quotient_map(qm):
     generator with its image as a permutation of the quotient enumeration
     (left multiplication), in cycle notation over element indices.
 
-    The left rows are walked once per pair of mutually inverse
-    generators: the image of ``inverse[s]`` is that of ``s`` inverted,
-    whose cycles are those of ``s`` with each tail reversed."""
+    Each pair of mutually inverse generators is walked once
+    (:meth:`FiniteQuotient.cycle_walk`): the image of ``inverse[s]`` is
+    that of ``s`` inverted, whose cycles are those of ``s`` with each
+    tail reversed.  A closed-form quotient writes the cycles of ``a`` and
+    ``t`` from its visit order; only a generic one walks its left rows."""
     quotient = qm.quotient
     inverse = qm.oracle.inverse
     lines = [f"order {quotient.order}"]
     walks = []
-    for s, (name, row) in enumerate(zip(qm.oracle.gen_names, quotient.left)):
-        walk = _inverse_walk(*walks[inverse[s]]) if inverse[s] < s else _cycle_walk(_ints(row))
+    for s, name in enumerate(qm.oracle.gen_names):
+        walk = _inverse_walk(*walks[inverse[s]]) if inverse[s] < s else quotient.cycle_walk(s)
         walks.append(walk)
         lines.append(f"{name} -> {_decimal_cycles(*walk)}")
     return "\n".join(lines)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from branchgroups import resfin
-from branchgroups.alphabet import Seed
-from branchgroups.perm import IndexedAlphabet
+from branchgroups import perm, resfin
+from branchgroups.alphabet import Seed, coset_action
+from branchgroups.perm import IndexedAlphabet, Perm, _cycle_walk
 from branchgroups.resfin import (
     NOT_CONJUGATE,
     TRIVIAL,
@@ -154,8 +154,7 @@ def test_closure_matches_reference_loop(rows):
     quotient = resfin.FiniteQuotient(rows)
     assert quotient.order == len(codes)
     assert [list(row) for row in quotient.right] == [[label[row[c]] for c in codes] for row in rows]
-    assert list(quotient.parent) == parent
-    assert list(quotient.via) == via
+    assert [list(row) for row in quotient._tree] == [parent, via]
 
 
 def _tuple_closure(components, n_gens, limit):
@@ -192,17 +191,17 @@ def test_fold_matches_tuple_closure(selector):
         quotient = build_level_map(oracle, n).quotient
         assert quotient.order == order, n
         assert [list(row) for row in quotient.right] == right, n
-        assert list(quotient.parent) == parent and list(quotient.via) == via, n
+        assert [list(row) for row in quotient._tree] == [parent, via], n
         _assert_left_rows(quotient)
     assert n > 1
 
 
 def _assert_left_rows(quotient):
-    # the carried left rows are left multiplication by each generator's
-    # image, as the spanning-tree walk computes it
+    # the left rows are left multiplication by each generator's image, as
+    # the spanning-tree walk computes it
     assert len(quotient.left) == len(quotient.gen_images)
     for row, g in zip(quotient.left, quotient.gen_images):
-        assert np.array_equal(np.asarray(row), quotient.left_mult_images(g)), g
+        assert np.array_equal(np.asarray(row), quotient._tree_images(g, quotient)), g
 
 
 @pytest.mark.parametrize("selector", sorted(SWEEP_LEVELS))
@@ -260,7 +259,7 @@ def _assert_same_quotient(got, want):
     # array("i") rows compare entry by entry
     assert got.order == want.order
     assert got.right == want.right and got.left == want.left
-    assert got.parent == want.parent and got.via == want.via
+    assert got._tree == want._tree
     assert got.gen_images == want.gen_images
 
 
@@ -302,18 +301,32 @@ def test_same_family_fold_and_factoring_match_generic(closed_form, by_closure):
 
 
 def test_bundled_level_maps_skip_closure_and_tree_walk(monkeypatch):
+    # building, reporting and acting by left multiplication: no search,
+    # no spanning tree, no walk of a cycle or of the tree, and no cycle
+    # decomposition for the sign
     def refuse(*args):
-        raise AssertionError("closure or tree walk ran")
+        raise AssertionError("closure, tree or cycle walk ran")
 
-    monkeypatch.setattr(resfin, "_closure", refuse)
+    for name in ("_closure", "_spanning_tree", "_cycle_walk"):
+        monkeypatch.setattr(resfin, name, refuse)
     monkeypatch.setattr(resfin.FiniteQuotient, "_tree_images", refuse)
+    monkeypatch.setattr(perm, "_cycle_lengths", refuse)
+
+    def report_and_act(oracle, n, words):
+        qm = build_level_map(oracle, n)
+        assert format_quotient_map(qm).startswith(f"order {qm.quotient.order}\n")
+        for w in words:
+            assert coset_action(oracle, n, Seed(oracle, w)).sign == 1
+
     for oracle in (IntegerOracle(), DihedralOracle()):
         for n in range(1, 12):
             assert build_level_map(oracle, n).quotient.order > 1
+            report_and_act(oracle, n, oracle.ball(2))
     for m in (2, 7, 500_000):
         oracle = oracle_from_selector(f"finite:{m}")
         assert [q.order for q in level_components(oracle, 3)] == [m]
         assert build_level_map(oracle, 3).quotient.order == m
+        report_and_act(oracle, 3, oracle.ball(1))
 
 
 def test_level_map_order_cap():
@@ -335,16 +348,27 @@ def test_level_map_does_not_touch_its_only_component(zz):
 
 
 def test_level_map_queries_only_the_ball(monkeypatch):
+    # the level map queries only the radius-n ball, and the kernel check
+    # shares its one search, kept in the oracle's cache as a tuple
     dihedral = DihedralOracle()
-    calls = []
+    calls, searches = [], []
 
     def counting(oracle, word):
         calls.append(word)
         return efrf_query(oracle, word)
 
+    def spy(self, radius, _real=resfin.GroupOracle.ball):
+        if ("ball", radius) not in self.cache:
+            searches.append(radius)
+        return _real(self, radius)
+
     monkeypatch.setattr(resfin, "efrf_query", counting)
+    monkeypatch.setattr(resfin.GroupOracle, "ball", spy)
     assert build_level_map(dihedral, 10).quotient.order == 55440
-    assert 0 < len(calls) <= len(dihedral.ball(10))
+    assert kernel_min_length_check(dihedral, 10)["passed"]
+    ball = dihedral.ball(10)
+    assert searches == [10] and isinstance(ball, tuple) and dihedral.ball(10) is ball
+    assert 0 < len(calls) <= len(ball)
 
 
 def test_build_level_map_integers(zz):
@@ -550,11 +574,11 @@ def test_left_rows_of_inverse_generators_are_inverse(selector):
             assert np.array_equal(left[t][left[s]], np.arange(len(left[s]))), (n, s)
 
 
-def test_quotient_report_walks_once_per_inverse_pair(dinf, monkeypatch):
-    """``a`` is walked on its own and ``t'`` is printed from the walk of
-    ``t``; no alphabet labels are read, since element indices are
-    written straight from the walk."""
-    qm = build_level_map(dinf, 10)
+def test_quotient_report_walks_once_per_inverse_pair(monkeypatch):
+    """A generic quotient walks its left rows once per pair of mutually
+    inverse generators, ``t'`` printed from the walk of ``t``; a
+    closed-form quotient walks nothing.  No alphabet labels are read,
+    since element indices are written straight from the walk."""
     walks = []
 
     def counted(images, _real=resfin._cycle_walk):
@@ -566,9 +590,56 @@ def test_quotient_report_walks_once_per_inverse_pair(dinf, monkeypatch):
 
     monkeypatch.setattr(resfin, "_cycle_walk", counted)
     monkeypatch.setattr(IndexedAlphabet, "labels", property(no_labels))
-    text = format_quotient_map(qm)
-    assert walks == [qm.quotient.order] * 2
-    assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_DIGESTS[("dihedral_infinite", 10)]
+    for selector, n, pairs in [("dihedral_infinite", 10, 0), ("integers", 12, 0), ("product:integers,integers", 6, 2)]:
+        qm = build_level_map(oracle_from_selector(selector), n)
+        walks.clear()
+        text = format_quotient_map(qm)
+        assert walks == [qm.quotient.order] * pairs, selector
+        assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_DIGESTS[(selector, n)]
+
+
+@pytest.mark.parametrize("closed_form", [resfin._cyclic_quotient, resfin._dihedral_quotient])
+def test_closed_form_walks_match_cycle_walk(closed_form):
+    # every generator's closed-form cycles are those the generic walk
+    # finds in its left multiplication, computed along the spanning tree
+    for n in range(2, 301):
+        quotient = closed_form(n)
+        for s, g in enumerate(quotient.gen_images):
+            letters, bounds = quotient.cycle_walk(s)
+            want_letters, want_bounds = _cycle_walk(quotient._tree_images(g, quotient))
+            assert np.array_equal(letters, want_letters) and np.array_equal(bounds, want_bounds), (n, s)
+
+
+LEFT_MULT_SELECTORS = [
+    "integers",
+    "dihedral_infinite",
+    "finite:2",
+    "finite:12",
+    "finite:1000",
+    "product:integers,integers",
+    "product:dihedral_infinite,integers",
+    "product:integers,dihedral_infinite",
+]
+
+
+@pytest.mark.parametrize("selector", LEFT_MULT_SELECTORS)
+def test_left_mult_gather_and_cayley_sign(selector):
+    # left multiplication as the spanning-tree walk computes it, and
+    # Cayley's sign as the cycle decomposition of the coset block finds
+    # it, for every element of the level 1-4 quotients up to 1 000
+    # elements; the product quotients at level 4 (3 600 and 7 200
+    # elements, whose generic walks take quadratic time in all) are
+    # checked on 200 evenly spaced elements
+    oracle = oracle_from_selector(selector)
+    for n in (1, 2, 3, 4):
+        quotient = build_level_map(oracle, n).quotient
+        cosets = IndexedAlphabet(quotient.order)
+        step = quotient.order // 200 if quotient.order > 1000 else 1
+        for i in range(0, quotient.order, step):
+            images = quotient.left_mult_images(i)
+            assert images.dtype == np.int64
+            assert np.array_equal(images, quotient._tree_images(i, quotient)), (n, i)
+            assert quotient.left_mult_sign(images) == Perm(cosets, images).sign, (n, i)
 
 
 def test_quotient_products_agree(zz, dinf):
