@@ -192,7 +192,7 @@ def coset_action(oracle, n, seed):
     images = level.identity_images.copy()
     block = quotient.left_mult_images(img)
     images[: quotient.order] = block
-    if quotient.left_mult_sign(block) == -1:
+    if quotient.left_mult_sign(img) == -1:
         images[level.p_index] = level.q_index
         images[level.q_index] = level.p_index
     return oracle.cache.setdefault(cache_key, Perm(level, images, check=False, sign=1))

@@ -15,13 +15,12 @@ Words are plain tuples of generator indices.  The inverse of generator
 from __future__ import annotations
 
 from array import array
-from functools import cached_property, reduce
-from itertools import islice
+from functools import cached_property
 from math import gcd, lcm
 
 import numpy as np
 
-from .perm import _cycle_walk, _decimal_cycles, _inverse_walk
+from .perm import _decimal_cycles, _inverse_walk
 
 __all__ = [
     "TRIVIAL",
@@ -29,6 +28,7 @@ __all__ = [
     "UNSUPPORTED",
     "CapExceeded",
     "FiniteQuotient",
+    "PairQuotient",
     "GroupOracle",
     "IntegerOracle",
     "DihedralOracle",
@@ -81,88 +81,82 @@ def _int_row(values):
     return row
 
 
-def _closure(rows):
-    """Breadth-first closure from code 0 over ambient rows, ``rows[s][c]``
-    being the code of ``c`` times generator ``s``.  Returns the label of
-    every code (its element index, or -1 where unreached) and the codes of
-    the elements in the order the search reaches them."""
-    seen = bytearray(len(rows[0]))
-    seen[0] = 1
-    codes = [0]
-    append = codes.append
-    for code in codes:
-        for row in rows:
-            nxt = row[code]
-            if not seen[nxt]:
-                seen[nxt] = 1
-                append(nxt)
-    codes = np.array(codes, dtype=np.int32)
-    label = np.full(len(seen), -1, dtype=np.int32)
-    label[codes] = np.arange(len(codes), dtype=np.int32)
-    return label, codes
-
-
-def _spanning_tree(right):
-    """The spanning tree of the breadth-first search, read off its right
-    rows: element ``x`` is element ``parent[x]`` times generator
-    ``via[x]``, reached first in that order.
-
-    The search labels elements in the order it reaches them, expanding
-    element ``p`` by every generator before ``p + 1``.  So once ``p`` is
-    expanded the labels handed out are exactly ``0..reach[p]``, where
-    ``reach`` is the running maximum of each element's row entries;
-    ``parent[x]`` is the first ``p`` with ``reach[p] >= x``, and
-    ``via[x]`` the first generator taking ``parent[x]`` to ``x``.  Both
-    are 0 at the identity."""
-    reach = np.maximum.accumulate(reduce(np.maximum, right))
-    x = np.arange(len(reach), dtype=np.int32)
-    parent = np.searchsorted(reach, x).astype(np.int32)
-    via = np.zeros_like(x)
-    for s in reversed(range(len(right))):
-        via[right[s][parent] == x] = s
-    via[0] = 0
-    return parent, via
+def _inverse(perm):
+    """The inverse of a permutation of ``0..len(perm)-1``, such as the
+    element of each code from the visit order ``codes``."""
+    inverse = np.empty(len(perm), dtype=np.int32)
+    inverse[perm] = np.arange(len(perm), dtype=np.int32)
+    return inverse
 
 
 class FiniteQuotient:
-    """A finite group stored as the right regular action of its generators
-    on a canonical enumeration.
+    """A finite quotient of the input group, enumerated by the
+    breadth-first search from the identity that expands each element by
+    every generator in order: element ``x`` is the ``x``-th element the
+    search reaches, and element 0 is the identity.
 
-    ``rows[s][c]`` is the code of element ``c`` times generator ``s``, over
-    the codes ``0..N-1`` of a finite ambient set in which code 0 is the
-    identity.  The enumeration is the breadth-first closure from code 0,
-    expanding in generator order; element 0 is always the identity.  It
-    depends only on which generator words are equal in the group, not on
-    the codes.
+    The search reaches the elements in shortlex order of their least
+    geodesic words (Epstein et al., *Word Processing in Groups*, 1992,
+    ch. 2).  The least word of an element x is that of its parent, the
+    first element reached from which a generator leads to x, followed by
+    the least such generator; so the elements of one depth are reached in
+    lexicographic order of their least words.  The enumeration thus
+    depends only on the kernel and on the order of the generators, and
+    every bundled quotient writes it in closed form, with no search:
+    :class:`_FamilyQuotient` for the cyclic and dihedral groups,
+    :class:`PairQuotient` for the image of a direct product.
 
-    The closure keeps ``right[s]``, an ``array("i")`` row per generator,
-    where ``right[s][x]`` is the index of element ``x`` times generator
-    ``s``.  The search records only the order in which it reaches the
-    codes; the label of each code is its place in that order, the right
-    rows are gathered from the ambient rows once the search ends, and the
-    ambient rows and the label table are dropped.  Two more tables are
-    built the first time something reads them:
+    Each quotient has:
 
-    - ``left[s]``, where ``left[s][x]`` is the index of generator ``s``
-      times element ``x``;
-    - ``_tree``, the spanning tree of the search as the pair of rows
-      ``(parent, via)``, where element ``x`` is element ``parent[x]``
-      times generator ``via[x]``, reached first in that order
-      (:func:`_spanning_tree`).
+    - ``order`` and ``key``, which identifies the quotient up to an
+      identical homomorphism from the source and deduplicates components;
+    - ``codes``, the ambient code of each element, and ``label``, the
+      element of each code;
+    - ``right[s]``, an ``array("i")`` row per generator, ``right[s][x]``
+      being the index of element ``x`` times generator ``s``, and
+      ``gen_images``, the elements of the generators;
+    - ``shape``, the depth of each element and its index in the post-order
+      of the search tree (children in generator order), from which a
+      product writes its own enumeration;
+    - ``_left_images(i)``, left multiplication by element ``i`` as one
+      gather, and ``element_order(i)``;
+    - ``cycle_walk(s)``, left multiplication by generator ``s`` in cycles;
+    - ``fold`` and ``factors_through``, which work on parameters and side
+      by side and enumerate nothing.
 
-    Such a generic quotient multiplies on the left by a walk along its
-    spanning tree (:meth:`_tree_images`).  ``key`` identifies the quotient
-    up to an identical homomorphism from the source, and is used to
-    deduplicate components in product constructions.
+    By Cayley's theorem left multiplication by an element of order o in a
+    group of order N has N/o cycles, all of length o, so its sign is
+    (-1)^(N - N/o) (:meth:`left_mult_sign`).
+    """
 
-    The cyclic and dihedral quotients of the bundled groups skip the
-    search and the tree: :func:`_cyclic_quotient` and
-    :func:`_dihedral_quotient` write the visit order and the right rows in
-    closed form.  Such a quotient keeps its visit order, ``codes`` (the
-    ambient code of each element) and ``label`` (the element of each
-    code), and is marked with ``_family``, the builder and its parameter
-    ``n``.  Ambient code ``e*n + m`` stands for a^e t^m, with e = 0 only
-    in C_n, so its left regular representation is known outright:
+    def left_mult_images(self, i):
+        """Image array of left multiplication by element ``i``."""
+        return self._left_images(i).astype(np.int64)
+
+    def left_mult_sign(self, i):
+        """The sign of left multiplication by element ``i``, from its order."""
+        o = self.element_order(i)
+        return -1 if (self.order - self.order // o) % 2 else 1
+
+    def apply_word(self, word):
+        acc = 0
+        right = self.right
+        for letter in word:
+            acc = right[letter][acc]
+        return acc
+
+    def __repr__(self):
+        return f"{type(self).__name__}(order={self.order}, key={self.key!r})"
+
+
+class _FamilyQuotient(FiniteQuotient):
+    """A cyclic or dihedral quotient, written by :func:`_cyclic_quotient` or
+    :func:`_dihedral_quotient` from its visit order ``codes``.  ``right[s]``
+    holds the codes of those elements times generator ``s``; ``_family``
+    is the builder and its parameter ``n``.
+
+    Ambient code ``e*n + m`` stands for a^e t^m, with e = 0 only in C_n,
+    so the left regular representation is known outright:
 
     - left multiplication is one gather of the product rule
       a^e' t^m' . a^e t^m = a^(e'+e) t^((-1)^e m' + m);
@@ -171,85 +165,56 @@ class FiniteQuotient:
       element 1; ``a`` swaps (0, m) and (1, m), (0, m) first, the cycles
       in the visit order of the rotations (:meth:`cycle_walk`);
     - an element's order is 2 for a reflection and n / gcd(m, n) for a
-      rotation, which gives the sign of its left multiplication
-      (:meth:`left_mult_sign`).
+      rotation.
 
-    Two quotients of one family fold and factor by ``n`` alone.
+    Two quotients of one family (the components of one oracle) fold to
+    the family's quotient at the lcm of their parameters and factor by
+    divisibility.
     """
 
-    _family = None
-
-    def __init__(self, rows, key=None):
-        label, codes = _closure(rows)
-        self._store((label[np.asarray(row)[codes]] for row in rows), key)
-
-    def _store(self, right, key):
-        self.right = tuple(map(_int_row, right))
-        self.order = len(self.right[0])
+    def __init__(self, codes, right, key, family):
+        self.codes = codes
+        self.label = _inverse(codes)
+        self.right = tuple(_int_row(self.label[row]) for row in right)
+        self.order = len(codes)
         self.gen_images = tuple(row[0] for row in self.right)
         self.key = key
+        self._family = family
 
     @cached_property
-    def _tree(self):
-        return tuple(map(_int_row, _spanning_tree([_ints(row) for row in self.right])))
-
-    @cached_property
-    def left(self):
-        return tuple(_int_row(self._left_images(g)) for g in self.gen_images)
-
-    def _tree_images(self, start, tree):
-        """Images in this quotient of ``tree``'s spanning-tree words, each
-        multiplied on the left by element ``start``: element ``x`` of
-        ``tree`` maps to the image of ``parent[x]`` times generator
-        ``via[x]``, and ``parent[x]`` comes before ``x``."""
-        right = self.right
-        images = array("i", [start])
-        append = images.append
-        for p, s in islice(zip(*tree._tree), 1, None):
-            append(right[s][images[p]])
-        return _ints(images)
+    def shape(self):
+        """Depth and post-order index of each element.  With P = n//2 and
+        M = (n-1)//2, the rotation t^m lies at depth m' = min(m, n - m),
+        on the t branch of the tree for m <= P and on the t' branch
+        otherwise, deepest first: post-order P - m' or P + M - m', and
+        n - 1 at the identity.  In D_n a reflection lies one deeper, and
+        its branch comes first, so a rotation's index moves up by n."""
+        n = self._family[1]
+        e, m = np.divmod(self.codes, n)
+        half, rest = n // 2, (n - 1) // 2
+        positive = m <= half
+        depth = np.where(positive, m, n - m)
+        post = np.where(positive, half - depth, half + rest - depth)
+        post[depth == 0] = n - 1
+        if self.order > n:
+            post += n * (1 - e)
+        return depth + e, post
 
     def _left_images(self, i):
-        """The int32 images of left multiplication by element ``i``."""
-        if self._family is None:
-            return self._tree_images(i, self)
         n = self._family[1]
         e, m = np.divmod(self.codes, n)
         f, k = divmod(int(self.codes[i]), n)
         return self.label[(e ^ f) * n + (m + k * (1 - 2 * e)) % n]
 
-    def left_mult_images(self, i):
-        """Image array of left multiplication by element ``i``: one gather
-        in a closed-form quotient, a spanning-tree walk in a generic one.
-        For a generator's image this is its ``left`` row."""
-        return self._left_images(i).astype(np.int64)
-
-    def left_mult_sign(self, images):
-        """The sign of the left multiplication whose image array is
-        ``images``, that of element ``i = images[0]``, the image of the
-        identity.  Cayley's representation is semiregular: all N/o cycles
-        have length o, the order of ``i``, so the sign is (-1)^(N - N/o).
-        A closed-form quotient reads o off the code of ``i``; a generic one
-        walks the cycle of ``images`` through the identity, which runs
-        through the o powers of ``i``."""
-        x = int(images[0])
-        if self._family is None:
-            o = 1
-            while x:
-                o, x = o + 1, int(images[x])
-        else:
-            n = self._family[1]
-            e, m = divmod(int(self.codes[x]), n)
-            o = 2 if e else n // gcd(m, n)
-        return -1 if (self.order - self.order // o) % 2 else 1
+    def element_order(self, i):
+        n = self._family[1]
+        e, m = divmod(int(self.codes[i]), n)
+        return 2 if e else n // gcd(m, n)
 
     def cycle_walk(self, s):
-        """Left multiplication by generator ``s`` as a cycle walk
-        (:func:`perm._cycle_walk`).  A generic quotient walks its left row;
-        a closed-form one writes the cycles of ``a``, ``t`` or ``t'`` from
-        its visit order, each cycle from its least element."""
-        if self._family is None:
-            return _cycle_walk(_ints(self.left[s]))
+        """Left multiplication by generator ``s`` in the layout of
+        :func:`perm._cycle_walk`: the cycles of ``a``, ``t`` or ``t'`` from
+        the visit order, each from its least element."""
         n = self._family[1]
         codes, label = self.codes, self.label
         e, m = divmod(int(codes[self.gen_images[s]]), n)
@@ -260,89 +225,18 @@ class FiniteQuotient:
         cycles = (steps % n, n + -steps % n)[: self.order // n]
         return label[np.concatenate(cycles)], np.arange(0, self.order + 1, n)
 
-    def apply_word(self, word):
-        acc = 0
-        right = self.right
-        for letter in word:
-            acc = right[letter][acc]
-        return acc
-
     def factors_through(self, other):
         """Whether this quotient's map from the source factors through
-        ``other``'s, over the same generators: every word trivial in
-        ``other`` is trivial here.
-
-        The candidate map sends ``other``'s element ``x`` to the image of
-        its spanning-tree word; it is the factorization exactly when it
-        commutes with every generator row.  Within one family, C_a
-        (or D_a) is a quotient of C_b (or D_b) exactly when a divides b."""
-        family = self._same_family(other)
-        if family is not None:
-            _, a, b = family
-            return b % a == 0
-        images = self._tree_images(0, other)
-        return all(np.array_equal(images[_ints(there)], _ints(here)[images]) for here, there in zip(self.right, other.right))
+        ``other``'s: C_a (or D_a) is a quotient of C_b (or D_b) exactly
+        when a divides b."""
+        return other._family[1] % self._family[1] == 0
 
     def fold(self, other):
-        """The image of the source in this quotient times ``other``: the
-        closure over the codes ``i * other.order + j`` of the pairs.
-
-        The closure runs over the ambient right rows and records only the
-        order in which it reaches the codes.  Both row sets then pair the
-        two factors' rows, ``(i, j)`` times generator ``s`` on either
-        side having code ``here[s][i] * width + there[s][j]``; they are
-        gathered at the reached codes only, after the ambient rows are
-        dropped.
-
-        Within one family the image is the family's quotient at the lcm
-        of the two parameters: ``t`` maps to an element of order lcm(a, b)
-        in C_a x C_b (or D_a x D_b), and the enumeration depends only on
-        the kernel."""
-        family = self._same_family(other)
-        if family is not None:
-            builder, a, b = family
-            return builder(lcm(a, b))
-        width = other.order
-        label, codes = _closure(
-            [_int_row(np.add.outer(_ints(here) * width, _ints(there)).ravel()) for here, there in zip(self.right, other.right)]
-        )
-        i, j = np.divmod(codes, width)
-
-        def paired(mine, theirs):
-            for here, there in zip(mine, theirs):
-                yield label[_ints(here)[i] * width + _ints(there)[j]]
-
-        image = FiniteQuotient.__new__(FiniteQuotient)
-        image._store(paired(self.right, other.right), None)
-        image.left = tuple(map(_int_row, paired(self.left, other.left)))
-        return image
-
-    def _same_family(self, other):
-        """``(builder, a, b)`` when both quotients come from one
-        closed-form builder, at parameters ``a`` and ``b``; else None."""
-        if self._family and other._family and self._family[0] is other._family[0]:
-            return (*self._family, other._family[1])
-        return None
-
-    def __repr__(self):
-        return f"FiniteQuotient(order={self.order}, key={self.key!r})"
-
-
-def _closed_form(codes, right, key, family):
-    """A quotient whose breadth-first visit order is known: ``codes``
-    holds the ambient codes in the order the search reaches them,
-    ``right[s]`` the codes of those elements times generator ``s``.
-    Labels are places in ``codes``, so each row is one gather; the
-    quotient keeps ``codes`` and ``label``.  ``family`` is
-    ``(builder, n)``."""
-    label = np.empty(len(codes), dtype=np.int32)
-    label[codes] = np.arange(len(codes), dtype=np.int32)
-    quotient = FiniteQuotient.__new__(FiniteQuotient)
-    quotient._store((label[row] for row in right), key)
-    quotient.codes = codes
-    quotient.label = label
-    quotient._family = family
-    return quotient
+        """The image of the source in this quotient times ``other``: ``t``
+        maps to an element of order lcm(a, b) in C_a x C_b (or D_a x D_b),
+        so the image is the family's quotient at the lcm."""
+        builder, a = self._family
+        return builder(lcm(a, other._family[1]))
 
 
 def _cyclic_quotient(k):
@@ -352,7 +246,7 @@ def _cyclic_quotient(k):
     power."""
     x = np.arange(k, dtype=np.int32)
     codes = np.where(x % 2 == 1, (x + 1) // 2, k - x // 2) % k
-    return _closed_form(codes, [(codes + 1) % k, (codes - 1) % k], ("cyclic", k), (_cyclic_quotient, k))
+    return _FamilyQuotient(codes, [(codes + 1) % k, (codes - 1) % k], ("cyclic", k), (_cyclic_quotient, k))
 
 
 def _dihedral_quotient(h):
@@ -368,7 +262,150 @@ def _dihedral_quotient(h):
     codes = np.concatenate((first, np.stack([m, h - m, h + m, 2 * h - m], axis=1).ravel(), middle))
     e, m = np.divmod(codes, h)
     right = [(1 - e) * h + -m % h, e * h + (m + 1) % h, e * h + (m - 1) % h]
-    return _closed_form(codes, right, ("dihedral", h), (_dihedral_quotient, h))
+    return _FamilyQuotient(codes, right, ("dihedral", h), (_dihedral_quotient, h))
+
+
+_NOTHING = np.zeros(1, dtype=np.int32)
+
+
+class PairQuotient(FiniteQuotient):
+    """The image of a direct product G0 x G1 in Q0 x Q1, where ``sides``
+    are the quotients Q0 and Q1 of the two factors (None for a side on
+    which the product acts trivially) and ``widths`` the numbers of
+    generators of G0 and G1, which come first.  The image is all of
+    Q0 x Q1, so the order is the product of the sides' orders; the pair
+    (x, y) of side elements has ambient code ``x * |Q1| + y``.
+
+    The enumeration is written, not searched.  The least geodesic word of
+    (x, y) is u.v, u and v being those of x and y, since the side-0
+    generators come first.  Words of one length compare by u first, and
+    u before u' exactly when u comes first in the post-order of the
+    side-0 search tree (a word after all its extensions, since after u
+    the word goes on with a side-1 generator); for one u they compare by
+    the index of y.  So the visit order sorts the codes by
+    (depth0[x] + depth1[y], post0[x], y) (:func:`_shortlex_pairs`), and
+    a pair's own depth and post-order index are depth0[x] + depth1[y]
+    and post0[x] * |Q1| + post1[y], so products nest.  With one side
+    trivial, the visit order is the other side's and nothing is sorted.
+
+    Everything but the order is built on first read, so a fold, a factor
+    test or a cap check enumerates nothing.  Left multiplication by (f, g)
+    is one gather of the sides' left multiplications, and its order is the
+    lcm of theirs.  Two pairs fold and factor side by side.
+    """
+
+    def __init__(self, sides, widths):
+        self.sides = sides
+        self.widths = widths
+        self.key = _pair_key(sides)
+        self._width = _side_order(sides[1])
+        self.order = _side_order(sides[0]) * self._width
+
+    @cached_property
+    def codes(self):
+        if None in self.sides:
+            return np.arange(self.order, dtype=np.int32)
+        return _shortlex_pairs(*self.sides)
+
+    @cached_property
+    def label(self):
+        return self.codes if None in self.sides else _inverse(self.codes)
+
+    @cached_property
+    def right(self):
+        width, label = self._width, self.label
+        x, y = np.divmod(self.codes, width)
+        first, second = (_side_rows(q, n) for q, n in zip(self.sides, self.widths))
+        rows = [label[row[x] * width + y] for row in first] + [label[x * width + row[y]] for row in second]
+        return tuple(map(_int_row, rows))
+
+    @cached_property
+    def gen_images(self):
+        return tuple(row[0] for row in self.right)
+
+    @cached_property
+    def shape(self):
+        x, y = np.divmod(self.codes, self._width)
+        (depth0, post0), (depth1, post1) = map(_side_shape, self.sides)
+        return depth0[x] + depth1[y], post0[x] * self._width + post1[y]
+
+    def _left_images(self, i):
+        f, g = divmod(int(self.codes[i]), self._width)
+        x, y = np.divmod(self.codes, self._width)
+        first, second = self.sides
+        return self.label[_side_left(first, f)[x] * self._width + _side_left(second, g)[y]]
+
+    def element_order(self, i):
+        f, g = divmod(int(self.codes[i]), self._width)
+        return lcm(*(1 if q is None else q.element_order(j) for q, j in zip(self.sides, (f, g))))
+
+    def cycle_walk(self, s):
+        """Left multiplication by generator ``s`` from its side's cycles,
+        all of one length o: the side cycle through x, with the other
+        side's element fixed at y, is a cycle of the pair.  Each is turned
+        to start at its least element, and the cycles are sorted by it."""
+        side = int(s >= self.widths[0])
+        inner = self.sides[side]
+        if inner is None:
+            return _NOTHING[:0], _NOTHING[:0]
+        letters, bounds = inner.cycle_walk(s - side * self.widths[0])
+        if not len(letters):
+            return letters, bounds
+        o = int(bounds[1])
+        cycles = letters.reshape(-1, o)
+        if side:
+            x, y = np.arange(_side_order(self.sides[0]))[:, None, None], cycles[None]
+        else:
+            x, y = cycles[:, None], np.arange(self._width)[:, None]
+        walk = self.label[x * self._width + y].reshape(-1, o)
+        walk = np.take_along_axis(walk, (walk.argmin(axis=1)[:, None] + np.arange(o)) % o, axis=1)
+        return walk[np.argsort(walk[:, 0])].ravel(), np.arange(0, self.order + 1, o)
+
+    def factors_through(self, other):
+        """Side by side: a trivial side factors through anything, and only
+        a trivial side factors through one."""
+        return all(a is None or (b is not None and a.factors_through(b)) for a, b in zip(self.sides, other.sides))
+
+    def fold(self, other):
+        """The image in this pair times ``other``: on each side, the image
+        of that factor in the product of the two sides."""
+        sides = tuple(b if a is None else a if b is None else a.fold(b) for a, b in zip(self.sides, other.sides))
+        return PairQuotient(sides, self.widths)
+
+
+def _pair_key(sides):
+    return ("pair", *(None if side is None else side.key for side in sides))
+
+
+def _side_order(side):
+    return 1 if side is None else side.order
+
+
+def _side_rows(side, width):
+    # a trivial side's generators fix every element: the gather at side
+    # index 0 leaves the pair's code as it is
+    return [_NOTHING] * width if side is None else [_ints(row) for row in side.right]
+
+
+def _side_shape(side):
+    return (_NOTHING, _NOTHING) if side is None else side.shape
+
+
+def _side_left(side, i):
+    return _NOTHING if side is None else side._left_images(i)
+
+
+def _shortlex_pairs(first, second):
+    """The visit order of the pairs of elements of ``first`` and
+    ``second``: codes ``x * |second| + y`` sorted by (depth of x plus
+    depth of y, post-order index of x, y).  Listing x by post-order and
+    y in order gives the last two keys with no sort; one stable sort by
+    depth then gives the first."""
+    width = second.order
+    (depth0, post0), (depth1, _) = first.shape, second.shape
+    by_post = (_inverse(post0)[:, None] * width + np.arange(width, dtype=np.int32)).ravel()
+    depth = (depth0[:, None] + depth1).ravel()[by_post]
+    return by_post[np.argsort(depth.astype(np.min_scalar_type(depth.max())), kind="stable")]
 
 
 class GroupOracle:
@@ -593,27 +630,17 @@ class ProductOracle(GroupOracle):
         return (self.left.element_key(lw), self.right.element_key(rw))
 
     def detect(self, word):
+        """The pair of the side that detects the word's projection, with
+        the other side acting trivially."""
         lw, rw = self._project(word)
         if not self.left.is_identity(lw):
-            side, offset, inner = 0, 0, self.left.detect(lw)
+            sides = (self.left.detect(lw), None)
         elif not self.right.is_identity(rw):
-            side, offset, inner = 1, self._split, self.right.detect(rw)
+            sides = (None, self.right.detect(rw))
         else:
             return None
-        key = ("proj", side, inner.key)
-
-        def build():
-            # The codes are the inner quotient's indices, so the
-            # breadth-first closure re-enumerates them deterministically;
-            # the generators of the other side act trivially.
-            fixed = range(inner.order)
-            rows = tuple(
-                inner.right[s - offset] if offset <= s < offset + len(inner.right) else fixed
-                for s in range(len(self.gen_names))
-            )
-            return FiniteQuotient(rows, key=key)
-
-        return self._quotient(key, build)
+        widths = (self._split, len(self.gen_names) - self._split)
+        return self._quotient(_pair_key(sides), lambda: PairQuotient(sides, widths))
 
     def conjugate(self, g, k):
         lg, rg = self._project(g)
@@ -693,14 +720,17 @@ def build_level_map(oracle, n, cap=None):
     group in the product of :func:`level_components`.
 
     The image is folded one component at a time: the running image ``A``
-    and the next component ``C`` close to the image in ``A`` x ``C``
-    (:meth:`FiniteQuotient.fold`).  A component that factors through
-    ``A`` is skipped; it adds nothing to the kernel.  The final kernel is
-    the intersection of the component kernels either way, so the
-    breadth-first enumeration is that of the image in the full product.
+    and the next component ``C`` give the image in ``A`` x ``C``
+    (:meth:`FiniteQuotient.fold`), the family's quotient at the lcm or,
+    for a product, the sides folded side by side.  A component that
+    factors through ``A`` is skipped; it adds nothing to the kernel.  The
+    final kernel is the intersection of the component kernels either
+    way, so the enumeration is that of the image in the full product.
 
-    ``cap`` bounds the ambient table of each fold, ``A.order * C.order``
-    codes; a larger fold raises :class:`CapExceeded` before it starts.
+    ``cap`` bounds each fold's ``A.order * C.order`` codes; a larger fold
+    raises :class:`CapExceeded`.  No fold enumerates anything (a product
+    lists its elements on first read), so the cap fires before any work
+    on the image.
     """
     if n < 1:
         raise ValueError("quotient chain level must be at least 1")
@@ -763,8 +793,9 @@ def format_quotient_map(qm):
     Each pair of mutually inverse generators is walked once
     (:meth:`FiniteQuotient.cycle_walk`): the image of ``inverse[s]`` is
     that of ``s`` inverted, whose cycles are those of ``s`` with each
-    tail reversed.  A closed-form quotient writes the cycles of ``a`` and
-    ``t`` from its visit order; only a generic one walks its left rows."""
+    tail reversed.  A cyclic or dihedral quotient writes the cycles of
+    ``a`` and ``t`` from its visit order, and a product those of each
+    generator from its side's cycles."""
     quotient = qm.quotient
     inverse = qm.oracle.inverse
     lines = [f"order {quotient.order}"]

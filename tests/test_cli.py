@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from branchgroups import resfin
 from branchgroups.cli import build_parser, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -407,6 +408,23 @@ def test_chain_fold_cap_exit_3(capsys):
         code, out, err = run(capsys, "--group", "product:dihedral_infinite,dihedral_infinite", "chain", "8")
     assert code == 3 and out == ""
     assert "more than the cap 2000000" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("group, level, codes", [
+    ("product:integers,integers,integers", "6", 10_584_000),
+    ("product:dihedral_infinite,dihedral_infinite", "7", 11_289_600),
+])
+def test_product_fold_cap_fires_before_any_enumeration(capsys, monkeypatch, group, level, codes):
+    # a product's folds multiply the sides' orders and enumerate nothing,
+    # so the cap is checked before any pair of elements is listed
+    def refuse(*args):
+        raise AssertionError("pairs enumerated before the cap check")
+
+    monkeypatch.setattr(resfin, "_shortlex_pairs", refuse)
+    with budget(5):
+        code, out, err = run(capsys, "--group", group, "chain", level)
+    assert code == 3 and out == ""
+    assert err == f"cap exceeded: level {level} quotient would fold over {codes} codes, more than the cap 2000000\n"
 
 
 def test_chain_fold_cap_follows_vertex_cap(capsys):

@@ -1,10 +1,13 @@
+import functools
 import hashlib
 import itertools
 import math
+import weakref
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchgroups import perm, resfin
@@ -97,9 +100,12 @@ def test_level_components_match_all_words_sweep(selector):
 
 
 def _reference_closure(rows):
-    """The closure loop as it was when it wrote the spanning tree while
-    searching: the label of every code (-1 where unreached), the reached
-    codes in order, and ``parent``, ``via`` of each element."""
+    """The breadth-first closure loop from code 0 over ambient rows,
+    ``rows[s][c]`` being the code of ``c`` times generator ``s``, as it was
+    when it wrote the spanning tree while searching: the label of every
+    code (-1 where unreached), the reached codes in order, and ``parent``,
+    ``via`` of each element."""
+    rows = [np.asarray(row).tolist() for row in rows]
     label = [-1] * len(rows[0])
     label[0] = 0
     codes, parent, via = [0], [0], [0]
@@ -115,6 +121,109 @@ def _reference_closure(rows):
                 parent.append(x)
                 via.append(s)
     return label, codes, parent, via
+
+
+_TREES = weakref.WeakKeyDictionary()
+
+
+def _spanning_tree(quotient):
+    """The spanning tree of the breadth-first search, read off the right
+    rows: element ``x`` is element ``parent[x]`` times generator
+    ``via[x]``, reached first in that order.
+
+    The search labels elements in the order it reaches them, expanding
+    element ``p`` by every generator before ``p + 1``.  So once ``p`` is
+    expanded the labels handed out are exactly ``0..reach[p]``, where
+    ``reach`` is the running maximum of each element's row entries;
+    ``parent[x]`` is the first ``p`` with ``reach[p] >= x``, and
+    ``via[x]`` the first generator taking ``parent[x]`` to ``x``.  Both
+    are 0 at the identity.  Kept per quotient while it lives."""
+    got = _TREES.get(quotient)
+    if got is not None:
+        return got
+    right = [np.asarray(row) for row in quotient.right]
+    reach = np.maximum.accumulate(functools.reduce(np.maximum, right))
+    x = np.arange(len(reach))
+    parent = np.searchsorted(reach, x)
+    via = np.zeros_like(x)
+    for s in reversed(range(len(right))):
+        via[right[s][parent] == x] = s
+    via[0] = 0
+    _TREES[quotient] = parent, via
+    return parent, via
+
+
+def _tree_images(quotient, start, tree=None):
+    """Images in ``quotient`` of the spanning-tree words of ``tree``
+    (``quotient`` itself by default), each multiplied on the left by
+    element ``start``: element ``x`` of ``tree`` maps to the image of
+    ``parent[x]`` times generator ``via[x]``, and ``parent[x]`` comes
+    before ``x``."""
+    parent, via = _spanning_tree(quotient if tree is None else tree)
+    right = quotient.right
+    images = [start]
+    for p, s in zip(parent[1:].tolist(), via[1:].tolist()):
+        images.append(right[s][images[p]])
+    return np.array(images)
+
+
+def _tree_shape(quotient):
+    """Depth and post-order index (children in generator order) of each
+    element, read off the spanning tree.  Children come in label order,
+    which is generator order; the reverse of a pre-order that visits
+    children last to first is the post-order."""
+    parent, _ = _spanning_tree(quotient)
+    depth = [0] * quotient.order
+    children = [[] for _ in range(quotient.order)]
+    for x, p in enumerate(parent[1:].tolist(), 1):
+        depth[x] = depth[p] + 1
+        children[p].append(x)
+    post, stack = [0] * quotient.order, [0]
+    for place in reversed(range(quotient.order)):
+        x = stack.pop()
+        post[x] = place
+        stack += children[x]
+    return depth, post
+
+
+class _ClosureQuotient(resfin.FiniteQuotient):
+    """A quotient closed over ambient rows by the reference loop, with the
+    fold, factor test, left multiplication and sign that hold for any
+    quotient: the reference the closed forms are checked against."""
+
+    def __init__(self, rows, key=None):
+        self.label, self.codes, _, _ = _reference_closure(rows)
+        rows = [np.asarray(row) for row in rows]
+        self.right = tuple(array("i", [self.label[c] for c in row[self.codes].tolist()]) for row in rows)
+        self.order = len(self.codes)
+        self.gen_images = tuple(row[0] for row in self.right)
+        self.key = key
+
+    def _left_images(self, i):
+        return _tree_images(self, i)
+
+    def cycle_walk(self, s):
+        return _cycle_walk(self._left_images(self.gen_images[s]))
+
+    def element_order(self, i):
+        # the length of the cycle of left multiplication through the
+        # identity, which runs through the powers of i
+        images, o, x = self._left_images(i), 1, i
+        while x:
+            o, x = o + 1, int(images[x])
+        return o
+
+    def factors_through(self, other):
+        # the map sending other's element x to the image of its
+        # spanning-tree word is the factorization exactly when it commutes
+        # with every generator row
+        images = _tree_images(self, 0, other)
+        return all(np.array_equal(images[np.asarray(there)], np.asarray(here)[images]) for here, there in zip(self.right, other.right))
+
+    def fold(self, other):
+        # the closure over the codes i * other.order + j of the pairs
+        width = other.order
+        return _ClosureQuotient([np.add.outer(np.asarray(here) * width, there).ravel() for here, there in zip(self.right, other.right)])
 
 
 @st.composite
@@ -147,14 +256,15 @@ def _ambient_rows(draw):
 @example(rows=[[1, 0], range(2)])  # the other side of a product projection
 @example(rows=[[0], [0]])  # the trivial group
 def test_closure_matches_reference_loop(rows):
+    # the reference quotient's rows, and the spanning tree that reference
+    # left multiplication walks, are those of the loop that wrote the
+    # tree while searching
     label, codes, parent, via = _reference_closure(rows)
-    got_label, got_codes = resfin._closure(rows)
-    assert got_label.tolist() == label
-    assert got_codes.tolist() == codes
-    quotient = resfin.FiniteQuotient(rows)
+    quotient = _ClosureQuotient(rows)
     assert quotient.order == len(codes)
     assert [list(row) for row in quotient.right] == [[label[row[c]] for c in codes] for row in rows]
-    assert [list(row) for row in quotient._tree] == [parent, via]
+    got_parent, got_via = _spanning_tree(quotient)
+    assert got_parent.tolist() == parent and got_via.tolist() == via
 
 
 def _tuple_closure(components, n_gens, limit):
@@ -191,17 +301,21 @@ def test_fold_matches_tuple_closure(selector):
         quotient = build_level_map(oracle, n).quotient
         assert quotient.order == order, n
         assert [list(row) for row in quotient.right] == right, n
-        assert [list(row) for row in quotient._tree] == [parent, via], n
+        assert [row.tolist() for row in _spanning_tree(quotient)] == [parent, via], n
         _assert_left_rows(quotient)
     assert n > 1
 
 
+def _left_rows(quotient):
+    """Left multiplication by each generator's image."""
+    return [quotient.left_mult_images(g) for g in quotient.gen_images]
+
+
 def _assert_left_rows(quotient):
-    # the left rows are left multiplication by each generator's image, as
-    # the spanning-tree walk computes it
-    assert len(quotient.left) == len(quotient.gen_images)
-    for row, g in zip(quotient.left, quotient.gen_images):
-        assert np.array_equal(np.asarray(row), quotient._tree_images(g, quotient)), g
+    # left multiplication by each generator's image, as the spanning-tree
+    # walk computes it
+    for row, g in zip(_left_rows(quotient), quotient.gen_images):
+        assert np.array_equal(row, _tree_images(quotient, g)), g
 
 
 @pytest.mark.parametrize("selector", sorted(SWEEP_LEVELS))
@@ -237,7 +351,7 @@ def _cyclic_by_closure(k):
     """The cyclic quotient closed over its rows as they were defined
     before the closed form: code c stands for t^c."""
     codes = np.arange(k, dtype=np.int32)
-    return resfin.FiniteQuotient([(codes + step) % k for step in (1, -1)], key=("cyclic", k))
+    return _ClosureQuotient([(codes + step) % k for step in (1, -1)], key=("cyclic", k))
 
 
 def _dihedral_by_closure(h):
@@ -249,7 +363,7 @@ def _dihedral_by_closure(h):
         [e * h + (m + 1) % h for e, m in codes],
         [e * h + (m - 1) % h for e, m in codes],
     ]
-    return resfin.FiniteQuotient(rows, key=("dihedral", h))
+    return _ClosureQuotient(rows, key=("dihedral", h))
 
 
 FAMILIES = [(resfin._cyclic_quotient, _cyclic_by_closure), (resfin._dihedral_quotient, _dihedral_by_closure)]
@@ -258,9 +372,9 @@ FAMILIES = [(resfin._cyclic_quotient, _cyclic_by_closure), (resfin._dihedral_quo
 def _assert_same_quotient(got, want):
     # array("i") rows compare entry by entry
     assert got.order == want.order
-    assert got.right == want.right and got.left == want.left
-    assert got._tree == want._tree
+    assert got.right == want.right
     assert got.gen_images == want.gen_images
+    assert all(map(np.array_equal, _left_rows(got), _left_rows(want)))
 
 
 @pytest.mark.parametrize("closed_form, by_closure", FAMILIES)
@@ -269,19 +383,28 @@ def test_closed_forms_match_closure(closed_form, by_closure):
         got, want = closed_form(n), by_closure(n)
         _assert_same_quotient(got, want)
         assert got.key == want.key, n
-        assert want._family is None and got._family == (closed_form, n)
+        assert got._family == (closed_form, n)
+
+
+@pytest.mark.parametrize("closed_form", [resfin._cyclic_quotient, resfin._dihedral_quotient])
+def test_closed_form_shapes_match_spanning_tree(closed_form):
+    # the closed-form depth and post-order index of every element are
+    # those of the search tree read off the rows
+    for n in range(2, 301):
+        quotient = closed_form(n)
+        depth, post = quotient.shape
+        assert (depth.tolist(), post.tolist()) == _tree_shape(quotient), n
 
 
 @pytest.mark.parametrize("closed_form, by_closure", FAMILIES)
 def test_same_family_fold_and_factoring_match_generic(closed_form, by_closure):
     # quotients built by the closure carry no family, so they take the
-    # generic fold and factoring test; one closed-form side alone does too
+    # fold and factoring test that hold for any quotient
     plain = {n: by_closure(n) for n in range(2, 61)}
     built = {n: closed_form(n) for n in range(2, 61)}
     for a, b in itertools.product(range(2, 61), repeat=2):
         generic = plain[a].factors_through(plain[b])
         assert built[a].factors_through(built[b]) == generic == (b % a == 0), (a, b)
-        assert built[a].factors_through(plain[b]) == generic, (a, b)
     # every pair up to 20; past that, b = 60 against every a, consecutive
     # (coprime) pairs and multiples
     pairs = [
@@ -294,22 +417,82 @@ def test_same_family_fold_and_factoring_match_generic(closed_form, by_closure):
         for got in (built[a].fold(built[b]), built[b].fold(built[a])):
             _assert_same_quotient(got, generic)
             assert got._family == (closed_form, math.lcm(a, b)), (a, b)
-        if b <= 8:
-            mixed = built[a].fold(plain[b])
-            _assert_same_quotient(mixed, generic)
-            assert mixed._family is None
+
+
+@st.composite
+def _pair_quotients(draw, budget=3000, nested=True):
+    """A pair quotient of order about ``budget`` at most.  Each side is
+    trivial (None, beside two or three generators), C_k or D_h (k, h up
+    to 60), or, one level down, a pair of those."""
+    sides, widths = [], []
+    for room in (budget // 2, None):
+        if room is None:
+            room = budget // (1 if sides[0] is None else sides[0].order)
+        kinds = ["trivial", "cyclic", "dihedral"] + (["pair"] if nested and room >= 8 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "trivial":
+            side, width = None, draw(st.sampled_from([2, 3]))
+        elif kind == "cyclic":
+            side, width = resfin._cyclic_quotient(draw(st.integers(2, max(2, min(60, room))))), 2
+        elif kind == "dihedral":
+            side, width = resfin._dihedral_quotient(draw(st.integers(2, max(2, min(60, room // 2))))), 3
+        else:
+            side = draw(_pair_quotients(room, nested=False))
+            width = sum(side.widths)
+        sides.append(side)
+        widths.append(width)
+    return resfin.PairQuotient(tuple(sides), tuple(widths))
+
+
+def _ambient_pair_rows(pair):
+    """The rows of the pair's generators over the ambient codes
+    ``x * |Q1| + y`` of all pairs of side elements."""
+    orders = [1 if side is None else side.order for side in pair.sides]
+    steps = [
+        [np.zeros(1, dtype=np.int64)] * width if side is None else [np.asarray(row) for row in side.right]
+        for side, width in zip(pair.sides, pair.widths)
+    ]
+    first = [np.add.outer(step * orders[1], np.arange(orders[1])).ravel() for step in steps[0]]
+    second = [np.add.outer(np.arange(orders[0]) * orders[1], step).ravel() for step in steps[1]]
+    return first + second
+
+
+@settings(max_examples=40)
+@given(pair=_pair_quotients())
+@example(pair=resfin.PairQuotient((resfin._dihedral_quotient(3), resfin._cyclic_quotient(4)), (3, 2)))
+@example(pair=resfin.PairQuotient((None, resfin._dihedral_quotient(5)), (2, 3)))  # a projection
+@example(pair=resfin.PairQuotient((resfin._cyclic_quotient(6), None), (2, 3)))
+def test_pair_enumeration_matches_reference_loop(pair):
+    # the shortlex enumeration, its rows, left multiplication, sign, depth
+    # and post-order are those of the closure loop over the ambient rows
+    reference = _ClosureQuotient(_ambient_pair_rows(pair))
+    assert pair.codes.tolist() == reference.codes and pair.label.tolist() == reference.label
+    assert pair.order == reference.order and pair.right == reference.right
+    assert all(map(np.array_equal, _left_rows(pair), _left_rows(reference)))
+    depth, post = pair.shape
+    assert (depth.tolist(), post.tolist()) == _tree_shape(pair)
+    for s, g in enumerate(pair.gen_images):
+        letters, bounds = pair.cycle_walk(s)
+        want_letters, want_bounds = _cycle_walk(_tree_images(pair, g))
+        assert np.array_equal(letters, want_letters) and np.array_equal(bounds, want_bounds), s
+    cosets = IndexedAlphabet(pair.order)
+    for i in {0, 1 % pair.order, pair.order // 2, pair.order - 1}:
+        images = pair.left_mult_images(i)
+        assert np.array_equal(images, _tree_images(pair, i)), i
+        assert pair.left_mult_sign(i) == Perm(cosets, images).sign, i
 
 
 def test_bundled_level_maps_skip_closure_and_tree_walk(monkeypatch):
-    # building, reporting and acting by left multiplication: no search,
-    # no spanning tree, no walk of a cycle or of the tree, and no cycle
-    # decomposition for the sign
-    def refuse(*args):
-        raise AssertionError("closure, tree or cycle walk ran")
+    # building, reporting and acting by left multiplication: the package
+    # holds no search, no spanning tree and no walk of a quotient, and no
+    # cycle walk or decomposition runs for a report or a sign
+    for name in ("_closure", "_spanning_tree", "_tree_images", "_tree", "_cycle_walk"):
+        assert not hasattr(resfin, name) and not hasattr(resfin.FiniteQuotient, name), name
 
-    for name in ("_closure", "_spanning_tree", "_cycle_walk"):
-        monkeypatch.setattr(resfin, name, refuse)
-    monkeypatch.setattr(resfin.FiniteQuotient, "_tree_images", refuse)
+    def refuse(*args):
+        raise AssertionError("cycle walk or decomposition ran")
+
+    monkeypatch.setattr(perm, "_cycle_walk", refuse)
     monkeypatch.setattr(perm, "_cycle_lengths", refuse)
 
     def report_and_act(oracle, n, words):
@@ -327,6 +510,18 @@ def test_bundled_level_maps_skip_closure_and_tree_walk(monkeypatch):
         assert [q.order for q in level_components(oracle, 3)] == [m]
         assert build_level_map(oracle, 3).quotient.order == m
         report_and_act(oracle, 3, oracle.ball(1))
+    for selector, top in [
+        ("product:integers,integers", 5),
+        ("product:dihedral_infinite,integers", 4),
+        ("product:integers,dihedral_infinite", 4),
+        ("product:dihedral_infinite,dihedral_infinite", 4),
+        ("product:integers,integers,integers", 3),
+        ("product:finite:6,integers", 3),
+    ]:
+        oracle = oracle_from_selector(selector)
+        for n in range(1, top + 1):
+            assert isinstance(build_level_map(oracle, n).quotient, resfin.PairQuotient)
+            report_and_act(oracle, n, oracle.ball(1))
 
 
 def test_level_map_order_cap():
@@ -449,7 +644,7 @@ def test_efrf_query_rejects_non_separating_quotient():
             # collapses rotations: an order-2 quotient cannot separate t
             return self._quotient(
                 ("bad", 2),
-                lambda: resfin.FiniteQuotient(((1, 0), (0, 1), (0, 1)), key=("bad", 2)),
+                lambda: _ClosureQuotient(((1, 0), (0, 1), (0, 1)), key=("bad", 2)),
             )
 
     bad = Corrupted()
@@ -549,6 +744,18 @@ CANONICAL_DIGESTS = {
     ("finite:6", 3): "1f0295c34e55bb91ef9cd15bcb1453d20a4907c53d47eede3c7dfa73beddf61e",
     # an involution beside two inverse pairs of generators
     ("product:dihedral_infinite,integers", 3): "a37578c872ad1ba2d49d172b8c4478dd07bdd81317f480b8abc123e14be2c90b",
+    # recorded while product quotients were still closed over their
+    # ambient rows, before their enumeration was written in shortlex
+    # order; the nested product and a finite side among them
+    ("product:dihedral_infinite,dihedral_infinite", 1): "6ec6748d2590dfac16b399aa73caf588a94a439cf2def2574d455cd780b3fc38",
+    ("product:dihedral_infinite,dihedral_infinite", 2): "a091eda609538912033bad5f38f1fc1914d3dd243cf01ebdbdf4bffafd0b49bc",
+    ("product:dihedral_infinite,dihedral_infinite", 3): "9e1d4d3992cc5c606f1114227e926f62ba4fb5d986fc277aae96d2a294b545da",
+    ("product:dihedral_infinite,dihedral_infinite", 4): "21ea5f5ce662b1d566100115116c652f9ed79c50896403491df26c8819b5c74c",
+    ("product:dihedral_infinite,dihedral_infinite", 5): "21ea5f5ce662b1d566100115116c652f9ed79c50896403491df26c8819b5c74c",
+    ("product:integers,dihedral_infinite", 4): "febf2565fe1f3136376b30b5d11264411b8f9da46af3693a53af04d4c517c4d0",
+    ("product:integers,integers,integers", 3): "198765f29fd9dd3921cb76bb504a1cca3e2e8d86c2da68006e8703681fda894d",
+    ("product:integers,integers,integers", 4): "12258bef1fa7cca9b2922952b0f0ad478b08b26f0fecbb1747804804c287ba0f",
+    ("product:finite:6,integers", 5): "c4429f2e0675c7b5777d44b6468697afaeae8012f5e1af5e5d90d63d2ba4d824",
 }
 
 
@@ -569,32 +776,40 @@ def test_left_rows_of_inverse_generators_are_inverse(selector):
     inverted; it rests on ``left[inverse[s]]`` undoing ``left[s]``."""
     oracle = oracle_from_selector(selector)
     for n in (1, 2, 3, 4):
-        left = [np.asarray(row) for row in build_level_map(oracle, n).quotient.left]
+        left = _left_rows(build_level_map(oracle, n).quotient)
         for s, t in enumerate(oracle.inverse):
             assert np.array_equal(left[t][left[s]], np.arange(len(left[s]))), (n, s)
 
 
 def test_quotient_report_walks_once_per_inverse_pair(monkeypatch):
-    """A generic quotient walks its left rows once per pair of mutually
-    inverse generators, ``t'`` printed from the walk of ``t``; a
-    closed-form quotient walks nothing.  No alphabet labels are read,
-    since element indices are written straight from the walk."""
-    walks = []
+    """A report takes one closed-form walk per pair of mutually inverse
+    generators, ``t'`` printed from the walk of ``t``, and walks no image
+    array.  No alphabet labels are read, since element indices are
+    written straight from the walk."""
+    walked = []
+    for kind in (resfin._FamilyQuotient, resfin.PairQuotient):
 
-    def counted(images, _real=resfin._cycle_walk):
-        walks.append(len(images))
-        return _real(images)
+        def counted(self, s, _real=kind.cycle_walk):
+            walked.append((self, s))
+            return _real(self, s)
 
-    def no_labels(alphabet):
-        raise AssertionError("alphabet labels read")
+        monkeypatch.setattr(kind, "cycle_walk", counted)
 
-    monkeypatch.setattr(resfin, "_cycle_walk", counted)
-    monkeypatch.setattr(IndexedAlphabet, "labels", property(no_labels))
-    for selector, n, pairs in [("dihedral_infinite", 10, 0), ("integers", 12, 0), ("product:integers,integers", 6, 2)]:
+    def refuse(*args):
+        raise AssertionError("image array walked or alphabet labels read")
+
+    monkeypatch.setattr(perm, "_cycle_walk", refuse)
+    monkeypatch.setattr(IndexedAlphabet, "labels", property(refuse))
+    for selector, n, walks in [
+        ("dihedral_infinite", 10, [0, 1]),
+        ("integers", 12, [0]),
+        ("product:integers,integers", 6, [0, 2]),
+        ("product:dihedral_infinite,integers", 3, [0, 1, 3]),
+    ]:
         qm = build_level_map(oracle_from_selector(selector), n)
-        walks.clear()
+        walked.clear()
         text = format_quotient_map(qm)
-        assert walks == [qm.quotient.order] * pairs, selector
+        assert [s for quotient, s in walked if quotient is qm.quotient] == walks, selector
         assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_DIGESTS[(selector, n)]
 
 
@@ -606,7 +821,7 @@ def test_closed_form_walks_match_cycle_walk(closed_form):
         quotient = closed_form(n)
         for s, g in enumerate(quotient.gen_images):
             letters, bounds = quotient.cycle_walk(s)
-            want_letters, want_bounds = _cycle_walk(quotient._tree_images(g, quotient))
+            want_letters, want_bounds = _cycle_walk(_tree_images(quotient, g))
             assert np.array_equal(letters, want_letters) and np.array_equal(bounds, want_bounds), (n, s)
 
 
@@ -619,6 +834,7 @@ LEFT_MULT_SELECTORS = [
     "product:integers,integers",
     "product:dihedral_infinite,integers",
     "product:integers,dihedral_infinite",
+    "product:integers,integers,integers",
 ]
 
 
@@ -628,18 +844,19 @@ def test_left_mult_gather_and_cayley_sign(selector):
     # Cayley's sign as the cycle decomposition of the coset block finds
     # it, for every element of the level 1-4 quotients up to 1 000
     # elements; the product quotients at level 4 (3 600 and 7 200
-    # elements, whose generic walks take quadratic time in all) are
-    # checked on 200 evenly spaced elements
+    # elements, whose reference walks take quadratic time in all) are
+    # checked on 200 evenly spaced elements; the nested product stops at
+    # level 3 (1 728 elements), since its level 4 has 216 000
     oracle = oracle_from_selector(selector)
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3) if selector.count(",") > 1 else (1, 2, 3, 4):
         quotient = build_level_map(oracle, n).quotient
         cosets = IndexedAlphabet(quotient.order)
         step = quotient.order // 200 if quotient.order > 1000 else 1
         for i in range(0, quotient.order, step):
             images = quotient.left_mult_images(i)
             assert images.dtype == np.int64
-            assert np.array_equal(images, quotient._tree_images(i, quotient)), (n, i)
-            assert quotient.left_mult_sign(images) == Perm(cosets, images).sign, (n, i)
+            assert np.array_equal(images, _tree_images(quotient, i)), (n, i)
+            assert quotient.left_mult_sign(i) == Perm(cosets, images).sign, (n, i)
 
 
 def test_quotient_products_agree(zz, dinf):
