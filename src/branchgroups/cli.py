@@ -178,12 +178,10 @@ def cmd_chain(args):
         "kernel_check": report,
         "table": text,
     }
-    lines = text.splitlines()
-    lines.append(
-        f"kernel check radius {args.level}: {'pass' if report['passed'] else 'FAIL'}"
-        + (f" (counterexample {report['counterexample']})" if report["counterexample"] else "")
-    )
-    _emit(args, payload, lines)
+    check = f"kernel check radius {args.level}: {'pass' if report['passed'] else 'FAIL'}"
+    if report["counterexample"]:
+        check += f" (counterexample {report['counterexample']})"
+    _emit(args, payload, [text, check])
     return 0 if report["passed"] else 1
 
 

@@ -14,7 +14,6 @@ Words are plain tuples of generator indices.  The inverse of generator
 
 from __future__ import annotations
 
-from array import array
 from functools import cached_property
 from math import gcd, lcm
 
@@ -69,18 +68,6 @@ class CapExceeded(RuntimeError):
     fold); use depth-bounded checks or a smaller level instead."""
 
 
-def _ints(row):
-    """An int32 view of an ``array("i")`` row."""
-    return np.frombuffer(row, dtype=np.int32)
-
-
-def _int_row(values):
-    """An ``array("i")`` copy of a contiguous int32 array."""
-    row = array("i")
-    row.frombytes(memoryview(values).cast("B"))
-    return row
-
-
 def _inverse(perm):
     """The inverse of a permutation of ``0..len(perm)-1``, such as the
     element of each code from the visit order ``codes``."""
@@ -111,10 +98,9 @@ class FiniteQuotient:
     - ``order`` and ``key``, which identifies the quotient up to an
       identical homomorphism from the source and deduplicates components;
     - ``codes``, the ambient code of each element, and ``label``, the
-      element of each code;
-    - ``right[s]``, an ``array("i")`` row per generator, ``right[s][x]``
-      being the index of element ``x`` times generator ``s``, and
-      ``gen_images``, the elements of the generators;
+      element of each code, both built on first read;
+    - ``apply_word(word)``, the element of a word, from the product rule
+      on ambient codes, so no quotient stores a multiplication table;
     - ``shape``, the depth of each element and its index in the post-order
       of the search tree (children in generator order), from which a
       product writes its own enumeration;
@@ -138,28 +124,25 @@ class FiniteQuotient:
         o = self.element_order(i)
         return -1 if (self.order - self.order // o) % 2 else 1
 
-    def apply_word(self, word):
-        acc = 0
-        right = self.right
-        for letter in word:
-            acc = right[letter][acc]
-        return acc
-
     def __repr__(self):
         return f"{type(self).__name__}(order={self.order}, key={self.key!r})"
 
 
 class _FamilyQuotient(FiniteQuotient):
-    """A cyclic or dihedral quotient, written by :func:`_cyclic_quotient` or
-    :func:`_dihedral_quotient` from its visit order ``codes``.  ``right[s]``
-    holds the codes of those elements times generator ``s``; ``_family``
-    is the builder and its parameter ``n``.
+    """A cyclic or dihedral quotient, given by its ``key``: the family and
+    the parameter ``n``.  Ambient code ``e*n + m`` stands for a^e t^m,
+    with e = 0 only in C_n, so the order and the generators' codes (``a``,
+    then ``t`` and ``t'``) follow from the key, and the visit order
+    (:func:`_cyclic_codes`, :func:`_dihedral_codes`) is written on first
+    read.  Multiplication is the product rule
 
-    Ambient code ``e*n + m`` stands for a^e t^m, with e = 0 only in C_n,
-    so the left regular representation is known outright:
+        a^e' t^m' . a^e t^m = a^(e'+e) t^((-1)^e m' + m)
 
-    - left multiplication is one gather of the product rule
-      a^e' t^m' . a^e t^m = a^(e'+e) t^((-1)^e m' + m);
+    on codes, ints or arrays alike (:meth:`_product`), so the left regular
+    representation is known outright:
+
+    - a word's element is its generators' codes multiplied from the
+      identity, and left multiplication is one gather of the rule;
     - ``t`` is one n-cycle t^0 -> t^1 -> ... in C_n, and two in D_n,
       (0, m) -> (0, m+1) from element 0 and (1, m) -> (1, m-1) from
       element 1; ``a`` swaps (0, m) and (1, m), (0, m) first, the cycles
@@ -169,17 +152,36 @@ class _FamilyQuotient(FiniteQuotient):
 
     Two quotients of one family (the components of one oracle) fold to
     the family's quotient at the lcm of their parameters and factor by
-    divisibility.
+    divisibility, so neither enumerates anything.
     """
 
-    def __init__(self, codes, right, key, family):
-        self.codes = codes
-        self.label = _inverse(codes)
-        self.right = tuple(_int_row(self.label[row]) for row in right)
-        self.order = len(codes)
-        self.gen_images = tuple(row[0] for row in self.right)
-        self.key = key
-        self._family = family
+    def __init__(self, family, n):
+        self.key = (family, n)
+        self.n = n
+        self.order = n if family == "cyclic" else 2 * n
+        self._gens = (1 % n, -1 % n) if family == "cyclic" else (n, 1 % n, -1 % n)
+
+    @cached_property
+    def codes(self):
+        return (_cyclic_codes if self.order == self.n else _dihedral_codes)(self.n)
+
+    @cached_property
+    def label(self):
+        return _inverse(self.codes)
+
+    def _product(self, left, right):
+        """The code of the product of the elements coded ``left`` and
+        ``right``, each an int or an array."""
+        n = self.n
+        f, k = divmod(left, n)
+        e, m = divmod(right, n)
+        return (f ^ e) * n + (k * (1 - 2 * e) + m) % n
+
+    def apply_word(self, word):
+        code, gens = 0, self._gens
+        for s in word:
+            code = self._product(code, gens[s])
+        return int(self.label[code])
 
     @cached_property
     def shape(self):
@@ -189,7 +191,7 @@ class _FamilyQuotient(FiniteQuotient):
         otherwise, deepest first: post-order P - m' or P + M - m', and
         n - 1 at the identity.  In D_n a reflection lies one deeper, and
         its branch comes first, so a rotation's index moves up by n."""
-        n = self._family[1]
+        n = self.n
         e, m = np.divmod(self.codes, n)
         half, rest = n // 2, (n - 1) // 2
         positive = m <= half
@@ -201,13 +203,10 @@ class _FamilyQuotient(FiniteQuotient):
         return depth + e, post
 
     def _left_images(self, i):
-        n = self._family[1]
-        e, m = np.divmod(self.codes, n)
-        f, k = divmod(int(self.codes[i]), n)
-        return self.label[(e ^ f) * n + (m + k * (1 - 2 * e)) % n]
+        return self.label[self._product(int(self.codes[i]), self.codes)]
 
     def element_order(self, i):
-        n = self._family[1]
+        n = self.n
         e, m = divmod(int(self.codes[i]), n)
         return 2 if e else n // gcd(m, n)
 
@@ -215,9 +214,9 @@ class _FamilyQuotient(FiniteQuotient):
         """Left multiplication by generator ``s`` in the layout of
         :func:`perm._cycle_walk`: the cycles of ``a``, ``t`` or ``t'`` from
         the visit order, each from its least element."""
-        n = self._family[1]
+        n = self.n
         codes, label = self.codes, self.label
-        e, m = divmod(int(codes[self.gen_images[s]]), n)
+        e, m = divmod(self._gens[s], n)
         if e:
             rotations = codes[codes < n]
             return label[np.stack([rotations, rotations + n], axis=1).ravel()], np.arange(0, self.order + 1, 2)
@@ -229,40 +228,42 @@ class _FamilyQuotient(FiniteQuotient):
         """Whether this quotient's map from the source factors through
         ``other``'s: C_a (or D_a) is a quotient of C_b (or D_b) exactly
         when a divides b."""
-        return other._family[1] % self._family[1] == 0
+        return other.n % self.n == 0
 
     def fold(self, other):
         """The image of the source in this quotient times ``other``: ``t``
         maps to an element of order lcm(a, b) in C_a x C_b (or D_a x D_b),
         so the image is the family's quotient at the lcm."""
-        builder, a = self._family
-        return builder(lcm(a, other._family[1]))
+        return _FamilyQuotient(self.key[0], lcm(self.n, other.n))
 
 
 def _cyclic_quotient(k):
-    """The cyclic group of order ``k`` over ``t``, ``t'``, code ``c``
-    standing for ``t^c``.  The search reaches t^0, t^1, t^-1, t^2,
-    t^-2, ...; at even ``k``, ``t^(k/2)`` is reached first as a positive
-    power."""
-    x = np.arange(k, dtype=np.int32)
-    codes = np.where(x % 2 == 1, (x + 1) // 2, k - x // 2) % k
-    return _FamilyQuotient(codes, [(codes + 1) % k, (codes - 1) % k], ("cyclic", k), (_cyclic_quotient, k))
+    return _FamilyQuotient("cyclic", k)
 
 
 def _dihedral_quotient(h):
-    """The dihedral group of order ``2h`` over ``a``, ``t``, ``t'``, code
-    ``e*h + m`` standing for ``a^e t^m``.  The search reaches (0, 0),
-    (1, 0), then (0, m), (0, -m), (1, m), (1, -m) for m = 1, 2, ...,
-    each code where it first appears; at even ``h``, ``m = h/2`` adds
-    (0, h/2) and (1, h/2) only.  On the right, ``a`` flips e and negates
-    m and ``t`` adds 1 to m."""
+    return _FamilyQuotient("dihedral", h)
+
+
+def _cyclic_codes(k):
+    """The visit order of the cyclic group of order ``k`` over ``t``,
+    ``t'``, code ``c`` standing for ``t^c``.  The search reaches t^0, t^1,
+    t^-1, t^2, t^-2, ...; at even ``k``, ``t^(k/2)`` is reached first as a
+    positive power."""
+    x = np.arange(k, dtype=np.int32)
+    return np.where(x % 2 == 1, (x + 1) // 2, k - x // 2) % k
+
+
+def _dihedral_codes(h):
+    """The visit order of the dihedral group of order ``2h`` over ``a``,
+    ``t``, ``t'``, code ``e*h + m`` standing for ``a^e t^m``.  The search
+    reaches (0, 0), (1, 0), then (0, m), (0, -m), (1, m), (1, -m) for
+    m = 1, 2, ..., each code where it first appears; at even ``h``,
+    ``m = h/2`` adds (0, h/2) and (1, h/2) only."""
     m = np.arange(1, (h + 1) // 2, dtype=np.int32)
     first = np.array([0, h], dtype=np.int32)
     middle = first + h // 2 if h % 2 == 0 else first[:0]
-    codes = np.concatenate((first, np.stack([m, h - m, h + m, 2 * h - m], axis=1).ravel(), middle))
-    e, m = np.divmod(codes, h)
-    right = [(1 - e) * h + -m % h, e * h + (m + 1) % h, e * h + (m - 1) % h]
-    return _FamilyQuotient(codes, right, ("dihedral", h), (_dihedral_quotient, h))
+    return np.concatenate((first, np.stack([m, h - m, h + m, 2 * h - m], axis=1).ravel(), middle))
 
 
 _NOTHING = np.zeros(1, dtype=np.int32)
@@ -311,17 +312,14 @@ class PairQuotient(FiniteQuotient):
     def label(self):
         return self.codes if None in self.sides else _inverse(self.codes)
 
-    @cached_property
-    def right(self):
-        width, label = self._width, self.label
-        x, y = np.divmod(self.codes, width)
-        first, second = (_side_rows(q, n) for q, n in zip(self.sides, self.widths))
-        rows = [label[row[x] * width + y] for row in first] + [label[x * width + row[y]] for row in second]
-        return tuple(map(_int_row, rows))
-
-    @cached_property
-    def gen_images(self):
-        return tuple(row[0] for row in self.right)
+    def apply_word(self, word):
+        """``label[x * |Q1| + y]``, x and y being the sides' images of the
+        word's two projections."""
+        split = self.widths[0]
+        first, second = self.sides
+        x = 0 if first is None else first.apply_word([s for s in word if s < split])
+        y = 0 if second is None else second.apply_word([s - split for s in word if s >= split])
+        return int(self.label[x * self._width + y])
 
     @cached_property
     def shape(self):
@@ -379,12 +377,6 @@ def _pair_key(sides):
 
 def _side_order(side):
     return 1 if side is None else side.order
-
-
-def _side_rows(side, width):
-    # a trivial side's generators fix every element: the gather at side
-    # index 0 leaves the pair's code as it is
-    return [_NOTHING] * width if side is None else [_ints(row) for row in side.right]
 
 
 def _side_shape(side):
@@ -700,17 +692,16 @@ def level_components(oracle, n):
     They are the residual-finiteness query's answers on the shortest
     representatives of the nontrivial elements of the radius-n ball
     (``oracle.ball(n)[1:]``), in the ball's (length, lex) order.
-    Components with an identical (quotient, generator images) descriptor
-    detect the same kernel and are collapsed, keeping the first
-    appearance.
+    Components with one ``key`` (the family and parameter, or a pair of
+    those) are one quotient with one map from the source, so they detect
+    the same kernel and are collapsed, keeping the first appearance.
     """
     components = []
     seen_keys = set()
     for w in oracle.ball(n)[1:]:
         quotient, _ = efrf_query(oracle, w)
-        dedup = quotient.key if quotient.key is not None else id(quotient)
-        if dedup not in seen_keys:
-            seen_keys.add(dedup)
+        if quotient.key not in seen_keys:
+            seen_keys.add(quotient.key)
             components.append(quotient)
     return components
 
@@ -728,9 +719,9 @@ def build_level_map(oracle, n, cap=None):
     way, so the enumeration is that of the image in the full product.
 
     ``cap`` bounds each fold's ``A.order * C.order`` codes; a larger fold
-    raises :class:`CapExceeded`.  No fold enumerates anything (a product
-    lists its elements on first read), so the cap fires before any work
-    on the image.
+    raises :class:`CapExceeded`.  No fold enumerates anything (every
+    quotient lists its elements on first read), so the cap fires before
+    any work on the image.
     """
     if n < 1:
         raise ValueError("quotient chain level must be at least 1")

@@ -141,7 +141,7 @@ def _spanning_tree(quotient):
     got = _TREES.get(quotient)
     if got is not None:
         return got
-    right = [np.asarray(row) for row in quotient.right]
+    right = [np.asarray(row) for row in _right(quotient)]
     reach = np.maximum.accumulate(functools.reduce(np.maximum, right))
     x = np.arange(len(reach))
     parent = np.searchsorted(reach, x)
@@ -160,7 +160,7 @@ def _tree_images(quotient, start, tree=None):
     ``parent[x]`` times generator ``via[x]``, and ``parent[x]`` comes
     before ``x``."""
     parent, via = _spanning_tree(quotient if tree is None else tree)
-    right = quotient.right
+    right = _right(quotient)
     images = [start]
     for p, s in zip(parent[1:].tolist(), via[1:].tolist()):
         images.append(right[s][images[p]])
@@ -187,9 +187,11 @@ def _tree_shape(quotient):
 
 
 class _ClosureQuotient(resfin.FiniteQuotient):
-    """A quotient closed over ambient rows by the reference loop, with the
-    fold, factor test, left multiplication and sign that hold for any
-    quotient: the reference the closed forms are checked against."""
+    """A quotient closed over ambient rows by the reference loop, keeping
+    its right-multiplication rows ``right`` and its generators' elements
+    ``gen_images``, with the word walk, fold, factor test, left
+    multiplication and sign that hold for any quotient: the reference the
+    closed forms are checked against."""
 
     def __init__(self, rows, key=None):
         self.label, self.codes, _, _ = _reference_closure(rows)
@@ -198,6 +200,9 @@ class _ClosureQuotient(resfin.FiniteQuotient):
         self.order = len(self.codes)
         self.gen_images = tuple(row[0] for row in self.right)
         self.key = key
+
+    def apply_word(self, word):
+        return _walk(self.right, word)
 
     def _left_images(self, i):
         return _tree_images(self, i)
@@ -224,6 +229,38 @@ class _ClosureQuotient(resfin.FiniteQuotient):
         # the closure over the codes i * other.order + j of the pairs
         width = other.order
         return _ClosureQuotient([np.add.outer(np.asarray(here) * width, there).ravel() for here, there in zip(self.right, other.right)])
+
+
+def _walk(right, word):
+    """The element of ``word``, walked from the identity along
+    right-multiplication rows."""
+    acc = 0
+    for s in word:
+        acc = right[s][acc]
+    return int(acc)
+
+
+_RIGHT = weakref.WeakKeyDictionary()
+
+
+def _right(quotient):
+    """Right multiplication by each generator as ``array("i")`` rows: a
+    reference's own rows, or for a bundled quotient the element of each
+    element's code times the generator on the ambient rows the references
+    are closed over (:func:`_gen_rows`).  Kept per quotient while it
+    lives."""
+    if isinstance(quotient, _ClosureQuotient):
+        return quotient.right
+    got = _RIGHT.get(quotient)
+    if got is None:
+        rows = (quotient.label[np.asarray(row)[quotient.codes]].tolist() for row in _gen_rows(quotient))
+        got = _RIGHT[quotient] = tuple(array("i", row) for row in rows)
+    return got
+
+
+def _gen_images(quotient):
+    """The element of each generator, as ``apply_word`` gives it."""
+    return [quotient.apply_word((s,)) for s in range(len(_right(quotient)))]
 
 
 @st.composite
@@ -270,7 +307,7 @@ def test_closure_matches_reference_loop(rows):
 def _tuple_closure(components, n_gens, limit):
     """Reference closure of the level image: raw elements are tuples of
     component indices, keyed in a dict; None once it passes ``limit``."""
-    gens = [tuple(c.right[s] for c in components) for s in range(n_gens)]
+    gens = [tuple(_right(c)[s] for c in components) for s in range(n_gens)]
     elems = [(0,) * len(components)]
     index = {elems[0]: 0}
     right, parent, via = [[] for _ in gens], [0], [0]
@@ -300,7 +337,7 @@ def test_fold_matches_tuple_closure(selector):
         order, right, parent, via = reference
         quotient = build_level_map(oracle, n).quotient
         assert quotient.order == order, n
-        assert [list(row) for row in quotient.right] == right, n
+        assert [list(row) for row in _right(quotient)] == right, n
         assert [row.tolist() for row in _spanning_tree(quotient)] == [parent, via], n
         _assert_left_rows(quotient)
     assert n > 1
@@ -308,13 +345,13 @@ def test_fold_matches_tuple_closure(selector):
 
 def _left_rows(quotient):
     """Left multiplication by each generator's image."""
-    return [quotient.left_mult_images(g) for g in quotient.gen_images]
+    return [quotient.left_mult_images(g) for g in _gen_images(quotient)]
 
 
 def _assert_left_rows(quotient):
     # left multiplication by each generator's image, as the spanning-tree
     # walk computes it
-    for row, g in zip(_left_rows(quotient), quotient.gen_images):
+    for row, g in zip(_left_rows(quotient), _gen_images(quotient)):
         assert np.array_equal(row, _tree_images(quotient, g)), g
 
 
@@ -347,23 +384,40 @@ def test_factors_through(zz, dinf):
     assert second.factors_through(first.fold(second))
 
 
-def _cyclic_by_closure(k):
-    """The cyclic quotient closed over its rows as they were defined
-    before the closed form: code c stands for t^c."""
+def _cyclic_rows(k):
+    """The rows of ``t`` and ``t'`` over the codes of C_k as they were
+    defined before the closed form: code c stands for t^c."""
     codes = np.arange(k, dtype=np.int32)
-    return _ClosureQuotient([(codes + step) % k for step in (1, -1)], key=("cyclic", k))
+    return [(codes + step) % k for step in (1, -1)]
 
 
-def _dihedral_by_closure(h):
-    """The dihedral quotient closed over its former rows: code e*h + m
-    stands for a^e t^m."""
+def _dihedral_rows(h):
+    """The rows of ``a``, ``t`` and ``t'`` over the codes of D_h: code
+    e*h + m stands for a^e t^m."""
     codes = [divmod(c, h) for c in range(2 * h)]
-    rows = [
+    return [
         [(e ^ 1) * h + (-m % h) for e, m in codes],
         [e * h + (m + 1) % h for e, m in codes],
         [e * h + (m - 1) % h for e, m in codes],
     ]
-    return _ClosureQuotient(rows, key=("dihedral", h))
+
+
+def _gen_rows(quotient):
+    """The generators' rows over the ambient codes of a bundled quotient."""
+    if isinstance(quotient, resfin.PairQuotient):
+        return _ambient_pair_rows(quotient)
+    family, n = quotient.key
+    return (_cyclic_rows if family == "cyclic" else _dihedral_rows)(n)
+
+
+def _cyclic_by_closure(k):
+    """The cyclic quotient closed over its rows."""
+    return _ClosureQuotient(_cyclic_rows(k), key=("cyclic", k))
+
+
+def _dihedral_by_closure(h):
+    """The dihedral quotient closed over its rows."""
+    return _ClosureQuotient(_dihedral_rows(h), key=("dihedral", h))
 
 
 FAMILIES = [(resfin._cyclic_quotient, _cyclic_by_closure), (resfin._dihedral_quotient, _dihedral_by_closure)]
@@ -372,8 +426,8 @@ FAMILIES = [(resfin._cyclic_quotient, _cyclic_by_closure), (resfin._dihedral_quo
 def _assert_same_quotient(got, want):
     # array("i") rows compare entry by entry
     assert got.order == want.order
-    assert got.right == want.right
-    assert got.gen_images == want.gen_images
+    assert _right(got) == _right(want)
+    assert _gen_images(got) == _gen_images(want)
     assert all(map(np.array_equal, _left_rows(got), _left_rows(want)))
 
 
@@ -382,8 +436,8 @@ def test_closed_forms_match_closure(closed_form, by_closure):
     for n in range(2, 301):
         got, want = closed_form(n), by_closure(n)
         _assert_same_quotient(got, want)
-        assert got.key == want.key, n
-        assert got._family == (closed_form, n)
+        # the key is the family and parameter, which a fold keeps
+        assert got.key == want.key == got.fold(got).key, n
 
 
 @pytest.mark.parametrize("closed_form", [resfin._cyclic_quotient, resfin._dihedral_quotient])
@@ -398,8 +452,8 @@ def test_closed_form_shapes_match_spanning_tree(closed_form):
 
 @pytest.mark.parametrize("closed_form, by_closure", FAMILIES)
 def test_same_family_fold_and_factoring_match_generic(closed_form, by_closure):
-    # quotients built by the closure carry no family, so they take the
-    # fold and factoring test that hold for any quotient
+    # quotients built by the closure take the fold and factoring test that
+    # hold for any quotient
     plain = {n: by_closure(n) for n in range(2, 61)}
     built = {n: closed_form(n) for n in range(2, 61)}
     for a, b in itertools.product(range(2, 61), repeat=2):
@@ -416,7 +470,7 @@ def test_same_family_fold_and_factoring_match_generic(closed_form, by_closure):
         generic = plain[a].fold(plain[b])
         for got in (built[a].fold(built[b]), built[b].fold(built[a])):
             _assert_same_quotient(got, generic)
-            assert got._family == (closed_form, math.lcm(a, b)), (a, b)
+            assert got.key == (built[a].key[0], math.lcm(a, b)), (a, b)
 
 
 @st.composite
@@ -449,7 +503,7 @@ def _ambient_pair_rows(pair):
     ``x * |Q1| + y`` of all pairs of side elements."""
     orders = [1 if side is None else side.order for side in pair.sides]
     steps = [
-        [np.zeros(1, dtype=np.int64)] * width if side is None else [np.asarray(row) for row in side.right]
+        [np.zeros(1, dtype=np.int64)] * width if side is None else [np.asarray(row) for row in _right(side)]
         for side, width in zip(pair.sides, pair.widths)
     ]
     first = [np.add.outer(step * orders[1], np.arange(orders[1])).ravel() for step in steps[0]]
@@ -467,11 +521,12 @@ def test_pair_enumeration_matches_reference_loop(pair):
     # and post-order are those of the closure loop over the ambient rows
     reference = _ClosureQuotient(_ambient_pair_rows(pair))
     assert pair.codes.tolist() == reference.codes and pair.label.tolist() == reference.label
-    assert pair.order == reference.order and pair.right == reference.right
+    assert pair.order == reference.order and _right(pair) == reference.right
+    assert _gen_images(pair) == _gen_images(reference)
     assert all(map(np.array_equal, _left_rows(pair), _left_rows(reference)))
     depth, post = pair.shape
     assert (depth.tolist(), post.tolist()) == _tree_shape(pair)
-    for s, g in enumerate(pair.gen_images):
+    for s, g in enumerate(_gen_images(pair)):
         letters, bounds = pair.cycle_walk(s)
         want_letters, want_bounds = _cycle_walk(_tree_images(pair, g))
         assert np.array_equal(letters, want_letters) and np.array_equal(bounds, want_bounds), s
@@ -480,6 +535,31 @@ def test_pair_enumeration_matches_reference_loop(pair):
         images = pair.left_mult_images(i)
         assert np.array_equal(images, _tree_images(pair, i)), i
         assert pair.left_mult_sign(i) == Perm(cosets, images).sign, i
+
+
+@functools.cache
+def _sweep_quotient(selector, n):
+    return build_level_map(oracle_from_selector(selector), n).quotient
+
+
+@settings(max_examples=30)
+@given(pair=_pair_quotients(), trivial=st.sampled_from([0, 1]), seed=st.integers(0, 2**32 - 1))
+@example(pair=resfin.PairQuotient((resfin._dihedral_quotient(3), resfin._cyclic_quotient(4)), (3, 2)), trivial=0, seed=0)
+def test_apply_word_matches_right_rows_walk(pair, trivial, seed):
+    # a word's element by the product rule is the walk of the reference
+    # right rows, for eight random words of up to 40 letters in each level
+    # 1-4 quotient of every sweep selector and in a generated pair with
+    # one side made trivial
+    sides = list(pair.sides)
+    sides[trivial] = None
+    quotients = [resfin.PairQuotient(tuple(sides), pair.widths)]
+    quotients += [_sweep_quotient(selector, n) for selector in sorted(SWEEP_LEVELS) for n in (1, 2, 3, 4)]
+    rng = np.random.default_rng(seed)
+    for quotient in quotients:
+        right = _right(quotient)
+        for length in rng.integers(0, 41, size=8).tolist():
+            word = rng.integers(len(right), size=length).tolist()
+            assert quotient.apply_word(word) == _walk(right, word), (quotient, word)
 
 
 def test_bundled_level_maps_skip_closure_and_tree_walk(monkeypatch):
@@ -531,6 +611,35 @@ def test_level_map_order_cap():
         build_level_map(dihedral, 10, cap=5040 * 22 - 1)
     assert ("level_map", 10) not in dihedral.cache
     assert build_level_map(dihedral, 10, cap=5040 * 22).quotient.order == 55440
+
+
+def test_family_folds_enumerate_nothing(monkeypatch):
+    # a cyclic or dihedral quotient is its family and parameter: no fold
+    # result of a level map lists its elements until something reads them,
+    # and no quotient stores a multiplication table
+    folded = []
+
+    def recording(self, other, _real=resfin._FamilyQuotient.fold):
+        folded.append(_real(self, other))
+        return folded[-1]
+
+    monkeypatch.setattr(resfin._FamilyQuotient, "fold", recording)
+    for oracle in (IntegerOracle(), DihedralOracle()):
+        for n in range(1, 11):
+            folded.clear()
+            image = build_level_map(oracle, n).quotient
+            assert all("codes" not in vars(q) for q in folded), (oracle, n)
+            assert image is folded[-1] if folded else n == 1, (oracle, n)
+        assert not hasattr(image, "right") and not hasattr(image, "gen_images")
+        image.label
+        assert "codes" in vars(image)
+    # so folds and factor tests near 10**9 return at once
+    for closed_form in (resfin._cyclic_quotient, resfin._dihedral_quotient):
+        a, b = closed_form(999_999_937), closed_form(10**9)
+        both = a.fold(b)
+        assert both.key[1] == 999_999_937 * 10**9 and both.order in (both.key[1], 2 * both.key[1])
+        assert a.factors_through(both) and b.factors_through(both) and not both.factors_through(a)
+        assert not any("codes" in vars(q) for q in (a, b, both))
 
 
 def test_level_map_does_not_touch_its_only_component(zz):
@@ -819,7 +928,7 @@ def test_closed_form_walks_match_cycle_walk(closed_form):
     # finds in its left multiplication, computed along the spanning tree
     for n in range(2, 301):
         quotient = closed_form(n)
-        for s, g in enumerate(quotient.gen_images):
+        for s, g in enumerate(_gen_images(quotient)):
             letters, bounds = quotient.cycle_walk(s)
             want_letters, want_bounds = _cycle_walk(_tree_images(quotient, g))
             assert np.array_equal(letters, want_letters) and np.array_equal(bounds, want_bounds), (n, s)
@@ -873,14 +982,15 @@ def test_quotient_products_agree(zz, dinf):
         assert (table[0] == ident).all() and (table[:, 0] == ident).all()
         # associativity: (i j) k == i (j k) for all i, j, k
         assert (table[table] == table[:, table]).all()
-        gens = range(len(q.gen_images))
+        images = _gen_images(q)
+        gens = range(len(images))
         for s in gens:
-            assert (np.asarray(q.right[s]) == table[:, q.gen_images[s]]).all()
+            assert (np.asarray(_right(q)[s]) == table[:, images[s]]).all()
         words = [w for k in range(4) for w in itertools.product(gens, repeat=k)]
         for u in words:
             acc = 0
             for s in u:
-                acc = table[acc, q.gen_images[s]]
+                acc = table[acc, images[s]]
             assert q.apply_word(u) == acc
             left = q.left_mult_images(q.apply_word(u))
             for v in words[:20]:
