@@ -38,6 +38,7 @@ from .wordcalc import (
     decide,
     default_b_gens,
     is_fragmented_subword,
+    letters_aut,
     normal_form,
     section_letters,
     seed_is_trivial,
@@ -197,7 +198,7 @@ def suite_sections(oracle, seed=0):
         beta = [random_token(oracle, rng) for _ in range(rng.randrange(1, 3))]
         word = normal_form(oracle, alpha + beta)
         semantic = product(
-            [_raw_token_aut(oracle, alpha), _raw_token_aut(oracle, beta)],
+            [letters_aut(oracle, 0, alpha), letters_aut(oracle, 0, beta)],
             oracle=oracle, base_level=0,
         )
         sections = section_letters(word)
@@ -341,14 +342,6 @@ def semantic_wp_oracle(oracle, aut, depth, cap=DEFAULT_VERTEX_CAP):
     return witness is None
 
 
-def _raw_token_aut(oracle, tseq):
-    parts = [
-        rooted(oracle, 0, p) if kind == "B" else directed(oracle, p, 0)
-        for kind, p in tseq
-    ]
-    return product(parts, oracle=oracle, base_level=0)
-
-
 def suite_wp_oracle(oracle, seed=0):
     """Word-problem decider versus the semantic oracle.
 
@@ -380,7 +373,7 @@ def suite_wp_oracle(oracle, seed=0):
     for phase, case, tseq in cases():
         word = normal_form(oracle, tseq)
         got = decide(word)
-        want = semantic_wp_oracle(oracle, _raw_token_aut(oracle, tseq), 2 * word.sigma_length)
+        want = semantic_wp_oracle(oracle, letters_aut(oracle, 0, tseq), 2 * word.sigma_length)
         trivial_seen += got.trivial
         if got.trivial != want:
             failures.append({"phase": phase, "case": case})

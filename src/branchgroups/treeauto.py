@@ -1,12 +1,13 @@
 """Lazily evaluated automorphisms of the spherically homogeneous trees.
 
-Automorphisms are symbolic expression trees over five node kinds:
-identity, rooted (a permutation of the first-level letters), directed (the
-recursively defined action of a seed pair), an automorphism shifted into
-the subtree below one first-level letter, and products.  A shift below a
-longer path nests one shift per letter of the path.  Inverses are
-normalized away eagerly by :func:`invert`; directed seeds invert exactly
-because the seed assignment is a homomorphism, which the test suite checks.
+Automorphisms are symbolic expression trees over four node kinds: rooted
+(a permutation of the first-level letters), directed (the recursively
+defined action of a seed pair), an automorphism shifted into the subtree
+below one first-level letter, and products.  The identity is the product
+of no factors.  A shift below a longer path nests one shift per letter of
+the path.  Inverses are normalized away eagerly by :func:`invert`;
+directed seeds invert exactly because the seed assignment is a
+homomorphism, which the test suite checks.
 
 Nothing is materialized unless asked for: sections, vertex evaluation and
 the breadth-first triviality search all run on the expression structure,
@@ -135,13 +136,6 @@ class TreeAut:
         return f"{type(self).__name__}(level={self.base_level})"
 
 
-class IdentityAut(TreeAut):
-    __slots__ = ()
-
-    def _make_key(self):
-        return ("id", self.base_level)
-
-
 class RootedAut(TreeAut):
     __slots__ = ("perm",)
 
@@ -194,7 +188,8 @@ class ProductAut(TreeAut):
 
 
 def identity_aut(oracle, base_level=0):
-    return IdentityAut(oracle, base_level)
+    """The identity: the product of no factors."""
+    return ProductAut(oracle, base_level, ())
 
 
 def rooted(oracle, base_level, perm):
@@ -206,27 +201,27 @@ def rooted(oracle, base_level, perm):
             f"rooted permutation must act on the level-{base_level + 1} alphabet"
         )
     if perm.is_identity:
-        return IdentityAut(oracle, base_level)
+        return identity_aut(oracle, base_level)
     return RootedAut(oracle, base_level, perm)
 
 
 def directed(oracle, seed, base_level=0):
     """The recursively defined automorphism of a seed pair."""
     if seed_is_trivial(seed):
-        return IdentityAut(oracle, base_level)
+        return identity_aut(oracle, base_level)
     return DirectedAut(oracle, base_level, seed)
 
 
 def product(factors, oracle=None, base_level=None):
     """Product of automorphisms; the rightmost factor acts first.
 
-    Flattens nested products and drops identity factors; no other
-    rewriting happens here."""
+    Flattens nested products, which drops identity factors as the empty
+    products they are; no other rewriting happens here."""
     flat = []
     for f in factors:
         if isinstance(f, ProductAut):
             flat.extend(f.factors)
-        elif not isinstance(f, IdentityAut):
+        else:
             flat.append(f)
         if oracle is None:
             oracle, base_level = f.oracle, f.base_level
@@ -234,8 +229,6 @@ def product(factors, oracle=None, base_level=None):
             raise ValueError("product factors must share a base level")
     if oracle is None:
         raise ValueError("empty product needs an explicit oracle and base level")
-    if not flat:
-        return IdentityAut(oracle, base_level)
     if len(flat) == 1:
         return flat[0]
     return ProductAut(oracle, base_level, flat)
@@ -249,8 +242,8 @@ def embed_shift(vertex, inner):
             f"inner automorphism must live at level {vertex.base_level + vertex.depth}"
         )
     indices = _indices(inner.oracle, vertex)
-    if isinstance(inner, IdentityAut):
-        return IdentityAut(inner.oracle, vertex.base_level)
+    if isinstance(inner, ProductAut) and not inner.factors:
+        return identity_aut(inner.oracle, vertex.base_level)
     for i in reversed(range(len(indices))):
         inner = ShiftedAut(inner.oracle, vertex.base_level + i, indices[i], inner)
     return inner
@@ -259,8 +252,6 @@ def embed_shift(vertex, inner):
 def invert(a):
     """Structural inverse.  Directed nodes invert seed-wise, which is valid
     because the seed assignment is a homomorphism."""
-    if isinstance(a, IdentityAut):
-        return a
     if isinstance(a, RootedAut):
         return RootedAut(a.oracle, a.base_level, a.perm.inverse())
     if isinstance(a, DirectedAut):
@@ -280,7 +271,7 @@ def root_perm(a):
     """The permutation induced on first-level letters."""
     if a._root is None:
         lvl = build_alphabet(a.oracle, a.base_level + 1)
-        if isinstance(a, (IdentityAut, DirectedAut, ShiftedAut)):
+        if isinstance(a, (DirectedAut, ShiftedAut)):
             # directed and shifted automorphisms stabilize the first level
             a._root = Perm.identity(lvl)
         elif isinstance(a, RootedAut):
@@ -306,7 +297,7 @@ def nontrivial_children(a):
 
 
 def _children(a):
-    if isinstance(a, (IdentityAut, RootedAut)):
+    if isinstance(a, RootedAut):
         return {}
     if isinstance(a, DirectedAut):
         lvl = build_alphabet(a.oracle, a.base_level + 1)
@@ -342,7 +333,7 @@ def section_at(a, letter_index):
     got = nontrivial_children(a).get(letter_index)
     if got is not None:
         return got
-    return IdentityAut(a.oracle, a.base_level + 1)
+    return identity_aut(a.oracle, a.base_level + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +350,6 @@ def eval_vertex(a, vertex):
 def _eval_indices(a, indices):
     if not indices:
         return []
-    if isinstance(a, IdentityAut):
-        return list(indices)
     if isinstance(a, RootedAut):
         return [a.perm(indices[0])] + list(indices[1:])
     if isinstance(a, ProductAut):
@@ -526,8 +515,6 @@ def level_cycle_type(a, depth):
     def walk(node, d):
         if d == 0:
             return {1: 1}
-        if isinstance(node, IdentityAut):
-            return {1: vertex_count(node.oracle, node.base_level, d)}
         key = (node.key(), d)
         got = memo.get(key)
         if got is not None:
@@ -537,7 +524,6 @@ def level_cycle_type(a, depth):
         # on the first level, only the root permutation counts
         children = nontrivial_children(node) if d > 1 else {}
         below = node.base_level + 1
-        ident = IdentityAut(node.oracle, below)
         cycles = r.cycles()
         moved = sum(len(c) for c in cycles)
         fixed = [x for x in children if r(x) == x]
@@ -546,7 +532,7 @@ def level_cycle_type(a, depth):
             got[1] = plain * vertex_count(node.oracle, below, d - 1)
         blocks = [(1, children[x]) for x in fixed]
         blocks += [
-            (len(c), product([children.get(x, ident) for x in reversed(c)],
+            (len(c), product([children[x] for x in reversed(c) if x in children],
                              oracle=node.oracle, base_level=below))
             for c in cycles
         ]
@@ -561,7 +547,7 @@ def level_cycle_type(a, depth):
 
 def _vec_apply(a, cols):
     """Apply ``a`` to the per-level image columns built by :func:`_level_columns`."""
-    if not cols or isinstance(a, IdentityAut):
+    if not cols:
         return cols
     if isinstance(a, RootedAut):
         cols[0][:] = a.perm.images[cols[0]]
@@ -640,7 +626,7 @@ def portrait(a, depth, cap=DEFAULT_VERTEX_CAP):
         inner = d + 1 < depth
         if inner:
             names = build_alphabet(a.oracle, a.base_level + d + 1).labels
-            ident = IdentityAut(a.oracle, a.base_level + d + 1)
+            ident = identity_aut(a.oracle, a.base_level + d + 1)
         nxt = []
         for path, text, parent, node in frontier:
             key = node.key()

@@ -60,6 +60,7 @@ __all__ = [
     "parse_seed",
     "token_length",
     "format_token",
+    "letters_aut",
 ]
 
 
@@ -129,12 +130,7 @@ class NormalWord:
         return out
 
     def to_aut(self):
-        parts = []
-        for i, h in enumerate(self.hs):
-            parts.append(rooted(self.oracle, self.base_level, self.bs[i]))
-            parts.append(directed(self.oracle, h, self.base_level))
-        parts.append(rooted(self.oracle, self.base_level, self.bs[-1]))
-        return product(parts, oracle=self.oracle, base_level=self.base_level)
+        return letters_aut(self.oracle, self.base_level, self.tokens())
 
     def __str__(self):
         toks = self.tokens()
@@ -142,6 +138,17 @@ class NormalWord:
 
     def __repr__(self):
         return f"NormalWord(level={self.base_level}, n={self.h_count})"
+
+
+def letters_aut(oracle, base_level, letters):
+    """The tree automorphism a sequence of ``("B", perm)`` and
+    ``("H", seed)`` letters spells, unnormalized: the product of their
+    rooted and directed automorphisms, the last letter acting first."""
+    return product(
+        [rooted(oracle, base_level, p) if kind == "B" else directed(oracle, p, base_level)
+         for kind, p in letters],
+        oracle=oracle, base_level=base_level,
+    )
 
 
 def format_token(kind, payload):

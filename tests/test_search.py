@@ -18,7 +18,7 @@ from branchgroups import wordcalc
 from branchgroups.alphabet import MARKER_ALPHABET, Seed, build_alphabet, random_marker_perm
 from branchgroups.perm import Perm
 from branchgroups.resfin import oracle_from_selector
-from branchgroups.suites import _raw_token_aut, random_token
+from branchgroups.suites import random_token
 from branchgroups.treeauto import (
     eval_vertex,
     identity_aut,
@@ -28,7 +28,7 @@ from branchgroups.treeauto import (
     rooted,
     section_search,
 )
-from branchgroups.wordcalc import NormalWord, decide, normal_form, section_letters
+from branchgroups.wordcalc import NormalWord, decide, letters_aut, normal_form, section_letters
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -97,7 +97,7 @@ def test_section_search_digest(selector):
     for tseq in _search_words(oracle, random.Random(404)):
         d = decide(normal_form(oracle, tseq))
         decided.update(repr((d.trivial, d.ell, d.depth, str(d.witness))).encode())
-        moved = nontrivial_vertex(_raw_token_aut(oracle, tseq), min(2 * d.ell, 4))
+        moved = nontrivial_vertex(letters_aut(oracle, 0, tseq), min(2 * d.ell, 4))
         raw.update(str(moved).encode())
         trivial += d.trivial
         nontrivial += not d.trivial
@@ -202,7 +202,7 @@ def test_deep_witnesses(selector):
         d = decide(normal_form(oracle, tseq))
         assert (d.trivial, d.depth, str(d.witness)) == pinned[position], position
         # the raw product moves the witness and fixes every vertex above it
-        raw = _raw_token_aut(oracle, tseq)
+        raw = letters_aut(oracle, 0, tseq)
         assert eval_vertex(raw, d.witness) != d.witness
         assert nontrivial_vertex(raw, d.witness.depth - 1) is None
         depths.append(d.witness.depth)
@@ -282,7 +282,7 @@ def test_search_expands_no_level_with_a_moved_root(selector, monkeypatch):
         assert {n.base_level for n in keyed} <= levels
         assert {id(n) for n in expanded} <= {id(n) for n in keyed}
         # the same holds for automorphism nodes
-        aut = _raw_token_aut(oracle, tseq)
+        aut = letters_aut(oracle, 0, tseq)
         _, moved, expanded = _spied_search(aut, 4, root_perm, nontrivial_children)
         assert not moved & {n.base_level - aut.base_level for n in expanded}
     assert found >= 10

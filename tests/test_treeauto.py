@@ -10,11 +10,10 @@ from branchgroups import suites
 from branchgroups.alphabet import Seed, build_alphabet, coset_action, marker_action, marker_perm, random_marker_perm
 from branchgroups.perm import Perm, compose, random_even_perm
 from branchgroups.resfin import DihedralOracle, IntegerOracle, oracle_from_selector, parse_word
-from branchgroups.suites import _raw_token_aut, random_token
+from branchgroups.suites import random_token
 from branchgroups.treeauto import (
     CapExceeded,
     DirectedAut,
-    IdentityAut,
     ProductAut,
     RootedAut,
     ShiftedAut,
@@ -43,6 +42,7 @@ from branchgroups.treeauto import (
     section_at,
     vertex_count,
 )
+from branchgroups.wordcalc import letters_aut
 from conftest import section, vertex_at
 
 
@@ -80,6 +80,46 @@ def vx(oracle, base, *letters):
 def test_eval_identity(zz):
     v = vx(zz, 0, "x@1", "y@2")
     assert eval_vertex(identity_aut(zz), v) == v
+
+
+def test_every_identity_is_the_empty_product(dinf):
+    # the identity is the product of no factors, however it is made
+    rng = random.Random(29)
+    lvl = build_alphabet(dinf, 1)
+    h = Seed(dinf, parse_word(dinf, "t"), marker_perm("(x y z)"))
+    v = vx(dinf, 0, "x@1", "y@2")
+    for level in (0, 1, 2):
+        empty = ProductAut(dinf, level, ()).key()
+        assert empty == ("pr", level, ())
+        made = [
+            identity_aut(dinf, level),
+            rooted(dinf, level, Perm.identity(build_alphabet(dinf, level + 1).alphabet)),
+            directed(dinf, Seed(dinf), level),
+            directed(dinf, Seed(dinf, parse_word(dinf, "t t'")), level),
+            product([], oracle=dinf, base_level=level),
+            invert(identity_aut(dinf, level)),
+        ]
+        assert [e.key() for e in made] == [empty] * len(made)
+    off = [idx for idx in range(lvl.size) if idx not in (lvl.x_index, lvl.y_index, lvl.z_index)]
+    sigma = random_even_perm(lvl.alphabet, rng)
+    for a in (directed(dinf, h, 0), rooted(dinf, 0, sigma)):
+        for idx in off:
+            assert section_at(a, idx).key() == ("pr", 1, ())
+    assert embed_shift(v, identity_aut(dinf, 2)).key() == ("pr", 0, ())
+    # identity factors fall out of a product
+    for _ in range(5):
+        a, b = rand_word_aut(dinf, rng), rand_word_aut(dinf, rng)
+        assert product([a, identity_aut(dinf), b]).key() == product([a, b]).key()
+    e = identity_aut(dinf)
+    for depth in range(4):
+        count = vertex_count(dinf, 0, depth)
+        assert level_cycle_type(e, depth) == {1: count}
+        assert level_perm(e, depth).is_identity
+        w = vertex_at(dinf, 0, depth, rng.randrange(count))
+        assert eval_vertex(e, w) == w
+        rows = portrait_text(portrait(e, depth)).splitlines()[1:]
+        assert len(rows) == sum(vertex_count(dinf, 0, d) for d in range(depth))
+        assert all(row.endswith(" ()") for row in rows)
 
 
 def test_eval_rooted(zz):
@@ -269,7 +309,7 @@ def test_level_perm_digest_and_eval_vertex(oracle_cls):
     h = hashlib.sha256()
     for _ in range(25):
         tseq = [random_token(oracle, rng) for _ in range(rng.randrange(1, 5))]
-        a = _raw_token_aut(oracle, tseq)
+        a = letters_aut(oracle, 0, tseq)
         for d in range(1, 5):
             p = level_perm(a, d)
             h.update(p.images.astype("<i8").tobytes())
@@ -431,7 +471,7 @@ def _int64_columns(a, depth):
 
 
 def _int64_apply(a, cols):
-    if not cols or isinstance(a, IdentityAut):
+    if not cols:
         return cols
     if isinstance(a, RootedAut):
         cols[0] = a.perm.images[cols[0]]

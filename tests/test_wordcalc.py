@@ -146,22 +146,26 @@ def test_normal_form_inverse_marker(dinf):
         assert w.hs[0].g == parse_word(dinf, "t'")
 
 
-def test_normalization_preserves_image_random(dinf):
+@pytest.mark.parametrize(
+    "selector", ["dihedral_infinite", "integers", "finite:5", "product:integers,dihedral_infinite"]
+)
+def test_normalization_preserves_image_random(selector):
+    oracle = oracle_from_selector(selector)
     rng = random.Random(2)
-    lvl = build_alphabet(dinf, 1)
+    lvl = build_alphabet(oracle, 1)
     for _ in range(15):
         toks = []
         for _ in range(rng.randrange(1, 5)):
             if rng.random() < 0.5:
                 toks.append(("B", random_even_perm(lvl.alphabet, rng)))
             else:
-                toks.append(("H", rand_seed(dinf, rng)))
-        w = normal_form(dinf, toks)
+                toks.append(("H", rand_seed(oracle, rng)))
+        w = normal_form(oracle, toks)
         parts = [
-            rooted(dinf, 0, p) if kind == "B" else directed(dinf, p, 0)
+            rooted(oracle, 0, p) if kind == "B" else directed(oracle, p, 0)
             for kind, p in toks
         ]
-        raw = product(parts, oracle=dinf, base_level=0)
+        raw = product(parts, oracle=oracle, base_level=0)
         assert equal_to_depth(raw, w.to_aut(), 4)
 
 
