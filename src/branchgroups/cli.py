@@ -7,7 +7,9 @@ configuration and input.
 
 The shared settings (``--group``, ``--depth-cap``, ``--vertex-cap``,
 ``--format``, ``--seed``) are flags of the top-level parser, so they come
-before the command: ``branchgroups --group integers chain 3``.
+before the command: ``branchgroups --group integers chain 3``.  The
+vertex cap is set once, on the oracle, and bounds all that any command
+builds from it.  A depth cap below 0 or a vertex cap below 1 is a usage error.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 resource cap exceeded.
@@ -21,14 +23,14 @@ import sys
 
 from . import suites, wordcalc
 from .resfin import (
-    CyclicOracle,
-    ProductOracle,
+    DEFAULT_VERTEX_CAP,
+    CapExceeded,
     build_level_map,
     format_quotient_map,
     kernel_min_length_check,
     oracle_from_selector,
 )
-from .treeauto import DEFAULT_VERTEX_CAP, CapExceeded, portrait, portrait_dot, portrait_text
+from .treeauto import portrait, portrait_dot, portrait_text
 from .wordcalc import ParseError, SearchBounds, conjugacy_certificate, decide, normal_form, parse_tokens, token_length
 
 SCHEMA = 1
@@ -38,19 +40,8 @@ class UsageError(ValueError):
 
 
 def _resolve_oracle(args):
-    """The selected oracle.  A finite component's quotient holds one code
-    per element, so an order above the vertex cap is refused before any
-    quotient is built."""
-    oracle = oracle_from_selector(args.group)
-    cap = args.vertex_cap
-    parts = [oracle]
-    while parts:
-        part = parts.pop()
-        if isinstance(part, ProductOracle):
-            parts += [part.left, part.right]
-        elif isinstance(part, CyclicOracle) and part.group_order > cap:
-            raise CapExceeded(f"finite group order {part.group_order} exceeds the vertex cap {cap}")
-    return oracle
+    """The selected oracle, under the vertex cap."""
+    return oracle_from_selector(args.group, args.vertex_cap)
 
 
 def _emit(args, payload, text_lines):
@@ -107,7 +98,7 @@ def cmd_portrait(args):
         raise CapExceeded(f"portrait depth {args.depth} exceeds the depth cap {args.depth_cap}")
     tokens = _read_word(oracle, args.word_file)
     word = normal_form(oracle, tokens)
-    p = portrait(word.to_aut(), args.depth, cap=args.vertex_cap)
+    p = portrait(word.to_aut(), args.depth)
     if args.format == "dot":
         print(portrait_dot(p))
     elif args.format == "json":
@@ -140,7 +131,7 @@ def cmd_conj(args):
     oracle = _resolve_oracle(args)
     g = _parse_seed_spec(oracle, args.g)
     k = _parse_seed_spec(oracle, args.k)
-    bounds = SearchBounds(depth=args.depth, vertex_cap=args.vertex_cap)
+    bounds = SearchBounds(depth=args.depth)
     cert = conjugacy_certificate(g, k, bounds)
     verified = wordcalc.verify_certificate(cert, g, k)
     payload = {
@@ -168,7 +159,7 @@ def cmd_chain(args):
     oracle = _resolve_oracle(args)
     if args.level > args.depth_cap:
         raise CapExceeded(f"chain level {args.level} exceeds the depth cap {args.depth_cap}")
-    qm = build_level_map(oracle, args.level, cap=args.vertex_cap)
+    qm = build_level_map(oracle, args.level)
     report = kernel_min_length_check(oracle, args.level)
     text = format_quotient_map(qm)
     payload = {
@@ -204,7 +195,8 @@ def build_parser():
                         help="group selector: dihedral_infinite | integers | finite:<order> | product:<a>,<b>")
     parser.add_argument("--depth-cap", type=int, default=12, help="maximum evaluation depth")
     parser.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP,
-                        help="maximum materialized vertex count, and maximum codes of a chain fold")
+                        help="for every command: maximum finite group order, codes of a quotient-chain fold "
+                             "(so letters of an alphabet), and vertices of a level permutation or portrait")
     parser.add_argument("--format", choices=["text", "json", "dot"], default="text", help="output format")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -244,6 +236,10 @@ def main(argv=None):
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.depth_cap < 0:
+            raise UsageError(f"--depth-cap must be at least 0, got {args.depth_cap}")
+        if args.vertex_cap < 1:
+            raise UsageError(f"--vertex-cap must be at least 1, got {args.vertex_cap}")
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -147,10 +147,10 @@ class Perm:
         arr = np.array(images, dtype=np.int64) if check else np.asarray(images, dtype=np.int64)
         if arr.shape != (alphabet.size,):
             raise ValueError("image array does not match alphabet size")
-        if check:
-            counts = np.bincount(arr, minlength=alphabet.size)
-            if arr.min(initial=0) < 0 or not (counts == 1).all():
-                raise ValueError("images do not form a bijection")
+        # bincount refuses negative images and the copy truncates fractions
+        if check and (arr.min(initial=0) < 0 or not np.array_equal(arr, images)
+                      or not (np.bincount(arr, minlength=alphabet.size) == 1).all()):
+            raise ValueError("images do not form a bijection")
         arr.setflags(write=False)
         self.alphabet = alphabet
         self.images = arr

@@ -26,6 +26,7 @@ __all__ = [
     "NOT_CONJUGATE",
     "UNSUPPORTED",
     "CapExceeded",
+    "DEFAULT_VERTEX_CAP",
     "FiniteQuotient",
     "PairQuotient",
     "GroupOracle",
@@ -60,12 +61,14 @@ class _Marker:
 TRIVIAL = _Marker("TRIVIAL")
 NOT_CONJUGATE = _Marker("NOT_CONJUGATE")
 UNSUPPORTED = _Marker("UNSUPPORTED")
+DEFAULT_VERTEX_CAP = 2_000_000
 
 
 class CapExceeded(RuntimeError):
-    """A materialization would exceed its cap (vertices of a level
-    permutation or portrait, or the ambient table of a quotient-chain
-    fold); use depth-bounded checks or a smaller level instead."""
+    """A materialization would exceed its oracle's ``vertex_cap``
+    (vertices of a level permutation or portrait, the codes of a
+    quotient-chain fold, or the elements of a finite input group); use
+    depth-bounded checks or a smaller level instead."""
 
 
 def _inverse(perm):
@@ -407,8 +410,13 @@ class GroupOracle:
     problem decidable), ``detect`` (the effective residual-finiteness
     query) and optionally ``conjugate``.  All public state is immutable
     after construction; caches are filled idempotently, so concurrent use
-    is safe.
+    is safe.  ``vertex_cap``, set once by :func:`oracle_from_selector`,
+    bounds everything built from the oracle: the codes of each chain fold
+    (so every alphabet), and the vertices of level permutations and
+    portraits.
     """
+
+    vertex_cap = DEFAULT_VERTEX_CAP
 
     def __init__(self, name, gen_names, inverse):
         if len(gen_names) != len(inverse):
@@ -706,7 +714,7 @@ def level_components(oracle, n):
     return components
 
 
-def build_level_map(oracle, n, cap=None):
+def build_level_map(oracle, n):
     """Build (and cache) the level-n quotient map: the image of the input
     group in the product of :func:`level_components`.
 
@@ -718,10 +726,10 @@ def build_level_map(oracle, n, cap=None):
     final kernel is the intersection of the component kernels either
     way, so the enumeration is that of the image in the full product.
 
-    ``cap`` bounds each fold's ``A.order * C.order`` codes; a larger fold
-    raises :class:`CapExceeded`.  No fold enumerates anything (every
-    quotient lists its elements on first read), so the cap fires before
-    any work on the image.
+    The oracle's ``vertex_cap`` bounds each fold's ``A.order * C.order``
+    codes; a larger fold raises :class:`CapExceeded`.  No fold enumerates
+    anything (every quotient lists its elements on first read), so the
+    cap fires before any work on the image.
     """
     if n < 1:
         raise ValueError("quotient chain level must be at least 1")
@@ -732,12 +740,12 @@ def build_level_map(oracle, n, cap=None):
     if not components:
         raise ValueError("input group must be infinite (no nontrivial words found)")
 
-    image = components[0]
+    image, cap = components[0], oracle.vertex_cap
     for component in components[1:]:
         if component.factors_through(image):
             continue
         ambient = image.order * component.order
-        if cap is not None and ambient > cap:
+        if ambient > cap:
             raise CapExceeded(f"level {n} quotient would fold over {ambient} codes, more than the cap {cap}")
         image = image.fold(component)
     qm = QuotientMap(oracle, n, image)
@@ -798,26 +806,29 @@ def format_quotient_map(qm):
     return "\n".join(lines)
 
 
-def oracle_from_selector(selector):
+def oracle_from_selector(selector, vertex_cap=DEFAULT_VERTEX_CAP):
     """Resolve a group selector: ``dihedral_infinite``, ``integers``,
-    ``finite:<order>`` or ``product:<sel>,<sel>``."""
-    if selector == "integers":
-        return IntegerOracle()
-    if selector == "dihedral_infinite":
-        return DihedralOracle()
-    if selector.startswith("finite:"):
+    ``finite:<order>`` or ``product:<sel>,<sel>,...`` (nested to the
+    left), setting ``vertex_cap`` on every oracle built.  A finite order
+    above the cap is refused: its quotient holds a code per element."""
+    plain = {"integers": IntegerOracle, "dihedral_infinite": DihedralOracle}
+    if selector in plain:
+        oracle = plain[selector]()
+    elif selector.startswith("finite:"):
         try:
             order = int(selector.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad finite group selector {selector!r}") from None
-        return CyclicOracle(order)
-    if selector.startswith("product:"):
-        parts = selector.split(":", 1)[1].split(",")
+        oracle = CyclicOracle(order)
+        if order > vertex_cap:
+            raise CapExceeded(f"finite group order {order} exceeds the vertex cap {vertex_cap}")
+    elif selector.startswith("product:"):
+        parts = [p.strip() for p in selector.split(":", 1)[1].split(",")]
         if len(parts) < 2:
             raise ValueError(f"product selector needs at least two components: {selector!r}")
-        oracles = [oracle_from_selector(p.strip()) for p in parts]
-        acc = oracles[0]
-        for nxt in oracles[1:]:
-            acc = ProductOracle(acc, nxt)
-        return acc
-    raise ValueError(f"unknown group selector {selector!r}")
+        left = parts[0] if len(parts) == 2 else "product:" + ",".join(parts[:-1])
+        oracle = ProductOracle(oracle_from_selector(left, vertex_cap), oracle_from_selector(parts[-1], vertex_cap))
+    else:
+        raise ValueError(f"unknown group selector {selector!r}")
+    oracle.vertex_cap = vertex_cap
+    return oracle

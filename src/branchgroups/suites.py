@@ -17,7 +17,6 @@ from .alphabet import Seed, build_alphabet, coset_action, marker_action, marker_
 from .perm import IndexedAlphabet, Perm, check_alternating_generation, orbit, random_even_perm
 from .resfin import NOT_CONJUGATE, UNSUPPORTED, parse_word, word_inverse
 from .treeauto import (
-    DEFAULT_VERTEX_CAP,
     Vertex,
     directed,
     embed_shift,
@@ -311,13 +310,13 @@ def suite_branch_identities(oracle, seed=0):
     return _result("branch-identities", failures, {"samples": count, "first_level_size": lvl.size})
 
 
-def semantic_wp_oracle(oracle, aut, depth, cap=DEFAULT_VERTEX_CAP):
+def semantic_wp_oracle(oracle, aut, depth):
     """Ground-truth triviality by semantic evaluation to ``depth``,
     independent of the word calculus.
 
     A breadth-first search over expression sections scans every vertex
-    class down to the decision depth.  The levels within the vertex cap
-    are additionally materialized in one column pass
+    class down to the decision depth.  The levels within the oracle's
+    ``vertex_cap`` are additionally materialized in one column pass
     (:func:`first_moved_level`) and must agree with the search: the
     shallowest moved level is the witness's depth, and there is none when
     the witness is None or lies deeper.  Levels are materialized down to
@@ -330,10 +329,10 @@ def semantic_wp_oracle(oracle, aut, depth, cap=DEFAULT_VERTEX_CAP):
     if witness is not None and eval_vertex(aut, witness) == witness:
         raise AssertionError("structural search returned an unmoved witness")
     levels = 0
-    while levels < depth and vertex_count(oracle, 0, levels + 1) <= cap:
+    while levels < depth and vertex_count(oracle, 0, levels + 1) <= oracle.vertex_cap:
         levels += 1
     expected = witness.depth if witness is not None and witness.depth <= levels else None
-    moved = first_moved_level(aut, expected or levels, cap=cap)
+    moved = first_moved_level(aut, expected or levels)
     if moved != expected:
         d = min(x for x in (moved, expected) if x is not None)
         raise AssertionError(

@@ -13,7 +13,7 @@ Nothing is materialized unless asked for: sections, vertex evaluation and
 the breadth-first triviality search all run on the expression structure,
 with paths as tuples of letter indices; a :class:`Vertex`, a path of
 alphabet labels, is converted on the way in and out only.  Full level
-permutations are only built on demand, under a hard vertex cap.
+permutations are only built on demand, under the oracle's vertex cap.
 
 A directed automorphism at base level n fixes every first-level letter and
 acts below letter d as follows: below x it is the directed automorphism of
@@ -45,7 +45,6 @@ __all__ = [
     "Vertex",
     "TreeAut",
     "Portrait",
-    "DEFAULT_VERTEX_CAP",
     "identity_aut",
     "rooted",
     "directed",
@@ -67,9 +66,6 @@ __all__ = [
     "portrait_text",
     "portrait_dot",
 ]
-
-DEFAULT_VERTEX_CAP = 2_000_000
-
 
 @dataclass(frozen=True)
 class Vertex:
@@ -446,9 +442,9 @@ def _base_column(oracle, base, level):
     return got
 
 
-def _level_columns(a, depth, cap):
+def _level_columns(a, depth):
     """The identity columns of levels 1..``depth`` below ``a``'s base
-    level and the image columns of ``a`` on them; guarded by ``cap``.
+    level and the image columns of ``a`` on them; guarded by the vertex cap.
 
     An automorphism maps subtrees onto subtrees, so the image letter at
     level k+1 depends only on the first k+1 letters of a vertex.  Column k
@@ -457,7 +453,7 @@ def _level_columns(a, depth, cap):
     the level has vertices, and the first d columns alone determine the
     level-d permutation.  The image columns are copies of the shared
     identity columns (:func:`_base_column`) and keep their type."""
-    oracle, base = a.oracle, a.base_level
+    oracle, base, cap = a.oracle, a.base_level, a.oracle.vertex_cap
     total = vertex_count(oracle, base, depth)
     if total > cap:
         raise CapExceeded(
@@ -468,10 +464,10 @@ def _level_columns(a, depth, cap):
     return bases, _vec_apply(a, [c.copy() for c in bases])
 
 
-def level_perm(a, depth, cap=DEFAULT_VERTEX_CAP):
+def level_perm(a, depth):
     """The permutation induced on all depth-``depth`` vertices, enumerated
-    lexicographically by letter index.  Vectorized; guarded by ``cap``."""
-    _, cols = _level_columns(a, depth, cap)
+    lexicographically by letter index.  Vectorized; guarded by the cap."""
+    _, cols = _level_columns(a, depth)
     images = np.zeros(1, dtype=np.int64)
     for c in cols:
         s = len(c) // len(images)
@@ -482,15 +478,14 @@ def level_perm(a, depth, cap=DEFAULT_VERTEX_CAP):
     return Perm(alphabet, images, check=False)
 
 
-def first_moved_level(a, depth, cap=DEFAULT_VERTEX_CAP):
+def first_moved_level(a, depth):
     """The shallowest level d <= ``depth`` on which ``a`` moves a vertex,
     or None if ``level_perm(a, d)`` is the identity for every such d.
 
     One pass builds the columns of every level down to ``depth``; level d
     is moved exactly when one of its first d columns differs from the
-    identity column of its level.  Guarded by ``cap`` like
-    :func:`level_perm`."""
-    bases, cols = _level_columns(a, depth, cap)
+    identity column of its level.  Guarded like :func:`level_perm`."""
+    bases, cols = _level_columns(a, depth)
     for d, (base, col) in enumerate(zip(bases, cols), 1):
         if (col != base).any():
             return d
@@ -608,13 +603,13 @@ class Portrait:
         self.rows = rows
 
 
-def portrait(a, depth, cap=DEFAULT_VERTEX_CAP):
+def portrait(a, depth):
     """The portrait of ``a`` down to ``depth``: every vertex above that
     depth is labeled with the first-level permutation of its section.
 
     Built level by level; the root permutation, the children and the
-    label text are computed once per distinct section."""
-    total = 0
+    label text are computed once per distinct section, up to the cap."""
+    total, cap = 0, a.oracle.vertex_cap
     for d in range(depth):
         total += vertex_count(a.oracle, a.base_level, d)
         if total > cap:

@@ -31,7 +31,6 @@ from .alphabet import (
 )
 from .perm import Perm, compose, compose_all
 from .treeauto import (
-    DEFAULT_VERTEX_CAP,
     Vertex,
     directed,
     level_cycle_type,
@@ -323,7 +322,6 @@ class SearchBounds:
 
     depth: int = 4
     b_gens: tuple | None = None
-    vertex_cap: int = DEFAULT_VERTEX_CAP
 
 
 @dataclass
@@ -393,7 +391,7 @@ def conjugacy_certificate(g, k, bounds=None):
     decider, proved by :func:`decide`; (b) a cycle-type refutation on
     levels 1 to ``bounds.depth`` by the section recursion of
     :func:`level_cycle_type`, stopping before the first level with more
-    than ``bounds.vertex_cap`` vertices; (c) a bounded search over
+    than the oracle's ``vertex_cap`` vertices; (c) a bounded search over
     normal-form conjugator candidates, each proved by :func:`decide`; (d)
     an honest unknown.  Every ``conjugate`` answer is proved exactly,
     whatever the bounds."""
@@ -414,7 +412,7 @@ def conjugacy_certificate(g, k, bounds=None):
     g_aut = directed(oracle, g, 0)
     k_aut = directed(oracle, k, 0)
     for d in range(1, bounds.depth + 1):
-        if vertex_count(oracle, 0, d) > bounds.vertex_cap:
+        if vertex_count(oracle, 0, d) > oracle.vertex_cap:
             break
         ct_g = level_cycle_type(g_aut, d)
         ct_k = level_cycle_type(k_aut, d)

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from branchgroups import resfin
+from branchgroups import resfin, treeauto
 from branchgroups.cli import build_parser, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -463,6 +463,64 @@ def test_finite_order_refusal_follows_vertex_cap(capsys):
     code, out, _ = run(capsys, "--vertex-cap", "6", "--group", "finite:6", "chain", "1")
     assert code == 0
     assert out.splitlines()[0] == "order 6"
+
+
+def test_vertex_cap_bounds_the_alphabets_of_wp(tmp_path, capsys):
+    # the decider's level-4 alphabet folds the dihedral quotients of
+    # orders 24 and 10 over 240 codes
+    path = write(tmp_path, "w.txt", "H(t t t t t t t t t t t t|())")
+    code, out, err = run(capsys, "--depth-cap", "24", "--vertex-cap", "100", "wp", path)
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: level 4 quotient would fold over 240 codes, more than the cap 100\n"
+    code, out, _ = run(capsys, "--depth-cap", "24", "--vertex-cap", "240", "wp", path)
+    assert code == 0
+    assert out.splitlines() == ["nontrivial (ell=12, depth=24)", "witness x@1 x@2 y@3 q0@4"]
+
+
+def test_vertex_cap_bounds_the_levels_of_verify(capsys, monkeypatch):
+    # the suite's semantic oracle materializes only the levels within the
+    # cap, and agrees with the decider either way
+    sizes = []
+
+    def recording(a, depth, _real=treeauto._level_columns):
+        sizes.append(treeauto.vertex_count(a.oracle, a.base_level, depth))
+        return _real(a, depth)
+
+    monkeypatch.setattr(treeauto, "_level_columns", recording)
+    code, out, _ = run(capsys, "--vertex-cap", "50000", "--seed", "1", "verify", "wp-oracle")
+    assert code == 0
+    assert _digest(out) == VERIFY_WP_ORACLE_DIGESTS["dihedral_infinite", 1]
+    assert 0 < max(sizes) <= 50_000
+    sizes.clear()
+    code, out, _ = run(capsys, "--seed", "1", "verify", "wp-oracle")
+    assert _digest(out) == VERIFY_WP_ORACLE_DIGESTS["dihedral_infinite", 1]
+    assert max(sizes) == 554_625
+
+
+def test_vertex_cap_bounds_the_reference_search_on_products(capsys):
+    # on trivial words the suite's reference search runs to depth 8 and
+    # reaches the level-7 alphabet, whose fold is over the default cap
+    with budget(5):
+        code, out, err = run(capsys, "--group", "product:integers,integers", "verify", "wp-oracle")
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: level 7 quotient would fold over 2822400 codes, more than the cap 2000000\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--depth-cap", "-1", "wp", "EMPTY"), "--depth-cap must be at least 0, got -1"),
+    (("--vertex-cap", "-3", "--group", "integers", "chain", "2"), "--vertex-cap must be at least 1, got -3"),
+    (("--vertex-cap", "0", "wp", "EMPTY"), "--vertex-cap must be at least 1, got 0"),
+])
+def test_out_of_range_caps_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):
+    # refused before any oracle or quotient is built
+    def refuse(*args):
+        raise AssertionError("an oracle was built")
+
+    monkeypatch.setattr("branchgroups.cli.oracle_from_selector", refuse)
+    path = write(tmp_path, "w.txt", "")
+    code, out, err = run(capsys, *(path if a == "EMPTY" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"usage error: {message}\n"
 
 
 def test_verify_suite_json(capsys):

@@ -353,6 +353,18 @@ def test_cycle_walk_rejects_non_bijections(images):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.parametrize("images", [
+    [0.5, 1, 2],  # the int64 copy used to truncate this to the identity
+    [0, 1, -1],  # bincount used to reject this with its own message
+    [0, 1, 3],
+    [1, 1, 2],
+])
+def test_checked_images_must_form_a_bijection(images):
+    with pytest.raises(ValueError, match="^images do not form a bijection$"):
+        Perm(IndexedAlphabet(3), images)
+    assert Perm(IndexedAlphabet(3), [2.0, 0, 1]) == Perm(IndexedAlphabet(3), [2, 0, 1])
+
+
 def test_cycle_notation_roundtrip(abc):
     for text in ["()", "(a b)", "(a b c)", "(a c)"]:
         p = perm_of(abc, text)

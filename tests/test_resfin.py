@@ -605,12 +605,29 @@ def test_bundled_level_maps_skip_closure_and_tree_walk(monkeypatch):
 
 
 def test_level_map_order_cap():
-    dihedral = DihedralOracle()
+    dihedral = oracle_from_selector("dihedral_infinite", vertex_cap=5040 * 22 - 1)
     # level 10 folds an order-5040 image with an order-22 component
     with pytest.raises(resfin.CapExceeded):
-        build_level_map(dihedral, 10, cap=5040 * 22 - 1)
+        build_level_map(dihedral, 10)
     assert ("level_map", 10) not in dihedral.cache
-    assert build_level_map(dihedral, 10, cap=5040 * 22).quotient.order == 55440
+    dihedral = oracle_from_selector("dihedral_infinite", vertex_cap=5040 * 22)
+    assert build_level_map(dihedral, 10).quotient.order == 55440
+
+
+def test_vertex_cap_is_set_on_every_oracle_of_a_selector():
+    assert DihedralOracle().vertex_cap == resfin.DEFAULT_VERTEX_CAP
+    assert oracle_from_selector("integers").vertex_cap == resfin.DEFAULT_VERTEX_CAP
+    oracle = oracle_from_selector("product:integers,dihedral_infinite,finite:6", vertex_cap=300)
+    parts = [oracle]
+    while parts:
+        part = parts.pop()
+        assert part.vertex_cap == 300
+        if isinstance(part, ProductOracle):
+            parts += [part.left, part.right]
+    with pytest.raises(resfin.CapExceeded, match="finite group order 6 exceeds the vertex cap 5"):
+        oracle_from_selector("product:integers,finite:6", vertex_cap=5)
+    assert oracle_from_selector("finite:6", vertex_cap=6).group_order == 6
+
 
 
 def test_family_folds_enumerate_nothing(monkeypatch):

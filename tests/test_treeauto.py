@@ -9,7 +9,7 @@ from sympy.combinatorics import Permutation
 from branchgroups import suites
 from branchgroups.alphabet import Seed, build_alphabet, coset_action, marker_action, marker_perm, random_marker_perm
 from branchgroups.perm import Perm, compose, random_even_perm
-from branchgroups.resfin import DihedralOracle, IntegerOracle, oracle_from_selector, parse_word
+from branchgroups.resfin import DEFAULT_VERTEX_CAP, DihedralOracle, IntegerOracle, oracle_from_selector, parse_word
 from branchgroups.suites import random_token
 from branchgroups.treeauto import (
     CapExceeded,
@@ -346,13 +346,17 @@ def test_level_perm_shifted_matches_eval_vertex(oracle_cls):
             assert eval_vertex(a, v) == vertex_at(oracle, 0, 3, p(idx))
 
 
-def test_level_perm_cap(dinf):
-    a = directed(dinf, Seed(dinf, parse_word(dinf, "t")), 0)
-    with pytest.raises(CapExceeded) as perm_exc:
-        level_perm(a, 3, cap=10)
+def test_level_perm_cap():
+    # the folds of levels 1 to 3 stay within the cap, while level 3 has
+    # 9 * 17 * 29 vertices
+    oracle = oracle_from_selector("dihedral_infinite", vertex_cap=1000)
+    a = directed(oracle, Seed(oracle, parse_word(oracle, "t")), 0)
+    with pytest.raises(CapExceeded, match="level 3 has 4437 vertices, beyond the cap of 1000") as perm_exc:
+        level_perm(a, 3)
     with pytest.raises(CapExceeded) as moved_exc:
-        first_moved_level(a, 3, cap=10)
+        first_moved_level(a, 3)
     assert str(moved_exc.value) == str(perm_exc.value)
+    assert level_perm(a, 2).alphabet.size == 153
 
 
 CYCLE_TYPE_GROUPS = ("dihedral_infinite", "integers", "product:integers,integers")
@@ -543,12 +547,12 @@ def test_shared_base_columns_stay_identity_columns(group):
     """The identity columns are built once per oracle and level, stay
     read-only, and still equal fresh tiles after moving automorphisms ran
     through both column passes; the image columns keep their type."""
-    oracle = oracle_from_selector(group)
-    depth = max(d for d in range(1, 5) if vertex_count(oracle, 0, d) <= 600_000)
+    oracle = oracle_from_selector(group, vertex_cap=600_000)
+    depth = max(d for d in range(1, 5) if vertex_count(oracle, 0, d) <= oracle.vertex_cap)
     for a in _first_moved_auts(oracle, random.Random(f"base-columns/{group}")):
         first_moved_level(a, depth)
         level_perm(a, depth)
-        bases, cols = _level_columns(a, depth, cap=600_000)
+        bases, cols = _level_columns(a, depth)
         assert [c.dtype for c in cols] == [c.dtype for c in bases]
     cached = {k: v for k, v in oracle.cache.items() if k[0] == "base_column"}
     assert sorted(cached) == [("base_column", 0, d) for d in range(1, depth + 1)]
@@ -586,9 +590,11 @@ def test_semantic_wp_oracle_rejects_a_disagreeing_search(group, monkeypatch):
     for a, level in _wp_oracle_cases(oracle):
         assert search(a, 4).depth == level
         assert suites.semantic_wp_oracle(oracle, a, 4) is False
-        # a witness below the levels within the cap is not compared
-        cap = vertex_count(oracle, 0, level - 1)
-        assert suites.semantic_wp_oracle(oracle, a, 4, cap=cap) is False
+        # a witness below the levels within the cap is not compared; the
+        # cap is lowered once the search's levels are built
+        oracle.vertex_cap = vertex_count(oracle, 0, level - 1)
+        assert suites.semantic_wp_oracle(oracle, a, 4) is False
+        oracle.vertex_cap = DEFAULT_VERTEX_CAP
 
         # the search misses a moved automorphism
         monkeypatch.setattr(suites, "nontrivial_vertex", lambda aut, depth: None)
@@ -613,9 +619,9 @@ def test_semantic_wp_oracle_builds_levels_down_to_the_witness(group, monkeypatch
     oracle = oracle_from_selector(group)
     bounds = []
 
-    def spy(aut, depth, cap):
+    def spy(aut, depth):
         bounds.append(depth)
-        return first_moved_level(aut, depth, cap=cap)
+        return first_moved_level(aut, depth)
 
     monkeypatch.setattr(suites, "first_moved_level", spy)
     # every level of depth 4 is within the default cap
@@ -625,8 +631,9 @@ def test_semantic_wp_oracle_builds_levels_down_to_the_witness(group, monkeypatch
         assert suites.semantic_wp_oracle(oracle, a, 4) is False
         assert bounds.pop() == level
         # the witness lies below the levels within the cap
-        cap = vertex_count(oracle, 0, level - 1)
-        assert suites.semantic_wp_oracle(oracle, a, 4, cap=cap) is False
+        oracle.vertex_cap = vertex_count(oracle, 0, level - 1)
+        assert suites.semantic_wp_oracle(oracle, a, 4) is False
+        oracle.vertex_cap = DEFAULT_VERTEX_CAP
         assert bounds.pop() == level - 1
         # the witness lies below the decision depth
         assert suites.semantic_wp_oracle(oracle, a, level - 1) is True
