@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 MARKERS = ("x", "y", "z", "o", "p", "q")
-MARKER_ALPHABET = IndexedAlphabet(6, labels=MARKERS, name="markers")
+MARKER_ALPHABET = IndexedAlphabet(6, labels=MARKERS)
 
 class AlphabetLevel(IndexedAlphabet):
     """The alphabet at one level: quotient cosets first, then x y z p q.
@@ -47,8 +47,8 @@ class AlphabetLevel(IndexedAlphabet):
     __slots__ = ("level", "quotient", "x_index", "y_index", "z_index", "p_index", "q_index")
     anonymous = False
 
-    def __init__(self, oracle, level, quotient):
-        super().__init__(quotient.order + 5, name=f"letters:{oracle.name}:{level}")
+    def __init__(self, level, quotient):
+        super().__init__(quotient.order + 5)
         self.level = level
         self.quotient = quotient
         base = quotient.order
@@ -96,7 +96,7 @@ def build_alphabet(oracle, n):
     got = oracle.cache.get(("alphabet", n))
     if got is None:
         quotient = build_level_map(oracle, n).quotient
-        got = oracle.cache.setdefault(("alphabet", n), AlphabetLevel(oracle, n, quotient))
+        got = oracle.cache.setdefault(("alphabet", n), AlphabetLevel(n, quotient))
     return got
 
 
@@ -126,7 +126,7 @@ class Seed:
     def __init__(self, oracle, g=(), marker=None):
         if marker is None:
             marker = Perm.identity(MARKER_ALPHABET)
-        if marker.alphabet != MARKER_ALPHABET:
+        if marker.alphabet is not MARKER_ALPHABET:
             raise ValueError("marker part must permute the six marker symbols")
         if marker.sign != 1:
             raise ValueError("marker part must be even")
@@ -148,8 +148,10 @@ class Seed:
         return self.inv().mul(other.inv()).mul(self).mul(other)
 
     def key(self):
+        """``(element key, marker permutation)``: equal for two seeds of
+        one oracle exactly when they are equal."""
         if self._key is None:
-            self._key = (self.oracle.element_key(self.g), self.marker.images.tobytes())
+            self._key = (self.oracle.element_key(self.g), self.marker)
         return self._key
 
     def __eq__(self, other):
@@ -206,7 +208,7 @@ def marker_action(oracle, n, seed):
     """
     level = build_alphabet(oracle, n)
     marker = seed.marker
-    cache_key = ("marker_action", n, marker.images.tobytes())
+    cache_key = ("marker_action", n, marker)
     got = oracle.cache.get(cache_key)
     if got is not None:
         return got

@@ -38,8 +38,9 @@ class IndexedAlphabet:
     parsing (:meth:`index`) and printing (:meth:`label`) only.  Without
     literal labels or a subclass's label rule an alphabet is anonymous:
     its letters are named by their decimal indices, written straight
-    from the index arrays.  Two alphabets of the same class compare
-    equal by ``(name, size, literal labels)``.
+    from the index arrays.  An alphabet is an object, not a value: it
+    has no name, and two alphabets are the same only when they are one
+    object, so code that builds an alphabet builds it once and shares it.
 
     ``identity_images`` is the alphabet's one int64 array ``0..size-1``,
     built on first use and read-only: code that writes images starts from
@@ -47,9 +48,9 @@ class IndexedAlphabet:
     :class:`Perm`, which :meth:`Perm.identity` returns.
     """
 
-    __slots__ = ("size", "_labels", "name", "_index", "_identity", "_identity_perm")
+    __slots__ = ("size", "_labels", "_index", "_identity", "_identity_perm")
 
-    def __init__(self, size, labels=None, name=None):
+    def __init__(self, size, labels=None):
         if size < 1:
             raise ValueError("alphabet size must be positive")
         self._index = {}
@@ -62,7 +63,6 @@ class IndexedAlphabet:
                 raise ValueError("labels must be pairwise distinct")
         self.size = size
         self._labels = labels
-        self.name = name
         self._identity = None
         self._identity_perm = None
 
@@ -106,19 +106,7 @@ class IndexedAlphabet:
             raise KeyError(label)
         return i
 
-    def __eq__(self, other):
-        if self is other or not isinstance(other, IndexedAlphabet):
-            return self is other
-        if type(self) is not type(other):
-            return False
-        return (self.name, self.size, self._labels) == (other.name, other.size, other._labels)
-
-    def __hash__(self):
-        return hash((self.name, self.size))
-
     def __repr__(self):
-        if self.name:
-            return f"{type(self).__name__}({self.size}, name={self.name!r})"
         return f"{type(self).__name__}({self.size})"
 
 
@@ -130,7 +118,10 @@ class Perm:
     """A bijection of an :class:`IndexedAlphabet`, stored as an image array.
 
     Immutable value type: safe to share between threads, usable as a dict
-    key.  ``images[i]`` is the image of letter ``i``.  The sign is carried
+    key.  Keys elsewhere hold the permutation itself, so only this module
+    knows how images are stored.  Two permutations are equal when they
+    act on the same alphabet object and their image bytes are equal.
+    ``images[i]`` is the image of letter ``i``.  The sign is carried
     through ``identity``, ``from_cycles``, ``inverse`` and ``compose``;
     only a permutation built from raw images decomposes its cycles, once.
 
@@ -237,11 +228,11 @@ class Perm:
         return self._sign
 
     def __eq__(self, other):
-        """Equal alphabets and equal image bytes (every image array is
-        int64, so equal bytes are equal images)."""
+        """The same alphabet object and equal image bytes (every image
+        array is int64, so equal bytes are equal images)."""
         if not isinstance(other, Perm):
             return NotImplemented
-        return self.alphabet == other.alphabet and self.images.tobytes() == other.images.tobytes()
+        return self.alphabet is other.alphabet and self.images.tobytes() == other.images.tobytes()
 
     def __hash__(self):
         if self._hash is None:
@@ -386,7 +377,7 @@ def _decimal_cycles(letters, bounds):
 
 def compose(p, q):
     """The product ``p o q``: apply ``q`` first, then ``p``."""
-    if p.alphabet != q.alphabet:
+    if p.alphabet is not q.alphabet:
         raise ValueError("cannot compose permutations of different alphabets")
     sign = p._sign * q._sign if p._sign is not None and q._sign is not None else None
     return Perm(p.alphabet, p.images[q.images], check=False, sign=sign)
@@ -483,7 +474,7 @@ def check_alternating_generation(omega, a_sub, b_sub, g_gens):
         raise PreconditionError("violated clause (3): |A| >= 3 required")
     gen_rows = []
     for g in g_gens:
-        if g.alphabet != omega:
+        if g.alphabet is not omega:
             raise PreconditionError("generator acts on a different alphabet")
         if g.sign != 1:
             raise PreconditionError("violated clause (4): generators must be even")

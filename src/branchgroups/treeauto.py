@@ -140,7 +140,7 @@ class RootedAut(TreeAut):
         self.perm = perm
 
     def _make_key(self):
-        return ("rt", self.base_level, self.perm.images.tobytes())
+        return ("rt", self.base_level, self.perm)
 
 
 class DirectedAut(TreeAut):
@@ -192,7 +192,7 @@ def rooted(oracle, base_level, perm):
     """The automorphism permuting first-level letters by ``perm`` and
     fixing everything below."""
     lvl = build_alphabet(oracle, base_level + 1)
-    if perm.alphabet != lvl:
+    if perm.alphabet is not lvl:
         raise ValueError(
             f"rooted permutation must act on the level-{base_level + 1} alphabet"
         )
@@ -466,7 +466,9 @@ def _level_columns(a, depth):
 
 def level_perm(a, depth):
     """The permutation induced on all depth-``depth`` vertices, enumerated
-    lexicographically by letter index.  Vectorized; guarded by the cap."""
+    lexicographically by letter index.  Vectorized; guarded by the cap.
+    The vertex alphabet is built once per base level and depth, so the
+    level permutations of one level compose."""
     _, cols = _level_columns(a, depth)
     images = np.zeros(1, dtype=np.int64)
     for c in cols:
@@ -474,7 +476,7 @@ def level_perm(a, depth):
         images = np.repeat(images, s)
         images *= s
         images += c
-    alphabet = IndexedAlphabet(len(images), name=f"vertices:{a.oracle.name}:{a.base_level}:{depth}")
+    alphabet = a.oracle.cache.setdefault(("vertices", a.base_level, depth), IndexedAlphabet(len(images)))
     return Perm(alphabet, images, check=False)
 
 

@@ -108,11 +108,7 @@ class NormalWord:
         return not self.hs and self.bs[0].is_identity
 
     def key(self):
-        return (
-            self.base_level,
-            tuple(b.images.tobytes() for b in self.bs),
-            tuple(h.key() for h in self.hs),
-        )
+        return (self.base_level, self.bs, tuple(h.key() for h in self.hs))
 
     def root_perm(self):
         lvl = build_alphabet(self.oracle, self.base_level + 1)
@@ -172,7 +168,7 @@ def _reduce(oracle, base_level, tokens):
     bs, hs, blocks = [ident], [], []
     for kind, payload in tokens:
         if kind == "B":
-            if payload.alphabet != lvl:
+            if payload.alphabet is not lvl:
                 raise ValueError(f"rooted letter acts on the wrong alphabet for level {base_level}")
             if payload.sign != 1:
                 raise ValueError("rooted letters must be even permutations")

@@ -64,7 +64,7 @@ def test_level_alphabet_stores_no_labels():
     quotient = build_level_map(oracle, 1).quotient
     tracemalloc.start()
     try:
-        lvl = AlphabetLevel(oracle, 1, quotient)
+        lvl = AlphabetLevel(1, quotient)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -75,7 +75,7 @@ def test_level_alphabet_stores_no_labels():
 def test_level_alphabet_keeps_only_parsed_labels(dinf):
     """A level alphabet starts with no parsed labels and keeps a label
     only once it has parsed it; a label it refuses is not kept."""
-    lvl = AlphabetLevel(dinf, 3, build_level_map(dinf, 3).quotient)
+    lvl = AlphabetLevel(3, build_level_map(dinf, 3).quotient)
     assert lvl._index == {}
     for _ in range(2):
         assert [lvl.index(s) for s in ("q1@3", "x@3", "q1@3")] == [1, lvl.x_index, 1]
@@ -85,12 +85,13 @@ def test_level_alphabet_keeps_only_parsed_labels(dinf):
 
 
 def test_level_alphabet_differs_from_anonymous_alphabet(dinf):
-    """An anonymous alphabet with a level's name and size parses and
-    prints letters differently, so it is a different alphabet."""
+    """An anonymous alphabet of a level's size parses and prints letters
+    differently, so it is a different alphabet; the level alphabet itself
+    is built once per oracle and level."""
     lvl = build_alphabet(dinf, 1)
-    anon = IndexedAlphabet(lvl.size, name=lvl.name)
+    anon = IndexedAlphabet(lvl.size)
     assert lvl != anon and anon != lvl
-    assert lvl == AlphabetLevel(dinf, 1, lvl.quotient)
+    assert build_alphabet(dinf, 1) is lvl
     with pytest.raises(ValueError, match="level-1 alphabet"):
         rooted(dinf, 0, Perm.from_cycles(anon, "(0 1 2)"))
 

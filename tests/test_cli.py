@@ -276,6 +276,20 @@ def test_portrait_dot(tmp_path, capsys):
     assert out.startswith("digraph portrait {")
 
 
+PORTRAIT_F = "B((x@1 y@1 z@1)) H(t|())"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--depth-cap", "2"), "portrait depth 3 exceeds the depth cap 2"),  # cmd_portrait's depth check
+    (("--vertex-cap", "50"), "portrait would label more than 50 vertices"),  # treeauto.portrait's count
+])
+def test_portrait_caps_exit_3(tmp_path, capsys, argv, message):
+    path = write(tmp_path, "w.txt", PORTRAIT_F)
+    code, out, err = run(capsys, *argv, "portrait", path, "--depth", "3")
+    assert (code, out) == (3, "")
+    assert err == f"cap exceeded: {message}\n"
+
+
 def test_portrait_negative_depth_usage_error(tmp_path, capsys):
     path = write(tmp_path, "w.txt", "H(|(x y z))")
     code, out, err = run(capsys, "portrait", path, "--depth", "-1")
@@ -307,6 +321,30 @@ def test_conj_t_t2(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["kind"] in ("not_conjugate", "unknown")
+
+
+def test_conj_bare_literals(capsys):
+    """Seed literals without ``|`` take the bare-literal branch of
+    ``_parse_seed_spec`` and mean the identity marker."""
+    code, out, _ = run(capsys, "conj", "t", "t'")
+    assert code == 0
+    assert "conjugator H(a|())" in out.splitlines()
+
+
+def test_wp_bare_double_inverse_marker_exit_2(tmp_path, capsys):
+    """A standalone ``''`` is refused by ``parse_tokens`` with its position."""
+    path = write(tmp_path, "w.txt", "H(t|()) ''")
+    code, out, err = run(capsys, "wp", path)
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 1, column 9: bare inverse markers must be single quotes\n"
+
+
+def test_wp_reads_stdin(capsys, monkeypatch):
+    """The word file ``-`` is standard input."""
+    monkeypatch.setattr("sys.stdin", io.StringIO("H(t|())\n"))
+    code, out, _ = run(capsys, "wp", "-")
+    assert code == 0
+    assert out.splitlines() == ["nontrivial (ell=1, depth=2)", "witness y@1 q0@2"]
 
 
 def test_conj_depth_below_one_usage_error(capsys):

@@ -188,7 +188,7 @@ def _old_is_identity(p):
 
 
 def _old_eq(p, q):
-    return p.alphabet == q.alphabet and np.array_equal(p.images, q.images)
+    return p.alphabet is q.alphabet and np.array_equal(p.images, q.images)
 
 
 @given(images=_images(), data=st.data())
@@ -216,7 +216,7 @@ def test_identity_and_equality_by_bytes_match_array_compare(images, data):
             if a == b:
                 assert hash(a) == hash(b)
     # equal images over another alphabet of the same size stay unequal
-    for al2 in (IndexedAlphabet(n, name="other"), IndexedAlphabet(n, labels=[f"x{i}" for i in range(n)])):
+    for al2 in (IndexedAlphabet(n), IndexedAlphabet(n, labels=[f"x{i}" for i in range(n)])):
         q = Perm(al2, images)
         assert q != p and not _old_eq(q, p)
         assert q.is_identity == _old_is_identity(q)
@@ -360,9 +360,10 @@ def test_cycle_walk_rejects_non_bijections(images):
     [1, 1, 2],
 ])
 def test_checked_images_must_form_a_bijection(images):
+    al = IndexedAlphabet(3)
     with pytest.raises(ValueError, match="^images do not form a bijection$"):
-        Perm(IndexedAlphabet(3), images)
-    assert Perm(IndexedAlphabet(3), [2.0, 0, 1]) == Perm(IndexedAlphabet(3), [2, 0, 1])
+        Perm(al, images)
+    assert Perm(al, [2.0, 0, 1]) == Perm(al, [2, 0, 1])
 
 
 def test_cycle_notation_roundtrip(abc):
@@ -536,7 +537,7 @@ def test_big_cycle_type_matches_small_path():
     rng = np.random.default_rng(5)
     n = 5000
     img = rng.permutation(n)
-    al = IndexedAlphabet(n, name="big")
+    al = IndexedAlphabet(n)
     p = Perm(al, img)
     # independent oracle: walk cycles in pure python
     seen = [False] * n
@@ -577,15 +578,20 @@ def test_alternating_generation_precondition_errors():
         check_alternating_generation(omega, [0, 1], [1, 2, 3], [Perm.identity(omega)])
     with pytest.raises(PreconditionError, match=r"\(2\)"):
         check_alternating_generation(omega, [0, 1, 2], [1, 2, 3], [Perm.identity(omega)])
+    omega5 = IndexedAlphabet(5)
     with pytest.raises(PreconditionError, match=r"\(4\)"):
-        check_alternating_generation(
-            IndexedAlphabet(5),
-            [0, 1, 2],
-            [2, 3, 4],
-            [Perm.from_cycles(IndexedAlphabet(5), "(3 4)")],
-        )
+        check_alternating_generation(omega5, [0, 1, 2], [2, 3, 4], [Perm.from_cycles(omega5, "(3 4)")])
     with pytest.raises(PreconditionError, match=r"\(6\)"):
         check_alternating_generation(IndexedAlphabet(5), [0, 1, 2], [2, 3, 4], [])
+
+
+def test_alternating_generation_refuses_a_generator_of_another_alphabet():
+    """A generator on a second alphabet of the same size and labels is
+    refused: alphabets are the same only when they are one object."""
+    omega = IndexedAlphabet(5)
+    gen = Perm.from_cycles(IndexedAlphabet(5), "(2 3 4)")
+    with pytest.raises(PreconditionError, match="^generator acts on a different alphabet$"):
+        check_alternating_generation(omega, [0, 1, 2], [2, 3, 4], [gen])
 
 
 @pytest.mark.parametrize("route", ["from_cycles", "compose", "inverse", "raw_images"])

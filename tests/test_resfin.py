@@ -810,6 +810,14 @@ def test_product_oracle():
     assert c == parse_word(prod, "2.a")
 
 
+def test_product_oracle_conjugate_refused_on_one_side():
+    """A product pair is conjugate only when both sides are: here the left
+    sides (``t`` and ``t t`` in the integers) are not, so the product
+    answers NOT_CONJUGATE whatever the right side says."""
+    prod = ProductOracle(IntegerOracle(), DihedralOracle())
+    assert prod.conjugate((0,), (0, 0)) is NOT_CONJUGATE
+
+
 def test_quotient_map_format(zz):
     qm = build_level_map(zz, 1)
     text = format_quotient_map(qm)

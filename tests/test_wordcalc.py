@@ -140,6 +140,23 @@ def test_normal_form_rejects_odd_b(dinf):
         normal_form(dinf, [("B", odd)])
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("B", "rooted letter acts on the wrong alphabet for level 0"),
+    ("H", "seed letter belongs to a different input group"),
+])
+def test_normal_form_refuses_letters_of_another_oracle(kind, message):
+    """The two refusals of ``_reduce`` for a letter built on a second
+    oracle of the same group: a rooted letter on that oracle's level-1
+    alphabet, which is another object, and a seed of that oracle."""
+    o1, o2 = DihedralOracle(), DihedralOracle()
+    letter = {
+        "B": Perm.from_cycles(build_alphabet(o2, 1), "(x@1 y@1 z@1)"),
+        "H": Seed(o2, (0,)),
+    }[kind]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        normal_form(o1, [(kind, letter)])
+
+
 def test_normal_form_inverse_marker(dinf):
     for text in ["H(t|())'", "H(t|()) '"]:
         w = normal_form(dinf, parse_tokens(dinf, text))
@@ -819,12 +836,13 @@ def _pin_tokens(oracle, rng):
 # sha256 over 150 seeded words per group: each normal form's text,
 # sigma_length and key, its section_letters, and the section at every
 # first-level letter (text and block keys; an absent letter hashes as the
-# empty word with no blocks)
+# empty word with no blocks).  Keys hold permutations, whose repr is their
+# cycle notation, so the pins do not depend on how images are stored.
 _WORD_CALCULUS_PINS = {
-    "dihedral_infinite": "23ae82f3e0f2d300b7ab9dd635fc35e289bdcd19b2d0976d80db7d9555442ca4",
-    "integers": "1d57690abd79c6423c89f0f787a58d315e5987540f0e008da8146f280cba716f",
-    "product:integers,integers": "5297793eec986e9359503782db7ff32c699e79a275b826ab51384dbcb466af36",
-    "finite:3": "0b1aeefd7b87b6e51b13e8f7ac3ad7630323e6bbe15dc3fb49aa9df129a4276f",
+    "dihedral_infinite": "ade176f32014f00af4968c6916229351264a01e53dfffe5b11e30841e27175ba",
+    "integers": "3a554f115be638455835886cd17751f87195c5056bc18cb9d422c4bc85da4c4f",
+    "product:integers,integers": "ac858a1c7dceea3186858a252364586babcd725f121a76b868273e4d9215d718",
+    "finite:3": "5861333fa061f71b483dd64c82d84255cdcba5b78dba98cea4b7234bb7462fb6",
 }
 
 
@@ -863,9 +881,9 @@ def _block_pin_tokens(oracle, rng):
 # section's letter, text and blocks (seed keys in order); the blocks of
 # one section differ, so storing them in another order changes the digest
 _BLOCK_ORDER_PINS = {
-    "dihedral_infinite": "bdd8cce28c725bd9362ddc722c1d262eb561b6f10c310f61d6368ec1234c7660",
-    "integers": "78ff6e276be7537fdb621476dbde0edc30b0262da033490b2a86314942a8aa89",
-    "product:integers,integers": "120dce1cca0e24f75e2085062b11b584d50bf4d4e9700905a62d0f97656eecdc",
+    "dihedral_infinite": "15cf805cb4601b704d84554f82ac0a8d121f45f65191793647b20bb3a03a3aad",
+    "integers": "640698ddbd4583bab68441181475e46ab37818b1231df5c4c1df53cbaf800f60",
+    "product:integers,integers": "8b06e29a110486bb6a08b49e55f62824ebe1349123df790b1a5953bb77ee2b57",
 }
 
 
