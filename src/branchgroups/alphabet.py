@@ -18,6 +18,9 @@ seeds generate the directed tree automorphisms in
 
 from __future__ import annotations
 
+import functools
+import math
+
 from .perm import IndexedAlphabet, Perm, compose, random_even_perm
 from .resfin import build_level_map, format_word, word_inverse
 
@@ -100,8 +103,15 @@ def build_alphabet(oracle, n):
     return got
 
 
+@functools.lru_cache(maxsize=math.factorial(6) // 2)
 def marker_perm(cycles_text):
-    """An even permutation of the six marker symbols, from cycle notation."""
+    """An even permutation of the six marker symbols, from cycle notation.
+
+    Kept per spelling, least recently used out first, at most as many
+    as there are even permutations of six symbols (360): a session's
+    few spellings are parsed once, and a file of distinct spellings
+    cannot grow the memo further.  Errors are not kept.  Permutations
+    are immutable, so every reader shares the result."""
     p = Perm.from_cycles(MARKER_ALPHABET, cycles_text)
     if p.sign != 1:
         raise ValueError("marker permutations must be even")

@@ -593,16 +593,24 @@ def _apply_below(inner, mask, cols):
 class Portrait:
     """Per-vertex first-level permutations down to a depth.
 
-    ``labels`` maps every vertex above the depth to the root permutation
-    of its section.  ``rows`` holds the same vertices as printed text,
-    ``(path, parent path, label)``, with ``None`` as the root's parent.
-    Both run breadth-first in letter-index order: shallow vertices first,
-    lexicographic within a level."""
+    ``perms`` lists ``(path, perm)`` for every vertex above the depth,
+    with the root permutation of its section.  ``rows`` holds the same
+    vertices as printed text, ``(path, parent path, label)``, with
+    ``None`` as the root's parent.  Both run breadth-first in
+    letter-index order: shallow vertices first, lexicographic within a
+    level."""
 
-    def __init__(self, depth, labels, rows):
+    def __init__(self, depth, base_level, perms, rows):
         self.depth = depth
-        self.labels = labels  # Vertex -> Perm
+        self.base_level = base_level
+        self.perms = perms
         self.rows = rows
+
+    @property
+    def labels(self):
+        """A dict from each :class:`Vertex` to its permutation, built when
+        read."""
+        return {Vertex(self.base_level, path): perm for path, perm in self.perms}
 
 
 def portrait(a, depth):
@@ -616,7 +624,7 @@ def portrait(a, depth):
         total += vertex_count(a.oracle, a.base_level, d)
         if total > cap:
             raise CapExceeded(f"portrait would label more than {cap} vertices")
-    labels, rows = {}, []
+    perms, rows = [], []
     sections = {}  # section key -> (root permutation, its text, children)
     frontier = [((), "-", None, a)]  # (labels, path text, parent text, section)
     for d in range(depth):
@@ -632,14 +640,14 @@ def portrait(a, depth):
                 r = root_perm(node)
                 got = sections[key] = (r, str(r), nontrivial_children(node) if inner else {})
             perm, label, children = got
-            labels[Vertex(a.base_level, path)] = perm
+            perms.append((path, perm))
             rows.append((text, parent, label))
             if inner:
                 for i, name in enumerate(names):
                     child_text = f"{text} {name}" if path else name
                     nxt.append((path + (name,), child_text, text, children.get(i, ident)))
         frontier = nxt
-    return Portrait(depth, labels, rows)
+    return Portrait(depth, a.base_level, perms, rows)
 
 
 def portrait_text(p):

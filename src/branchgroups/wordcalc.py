@@ -533,6 +533,26 @@ def parse_seed(oracle, text):
     return Seed(oracle, gword, marker)
 
 
+def _parse_letter(oracle, lvl, body, raw, line, col):
+    """One letter from its token ``body`` (``raw`` with its marks
+    stripped), before any inverse marks; raises :class:`ParseError` at
+    ``(line, col)``."""
+    if body.startswith("B(") and body.endswith(")"):
+        try:
+            perm = Perm.from_cycles(lvl, body[2:-1])
+        except (ValueError, KeyError) as exc:
+            raise ParseError(f"bad rooted letter: {exc}", line, col) from None
+        if perm.sign != 1:
+            raise ParseError("rooted letters must be even permutations", line, col)
+        return ("B", perm)
+    if body.startswith("H(") and body.endswith(")"):
+        try:
+            return ("H", parse_seed(oracle, body[2:-1]))
+        except ValueError as exc:
+            raise ParseError(str(exc), line, col) from None
+    raise ParseError(f"unrecognized token {raw!r}", line, col)
+
+
 def parse_tokens(oracle, text):
     """Parse word-file text into level-0 letters for :func:`normal_form`.
 
@@ -543,11 +563,18 @@ def parse_tokens(oracle, text):
     standalone ``'`` inverts the letter before it, so the result holds
     only ``("B", perm)`` and ``("H", seed)``.  Raises :class:`ParseError`
     with the offending position, also for a standalone ``'`` with no
-    letter before it."""
+    letter before it.
+
+    Each spelling is parsed once per call: a letter is keyed by its body
+    and the parity of its marks, and every repeat of that key is the same
+    object.  Letters are immutable, so sharing them is safe, and a long
+    file that repeats a few letters holds a few image arrays.  Errors are
+    never kept, so every bad token is reported where it stands."""
     lvl = build_alphabet(oracle, 1)
     out = []
-    for raw, pos in _lex(text):
-        line, col = pos
+    letters = {}  # (body, odd marks) -> letter
+    key = None
+    for raw, (line, col) in _lex(text):
         body = raw.rstrip("'")
         inverses = len(raw) - len(body)
         if not body:
@@ -555,22 +582,16 @@ def parse_tokens(oracle, text):
                 raise ParseError("bare inverse markers must be single quotes", line, col)
             if not out:
                 raise ParseError("inverse marker with nothing to invert", line, col)
-            out.append(_inverse(out.pop()))
+            key = (key[0], not key[1])
+            letter = letters.get(key)
+            if letter is None:
+                letter = letters[key] = _inverse(out[-1])
+            out[-1] = letter
             continue
-        if body.startswith("B(") and body.endswith(")"):
-            try:
-                perm = Perm.from_cycles(lvl, body[2:-1])
-            except (ValueError, KeyError) as exc:
-                raise ParseError(f"bad rooted letter: {exc}", line, col) from None
-            if perm.sign != 1:
-                raise ParseError("rooted letters must be even permutations", line, col)
-            letter = ("B", perm)
-        elif body.startswith("H(") and body.endswith(")"):
-            try:
-                letter = ("H", parse_seed(oracle, body[2:-1]))
-            except ValueError as exc:
-                raise ParseError(str(exc), line, col) from None
-        else:
-            raise ParseError(f"unrecognized token {raw!r}", line, col)
-        out.append(_inverse(letter) if inverses % 2 else letter)
+        key = (body, inverses % 2 == 1)
+        letter = letters.get(key)
+        if letter is None:
+            letter = _parse_letter(oracle, lvl, body, raw, line, col)
+            letter = letters[key] = _inverse(letter) if key[1] else letter
+        out.append(letter)
     return out

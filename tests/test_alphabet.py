@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -202,6 +203,33 @@ def test_seed_group_laws(dinf):
 def test_marker_perm_rejects_odd():
     with pytest.raises(ValueError):
         marker_perm("(x y)")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("(x y)", ValueError, "marker permutations must be even"),
+    ("(x w)", KeyError, "unknown letter 'w'"),
+    ("(x y z", ValueError, "unexpected text '(x y z' in cycle notation"),
+    ("(x y)(y z)", ValueError, "cycles are not disjoint"),
+])
+def test_marker_perm_keeps_no_error(text, error, message):
+    """A bad spelling raises the same error each time it is read, and
+    the memo of spellings does not keep it."""
+    before = marker_perm.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(error, match=re.escape(message)):
+            marker_perm(text)
+    assert marker_perm.cache_info().currsize == before
+
+
+def test_marker_perm_memo_is_bounded():
+    """The memo keeps at most one spelling per even marker permutation
+    (360), however many distinct spellings a session reads, and a
+    spelling read again is the same object while it is kept."""
+    assert marker_perm("(x y z)") is marker_perm("(x y z)")
+    for k in range(1000):
+        assert marker_perm("(x y z)" + " " * k) == marker_perm("(x y z)")
+    assert marker_perm.cache_info().currsize <= 360
+    assert marker_perm.cache_info().maxsize == 360
 
 
 def test_seed_rejects_odd_composed_marker(dinf):

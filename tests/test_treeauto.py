@@ -699,6 +699,9 @@ def test_portrait_directed_marker(dinf):
     assert p.labels[z1] == Perm.from_cycles(lvl2.alphabet, "(x@2 y@2 z@2)")
     x1 = Vertex(0, ("x@1",))
     assert p.labels[x1].is_identity
+    # the (path, perm) pairs run in row order, and labels is built from them
+    assert [str(perm) for _, perm in p.perms] == [label for _, _, label in p.rows]
+    assert list(p.labels) == [Vertex(0, path) for path, _ in p.perms]
 
 
 def test_portrait_identity_and_text(zz):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -686,6 +687,85 @@ def test_parse_tokens_raises_only_parse_error(selector, text):
         parse_tokens(_parse_oracle(selector), text)
     except ParseError:
         pass
+
+
+# Tokens that fail to parse on every group of _PARSE_GROUPS, each with the
+# message it is reported with
+_BAD_TOKENS = {
+    "B((x@1 y@1))": "rooted letters must be even permutations",
+    "B((x@1 w@1))": "bad rooted letter",
+    "H(t)": "seed letter needs the form",
+    "H(|(x y))": "bad marker cycles: marker permutations must be even",
+    "wat": "unrecognized token 'wat'",
+    "wat''": "unrecognized token \"wat''\"",
+}
+
+
+@st.composite
+def _repeating_files(draw, oracle):
+    """A word file that spells a few distinct letters many times: each
+    occurrence carries 0 to 3 attached marks and 0 to 2 bare ones.
+    Returns the text and, per occurrence, its letter spelling and its
+    total mark count."""
+    spellings = draw(st.lists(_tokens(oracle).map(lambda tok: format_token(*tok)), min_size=1, max_size=3))
+    occurrences = draw(st.lists(
+        st.tuples(st.sampled_from(spellings), st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=12))
+    text = " ".join(body + "'" * attached + " '" * bare for body, attached, bare in occurrences)
+    return text, [(body, attached + bare) for body, attached, bare in occurrences]
+
+
+@pytest.mark.parametrize("selector", _PARSE_GROUPS)
+@given(data=st.data())
+def test_parse_tokens_shares_repeated_spellings(selector, data):
+    """Every letter equals its token parsed alone with its marks applied
+    by ``Perm.inverse`` or ``Seed.inv``; occurrences of one spelling with
+    the same mark parity are one object; a bad token after them is
+    reported with its own message and position."""
+    oracle = _parse_oracle(selector)
+    text, occurrences = data.draw(_repeating_files(oracle))
+    got = parse_tokens(oracle, text)
+    assert len(got) == len(occurrences)
+    shared = {}
+    for (kind, payload), (body, marks) in zip(got, occurrences):
+        [(want_kind, want)] = parse_tokens(oracle, body)
+        if marks % 2:
+            want = want.inverse() if want_kind == "B" else want.inv()
+        assert kind == want_kind
+        if kind == "B":
+            assert payload == want
+        else:
+            assert payload.g == want.g and payload.marker == want.marker
+        assert shared.setdefault((body, marks % 2), payload) is payload
+    bad = data.draw(st.sampled_from(sorted(_BAD_TOKENS)))
+    lines = data.draw(st.integers(1, 3))
+    column = data.draw(st.integers(1, 4))
+    with pytest.raises(ParseError) as err:
+        parse_tokens(oracle, text + "\n" * lines + " " * (column - 1) + bad + " " + text)
+    assert (err.value.line, err.value.column) == (1 + lines, column)
+    with pytest.raises(ParseError) as alone:
+        parse_tokens(oracle, bad)
+    assert str(err.value).split(": ", 1)[1] == str(alone.value).split(": ", 1)[1]
+    assert _BAD_TOKENS[bad] in str(err.value)
+
+
+def test_parse_tokens_holds_one_array_per_repeated_letter():
+    """60 copies of a rooted letter over a 200 005-letter alphabet are one
+    image array in the tokens and in their normal word, not 60 (the
+    parser once built each copy, 96 MB here)."""
+    oracle = oracle_from_selector("finite:200000")
+    lvl = build_alphabet(oracle, 1)
+    Perm.identity(lvl)
+    array = lvl.identity_images.nbytes
+    tracemalloc.start()
+    try:
+        tokens = parse_tokens(oracle, " ".join(["B((x@1 y@1 z@1)) H(t|())"] * 60))
+        word = normal_form(oracle, tokens)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert word.h_count == 60 and word.sigma_length == 120
+    assert held < 2 * array
+    assert peak < 5 * array
 
 
 def _old_lex(text):
