@@ -126,9 +126,10 @@ class Seed:
     """A pair (input-group word, even marker permutation).
 
     Seeds are the elements whose recursively defined tree actions generate
-    the directed part of the branch groups.  The group word is kept as a
-    word; multiplication concatenates, and triviality of the group part is
-    delegated to a word-problem decider.
+    the directed part of the branch groups.  The group word is kept for
+    printing; the group element is its key (``oracle.element_key``), read
+    once and kept, by which seeds compare, hash and merge.  Indices outside
+    the oracle's generators raise ``ValueError``.
     """
 
     __slots__ = ("oracle", "g", "marker", "_key")
@@ -140,8 +141,10 @@ class Seed:
             raise ValueError("marker part must permute the six marker symbols")
         if marker.sign != 1:
             raise ValueError("marker part must be even")
-        self.oracle = oracle
         self.g = tuple(g)
+        if not oracle.gen_indices.issuperset(self.g):
+            raise ValueError(f"generator indices must lie in range({len(oracle.gen_names)})")
+        self.oracle = oracle
         self.marker = marker
         self._key = None
 
@@ -177,11 +180,11 @@ class Seed:
 
 
 def seed_is_trivial(seed):
-    """Triviality of a seed letter: the marker part directly, the group
-    part through the oracle's own word problem, in O(|g|).  The tests
-    check it against the reference decider
-    :func:`resfin.decide_word_problem`."""
-    return seed.marker.is_identity and seed.oracle.is_identity(seed.g)
+    """Triviality of a seed letter: the marker part first, then the
+    seed's kept key against the oracle's ``identity_key``, so the group
+    word is read at most once per seed.  The tests check it against the
+    reference decider :func:`resfin.decide_word_problem`."""
+    return seed.marker.is_identity and seed.key()[0] == seed.oracle.identity_key
 
 
 def coset_action(oracle, n, seed):
@@ -192,10 +195,10 @@ def coset_action(oracle, n, seed):
     which makes the result even.  The sign of left multiplication by an
     element of order o in a quotient of order N is (-1)^(N - N/o)
     (:meth:`FiniteQuotient.left_mult_sign`), so no cycle decomposition
-    runs.  Cached per level and group element.
+    runs.  Cached per level and group element, by the seed's kept key.
     """
     level = build_alphabet(oracle, n)
-    cache_key = ("coset_action", n, oracle.element_key(seed.g))
+    cache_key = ("coset_action", n, seed.key()[0])
     got = oracle.cache.get(cache_key)
     if got is not None:
         return got

@@ -132,7 +132,7 @@ class Perm:
     ``sign``, which is trusted.
     """
 
-    __slots__ = ("alphabet", "images", "_hash", "_sign")
+    __slots__ = ("alphabet", "images", "_hash", "_sign", "_is_identity")
 
     def __init__(self, alphabet, images, check=True, sign=None):
         arr = np.array(images, dtype=np.int64) if check else np.asarray(images, dtype=np.int64)
@@ -147,6 +147,7 @@ class Perm:
         self.images = arr
         self._hash = None
         self._sign = sign
+        self._is_identity = None
 
     @classmethod
     def identity(cls, alphabet):
@@ -195,8 +196,10 @@ class Perm:
     @property
     def is_identity(self):
         """Whether every letter is fixed: the image bytes equal those of
-        the alphabet's identity array."""
-        return self.images.tobytes() == self.alphabet.identity_images.tobytes()
+        the alphabet's identity array, compared once per permutation."""
+        if self._is_identity is None:
+            self._is_identity = self.images.tobytes() == self.alphabet.identity_images.tobytes()
+        return self._is_identity
 
     def inverse(self):
         inv = np.empty(self.alphabet.size, dtype=np.int64)

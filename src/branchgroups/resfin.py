@@ -406,32 +406,37 @@ def _shortlex_pairs(first, second):
 class GroupOracle:
     """Base class for bundled input groups.
 
-    Subclasses supply ``element_key`` (a canonical form making the word
-    problem decidable), ``detect`` (the effective residual-finiteness
-    query) and optionally ``conjugate``.  All public state is immutable
-    after construction; caches are filled idempotently, so concurrent use
-    is safe.  ``vertex_cap``, set once by :func:`oracle_from_selector`,
-    bounds everything built from the oracle: the codes of each chain fold
-    (so every alphabet), and the vertices of level permutations and
-    portraits.
+    Subclasses supply element keys (canonical forms, which decide the
+    word problem): ``gen_keys``, ``identity_key`` and their product
+    ``multiply``, whose fold keys every word (:meth:`element_key`); also
+    ``detect`` (the effective residual-finiteness query) and optionally
+    ``conjugate``.  All public state is immutable after construction;
+    caches are filled idempotently, so concurrent use is safe.
+    ``vertex_cap``, set once by :func:`oracle_from_selector`, bounds
+    everything built from the oracle: the codes of each chain fold (so
+    every alphabet), and the vertices of level permutations and portraits.
     """
 
     vertex_cap = DEFAULT_VERTEX_CAP
 
-    def __init__(self, name, gen_names, inverse):
-        if len(gen_names) != len(inverse):
-            raise ValueError("involution pairing must cover every generator")
+    def __init__(self, name, gen_names, inverse, gen_keys, identity_key):
+        if not len(gen_names) == len(inverse) == len(gen_keys):
+            raise ValueError("involution pairing and keys must cover every generator")
         for i, j in enumerate(inverse):
             if inverse[j] != i:
                 raise ValueError("involution pairing is not an involution")
         self.name = name
         self.gen_names = tuple(gen_names)
+        self.gen_indices = frozenset(range(len(gen_names)))
         self.inverse = tuple(inverse)
+        self.gen_keys = tuple(gen_keys)
+        self.identity_key = identity_key
         self.cache = {}
 
     # -- subclass API --
 
-    def element_key(self, word):
+    def multiply(self, left, right):
+        """The key of the product of the elements keyed ``left`` and ``right``."""
         raise NotImplementedError
 
     def detect(self, word):
@@ -444,29 +449,36 @@ class GroupOracle:
 
     # -- shared plumbing --
 
+    def element_key(self, word):
+        """A word's key: its generators' keys multiplied from ``identity_key``."""
+        key, gen_keys, multiply = self.identity_key, self.gen_keys, self.multiply
+        for s in word:
+            key = multiply(key, gen_keys[s])
+        return key
+
     def is_identity(self, word):
-        return self.element_key(word) == self.element_key(())
+        return self.element_key(word) == self.identity_key
 
     def ball(self, radius):
         """Shortest representative words for all elements of the radius ball,
         identity included, in deterministic (length, lex) order: a tuple,
-        searched once per radius."""
+        searched once per radius, each frontier key extended by one product."""
         got = self.cache.get(("ball", radius))
         if got is not None:
             return got
-        reps = {self.element_key(()): ()}
+        seen = {self.identity_key}
         out = [()]
-        frontier = [()]
+        frontier = [((), self.identity_key)]
         for _ in range(radius):
             new = []
-            for w in frontier:
-                for s in range(len(self.gen_names)):
-                    cand = w + (s,)
-                    key = self.element_key(cand)
-                    if key not in reps:
-                        reps[key] = cand
+            for w, key in frontier:
+                for s, gen_key in enumerate(self.gen_keys):
+                    cand_key = self.multiply(key, gen_key)
+                    if cand_key not in seen:
+                        seen.add(cand_key)
+                        cand = w + (s,)
                         out.append(cand)
-                        new.append(cand)
+                        new.append((cand, cand_key))
             frontier = new
         return self.cache.setdefault(("ball", radius), tuple(out))
 
@@ -507,8 +519,8 @@ class _CyclicBase(GroupOracle):
     """A cyclic group with generators ``t`` and ``t'``: its finite cyclic
     quotients, and conjugacy, which in an abelian group is equality."""
 
-    def __init__(self, name):
-        super().__init__(name, ("t", "t'"), (1, 0))
+    def __init__(self, name, minus_one):
+        super().__init__(name, ("t", "t'"), (1, 0), (1, minus_one), 0)
 
     def _cyclic(self, k):
         return self._quotient(("cyclic", k), lambda: _cyclic_quotient(k))
@@ -527,10 +539,10 @@ class IntegerOracle(_CyclicBase):
     """
 
     def __init__(self):
-        super().__init__("integers")
+        super().__init__("integers", -1)
 
-    def element_key(self, word):
-        return sum(1 if s == 0 else -1 for s in word)
+    def multiply(self, left, right):
+        return left + right
 
     def detect(self, word):
         m = self.element_key(word)
@@ -543,26 +555,20 @@ class DihedralOracle(GroupOracle):
     """The infinite dihedral group with generators ``a`` (an involution)
     and ``t``; the defining relation conjugates ``t`` to its inverse.
 
-    Normal form: (eps, m) standing for a^eps t^m.  The residual-finiteness
-    query sends a nontrivial word w to the dihedral group of order
-    2(|w| + 1), rotation image for ``t`` and reflection image for ``a``;
-    any rotation of exponent up to |w| survives there, and reflections
-    survive in every dihedral quotient.
+    Normal form: (eps, m) standing for a^eps t^m, and (e, m)(e', m') =
+    (e xor e', (-1)^e' m + m') as in :meth:`_FamilyQuotient._product`.  The
+    residual-finiteness query sends a nontrivial word w to the dihedral
+    group of order 2(|w| + 1), rotation image for ``t`` and reflection
+    image for ``a``; any rotation of exponent up to |w| survives there,
+    and reflections survive in every dihedral quotient.
     """
 
     def __init__(self):
-        super().__init__("dihedral_infinite", ("a", "t", "t'"), (0, 2, 1))
+        super().__init__("dihedral_infinite", ("a", "t", "t'"), (0, 2, 1), ((1, 0), (0, 1), (0, -1)), (0, 0))
 
-    def element_key(self, word):
-        eps, m = 0, 0
-        for s in word:
-            if s == 0:
-                eps, m = eps ^ 1, -m
-            elif s == 1:
-                m += 1
-            else:
-                m -= 1
-        return (eps, m)
+    def multiply(self, left, right):
+        (e, m), (f, k) = left, right
+        return (e ^ f, (-m if f else m) + k)
 
     def _dihedral(self, half):
         return self._quotient(("dihedral", half), lambda: _dihedral_quotient(half))
@@ -596,11 +602,11 @@ class CyclicOracle(_CyclicBase):
     def __init__(self, order):
         if order < 2:
             raise ValueError("cyclic order must be at least 2")
-        super().__init__(f"finite:{order}")
+        super().__init__(f"finite:{order}", order - 1)
         self.group_order = order
 
-    def element_key(self, word):
-        return sum(1 if s == 0 else -1 for s in word) % self.group_order
+    def multiply(self, left, right):
+        return (left + right) % self.group_order
 
     def detect(self, word):
         if self.element_key(word) == 0:
@@ -610,7 +616,8 @@ class CyclicOracle(_CyclicBase):
 
 class ProductOracle(GroupOracle):
     """Direct product of two bundled oracles; generators are the two
-    generating sets side by side, names prefixed with ``1.`` and ``2.``."""
+    generating sets side by side, names prefixed with ``1.`` and ``2.``;
+    keys are pairs of the sides' keys, multiplied componentwise."""
 
     def __init__(self, left, right):
         self.left = left
@@ -618,16 +625,16 @@ class ProductOracle(GroupOracle):
         self._split = len(left.gen_names)
         names = tuple(f"1.{n}" for n in left.gen_names) + tuple(f"2.{n}" for n in right.gen_names)
         inv = tuple(left.inverse) + tuple(i + self._split for i in right.inverse)
-        super().__init__(f"product:{left.name},{right.name}", names, inv)
+        keys = tuple((k, right.identity_key) for k in left.gen_keys) + tuple((left.identity_key, k) for k in right.gen_keys)
+        super().__init__(f"product:{left.name},{right.name}", names, inv, keys, (left.identity_key, right.identity_key))
 
     def _project(self, word):
         lw = tuple(s for s in word if s < self._split)
         rw = tuple(s - self._split for s in word if s >= self._split)
         return lw, rw
 
-    def element_key(self, word):
-        lw, rw = self._project(word)
-        return (self.left.element_key(lw), self.right.element_key(rw))
+    def multiply(self, left, right):
+        return (self.left.multiply(left[0], right[0]), self.right.multiply(left[1], right[1]))
 
     def detect(self, word):
         """The pair of the side that detects the word's projection, with

@@ -158,14 +158,15 @@ def _reduce(oracle, base_level, tokens):
 
     Returns ``(bs, hs, blocks)`` with ``len(bs) == len(hs) + 1``: a rooted
     letter composes into ``bs[-1]``, or takes the slot as it is while the
-    slot holds the alphabet's identity; a seed letter merges into ``hs[-1]``
-    when ``bs[-1]`` is the identity, and a trivial merge drops that seed
-    letter with its trailing identity; any other nontrivial seed letter
+    slot holds the alphabet's identity; a seed letter merges into the last
+    open slot when ``bs[-1]`` is the identity, and a trivial merge drops
+    that slot with its trailing identity; any other nontrivial seed letter
     opens a new slot.  ``blocks[i]`` lists the seed letters of ``tokens``
-    multiplied into ``hs[i]``, in order."""
+    multiplied into ``hs[i]``, in order.  A merged slot holds its running
+    (element key, marker), so a merge costs O(1); its seed is built once."""
     lvl = build_alphabet(oracle, base_level + 1)
     ident = Perm.identity(lvl)
-    bs, hs, blocks = [ident], [], []
+    bs, slots, blocks = [ident], [], []
     for kind, payload in tokens:
         if kind == "B":
             if payload.alphabet is not lvl:
@@ -178,19 +179,23 @@ def _reduce(oracle, base_level, tokens):
             raise ValueError("seed letter belongs to a different input group")
         if seed_is_trivial(payload):
             continue
-        if hs and bs[-1].is_identity:
-            merged = hs[-1].mul(payload)
-            if seed_is_trivial(merged):
-                hs.pop()
+        if slots and bs[-1].is_identity:
+            key, marker = slots[-1] or blocks[-1][0].key()
+            key, marker = oracle.multiply(key, payload.key()[0]), compose(marker, payload.marker)
+            if marker.is_identity and key == oracle.identity_key:
+                slots.pop()
                 blocks.pop()
                 bs.pop()
             else:
-                hs[-1] = merged
+                slots[-1] = (key, marker)
                 blocks[-1].append(payload)
         else:
-            hs.append(payload)
+            slots.append(None)
             blocks.append([payload])
             bs.append(ident)
+    hs = [block[0] if running is None
+          else Seed(oracle, tuple(itertools.chain.from_iterable(h.g for h in block)), running[1])
+          for running, block in zip(slots, blocks)]
     return bs, hs, blocks
 
 
@@ -199,10 +204,10 @@ def normal_form(oracle, tokens):
 
     Tokens are ``("B", perm)`` and ``("H", seed)``; :func:`parse_tokens`
     has already applied any inverse marks.  Adjacent letters of the same
-    kind merge; letters that become trivial are elided (group-part
-    triviality decided by the oracle's word problem).  The image under the
-    projection to the automorphism group is unchanged by normalization,
-    and ``sigma_length`` is the tokens' :func:`token_length`.
+    kind merge, seed letters by their element keys; letters that become
+    trivial are elided.  The image under the projection to the
+    automorphism group is unchanged by normalization, and
+    ``sigma_length`` is the tokens' :func:`token_length`.
     """
     bs, hs, blocks = _reduce(oracle, 0, tokens)
     return NormalWord(oracle, 0, bs, hs, blocks, token_length(tokens))

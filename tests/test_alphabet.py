@@ -241,6 +241,20 @@ def test_seed_rejects_odd_composed_marker(dinf):
         Seed(dinf, (), odd.inverse())
 
 
+@pytest.mark.parametrize(
+    "selector",
+    ["integers", "dihedral_infinite", "finite:5", "product:integers,dihedral_infinite",
+     "product:integers,dihedral_infinite,finite:5"],
+)
+def test_seed_refuses_generator_indices_out_of_range(selector):
+    oracle = oracle_from_selector(selector)
+    n = len(oracle.gen_names)
+    assert Seed(oracle, (0, n - 1)).g == (0, n - 1)
+    for bad in ((n,), (-1,), (0, n), (n - 1, -1)):
+        with pytest.raises(ValueError, match=rf"range\({n}\)"):
+            Seed(oracle, bad)
+
+
 def test_nontrivial_group_part_detected_in_chain(dinf, zz):
     # every nontrivial element of the radius-3 ball acts nontrivially on
     # the cosets at some level bounded by its word length

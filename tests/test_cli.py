@@ -54,6 +54,13 @@ def test_wp_seed_letter_json(tmp_path, capsys):
     assert payload["witness"]
 
 
+def test_wp_long_seed_run_under_a_raised_depth_cap(tmp_path, capsys):
+    path = write(tmp_path, "w.txt", "H(t|()) " * 4000)
+    code, out, _ = run(capsys, "--depth-cap", "100000", "wp", path)
+    assert code == 0
+    assert out.splitlines() == ["nontrivial (ell=4000, depth=8000)", "witness y@1 q0@2"]
+
+
 def test_wp_parse_error_exit_2(tmp_path, capsys):
     path = write(tmp_path, "w.txt", "B((x@1 y@1))")
     code, out, err = run(capsys, "wp", path)

@@ -469,6 +469,27 @@ def test_identity_is_one_shared_read_only_perm():
     assert Perm.identity(IndexedAlphabet(4)) is not Perm.identity(IndexedAlphabet(4))
 
 
+def test_is_identity_compares_once_per_permutation():
+    class Counting(IndexedAlphabet):
+        __slots__ = ("reads",)
+
+        def __init__(self, size):
+            super().__init__(size)
+            self.reads = 0
+
+        @property
+        def identity_images(self):
+            self.reads += 1
+            return IndexedAlphabet.identity_images.fget(self)
+
+    al = Counting(5)
+    for images, expected in (([1, 0, 2, 3, 4], False), ([0, 1, 2, 3, 4], True)):
+        p = Perm(al, images)
+        al.reads = 0
+        assert [p.is_identity for _ in range(10)] == [expected] * 10
+        assert al.reads == 1
+
+
 @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
 @example(n=2, seed=0)
 @example(n=41, seed=7)

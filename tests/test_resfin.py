@@ -1022,6 +1022,53 @@ def test_quotient_products_agree(zz, dinf):
                 assert q.apply_word(u + v) == left[q.apply_word(v)]
 
 
+_KEY_PRODUCT_SELECTORS = (
+    "integers",
+    "dihedral_infinite",
+    "finite:2",
+    "finite:7",
+    "product:integers,dihedral_infinite",
+    "product:integers,dihedral_infinite,finite:5",
+)
+
+
+@functools.cache
+def _key_oracle(selector):
+    return oracle_from_selector(selector)
+
+
+@pytest.mark.parametrize("selector", _KEY_PRODUCT_SELECTORS)
+@given(data=st.data())
+def test_key_product_is_the_word_product(selector, data):
+    """Keys multiply like words, the empty word keys the identity, and
+    two words have one key exactly when the reference decider calls
+    u v^-1 trivial."""
+    oracle = _key_oracle(selector)
+    gens = st.integers(0, len(oracle.gen_names) - 1)
+    u = tuple(data.draw(st.lists(gens, max_size=3), label="u"))
+    v = tuple(data.draw(st.lists(gens, max_size=2), label="v"))
+    assert oracle.multiply(oracle.element_key(u), oracle.element_key(v)) == oracle.element_key(u + v)
+    assert oracle.element_key(()) == oracle.identity_key
+    same = oracle.element_key(u) == oracle.element_key(v)
+    assert same == decide_word_problem(oracle, u + word_inverse(oracle, v))
+
+
+@pytest.mark.parametrize("selector, text, key", [
+    ("integers", "t t t' t", 2),
+    ("finite:7", "t' t' t'", 4),
+    ("dihedral_infinite", "a t t", (1, 2)),
+    ("dihedral_infinite", "t t a", (1, -2)),
+    ("product:integers,dihedral_infinite", "2.t 1.t' 2.a 2.t", (-1, (1, 0))),
+    ("product:integers,dihedral_infinite,finite:5", "1.2.a 2.t' 1.2.t 1.1.t", ((1, (1, 1)), 4)),
+])
+def test_element_keys_keep_their_values(selector, text, key):
+    """Keys feed cache keys and key-hash pins, so the fold gives the
+    values the per-group word walkers gave: a^e t^m is (e, m), and a
+    product key is the pair of its sides' keys."""
+    oracle = _key_oracle(selector)
+    assert oracle.element_key(parse_word(oracle, text)) == key
+
+
 def test_ball_is_deduplicated(dinf):
     ball = dinf.ball(2)
     keys = [dinf.element_key(w) for w in ball]

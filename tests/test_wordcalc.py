@@ -134,6 +134,31 @@ def test_normal_form_merges_adjacent(dinf):
     assert equal_to_depth(raw, w.to_aut(), 4)
 
 
+@pytest.mark.parametrize("k", [1000, 2000])
+@pytest.mark.parametrize("selector, letter", [
+    ("dihedral_infinite", "H(t|(x y z))"),
+    ("product:integers,dihedral_infinite", "H(1.t 2.t|(o p q))"),
+])
+def test_normal_form_is_linear_in_a_run_of_seed_letters(selector, letter, k, monkeypatch):
+    """A run of k seed letters merges by multiplying keys: the seeds built
+    during normal_form are handed O(k) generator letters in all, where
+    concatenating the words at every merge would hand over about k^2/2."""
+    oracle = oracle_from_selector(selector)
+    tokens = parse_tokens(oracle, " ".join([letter] * k))
+    handed = []
+    real_init = Seed.__init__
+
+    def counting_init(self, oracle, g=(), marker=None):
+        handed.append(len(g))
+        real_init(self, oracle, g, marker)
+
+    monkeypatch.setattr(Seed, "__init__", counting_init)
+    w = normal_form(oracle, tokens)
+    length = len(tokens[0][1].g)
+    assert w.h_count == 1 and w.hs[0].g == tokens[0][1].g * k
+    assert sum(handed) <= 2 * length * k
+
+
 def test_normal_form_rejects_odd_b(dinf):
     lvl = build_alphabet(dinf, 1)
     odd = Perm.from_cycles(lvl.alphabet, "(x@1 y@1)")
