@@ -142,8 +142,7 @@ class Seed:
         if marker.sign != 1:
             raise ValueError("marker part must be even")
         self.g = tuple(g)
-        if not oracle.gen_indices.issuperset(self.g):
-            raise ValueError(f"generator indices must lie in range({len(oracle.gen_names)})")
+        oracle.check_word(self.g)
         self.oracle = oracle
         self.marker = marker
         self._key = None

@@ -428,6 +428,7 @@ class GroupOracle:
         self.name = name
         self.gen_names = tuple(gen_names)
         self.gen_indices = frozenset(range(len(gen_names)))
+        self.gen_by_name = {n: i for i, n in enumerate(self.gen_names)}
         self.inverse = tuple(inverse)
         self.gen_keys = tuple(gen_keys)
         self.identity_key = identity_key
@@ -449,8 +450,14 @@ class GroupOracle:
 
     # -- shared plumbing --
 
+    def check_word(self, word):
+        """Raise ``ValueError`` on generator indices outside the generators."""
+        if not self.gen_indices.issuperset(word):
+            raise ValueError(f"generator indices must lie in range({len(self.gen_names)})")
+
     def element_key(self, word):
         """A word's key: its generators' keys multiplied from ``identity_key``."""
+        self.check_word(word)
         key, gen_keys, multiply = self.identity_key, self.gen_keys, self.multiply
         for s in word:
             key = multiply(key, gen_keys[s])
@@ -498,7 +505,7 @@ def word_inverse(oracle, word):
 
 def parse_word(oracle, text):
     """Parse a whitespace-separated word over generator names."""
-    names = {n: i for i, n in enumerate(oracle.gen_names)}
+    names = oracle.gen_by_name
     out = []
     for tok in text.split():
         if tok not in names:
@@ -629,6 +636,7 @@ class ProductOracle(GroupOracle):
         super().__init__(f"product:{left.name},{right.name}", names, inv, keys, (left.identity_key, right.identity_key))
 
     def _project(self, word):
+        self.check_word(word)
         lw = tuple(s for s in word if s < self._split)
         rw = tuple(s - self._split for s in word if s >= self._split)
         return lw, rw

@@ -476,7 +476,10 @@ def level_perm(a, depth):
         images = np.repeat(images, s)
         images *= s
         images += c
-    alphabet = a.oracle.cache.setdefault(("vertices", a.base_level, depth), IndexedAlphabet(len(images)))
+    key = ("vertices", a.base_level, depth)
+    alphabet = a.oracle.cache.get(key)
+    if alphabet is None:
+        alphabet = a.oracle.cache.setdefault(key, IndexedAlphabet(len(images)))
     return Perm(alphabet, images, check=False)
 
 

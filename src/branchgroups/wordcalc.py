@@ -315,14 +315,11 @@ def decide(word):
 
 @dataclass
 class SearchBounds:
-    """Bounds for the conjugator search: rooted letters come from
-    ``b_gens``, and candidates carry at most one seed letter (see
-    :data:`_SEARCH_MARKERS`), between two rooted letters.  ``depth`` is the
-    deepest tree level whose cycle types are compared.  Candidates and
-    witnesses are proved by :func:`decide`, independent of these bounds."""
+    """Bounds of a conjugacy query: ``depth`` is the deepest tree level
+    whose cycle types are compared.  Witnesses are proved by
+    :func:`decide`, independent of these bounds."""
 
     depth: int = 4
-    b_gens: tuple | None = None
 
 
 @dataclass
@@ -392,10 +389,8 @@ def conjugacy_certificate(g, k, bounds=None):
     decider, proved by :func:`decide`; (b) a cycle-type refutation on
     levels 1 to ``bounds.depth`` by the section recursion of
     :func:`level_cycle_type`, stopping before the first level with more
-    than the oracle's ``vertex_cap`` vertices; (c) a bounded search over
-    normal-form conjugator candidates, each proved by :func:`decide`; (d)
-    an honest unknown.  Every ``conjugate`` answer is proved exactly,
-    whatever the bounds."""
+    than the oracle's ``vertex_cap`` vertices; (c) an honest unknown.
+    Every ``conjugate`` answer is proved exactly, whatever the bounds."""
     bounds = bounds or SearchBounds()
     oracle = g.oracle
 
@@ -422,46 +417,7 @@ def conjugacy_certificate(g, k, bounds=None):
                                cycle_types=(_expand(ct_g), _expand(ct_k)),
                                note="distinct cycle types on a tree level")
 
-    # (c) bounded conjugator search
-    if gw is resfin.UNSUPPORTED:
-        for cand in _conjugator_candidates(oracle, bounds):
-            if _conjugates(cand, g, k):
-                return Certificate("conjugate", bounds.depth, conjugator=cand,
-                                   note="witness from bounded search")
-
     return Certificate("unknown", bounds.depth, note="bounds exhausted")
-
-
-# the seed letters of the conjugator search pair the group ball of radius
-# _SEARCH_RADIUS with these marker parts
-_SEARCH_RADIUS = 1
-_SEARCH_MARKERS = (
-    Perm.identity(MARKER_ALPHABET),
-    marker_perm("(x y z)"),
-    marker_perm("(o p q)"),
-    marker_perm("(x y)(p q)"),
-)
-
-
-def _conjugator_candidates(oracle, bounds):
-    b_gens = bounds.b_gens if bounds.b_gens is not None else default_b_gens(oracle)
-    lvl = build_alphabet(oracle, 1)
-    ident = Perm.identity(lvl)
-    b_pool = (ident,) + tuple(b_gens)
-    seeds = [
-        Seed(oracle, gword, m)
-        for gword in oracle.ball(_SEARCH_RADIUS)
-        for m in _SEARCH_MARKERS
-    ]
-    yield normal_form(oracle, [])
-    for b in b_gens:
-        yield normal_form(oracle, [("B", b)])
-    for h in seeds:
-        if seed_is_trivial(h):
-            continue
-        for b1 in b_pool:
-            for b2 in b_pool:
-                yield normal_form(oracle, [("B", b1), ("H", h), ("B", b2)])
 
 
 def verify_certificate(cert, g, k):

@@ -1069,6 +1069,32 @@ def test_element_keys_keep_their_values(selector, text, key):
     assert oracle.element_key(parse_word(oracle, text)) == key
 
 
+_ENTRY_POINTS = {
+    "element_key": lambda oracle, w: oracle.element_key(w),
+    "is_identity": lambda oracle, w: oracle.is_identity(w),
+    "detect": lambda oracle, w: oracle.detect(w),
+    "conjugate_g": lambda oracle, w: oracle.conjugate(w, (0,)),
+    "conjugate_k": lambda oracle, w: oracle.conjugate((0,), w),
+    "efrf_query": efrf_query,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("selector", [
+    "dihedral_infinite", "integers", "finite:5", "product:integers,dihedral_infinite,finite:5",
+])
+def test_words_outside_the_generators_are_refused(selector, entry):
+    """A word with a generator index outside ``range(len(gen_names))``
+    has no element: index -1 must not read the last generator's key, and
+    no answer may be given for it."""
+    oracle = _key_oracle(selector)
+    message = rf"generator indices must lie in range\({len(oracle.gen_names)}\)"
+    for bad in (-1, len(oracle.gen_names)):
+        for word in ((bad,), (0, bad)):
+            with pytest.raises(ValueError, match=message):
+                _ENTRY_POINTS[entry](oracle, word)
+
+
 def test_ball_is_deduplicated(dinf):
     ball = dinf.ball(2)
     keys = [dinf.element_key(w) for w in ball]

@@ -326,6 +326,29 @@ def test_perfbench_package_references_resolve():
     assert seen > 0
 
 
+def test_package_modules_read_every_name_they_import():
+    # no linter runs with the tests, and a deletion can leave its imports
+    # behind; re-exports in __all__ and the package's own submodule
+    # imports in __init__.py count as reads
+    unused = []
+    for path in sorted((ROOT / "src" / "branchgroups").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if path.name == "__init__.py" and isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
 def test_exports_resolve():
     # a deletion that leaves its name in an __all__ list would otherwise
     # only surface on a star import

@@ -500,7 +500,8 @@ def test_conjugacy_never_false_witness(dinf):
 
 def _hidden_conjugacy(oracle_class):
     """An oracle whose conjugacy decider answers UNSUPPORTED, so that
-    certificates have to come from the bounded search."""
+    :func:`conjugacy_certificate` has no witness route and conjugators
+    have to come from the bounded search below."""
 
     class Hidden(oracle_class):
         def conjugate(self, g, k):
@@ -509,23 +510,73 @@ def _hidden_conjugacy(oracle_class):
     return Hidden()
 
 
+# the seed letters of the conjugator search pair the group ball of radius
+# _SEARCH_RADIUS with these marker parts
+_SEARCH_RADIUS = 1
+_SEARCH_MARKERS = (
+    Perm.identity(MARKER_ALPHABET),
+    marker_perm("(x y z)"),
+    marker_perm("(o p q)"),
+    marker_perm("(x y)(p q)"),
+)
+
+
+def _conjugator_candidates(oracle, b_gens):
+    lvl = build_alphabet(oracle, 1)
+    ident = Perm.identity(lvl)
+    b_pool = (ident,) + tuple(b_gens)
+    seeds = [
+        Seed(oracle, gword, m)
+        for gword in oracle.ball(_SEARCH_RADIUS)
+        for m in _SEARCH_MARKERS
+    ]
+    yield normal_form(oracle, [])
+    for b in b_gens:
+        yield normal_form(oracle, [("B", b)])
+    for h in seeds:
+        if seed_is_trivial(h):
+            continue
+        for b1 in b_pool:
+            for b2 in b_pool:
+                yield normal_form(oracle, [("B", b1), ("H", h), ("B", b2)])
+
+
+def _searched_conjugator(oracle, g, k):
+    """The first candidate with no rooted letters that
+    :func:`verify_certificate` accepts as a conjugator of H(g) to H(k) on
+    a hidden twin, or None.  An accepted candidate must also pass two
+    independent references: the input group's own decider, which the twin
+    hides (``super`` reaches it past the twin's class), and the proof word
+    spelled with explicit inverse letters."""
+    for cand in _conjugator_candidates(oracle, ()):
+        if verify_certificate(Certificate("conjugate", 0, conjugator=cand), g, k):
+            assert super(type(oracle), oracle).conjugate(g.g, k.g) is not NOT_CONJUGATE
+            assert _conjugates_to(oracle, cand, g, k)
+            return cand
+    return None
+
+
 def test_conjugacy_search_route():
+    # with no witness from the input group and no cycle-type refutation,
+    # the certificate is an honest unknown, though the search proves the
+    # pair conjugate
     oracle = _hidden_conjugacy(DihedralOracle)
     g = Seed(oracle, parse_word(oracle, "t"))
     k = Seed(oracle, parse_word(oracle, "t'"))
-    cert = conjugacy_certificate(g, k, SearchBounds(depth=3, b_gens=()))
-    assert cert.kind == "conjugate"
-    assert verify_certificate(cert, g, k)
+    cert = conjugacy_certificate(g, k, SearchBounds(depth=3))
+    assert (cert.kind, cert.note) == ("unknown", "bounds exhausted")
+    found = _searched_conjugator(oracle, g, k)
+    assert found is not None and not found.is_identity_word
 
 
 def test_conjugate_needs_a_proof_not_shallow_agreement():
     # t and t t act alike on the first tree level, where the empty
-    # conjugator would pass a check to the search depth 1
+    # conjugator would pass a check to depth 1
     oracle = _hidden_conjugacy(DihedralOracle)
     g = Seed(oracle, parse_word(oracle, "t"))
     k = Seed(oracle, parse_word(oracle, "t t"))
-    cert = conjugacy_certificate(g, k, SearchBounds(depth=1, b_gens=()))
-    assert cert.kind != "conjugate"
+    assert conjugacy_certificate(g, k, SearchBounds(depth=1)).kind != "conjugate"
+    assert _searched_conjugator(oracle, g, k) is None
     assert not verify_certificate(Certificate("conjugate", 1, conjugator=normal_form(oracle, [])), g, k)
 
 
@@ -1112,9 +1163,10 @@ def test_decide_spelled_out_inverse_is_trivial(selector, data):
 
 
 # Conjugacy certificates against the input group's own decider.  The
-# hidden twin of each group answers UNSUPPORTED, so its certificates come
-# from the bounded search over one seed letter and no rooted letters; it
-# compares cycle types on level 1 only, where most pairs look alike.
+# hidden twin of each group answers UNSUPPORTED, so its certificates are
+# never ``conjugate``; its conjugators come from the test-side search over
+# one seed letter and no rooted letters.  It compares cycle types on
+# level 1 only, where most pairs look alike.
 _CONJ_GROUPS = ("dihedral_infinite", "integers")
 
 
@@ -1134,7 +1186,7 @@ def _conjugates_to(oracle, c, g, k):
 @given(data=st.data())
 def test_conjugate_certificates_are_proved(selector, hidden, data):
     oracle = _hidden_oracle(selector) if hidden else _parse_oracle(selector)
-    bounds = SearchBounds(depth=1, b_gens=()) if hidden else SearchBounds(depth=2)
+    bounds = SearchBounds(depth=1) if hidden else SearchBounds(depth=2)
     seeds = _tokens(oracle, max_group_len=2).filter(lambda tok: tok[0] == "H").map(lambda tok: tok[1])
     g = data.draw(seeds)
     by_conjugation = data.draw(st.booleans())
@@ -1144,7 +1196,14 @@ def test_conjugate_certificates_are_proved(selector, hidden, data):
     else:
         k = data.draw(seeds)
     cert = conjugacy_certificate(g, k, bounds)
-    if by_conjugation and not hidden:
+    if cert.kind == "not_conjugate":
+        assert verify_certificate(cert, g, k)
+    if hidden:
+        # no refutation may meet a conjugator that the search proves
+        assert cert.kind != "conjugate"
+        assert _searched_conjugator(oracle, g, k) is None or cert.kind == "unknown"
+        return
+    if by_conjugation:
         assert cert.kind == "conjugate"
     if cert.kind == "conjugate":
         assert _parse_oracle(selector).conjugate(g.g, k.g) is not NOT_CONJUGATE
