@@ -27,7 +27,6 @@ from .resfin import build_level_map, format_word, word_inverse
 __all__ = [
     "MARKERS",
     "MARKER_ALPHABET",
-    "AlphabetLevel",
     "Seed",
     "build_alphabet",
     "coset_action",
@@ -40,67 +39,13 @@ __all__ = [
 MARKERS = ("x", "y", "z", "o", "p", "q")
 MARKER_ALPHABET = IndexedAlphabet(6, labels=MARKERS)
 
-class AlphabetLevel(IndexedAlphabet):
-    """The alphabet at one level: quotient cosets first, then x y z p q.
-
-    A letter's label is a rule of its index and the level n: ``q<i>@<n>``
-    for coset i and ``x@<n>`` to ``q@<n>`` for the special letters, so
-    letters at distinct levels have distinct labels."""
-
-    __slots__ = ("level", "quotient", "x_index", "y_index", "z_index", "p_index", "q_index")
-    anonymous = False
-
-    def __init__(self, level, quotient):
-        super().__init__(quotient.order + 5)
-        self.level = level
-        self.quotient = quotient
-        base = quotient.order
-        self.x_index = base
-        self.y_index = base + 1
-        self.z_index = base + 2
-        self.p_index = base + 3
-        self.q_index = base + 4
-
-    @property
-    def alphabet(self):
-        return self
-
-    def label(self, i):
-        if i < self.x_index:
-            return f"q{i}@{self.level}"
-        return f"{'xyzpq'[i - self.x_index]}@{self.level}"
-
-    letter_at = label
-
-    def _parse(self, label):
-        # exactly what label() writes, else KeyError; TypeError for a
-        # label that is not a string
-        head, _, at = str.partition(label, "@")
-        if at == str(self.level):
-            digits = head[1:]
-            if digits.isdecimal():
-                # int() takes any Unicode decimal, so the label is written
-                # back; the length test keeps int() off long text
-                i = int(digits) if len(digits) < 19 else self.x_index
-                if i < self.x_index and head == f"q{i}":
-                    return i
-            elif len(head) == 1 and head in "xyzpq":
-                return self.x_index + "xyzpq".index(head)
-        raise KeyError(f"unknown letter {label!r}")
-
 
 def build_alphabet(oracle, n):
-    """The level-n alphabet; the quotient comes from the level-n chain map.
-
-    Cached per oracle and level, so letter indices are stable across a run.
-    """
-    if n < 1:
-        raise ValueError("alphabet level must be at least 1")
-    got = oracle.cache.get(("alphabet", n))
-    if got is None:
-        quotient = build_level_map(oracle, n).quotient
-        got = oracle.cache.setdefault(("alphabet", n), AlphabetLevel(n, quotient))
-    return got
+    """The level-n alphabet, which is the level-n quotient map
+    (:class:`resfin.Level`): read from the oracle's cache, and built by
+    :func:`resfin.build_level_map` only on a miss."""
+    got = oracle.cache.get(("level_map", n))
+    return got if got is not None else build_level_map(oracle, n)
 
 
 @functools.lru_cache(maxsize=math.factorial(6) // 2)

@@ -39,11 +39,6 @@ class UsageError(ValueError):
     pass
 
 
-def _resolve_oracle(args):
-    """The selected oracle, under the vertex cap."""
-    return oracle_from_selector(args.group, args.vertex_cap)
-
-
 def _emit(args, payload, text_lines):
     if args.format == "json":
         payload = dict(payload)
@@ -64,7 +59,7 @@ def _read_word(oracle, path):
 
 
 def cmd_wp(args):
-    oracle = _resolve_oracle(args)
+    oracle = oracle_from_selector(args.group, args.vertex_cap)
     tokens = _read_word(oracle, args.word_file)
     # checked on the raw tokens, so that no work precedes the cap
     sigma_length = token_length(tokens)
@@ -93,7 +88,7 @@ def cmd_wp(args):
 def cmd_portrait(args):
     if args.depth < 0:
         raise UsageError(f"portrait depth must be at least 0, got {args.depth}")
-    oracle = _resolve_oracle(args)
+    oracle = oracle_from_selector(args.group, args.vertex_cap)
     if args.depth > args.depth_cap:
         raise CapExceeded(f"portrait depth {args.depth} exceeds the depth cap {args.depth_cap}")
     tokens = _read_word(oracle, args.word_file)
@@ -128,7 +123,7 @@ def _parse_seed_spec(oracle, text):
 def cmd_conj(args):
     if args.depth < 1:
         raise UsageError(f"conj depth must be at least 1, got {args.depth}")
-    oracle = _resolve_oracle(args)
+    oracle = oracle_from_selector(args.group, args.vertex_cap)
     g = _parse_seed_spec(oracle, args.g)
     k = _parse_seed_spec(oracle, args.k)
     bounds = SearchBounds(depth=args.depth)
@@ -156,7 +151,7 @@ def cmd_conj(args):
 
 
 def cmd_chain(args):
-    oracle = _resolve_oracle(args)
+    oracle = oracle_from_selector(args.group, args.vertex_cap)
     if args.level > args.depth_cap:
         raise CapExceeded(f"chain level {args.level} exceeds the depth cap {args.depth_cap}")
     qm = build_level_map(oracle, args.level)
@@ -177,7 +172,7 @@ def cmd_chain(args):
 
 
 def cmd_verify(args):
-    oracle = _resolve_oracle(args)
+    oracle = oracle_from_selector(args.group, args.vertex_cap)
     report = dict(suites.run_suite(args.suite, oracle, seed=args.seed))
     report["schema"] = SCHEMA
     report["group"] = oracle.name

@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .perm import _decimal_cycles, _inverse_walk
+from .perm import IndexedAlphabet, _decimal_cycles, _inverse_walk
 
 __all__ = [
     "TRIVIAL",
@@ -34,7 +34,7 @@ __all__ = [
     "DihedralOracle",
     "CyclicOracle",
     "ProductOracle",
-    "QuotientMap",
+    "Level",
     "efrf_query",
     "level_components",
     "build_level_map",
@@ -240,14 +240,6 @@ class _FamilyQuotient(FiniteQuotient):
         return _FamilyQuotient(self.key[0], lcm(self.n, other.n))
 
 
-def _cyclic_quotient(k):
-    return _FamilyQuotient("cyclic", k)
-
-
-def _dihedral_quotient(h):
-    return _FamilyQuotient("dihedral", h)
-
-
 def _cyclic_codes(k):
     """The visit order of the cyclic group of order ``k`` over ``t``,
     ``t'``, code ``c`` standing for ``t^c``.  The search reaches t^0, t^1,
@@ -301,7 +293,7 @@ class PairQuotient(FiniteQuotient):
     def __init__(self, sides, widths):
         self.sides = sides
         self.widths = widths
-        self.key = _pair_key(sides)
+        self.key = ("pair", *(None if side is None else side.key for side in sides))
         self._width = _side_order(sides[1])
         self.order = _side_order(sides[0]) * self._width
 
@@ -372,10 +364,6 @@ class PairQuotient(FiniteQuotient):
         of that factor in the product of the two sides."""
         sides = tuple(b if a is None else a if b is None else a.fold(b) for a, b in zip(self.sides, other.sides))
         return PairQuotient(sides, self.widths)
-
-
-def _pair_key(sides):
-    return ("pair", *(None if side is None else side.key for side in sides))
 
 
 def _side_order(side):
@@ -489,11 +477,10 @@ class GroupOracle:
             frontier = new
         return self.cache.setdefault(("ball", radius), tuple(out))
 
-    def _quotient(self, key, builder):
-        got = self.cache.get(("quotient", key))
-        if got is None:
-            got = self.cache.setdefault(("quotient", key), builder())
-        return got
+    def _intern(self, quotient):
+        """The oracle's one quotient with ``quotient.key``: the first one
+        interned under that key, kept in ``cache``."""
+        return self.cache.setdefault(("quotient", quotient.key), quotient)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -529,9 +516,6 @@ class _CyclicBase(GroupOracle):
     def __init__(self, name, minus_one):
         super().__init__(name, ("t", "t'"), (1, 0), (1, minus_one), 0)
 
-    def _cyclic(self, k):
-        return self._quotient(("cyclic", k), lambda: _cyclic_quotient(k))
-
     def conjugate(self, g, k):
         if self.element_key(g) == self.element_key(k):
             return ()
@@ -555,7 +539,7 @@ class IntegerOracle(_CyclicBase):
         m = self.element_key(word)
         if m == 0:
             return None
-        return self._cyclic(abs(m) + 1)
+        return self._intern(_FamilyQuotient("cyclic", abs(m) + 1))
 
 
 class DihedralOracle(GroupOracle):
@@ -577,13 +561,10 @@ class DihedralOracle(GroupOracle):
         (e, m), (f, k) = left, right
         return (e ^ f, (-m if f else m) + k)
 
-    def _dihedral(self, half):
-        return self._quotient(("dihedral", half), lambda: _dihedral_quotient(half))
-
     def detect(self, word):
         if self.is_identity(word):
             return None
-        return self._dihedral(len(word) + 1)
+        return self._intern(_FamilyQuotient("dihedral", len(word) + 1))
 
     def conjugate(self, g, k):
         (e1, m1) = self.element_key(g)
@@ -618,7 +599,7 @@ class CyclicOracle(_CyclicBase):
     def detect(self, word):
         if self.element_key(word) == 0:
             return None
-        return self._cyclic(self.group_order)
+        return self._intern(_FamilyQuotient("cyclic", self.group_order))
 
 
 class ProductOracle(GroupOracle):
@@ -655,7 +636,7 @@ class ProductOracle(GroupOracle):
         else:
             return None
         widths = (self._split, len(self.gen_names) - self._split)
-        return self._quotient(_pair_key(sides), lambda: PairQuotient(sides, widths))
+        return self._intern(PairQuotient(sides, widths))
 
     def conjugate(self, g, k):
         lg, rg = self._project(g)
@@ -689,24 +670,68 @@ def efrf_query(oracle, word):
     return quotient, witness
 
 
-class QuotientMap:
-    """The level-n quotient map: the corestriction of the product of the
-    per-word quotients over the shortest representatives of the
-    nontrivial elements of the radius-n ball.
+class Level(IndexedAlphabet):
+    """Level n of the construction: the level-n quotient map and the
+    level-n alphabet, one object.
 
+    The map is the corestriction of the product of the per-word quotients
+    over the shortest representatives of the nontrivial elements of the
+    radius-n ball; ``apply(word)`` is the word's element of ``quotient``.
     Every nontrivial kernel element has word length at least n + 1: an
     element of length at most n lies in the ball, its own shortest
     representative is one of the detected words, and every word for the
     element has the same image.
+
+    The alphabet is the quotient's elements (cosets) first, then x y z p
+    q.  A letter's label is a rule of its index and the level n:
+    ``q<i>@<n>`` for coset i and ``x@<n>`` to ``q@<n>`` for the special
+    letters, so letters at distinct levels have distinct labels.
     """
 
+    __slots__ = ("oracle", "level", "quotient", "x_index", "y_index", "z_index", "p_index", "q_index")
+    anonymous = False
+
     def __init__(self, oracle, level, quotient):
+        super().__init__(quotient.order + 5)
         self.oracle = oracle
         self.level = level
         self.quotient = quotient
+        base = quotient.order
+        self.x_index = base
+        self.y_index = base + 1
+        self.z_index = base + 2
+        self.p_index = base + 3
+        self.q_index = base + 4
 
     def apply(self, word):
         return self.quotient.apply_word(word)
+
+    @property
+    def alphabet(self):
+        return self
+
+    def label(self, i):
+        if i < self.x_index:
+            return f"q{i}@{self.level}"
+        return f"{'xyzpq'[i - self.x_index]}@{self.level}"
+
+    letter_at = label
+
+    def _parse(self, label):
+        # exactly what label() writes, else KeyError; TypeError for a
+        # label that is not a string
+        head, _, at = str.partition(label, "@")
+        if at == str(self.level):
+            digits = head[1:]
+            if digits.isdecimal():
+                # int() takes any Unicode decimal, so the label is written
+                # back; the length test keeps int() off long text
+                i = int(digits) if len(digits) < 19 else self.x_index
+                if i < self.x_index and head == f"q{i}":
+                    return i
+            elif len(head) == 1 and head in "xyzpq":
+                return self.x_index + "xyzpq".index(head)
+        raise KeyError(f"unknown letter {label!r}")
 
 
 def level_components(oracle, n):
@@ -730,8 +755,9 @@ def level_components(oracle, n):
 
 
 def build_level_map(oracle, n):
-    """Build (and cache) the level-n quotient map: the image of the input
-    group in the product of :func:`level_components`.
+    """Build (and cache) the level-n :class:`Level`: its quotient is the
+    image of the input group in the product of :func:`level_components`.
+    Cached per oracle and level, so letter indices are stable across a run.
 
     The image is folded one component at a time: the running image ``A``
     and the next component ``C`` give the image in ``A`` x ``C``
@@ -763,8 +789,7 @@ def build_level_map(oracle, n):
         if ambient > cap:
             raise CapExceeded(f"level {n} quotient would fold over {ambient} codes, more than the cap {cap}")
         image = image.fold(component)
-    qm = QuotientMap(oracle, n, image)
-    return oracle.cache.setdefault(("level_map", n), qm)
+    return oracle.cache.setdefault(("level_map", n), Level(oracle, n, image))
 
 
 def decide_word_problem(oracle, word):
@@ -781,14 +806,14 @@ def decide_word_problem(oracle, word):
 
 def kernel_min_length_check(oracle, n, level_map=None):
     """Confirm on the radius-n ball that the level-n kernel contains no
-    short nontrivial element.  Returns a dict report with a counterexample
-    word on failure.  ``level_map`` overrides the built map, which lets a
-    test feed a deliberately corrupted one."""
+    short nontrivial element.  The ball keeps one word per element,
+    identity first, so every word after the first is nontrivial.  Returns
+    a dict report with a counterexample word on failure.  ``level_map``
+    overrides the built map, which lets a test feed a deliberately
+    corrupted one."""
     qm = level_map if level_map is not None else build_level_map(oracle, n)
     checked = 0
-    for w in oracle.ball(n):
-        if not w or oracle.is_identity(w):
-            continue
+    for w in oracle.ball(n)[1:]:
         checked += 1
         if qm.apply(w) == 0:
             return {"passed": False, "level": n, "radius": n, "checked": checked, "counterexample": format_word(oracle, w)}

@@ -6,7 +6,6 @@ import pytest
 
 from branchgroups.alphabet import (
     MARKER_ALPHABET,
-    AlphabetLevel,
     Seed,
     build_alphabet,
     coset_action,
@@ -16,7 +15,7 @@ from branchgroups.alphabet import (
     seed_is_trivial,
 )
 from branchgroups.perm import IndexedAlphabet, Perm, compose
-from branchgroups.resfin import DihedralOracle, IntegerOracle, build_level_map, oracle_from_selector, parse_word
+from branchgroups.resfin import DihedralOracle, IntegerOracle, Level, build_level_map, oracle_from_selector, parse_word
 from branchgroups.treeauto import rooted
 
 
@@ -65,7 +64,7 @@ def test_level_alphabet_stores_no_labels():
     quotient = build_level_map(oracle, 1).quotient
     tracemalloc.start()
     try:
-        lvl = AlphabetLevel(1, quotient)
+        lvl = Level(oracle, 1, quotient)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -76,7 +75,7 @@ def test_level_alphabet_stores_no_labels():
 def test_level_alphabet_keeps_only_parsed_labels(dinf):
     """A level alphabet starts with no parsed labels and keeps a label
     only once it has parsed it; a label it refuses is not kept."""
-    lvl = AlphabetLevel(3, build_level_map(dinf, 3).quotient)
+    lvl = Level(dinf, 3, build_level_map(dinf, 3).quotient)
     assert lvl._index == {}
     for _ in range(2):
         assert [lvl.index(s) for s in ("q1@3", "x@3", "q1@3")] == [1, lvl.x_index, 1]
@@ -97,16 +96,32 @@ def test_level_alphabet_differs_from_anonymous_alphabet(dinf):
         rooted(dinf, 0, Perm.from_cycles(anon, "(0 1 2)"))
 
 
+@pytest.mark.parametrize(
+    "selector", ["dihedral_infinite", "integers", "finite:5", "product:integers,dihedral_infinite,finite:5"]
+)
+@pytest.mark.parametrize("map_first", [False, True])
+def test_level_alphabet_is_the_level_map(selector, map_first):
+    """The level-n alphabet is the level-n quotient map, one object kept
+    under one cache entry, whichever of the two is asked for first."""
+    oracle = oracle_from_selector(selector)
+    for n in (1, 2, 3):
+        if map_first:
+            build_level_map(oracle, n)
+        assert build_alphabet(oracle, n) is build_level_map(oracle, n)
+        assert build_alphabet(oracle, n) is oracle.cache[("level_map", n)]
+    assert not [key for key in oracle.cache if key[0] == "alphabet"]
+
+
 def test_printing_formats_moved_letters_only(dinf, monkeypatch):
     lvl = build_alphabet(dinf, 10)
     p = Perm.from_cycles(lvl, "(q5@10 x@10 q@10)")
     formatted = []
 
-    def counted(self, i, _real=AlphabetLevel.label):
+    def counted(self, i, _real=Level.label):
         formatted.append(i)
         return _real(self, i)
 
-    monkeypatch.setattr(AlphabetLevel, "label", counted)
+    monkeypatch.setattr(Level, "label", counted)
     assert str(p) == "(q5@10 x@10 q@10)"
     assert formatted == [5, lvl.x_index, lvl.q_index]
 

@@ -99,6 +99,28 @@ def test_level_components_match_all_words_sweep(selector):
         assert [q.key for q in level_components(oracle, n)] == keys[: prefix[n]], n
 
 
+def _assert_interned(oracle, quotient):
+    """``quotient`` is the one the oracle keeps under its own key, and so
+    is each side of a pair in its side's oracle, nested pairs included."""
+    assert oracle.cache[("quotient", quotient.key)] is quotient
+    if isinstance(oracle, resfin.ProductOracle):
+        for side_oracle, side in zip((oracle.left, oracle.right), quotient.sides):
+            if side is not None:
+                _assert_interned(side_oracle, side)
+
+
+@pytest.mark.parametrize("selector", sorted(SWEEP_LEVELS) + ["product:integers,dihedral_infinite,finite:5"])
+def test_level_components_are_the_interned_quotients(selector):
+    # every query on the ball answers with the quotient kept under its key,
+    # so the components are those kept quotients, one object per key
+    oracle = oracle_from_selector(selector)
+    for n in (1, 2, 3):
+        for w in oracle.ball(n)[1:]:
+            _assert_interned(oracle, efrf_query(oracle, w)[0])
+        for component in level_components(oracle, n):
+            _assert_interned(oracle, component)
+
+
 def _reference_closure(rows):
     """The breadth-first closure loop from code 0 over ambient rows,
     ``rows[s][c]`` being the code of ``c`` times generator ``s``, as it was
@@ -362,8 +384,8 @@ def test_leaf_left_rows_match_tree_walk(selector):
         _assert_left_rows(component)
 
 
-def test_factors_through(zz, dinf):
-    cyclic = zz._cyclic
+def test_factors_through():
+    cyclic = _cyclic_quotient
     assert cyclic(2).factors_through(cyclic(6))
     assert cyclic(3).factors_through(cyclic(6))
     assert not cyclic(4).factors_through(cyclic(6))
@@ -373,8 +395,8 @@ def test_factors_through(zz, dinf):
     assert not cyclic(12).factors_through(cyclic(3))
     assert not cyclic(12).factors_through(cyclic(4))
     # dihedral groups of order 2 * half: D_6 onto D_3, but not onto D_4
-    assert dinf._dihedral(3).factors_through(dinf._dihedral(6))
-    assert not dinf._dihedral(4).factors_through(dinf._dihedral(6))
+    assert _dihedral_quotient(3).factors_through(_dihedral_quotient(6))
+    assert not _dihedral_quotient(4).factors_through(_dihedral_quotient(6))
     # the two sides of a product agree on the first generator, which acts
     # trivially on the second side's projection
     product = oracle_from_selector("product:integers,integers")
@@ -410,6 +432,16 @@ def _gen_rows(quotient):
     return (_cyclic_rows if family == "cyclic" else _dihedral_rows)(n)
 
 
+def _cyclic_quotient(k):
+    """The cyclic quotient in closed form."""
+    return resfin._FamilyQuotient("cyclic", k)
+
+
+def _dihedral_quotient(h):
+    """The dihedral quotient in closed form."""
+    return resfin._FamilyQuotient("dihedral", h)
+
+
 def _cyclic_by_closure(k):
     """The cyclic quotient closed over its rows."""
     return _ClosureQuotient(_cyclic_rows(k), key=("cyclic", k))
@@ -420,7 +452,7 @@ def _dihedral_by_closure(h):
     return _ClosureQuotient(_dihedral_rows(h), key=("dihedral", h))
 
 
-FAMILIES = [(resfin._cyclic_quotient, _cyclic_by_closure), (resfin._dihedral_quotient, _dihedral_by_closure)]
+FAMILIES = [(_cyclic_quotient, _cyclic_by_closure), (_dihedral_quotient, _dihedral_by_closure)]
 
 
 def _assert_same_quotient(got, want):
@@ -440,7 +472,7 @@ def test_closed_forms_match_closure(closed_form, by_closure):
         assert got.key == want.key == got.fold(got).key, n
 
 
-@pytest.mark.parametrize("closed_form", [resfin._cyclic_quotient, resfin._dihedral_quotient])
+@pytest.mark.parametrize("closed_form", [_cyclic_quotient, _dihedral_quotient])
 def test_closed_form_shapes_match_spanning_tree(closed_form):
     # the closed-form depth and post-order index of every element are
     # those of the search tree read off the rows
@@ -487,9 +519,9 @@ def _pair_quotients(draw, budget=3000, nested=True):
         if kind == "trivial":
             side, width = None, draw(st.sampled_from([2, 3]))
         elif kind == "cyclic":
-            side, width = resfin._cyclic_quotient(draw(st.integers(2, max(2, min(60, room))))), 2
+            side, width = _cyclic_quotient(draw(st.integers(2, max(2, min(60, room))))), 2
         elif kind == "dihedral":
-            side, width = resfin._dihedral_quotient(draw(st.integers(2, max(2, min(60, room // 2))))), 3
+            side, width = _dihedral_quotient(draw(st.integers(2, max(2, min(60, room // 2))))), 3
         else:
             side = draw(_pair_quotients(room, nested=False))
             width = sum(side.widths)
@@ -513,9 +545,9 @@ def _ambient_pair_rows(pair):
 
 @settings(max_examples=40)
 @given(pair=_pair_quotients())
-@example(pair=resfin.PairQuotient((resfin._dihedral_quotient(3), resfin._cyclic_quotient(4)), (3, 2)))
-@example(pair=resfin.PairQuotient((None, resfin._dihedral_quotient(5)), (2, 3)))  # a projection
-@example(pair=resfin.PairQuotient((resfin._cyclic_quotient(6), None), (2, 3)))
+@example(pair=resfin.PairQuotient((_dihedral_quotient(3), _cyclic_quotient(4)), (3, 2)))
+@example(pair=resfin.PairQuotient((None, _dihedral_quotient(5)), (2, 3)))  # a projection
+@example(pair=resfin.PairQuotient((_cyclic_quotient(6), None), (2, 3)))
 def test_pair_enumeration_matches_reference_loop(pair):
     # the shortlex enumeration, its rows, left multiplication, sign, depth
     # and post-order are those of the closure loop over the ambient rows
@@ -544,7 +576,7 @@ def _sweep_quotient(selector, n):
 
 @settings(max_examples=30)
 @given(pair=_pair_quotients(), trivial=st.sampled_from([0, 1]), seed=st.integers(0, 2**32 - 1))
-@example(pair=resfin.PairQuotient((resfin._dihedral_quotient(3), resfin._cyclic_quotient(4)), (3, 2)), trivial=0, seed=0)
+@example(pair=resfin.PairQuotient((_dihedral_quotient(3), _cyclic_quotient(4)), (3, 2)), trivial=0, seed=0)
 def test_apply_word_matches_right_rows_walk(pair, trivial, seed):
     # a word's element by the product rule is the walk of the reference
     # right rows, for eight random words of up to 40 letters in each level
@@ -651,7 +683,7 @@ def test_family_folds_enumerate_nothing(monkeypatch):
         image.label
         assert "codes" in vars(image)
     # so folds and factor tests near 10**9 return at once
-    for closed_form in (resfin._cyclic_quotient, resfin._dihedral_quotient):
+    for closed_form in (_cyclic_quotient, _dihedral_quotient):
         a, b = closed_form(999_999_937), closed_form(10**9)
         both = a.fold(b)
         assert both.key[1] == 999_999_937 * 10**9 and both.order in (both.key[1], 2 * both.key[1])
@@ -663,7 +695,7 @@ def test_level_map_does_not_touch_its_only_component(zz):
     # level 1 of the integers has one component: the map's quotient is
     # that cached component itself, which keeps its own key
     quotient = build_level_map(zz, 1).quotient
-    assert quotient is zz._cyclic(2)
+    assert quotient is zz.cache[("quotient", ("cyclic", 2))]
     assert quotient.key == ("cyclic", 2)
     _assert_left_rows(quotient)
 
@@ -768,10 +800,7 @@ def test_efrf_query_rejects_non_separating_quotient():
             if self.is_identity(word):
                 return None
             # collapses rotations: an order-2 quotient cannot separate t
-            return self._quotient(
-                ("bad", 2),
-                lambda: _ClosureQuotient(((1, 0), (0, 1), (0, 1)), key=("bad", 2)),
-            )
+            return self._intern(_ClosureQuotient(((1, 0), (0, 1), (0, 1)), key=("bad", 2)))
 
     bad = Corrupted()
     with pytest.raises(AssertionError):
@@ -947,7 +976,7 @@ def test_quotient_report_walks_once_per_inverse_pair(monkeypatch):
         assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_DIGESTS[(selector, n)]
 
 
-@pytest.mark.parametrize("closed_form", [resfin._cyclic_quotient, resfin._dihedral_quotient])
+@pytest.mark.parametrize("closed_form", [_cyclic_quotient, _dihedral_quotient])
 def test_closed_form_walks_match_cycle_walk(closed_form):
     # every generator's closed-form cycles are those the generic walk
     # finds in its left multiplication, computed along the spanning tree
