@@ -3,10 +3,10 @@
 An input group is presented through a :class:`GroupOracle`: a finite
 symmetric generating set (with an explicit involution pairing), a total
 word-problem decider, and an effective residual-finiteness query that maps
-every nontrivial word to a finite quotient detecting it.  On trivial words
-the query returns the explicit :data:`TRIVIAL` marker instead of
-diverging; all bundled groups have decidable word problems, so the marker
-plays the role of the combined machine that answers "identity".
+every nontrivial word to a finite quotient detecting it.  Every bundled
+query reads only a word's length or exponent sum, so each oracle lists
+in closed form the quotients that the query first answers on words of
+length k (:meth:`GroupOracle.components_at`), and no word is queried.
 
 Words are plain tuples of generator indices.  The inverse of generator
 ``i`` is generator ``oracle.inverse[i]``.
@@ -22,7 +22,6 @@ import numpy as np
 from .perm import IndexedAlphabet, _decimal_cycles, _inverse_walk
 
 __all__ = [
-    "TRIVIAL",
     "NOT_CONJUGATE",
     "UNSUPPORTED",
     "CapExceeded",
@@ -35,7 +34,6 @@ __all__ = [
     "CyclicOracle",
     "ProductOracle",
     "Level",
-    "efrf_query",
     "level_components",
     "build_level_map",
     "decide_word_problem",
@@ -58,7 +56,6 @@ class _Marker:
         return self.name
 
 
-TRIVIAL = _Marker("TRIVIAL")
 NOT_CONJUGATE = _Marker("NOT_CONJUGATE")
 UNSUPPORTED = _Marker("UNSUPPORTED")
 DEFAULT_VERTEX_CAP = 2_000_000
@@ -397,9 +394,10 @@ class GroupOracle:
     Subclasses supply element keys (canonical forms, which decide the
     word problem): ``gen_keys``, ``identity_key`` and their product
     ``multiply``, whose fold keys every word (:meth:`element_key`); also
-    ``detect`` (the effective residual-finiteness query) and optionally
-    ``conjugate``.  All public state is immutable after construction;
-    caches are filled idempotently, so concurrent use is safe.
+    ``components_at`` (the effective residual-finiteness query, listed by
+    word length) and optionally ``conjugate``.  All public state is
+    immutable after construction; caches are filled idempotently, so
+    concurrent use is safe.
     ``vertex_cap``, set once by :func:`oracle_from_selector`, bounds
     everything built from the oracle: the codes of each chain fold (so
     every alphabet), and the vertices of level permutations and portraits.
@@ -428,8 +426,12 @@ class GroupOracle:
         """The key of the product of the elements keyed ``left`` and ``right``."""
         raise NotImplementedError
 
-    def detect(self, word):
-        """A FiniteQuotient in which ``word`` has nontrivial image, or None."""
+    def components_at(self, k):
+        """The quotients that the residual-finiteness query first answers
+        on the nontrivial elements of word length ``k``, in the order of
+        their shortest words, each interned (:meth:`_intern`).  The query
+        itself, the per-word rule in each oracle's docstring, lives in the
+        tests as the reference this list must equal."""
         raise NotImplementedError
 
     def conjugate(self, g, k):
@@ -526,7 +528,8 @@ class IntegerOracle(_CyclicBase):
     """The infinite cyclic group, generators ``t`` and ``t'``.
 
     The residual-finiteness query sends a word with exponent sum m != 0 to
-    the cyclic group of order |m| + 1, where m survives.
+    the cyclic group of order |m| + 1, where m survives.  An element of
+    length k is t^k or t^-k, so C_(k+1) is the quotient first met at k.
     """
 
     def __init__(self):
@@ -535,11 +538,8 @@ class IntegerOracle(_CyclicBase):
     def multiply(self, left, right):
         return left + right
 
-    def detect(self, word):
-        m = self.element_key(word)
-        if m == 0:
-            return None
-        return self._intern(_FamilyQuotient("cyclic", abs(m) + 1))
+    def components_at(self, k):
+        return [self._intern(_FamilyQuotient("cyclic", k + 1))]
 
 
 class DihedralOracle(GroupOracle):
@@ -551,7 +551,8 @@ class DihedralOracle(GroupOracle):
     residual-finiteness query sends a nontrivial word w to the dihedral
     group of order 2(|w| + 1), rotation image for ``t`` and reflection
     image for ``a``; any rotation of exponent up to |w| survives there,
-    and reflections survive in every dihedral quotient.
+    and reflections survive in every dihedral quotient.  Every length has
+    elements, so D_(k+1) is the quotient first met at length k.
     """
 
     def __init__(self):
@@ -561,10 +562,8 @@ class DihedralOracle(GroupOracle):
         (e, m), (f, k) = left, right
         return (e ^ f, (-m if f else m) + k)
 
-    def detect(self, word):
-        if self.is_identity(word):
-            return None
-        return self._intern(_FamilyQuotient("dihedral", len(word) + 1))
+    def components_at(self, k):
+        return [self._intern(_FamilyQuotient("dihedral", k + 1))]
 
     def conjugate(self, g, k):
         (e1, m1) = self.element_key(g)
@@ -585,7 +584,11 @@ class DihedralOracle(GroupOracle):
 
 
 class CyclicOracle(_CyclicBase):
-    """A finite cyclic group of order m, generators ``t`` and ``t'``."""
+    """A finite cyclic group of order m, generators ``t`` and ``t'``.
+
+    The residual-finiteness query sends every nontrivial word to the group
+    itself, C_m, first met at length 1 (``t`` is nontrivial, as m >= 2).
+    """
 
     def __init__(self, order):
         if order < 2:
@@ -596,16 +599,23 @@ class CyclicOracle(_CyclicBase):
     def multiply(self, left, right):
         return (left + right) % self.group_order
 
-    def detect(self, word):
-        if self.element_key(word) == 0:
-            return None
-        return self._intern(_FamilyQuotient("cyclic", self.group_order))
+    def components_at(self, k):
+        return [self._intern(_FamilyQuotient("cyclic", self.group_order))] if k == 1 else []
 
 
 class ProductOracle(GroupOracle):
     """Direct product of two bundled oracles; generators are the two
     generating sets side by side, names prefixed with ``1.`` and ``2.``;
-    keys are pairs of the sides' keys, multiplied componentwise."""
+    keys are pairs of the sides' keys, multiplied componentwise.
+
+    The residual-finiteness query answers on the side of the first
+    nontrivial projection, with the other side acting trivially.  Word
+    length adds over the sides, so a nontrivial left projection of a
+    shortest word is itself shortest and its quotient was met at its own
+    length; the quotients first met at length k are the left side's at k,
+    reached by words of left generators, which come first, then the right
+    side's.
+    """
 
     def __init__(self, left, right):
         self.left = left
@@ -625,18 +635,10 @@ class ProductOracle(GroupOracle):
     def multiply(self, left, right):
         return (self.left.multiply(left[0], right[0]), self.right.multiply(left[1], right[1]))
 
-    def detect(self, word):
-        """The pair of the side that detects the word's projection, with
-        the other side acting trivially."""
-        lw, rw = self._project(word)
-        if not self.left.is_identity(lw):
-            sides = (self.left.detect(lw), None)
-        elif not self.right.is_identity(rw):
-            sides = (None, self.right.detect(rw))
-        else:
-            return None
+    def components_at(self, k):
         widths = (self._split, len(self.gen_names) - self._split)
-        return self._intern(PairQuotient(sides, widths))
+        sides = [(q, None) for q in self.left.components_at(k)] + [(None, q) for q in self.right.components_at(k)]
+        return [self._intern(PairQuotient(pair, widths)) for pair in sides]
 
     def conjugate(self, g, k):
         lg, rg = self._project(g)
@@ -654,33 +656,17 @@ class ProductOracle(GroupOracle):
 # the quotient chain
 
 
-def efrf_query(oracle, word):
-    """Effective residual-finiteness query.
-
-    Returns :data:`TRIVIAL` for words representing the identity, otherwise
-    a pair ``(quotient, witness)`` where ``witness`` is the nontrivial
-    image index of the word in the quotient.
-    """
-    quotient = oracle.detect(word)
-    if quotient is None:
-        return TRIVIAL
-    witness = quotient.apply_word(word)
-    if witness == 0:
-        raise AssertionError("residual-finiteness query produced a trivial image")
-    return quotient, witness
-
-
 class Level(IndexedAlphabet):
     """Level n of the construction: the level-n quotient map and the
     level-n alphabet, one object.
 
-    The map is the corestriction of the product of the per-word quotients
-    over the shortest representatives of the nontrivial elements of the
-    radius-n ball; ``apply(word)`` is the word's element of ``quotient``.
-    Every nontrivial kernel element has word length at least n + 1: an
-    element of length at most n lies in the ball, its own shortest
-    representative is one of the detected words, and every word for the
-    element has the same image.
+    The map is the corestriction of the product of the quotients that
+    the residual-finiteness query answers on the nontrivial elements of
+    word length 1 to n (:func:`level_components`); ``apply(word)`` is the
+    word's element of ``quotient``.  Every nontrivial kernel element has
+    word length at least n + 1: an element of length at most n survives
+    in the component the query answers on its shortest representative,
+    and every word for the element has the same image.
 
     The alphabet is the quotient's elements (cosets) first, then x y z p
     q.  A letter's label is a rule of its index and the level n:
@@ -738,20 +724,14 @@ def level_components(oracle, n):
     """The distinct finite quotients whose product is the level-n map.
 
     They are the residual-finiteness query's answers on the shortest
-    representatives of the nontrivial elements of the radius-n ball
-    (``oracle.ball(n)[1:]``), in the ball's (length, lex) order.
-    Components with one ``key`` (the family and parameter, or a pair of
-    those) are one quotient with one map from the source, so they detect
-    the same kernel and are collapsed, keeping the first appearance.
+    representatives of the nontrivial elements of the radius-n ball, in
+    (length, lex) order of those words, each kept at its first appearance:
+    components with one ``key`` (the family and parameter, or a pair of
+    those) are one quotient with one map from the source.  The oracle
+    lists them by word length (:meth:`GroupOracle.components_at`), so no
+    ball is searched; a key is first met at one length only.
     """
-    components = []
-    seen_keys = set()
-    for w in oracle.ball(n)[1:]:
-        quotient, _ = efrf_query(oracle, w)
-        if quotient.key not in seen_keys:
-            seen_keys.add(quotient.key)
-            components.append(quotient)
-    return components
+    return [q for k in range(1, n + 1) for q in oracle.components_at(k)]
 
 
 def build_level_map(oracle, n):
@@ -768,9 +748,10 @@ def build_level_map(oracle, n):
     way, so the enumeration is that of the image in the full product.
 
     The oracle's ``vertex_cap`` bounds each fold's ``A.order * C.order``
-    codes; a larger fold raises :class:`CapExceeded`.  No fold enumerates
-    anything (every quotient lists its elements on first read), so the
-    cap fires before any work on the image.
+    codes; a larger fold raises :class:`CapExceeded`.  The components are
+    listed by word length and no fold enumerates anything (every quotient
+    lists its elements on first read), so the cap fires before any ball
+    is searched or any work is done on the image.
     """
     if n < 1:
         raise ValueError("quotient chain level must be at least 1")
@@ -778,9 +759,6 @@ def build_level_map(oracle, n):
     if got is not None:
         return got
     components = level_components(oracle, n)
-    if not components:
-        raise ValueError("input group must be infinite (no nontrivial words found)")
-
     image, cap = components[0], oracle.vertex_cap
     for component in components[1:]:
         if component.factors_through(image):
@@ -807,7 +785,8 @@ def decide_word_problem(oracle, word):
 def kernel_min_length_check(oracle, n, level_map=None):
     """Confirm on the radius-n ball that the level-n kernel contains no
     short nontrivial element.  The ball keeps one word per element,
-    identity first, so every word after the first is nontrivial.  Returns
+    identity first, so every word after the first is nontrivial.  The map
+    is built from no ball word, so the check is independent of it.  Returns
     a dict report with a counterexample word on failure.  ``level_map``
     overrides the built map, which lets a test feed a deliberately
     corrupted one."""

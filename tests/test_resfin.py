@@ -15,14 +15,12 @@ from branchgroups.alphabet import Seed, coset_action
 from branchgroups.perm import IndexedAlphabet, Perm, _cycle_walk
 from branchgroups.resfin import (
     NOT_CONJUGATE,
-    TRIVIAL,
     UNSUPPORTED,
     DihedralOracle,
     IntegerOracle,
     ProductOracle,
     build_level_map,
     decide_word_problem,
-    efrf_query,
     format_quotient_map,
     kernel_min_length_check,
     level_components,
@@ -99,6 +97,34 @@ def test_level_components_match_all_words_sweep(selector):
         assert [q.key for q in level_components(oracle, n)] == keys[: prefix[n]], n
 
 
+def _ball_components(oracle, n):
+    """The keys of the query's quotients on the radius-n ball's nontrivial
+    elements, in ball order, each at its first appearance."""
+    return list(dict.fromkeys(efrf_query(oracle, w)[0].key for w in oracle.ball(n)[1:]))
+
+
+_FACTORS = st.one_of(st.sampled_from(["integers", "dihedral_infinite"]), st.integers(2, 12).map("finite:{}".format))
+
+
+@settings(max_examples=40, deadline=None)
+@given(factors=st.lists(_FACTORS, min_size=2, max_size=3))
+@example(factors=["finite:2", "dihedral_infinite", "integers"])
+@example(factors=["dihedral_infinite", "finite:12"])
+def test_components_by_length_match_ball_queries(factors):
+    # the closed form, on its own oracle, lists the ball-driven components
+    # in order at every level
+    selector = "product:" + ",".join(factors)
+    closed, reference = oracle_from_selector(selector), oracle_from_selector(selector)
+    for n in range(1, 6):
+        assert [q.key for q in level_components(closed, n)] == _ball_components(reference, n), (selector, n)
+
+
+def test_every_selector_has_a_level_one_component():
+    # so the level-1 fold always starts from a component
+    for selector in SWEEP_LEVELS:
+        assert level_components(oracle_from_selector(selector), 1), selector
+
+
 def _assert_interned(oracle, quotient):
     """``quotient`` is the one the oracle keeps under its own key, and so
     is each side of a pair in its side's oracle, nested pairs included."""
@@ -119,6 +145,48 @@ def test_level_components_are_the_interned_quotients(selector):
             _assert_interned(oracle, efrf_query(oracle, w)[0])
         for component in level_components(oracle, n):
             _assert_interned(oracle, component)
+
+
+TRIVIAL = resfin._Marker("TRIVIAL")
+
+
+def _detect(oracle, word):
+    """The per-word residual-finiteness query, each oracle's rule as its
+    docstring states it: a quotient in which ``word`` survives, interned,
+    or None for a trivial word.  The dihedral group answers D_(|w|+1),
+    the integers C_(|m|+1) for exponent sum m, ``finite:m`` the group
+    C_m, and a product the pair of the side of the first nontrivial
+    projection.  ``components_at`` lists its answers by word length."""
+    if oracle.is_identity(word):
+        return None
+    if isinstance(oracle, ProductOracle):
+        lw, rw = oracle._project(word)
+        left = not oracle.left.is_identity(lw)
+        sides = (_detect(oracle.left, lw), None) if left else (None, _detect(oracle.right, rw))
+        quotient = resfin.PairQuotient(sides, (oracle._split, len(oracle.gen_names) - oracle._split))
+    elif isinstance(oracle, DihedralOracle):
+        quotient = resfin._FamilyQuotient("dihedral", len(word) + 1)
+    elif isinstance(oracle, IntegerOracle):
+        quotient = resfin._FamilyQuotient("cyclic", abs(oracle.element_key(word)) + 1)
+    else:
+        quotient = resfin._FamilyQuotient("cyclic", oracle.group_order)
+    return oracle._intern(quotient)
+
+
+def efrf_query(oracle, word, detect=_detect):
+    """Effective residual-finiteness query.
+
+    Returns :data:`TRIVIAL` for words representing the identity, otherwise
+    a pair ``(quotient, witness)`` where ``witness`` is the nontrivial
+    image index of the word in the quotient.
+    """
+    quotient = detect(oracle, word)
+    if quotient is None:
+        return TRIVIAL
+    witness = quotient.apply_word(word)
+    if witness == 0:
+        raise AssertionError("residual-finiteness query produced a trivial image")
+    return quotient, witness
 
 
 def _reference_closure(rows):
@@ -700,28 +768,40 @@ def test_level_map_does_not_touch_its_only_component(zz):
     _assert_left_rows(quotient)
 
 
-def test_level_map_queries_only_the_ball(monkeypatch):
-    # the level map queries only the radius-n ball, and the kernel check
-    # shares its one search, kept in the oracle's cache as a tuple
-    dihedral = DihedralOracle()
-    calls, searches = [], []
-
-    def counting(oracle, word):
-        calls.append(word)
-        return efrf_query(oracle, word)
+def _searched_balls(monkeypatch):
+    """The radii of the balls searched from here on (cache misses)."""
+    searches = []
 
     def spy(self, radius, _real=resfin.GroupOracle.ball):
         if ("ball", radius) not in self.cache:
             searches.append(radius)
         return _real(self, radius)
 
-    monkeypatch.setattr(resfin, "efrf_query", counting)
     monkeypatch.setattr(resfin.GroupOracle, "ball", spy)
+    return searches
+
+
+def test_level_map_searches_no_ball(monkeypatch):
+    # the level map lists its components by word length and searches no
+    # ball; the kernel check searches the radius-n ball once, kept in the
+    # oracle's cache as a tuple
+    dihedral = DihedralOracle()
+    searches = _searched_balls(monkeypatch)
     assert build_level_map(dihedral, 10).quotient.order == 55440
+    assert searches == [] and not any(key[0] == "ball" for key in dihedral.cache)
     assert kernel_min_length_check(dihedral, 10)["passed"]
     ball = dihedral.ball(10)
     assert searches == [10] and isinstance(ball, tuple) and dihedral.ball(10) is ball
-    assert 0 < len(calls) <= len(ball)
+
+
+def test_refused_level_searches_no_ball(monkeypatch):
+    # the fold cap fires on component orders alone: Z^2 at level 2000
+    # would have a ball of about 8 million words
+    product = oracle_from_selector("product:integers,integers")
+    searches = _searched_balls(monkeypatch)
+    with pytest.raises(resfin.CapExceeded, match="^level 2000 quotient would fold over 2822400 codes"):
+        build_level_map(product, 2000)
+    assert searches == [] and not any(key[0] == "ball" for key in product.cache)
 
 
 def test_build_level_map_integers(zz):
@@ -795,16 +875,15 @@ def test_kernel_check_catches_corrupted_map(dinf):
 
 
 def test_efrf_query_rejects_non_separating_quotient():
-    class Corrupted(DihedralOracle):
-        def detect(self, word):
-            if self.is_identity(word):
-                return None
-            # collapses rotations: an order-2 quotient cannot separate t
-            return self._intern(_ClosureQuotient(((1, 0), (0, 1), (0, 1)), key=("bad", 2)))
+    def corrupted(oracle, word):
+        if oracle.is_identity(word):
+            return None
+        # collapses rotations: an order-2 quotient cannot separate t
+        return oracle._intern(_ClosureQuotient(((1, 0), (0, 1), (0, 1)), key=("bad", 2)))
 
-    bad = Corrupted()
+    bad = DihedralOracle()
     with pytest.raises(AssertionError):
-        efrf_query(bad, parse_word(bad, "t"))
+        efrf_query(bad, parse_word(bad, "t"), detect=corrupted)
 
 
 def test_conjugacy_dihedral(dinf):
@@ -1101,7 +1180,7 @@ def test_element_keys_keep_their_values(selector, text, key):
 _ENTRY_POINTS = {
     "element_key": lambda oracle, w: oracle.element_key(w),
     "is_identity": lambda oracle, w: oracle.is_identity(w),
-    "detect": lambda oracle, w: oracle.detect(w),
+    "detect": _detect,
     "conjugate_g": lambda oracle, w: oracle.conjugate(w, (0,)),
     "conjugate_k": lambda oracle, w: oracle.conjugate((0,), w),
     "efrf_query": efrf_query,
