@@ -4,9 +4,10 @@ An input group is presented through a :class:`GroupOracle`: a finite
 symmetric generating set (with an explicit involution pairing), a total
 word-problem decider, and an effective residual-finiteness query that maps
 every nontrivial word to a finite quotient detecting it.  Every bundled
-query reads only a word's length or exponent sum, so each oracle lists
-in closed form the quotients that the query first answers on words of
-length k (:meth:`GroupOracle.components_at`), and no word is queried.
+query reads only a word's length or exponent sum, so each oracle streams
+in closed form the quotients that the query first answers, by the word
+length k at which it first answers them (:meth:`GroupOracle.components`),
+and no word is queried.
 
 Words are plain tuples of generator indices.  The inverse of generator
 ``i`` is generator ``oracle.inverse[i]``.
@@ -14,8 +15,11 @@ Words are plain tuples of generator indices.  The inverse of generator
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from functools import cached_property
 from math import gcd, lcm
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,7 +38,6 @@ __all__ = [
     "CyclicOracle",
     "ProductOracle",
     "Level",
-    "level_components",
     "build_level_map",
     "decide_word_problem",
     "kernel_min_length_check",
@@ -394,7 +397,7 @@ class GroupOracle:
     Subclasses supply element keys (canonical forms, which decide the
     word problem): ``gen_keys``, ``identity_key`` and their product
     ``multiply``, whose fold keys every word (:meth:`element_key`); also
-    ``components_at`` (the effective residual-finiteness query, listed by
+    ``components`` (the effective residual-finiteness query, streamed by
     word length) and optionally ``conjugate``.  All public state is
     immutable after construction; caches are filled idempotently, so
     concurrent use is safe.
@@ -426,12 +429,15 @@ class GroupOracle:
         """The key of the product of the elements keyed ``left`` and ``right``."""
         raise NotImplementedError
 
-    def components_at(self, k):
-        """The quotients that the residual-finiteness query first answers
-        on the nontrivial elements of word length ``k``, in the order of
-        their shortest words, each interned (:meth:`_intern`).  The query
-        itself, the per-word rule in each oracle's docstring, lives in the
-        tests as the reference this list must equal."""
+    def components(self):
+        """The quotients that the residual-finiteness query first answers,
+        as pairs ``(k, quotient)`` in order of the word length ``k`` at
+        which they are first met, and within one length in the order of
+        their shortest words, each interned (:meth:`_intern`) as it is
+        reached.  The stream is endless for an infinite group and ends for
+        a finite one.  The query itself, the per-word rule in each
+        oracle's docstring, lives in the tests as the reference this
+        stream must equal."""
         raise NotImplementedError
 
     def conjugate(self, g, k):
@@ -459,7 +465,9 @@ class GroupOracle:
     def ball(self, radius):
         """Shortest representative words for all elements of the radius ball,
         identity included, in deterministic (length, lex) order: a tuple,
-        searched once per radius, each frontier key extended by one product."""
+        searched once per radius, each frontier key extended by one product.
+        The search stops at an empty frontier, so a finite group's ball
+        costs its order, whatever the radius."""
         got = self.cache.get(("ball", radius))
         if got is not None:
             return got
@@ -467,6 +475,8 @@ class GroupOracle:
         out = [()]
         frontier = [((), self.identity_key)]
         for _ in range(radius):
+            if not frontier:
+                break
             new = []
             for w, key in frontier:
                 for s, gen_key in enumerate(self.gen_keys):
@@ -538,8 +548,9 @@ class IntegerOracle(_CyclicBase):
     def multiply(self, left, right):
         return left + right
 
-    def components_at(self, k):
-        return [self._intern(_FamilyQuotient("cyclic", k + 1))]
+    def components(self):
+        for k in itertools.count(1):
+            yield k, self._intern(_FamilyQuotient("cyclic", k + 1))
 
 
 class DihedralOracle(GroupOracle):
@@ -562,8 +573,9 @@ class DihedralOracle(GroupOracle):
         (e, m), (f, k) = left, right
         return (e ^ f, (-m if f else m) + k)
 
-    def components_at(self, k):
-        return [self._intern(_FamilyQuotient("dihedral", k + 1))]
+    def components(self):
+        for k in itertools.count(1):
+            yield k, self._intern(_FamilyQuotient("dihedral", k + 1))
 
     def conjugate(self, g, k):
         (e1, m1) = self.element_key(g)
@@ -587,7 +599,8 @@ class CyclicOracle(_CyclicBase):
     """A finite cyclic group of order m, generators ``t`` and ``t'``.
 
     The residual-finiteness query sends every nontrivial word to the group
-    itself, C_m, first met at length 1 (``t`` is nontrivial, as m >= 2).
+    itself, C_m, first met at length 1 (``t`` is nontrivial, as m >= 2);
+    its stream of components ends there.
     """
 
     def __init__(self, order):
@@ -599,8 +612,8 @@ class CyclicOracle(_CyclicBase):
     def multiply(self, left, right):
         return (left + right) % self.group_order
 
-    def components_at(self, k):
-        return [self._intern(_FamilyQuotient("cyclic", self.group_order))] if k == 1 else []
+    def components(self):
+        yield 1, self._intern(_FamilyQuotient("cyclic", self.group_order))
 
 
 class ProductOracle(GroupOracle):
@@ -614,7 +627,7 @@ class ProductOracle(GroupOracle):
     shortest word is itself shortest and its quotient was met at its own
     length; the quotients first met at length k are the left side's at k,
     reached by words of left generators, which come first, then the right
-    side's.
+    side's: the two sides' streams merged by length.
     """
 
     def __init__(self, left, right):
@@ -635,10 +648,13 @@ class ProductOracle(GroupOracle):
     def multiply(self, left, right):
         return (self.left.multiply(left[0], right[0]), self.right.multiply(left[1], right[1]))
 
-    def components_at(self, k):
+    def components(self):
         widths = (self._split, len(self.gen_names) - self._split)
-        sides = [(q, None) for q in self.left.components_at(k)] + [(None, q) for q in self.right.components_at(k)]
-        return [self._intern(PairQuotient(pair, widths)) for pair in sides]
+        left = ((k, (q, None)) for k, q in self.left.components())
+        right = ((k, (None, q)) for k, q in self.right.components())
+        # merge is stable: at equal lengths the left side comes first
+        for k, pair in heapq.merge(left, right, key=itemgetter(0)):
+            yield k, self._intern(PairQuotient(pair, widths))
 
     def conjugate(self, g, k):
         lg, rg = self._project(g)
@@ -728,10 +744,20 @@ def level_components(oracle, n):
     (length, lex) order of those words, each kept at its first appearance:
     components with one ``key`` (the family and parameter, or a pair of
     those) are one quotient with one map from the source.  The oracle
-    lists them by word length (:meth:`GroupOracle.components_at`), so no
-    ball is searched; a key is first met at one length only.
+    streams them by word length (:meth:`GroupOracle.components`), so no
+    ball is searched; a key is first met at one length only.  The library
+    folds the stream as it comes (:func:`build_level_map`); this list of
+    it serves the tests.
     """
-    return [q for k in range(1, n + 1) for q in oracle.components_at(k)]
+    return list(_components_to(oracle, n))
+
+
+def _components_to(oracle, n):
+    """The oracle's stream of components met at word lengths 1 to n."""
+    for k, quotient in oracle.components():
+        if k > n:
+            return
+        yield quotient
 
 
 def build_level_map(oracle, n):
@@ -748,19 +774,24 @@ def build_level_map(oracle, n):
     way, so the enumeration is that of the image in the full product.
 
     The oracle's ``vertex_cap`` bounds each fold's ``A.order * C.order``
-    codes; a larger fold raises :class:`CapExceeded`.  The components are
-    listed by word length and no fold enumerates anything (every quotient
-    lists its elements on first read), so the cap fires before any ball
-    is searched or any work is done on the image.
+    codes; a larger fold raises :class:`CapExceeded`.  Each component is
+    folded as the oracle's stream reaches it, and no fold enumerates
+    anything (every quotient lists its elements on first read), so the
+    cap fires before any ball is searched, any work is done on the image,
+    or any later component is listed.  On every bundled infinite group
+    the image grows with each component it keeps, so the components read
+    depend on the cap, not on ``n``: about 20 at the default cap.  A
+    finite group's stream ends, so its level map costs the same at every
+    ``n``.
     """
     if n < 1:
         raise ValueError("quotient chain level must be at least 1")
     got = oracle.cache.get(("level_map", n))
     if got is not None:
         return got
-    components = level_components(oracle, n)
-    image, cap = components[0], oracle.vertex_cap
-    for component in components[1:]:
+    components = _components_to(oracle, n)
+    image, cap = next(components), oracle.vertex_cap
+    for component in components:
         if component.factors_through(image):
             continue
         ambient = image.order * component.order

@@ -1,11 +1,15 @@
+import argparse
 import contextlib
 import hashlib
 import importlib
 import importlib.util
 import io
 import json
+import os
 import pathlib
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -672,3 +676,58 @@ def test_benchmark_chain_reports_match_golden_digests():
             code = main(["--group", group, "chain", str(level)])
         digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16]
         assert [digest, code] == golden[f"chain:{group}:{level}"], (group, level)
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    # after a first call, main() reuses its parser: 20 calls over the five
+    # commands and a usage error construct no ArgumentParser at all
+    path = write(tmp_path, "w.txt", "H(t|())")
+    main(["--group", "integers", "chain", "1"])
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argvs = [
+        ["wp", path],
+        ["portrait", "--depth", "1", path],
+        ["conj", "t|()", "t'|()"],
+        ["--group", "integers", "chain", "2"],
+        ["verify", "perm"],
+        ["chain"],
+    ]
+    codes = [main(argvs[i % len(argvs)]) for i in range(20)]
+    capsys.readouterr()
+    assert built == []
+    assert codes == [0, 0, 0, 0, 0, 2] * 3 + [0, 0]
+
+
+def test_main_carries_no_state_between_calls():
+    # one parser serves every call, but each call parses into a fresh
+    # namespace and prints to the streams current at the time of the call
+    def call(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    # the parser exists, built with other streams in place, before the
+    # calls under test
+    assert call("--group", "integers", "chain", "2")[0] == 0
+    code, out, err = call("--group", "integers", "chain")
+    assert (code, out) == (2, "") and "the following arguments are required: level" in err
+    code, out, err = call("--help")
+    assert (code, err) == (0, "") and out.startswith("usage: branchgroups")
+    code, out, err = call("--format", "json", "--group", "integers", "chain", "1")
+    assert (code, err) == (0, "") and json.loads(out)["command"] == "chain"
+    code, out, err = call("--group", "integers", "chain", "1")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "branchgroups.cli", "--group", "integers", "chain", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (fresh.returncode, fresh.stderr) == (0, "") and fresh.stdout.startswith("order 2\n")
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)

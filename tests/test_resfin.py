@@ -156,7 +156,7 @@ def _detect(oracle, word):
     or None for a trivial word.  The dihedral group answers D_(|w|+1),
     the integers C_(|m|+1) for exponent sum m, ``finite:m`` the group
     C_m, and a product the pair of the side of the first nontrivial
-    projection.  ``components_at`` lists its answers by word length."""
+    projection.  ``components`` streams its answers by word length."""
     if oracle.is_identity(word):
         return None
     if isinstance(oracle, ProductOracle):
@@ -802,6 +802,30 @@ def test_refused_level_searches_no_ball(monkeypatch):
     with pytest.raises(resfin.CapExceeded, match="^level 2000 quotient would fold over 2822400 codes"):
         build_level_map(product, 2000)
     assert searches == [] and not any(key[0] == "ball" for key in product.cache)
+
+
+def _interned(oracle):
+    return [key for key in oracle.cache if key[0] == "quotient"]
+
+
+def test_refused_level_lists_only_the_folded_components():
+    # each component is folded as the stream reaches it, so the fold cap
+    # fires near length 16 on Z, not after listing a million components
+    zz = IntegerOracle()
+    with pytest.raises(resfin.CapExceeded, match="^level 1000000 quotient would fold over 5765760 codes"):
+        build_level_map(zz, 10**6)
+    assert 0 < len(_interned(zz)) <= 25
+
+
+def test_finite_stream_ends_at_any_level():
+    # a finite group's components end at length 1, and its ball at its
+    # order, so a chain at a huge level reads two components and four
+    # ball words
+    product = oracle_from_selector("product:finite:2,finite:3")
+    assert build_level_map(product, 10**6).quotient.order == 6
+    assert kernel_min_length_check(product, 10**6)["checked"] == 5
+    assert len(_interned(product)) <= 2
+    assert [len(_interned(side)) for side in (product.left, product.right)] == [1, 1]
 
 
 def test_build_level_map_integers(zz):

@@ -363,11 +363,16 @@ def test_exports_resolve():
 def _reads(tree):
     """Every name a module reads: loaded names, attributes, import aliases
     and string constants (perfbench/tracing.py names its targets by
-    string, as ``"Perm.cycle_type"``), without its own ``__all__`` entries."""
-    exported = set()
-    for node in tree.body:
+    string, as ``"Perm.cycle_type"``), without its own ``__all__`` entries
+    and without a constant that names the value it is an argument of, as
+    ``"X"`` in ``X = _Marker("X")``: a definition, not a read."""
+    skipped = set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            exported = {id(c) for c in ast.walk(node.value)}
+            skipped |= {id(c) for c in ast.walk(node.value)}
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            skipped |= {id(a) for a in node.value.args if isinstance(a, ast.Constant) and a.value in names}
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -376,10 +381,18 @@ def _reads(tree):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in exported:
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skipped:
             if all(part.isidentifier() for part in node.value.split(".")):
                 out.update(node.value.split("."))
     return out
+
+
+def test_a_self_naming_constant_is_not_a_read():
+    # a marker's own name, given to its constructor, would otherwise read
+    # the marker; a read of another module's marker still counts
+    reads = _reads(ast.parse('TRIVIAL = _Marker("TRIVIAL")\nx = resfin.NOT_CONJUGATE\n'))
+    assert "TRIVIAL" not in reads
+    assert {"_Marker", "resfin", "NOT_CONJUGATE"} <= reads
 
 
 def test_every_export_has_a_reader_outside_tests():
