@@ -355,27 +355,41 @@ def _inverse_walk(letters, bounds):
 
 
 def _decimal_cycles(letters, bounds):
-    """Cycle notation of a cycle walk over decimal letter names, written
-    as bytes with one row per letter: its digits, most significant first,
-    then ``" "``, or ``")("`` where its cycle ends and ``")"`` after the
-    last letter.  Cells before a letter's leading digit and the unused
-    second separator cell hold 0 and are dropped."""
+    """Cycle notation of a cycle walk over decimal letter names, in any
+    letter order and with any cycle bounds.
+
+    The text is written as bytes, one row per letter after a header row:
+    the letter's digits, most significant first, then ``" "``, or ``")"``
+    where its cycle ends, then ``"("`` where the next cycle starts (the
+    header row's last cell opens the first cycle).  The digits are peeled
+    off from the units up by floor division, each as a remainder by
+    multiply-subtract, since numpy's integer ``%`` is many times slower
+    than ``//``; the leading column takes what is left.  Every other
+    cell, before a letter's leading digit or in an unused separator,
+    holds 0, and one ``bytes.translate`` drops them."""
     if not len(letters):
         return "()"
     top = int(letters.max())
     width = len(str(top))
-    text = np.zeros((len(letters), width + 2), dtype=np.uint8)
+    text = np.empty((len(letters) + 1, width + 2), dtype=np.uint8)
     rest = letters.astype(np.min_scalar_type(top))
-    text[:, width - 1] = rest % 10 + ord("0")
-    for col in reversed(range(width - 1)):
-        rest //= 10
-        np.add(rest % 10, ord("0"), out=text[:, col], where=rest > 0, casting="unsafe")
-    ends = bounds[1:] - 1
+    for col in reversed(range(1, width)):
+        quot = rest // 10
+        text[1:, col] = rest - quot * 10 + ord("0")
+        if col < width - 1:
+            text[1:, col][rest == 0] = 0
+        rest = quot
+    # every letter is below 10 ** width, so what is left is one digit
+    text[1:, 0] = rest + ord("0")
+    if width > 1:
+        text[1:, 0][rest == 0] = 0
     text[:, width] = ord(" ")
-    text[ends, width] = ord(")")
-    text[ends[:-1], width + 1] = ord("(")
-    text = text.ravel()
-    return "(" + text[text != 0].tobytes().decode("ascii")
+    text[:, width + 1] = 0
+    text[0, :-1] = 0
+    # row p + 1 holds place p, so row b holds the last letter before place b
+    text[bounds[1:], width] = ord(")")
+    text[bounds[:-1], width + 1] = ord("(")
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def compose(p, q):

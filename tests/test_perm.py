@@ -332,6 +332,36 @@ def test_identities_print_empty_cycle(label_kind):
         assert str(p) == "()" and p.cycles() == []
 
 
+@given(
+    letters=st.integers(0, 70_000).flatmap(lambda top: st.lists(st.integers(0, top), unique=True, max_size=40)),
+    cuts=st.lists(st.integers(1, 39)),
+    dtype=st.sampled_from([np.int64, np.int32]),
+)
+@example(letters=[], cuts=[], dtype=np.int64)
+@example(letters=[0], cuts=[], dtype=np.int64)
+# the digit count changes between these tops
+@example(letters=[9, 3, 0], cuts=[1], dtype=np.int64)
+@example(letters=[10, 0, 9], cuts=[1, 2], dtype=np.int64)
+@example(letters=[99, 9, 0, 10], cuts=[2], dtype=np.int64)
+@example(letters=[100, 10, 99, 0], cuts=[3], dtype=np.int64)
+@example(letters=[999, 0, 100, 99], cuts=[1], dtype=np.int64)
+@example(letters=[0, 1000, 999, 9], cuts=[2], dtype=np.int64)
+@example(letters=[9999, 1000, 0, 999], cuts=[], dtype=np.int64)
+@example(letters=[10000, 9999, 0, 10], cuts=[1, 3], dtype=np.int32)
+# np.min_scalar_type of the top letter changes between these tops
+@example(letters=[255, 0, 9, 10, 99, 100], cuts=[2, 4], dtype=np.int64)
+@example(letters=[1, 256, 255, 0], cuts=[2], dtype=np.int64)
+@example(letters=[65535, 9999, 0, 10000, 256], cuts=[3], dtype=np.int64)
+@example(letters=[1000, 65536, 0, 65535, 256], cuts=[1, 4], dtype=np.int32)
+def test_decimal_cycles_of_any_walk(letters, cuts, dtype):
+    """The byte kernel behind anonymous cycle notation and quotient reports
+    writes any walk: letters in any order, cycles cut anywhere."""
+    bounds = sorted({0, len(letters)} | {c for c in cuts if c < len(letters)})
+    cycles = [letters[a:b] for a, b in zip(bounds, bounds[1:])]
+    want = "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "()"
+    assert perm_module._decimal_cycles(np.array(letters, dtype=dtype), np.array(bounds)) == want
+
+
 @pytest.mark.parametrize(
     "images",
     [
