@@ -45,6 +45,7 @@ from .treeauto import portrait, portrait_dot, portrait_text
 from .wordcalc import ParseError, SearchBounds, conjugacy_certificate, decide, normal_form, parse_tokens, token_length
 
 SCHEMA = 1
+_json_str = json.encoder.encode_basestring_ascii  # json.dumps's own string encoder
 
 class UsageError(ValueError):
     pass
@@ -108,13 +109,15 @@ def cmd_portrait(args):
     if args.format == "dot":
         print(portrait_dot(p))
     elif args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "portrait",
-            "depth": args.depth,
-            "vertices": [{"path": path, "label": label} for path, _, label in p.rows],
-        }
-        print(json.dumps(payload, sort_keys=True))
+        # the bytes json.dumps(..., sort_keys=True) writes for a payload
+        # whose "vertices" are {"path", "label"} dicts, written from each
+        # level's section ids with no dict per vertex
+        labels = [_json_str(label) for label in p.section_labels]
+        vertices = ", ".join(
+            ", ".join(map('{{"label": {}, "path": {}}}'.format, map(labels.__getitem__, ids), map(_json_str, texts)))
+            for texts, ids in zip(p.level_texts(), p.levels)
+        )
+        print(f'{{"command": "portrait", "depth": {args.depth}, "schema": {SCHEMA}, "vertices": [{vertices}]}}')
     else:
         print(portrait_text(p))
     return 0

@@ -223,8 +223,14 @@ class _FamilyQuotient(FiniteQuotient):
         if e:
             rotations = codes[codes < n]
             return label[np.stack([rotations, rotations + n], axis=1).ravel()], np.arange(0, self.order + 1, 2)
-        steps = np.arange(n, dtype=np.int32) * (1 if m == 1 else -1)
-        cycles = (steps % n, n + -steps % n)[: self.order // n]
+        # the codes of t^0, t^1, ..., t^(n-1) and of t^0, t^(n-1), ..., t^1,
+        # written without a remainder: t walks up from element 0 and t'
+        # down, and in D_n each walks the reflections (codes n and up)
+        # the other way
+        up = np.arange(n, dtype=np.int32)
+        down = n - up
+        down[0] = 0
+        cycles = ((up, down + n) if m == 1 else (down, up + n))[: self.order // n]
         return label[np.concatenate(cycles)], np.arange(0, self.order + 1, n)
 
     def factors_through(self, other):

@@ -33,6 +33,8 @@ not depend on scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add
 
 import numpy as np
 
@@ -594,25 +596,73 @@ def _apply_below(inner, mask, cols):
 
 
 class Portrait:
-    """Per-vertex first-level permutations down to a depth.
+    """The first-level permutation of the section at every vertex above
+    a depth, kept one level at a time.
 
-    ``perms`` lists ``(path, perm)`` for every vertex above the depth,
-    with the root permutation of its section.  ``rows`` holds the same
-    vertices as printed text, ``(path, parent path, label)``, with
-    ``None`` as the root's parent.  Both run breadth-first in
-    letter-index order: shallow vertices first, lexicographic within a
-    level."""
+    Each distinct section is one small integer id: ``section_perms[s]``
+    is the root permutation of section ``s`` and ``section_labels[s]``
+    its text.  ``levels[d]`` lists the section id of every level-d
+    vertex, breadth-first in letter-index order, so a level runs
+    lexicographically and its vertices' path texts come from the level
+    above (:meth:`level_texts`).
 
-    def __init__(self, depth, base_level, perms, rows):
+    ``rows``, ``perms`` and ``labels`` give the same vertices one object
+    each, built when read: ``rows`` as printed text ``(path, parent
+    path, label)`` with ``None`` as the root's parent, ``perms`` as
+    ``(path, perm)`` with the path a tuple of letter labels, and
+    ``labels`` as a dict from each :class:`Vertex` to its permutation,
+    all three in row order."""
+
+    def __init__(self, oracle, depth, base_level, levels, section_perms, section_labels):
+        self.oracle = oracle
         self.depth = depth
         self.base_level = base_level
-        self.perms = perms
-        self.rows = rows
+        self.levels = levels
+        self.section_perms = section_perms
+        self.section_labels = section_labels
+
+    def _names(self, d):
+        """The letter labels of level ``d`` below the base level."""
+        return build_alphabet(self.oracle, self.base_level + d).labels
+
+    def level_texts(self):
+        """The path text of each vertex, one sequence per level from the
+        root down, in the order of ``levels``: ``"-"`` for the root, and
+        a parent's text followed by the letter's label below it."""
+        texts = ("-",)
+        for d in range(self.depth):
+            if d == 1:
+                texts = self._names(1)
+            elif d:
+                names = self._names(d)
+                texts = [f"{t} {n}" for t in texts for n in names]
+            yield texts
+
+    @property
+    def rows(self):
+        """``(path, parent path, label)`` texts of every vertex."""
+        out, above = [], [None]
+        labels = self.section_labels
+        for texts, ids in zip(self.level_texts(), self.levels):
+            k = len(texts) // len(above)
+            out += zip(texts, _repeat_each(above, k), map(labels.__getitem__, ids))
+            above = texts
+        return out
+
+    @property
+    def perms(self):
+        """``(path, perm)`` of every vertex, the path a tuple of labels."""
+        out, paths = [], [()]
+        for d, ids in enumerate(self.levels):
+            if d:
+                names = self._names(d)
+                paths = [p + (n,) for p in paths for n in names]
+            out += zip(paths, map(self.section_perms.__getitem__, ids))
+        return out
 
     @property
     def labels(self):
-        """A dict from each :class:`Vertex` to its permutation, built when
-        read."""
+        """A dict from each :class:`Vertex` to its permutation."""
         return {Vertex(self.base_level, path): perm for path, perm in self.perms}
 
 
@@ -620,49 +670,69 @@ def portrait(a, depth):
     """The portrait of ``a`` down to ``depth``: every vertex above that
     depth is labeled with the first-level permutation of its section.
 
-    Built level by level; the root permutation, the children and the
-    label text are computed once per distinct section, up to the cap."""
+    Built one level at a time.  A section is interned by its key the
+    first time it is met, with its root permutation and label text;
+    each distinct section of an inner level gets one row of child ids
+    over the letters below it, the identity's id wherever it has no
+    nontrivial section.  The next level is its level's rows laid end to
+    end, so no vertex gets an object or a lookup of its own.  Guarded by
+    the vertex cap."""
     total, cap = 0, a.oracle.vertex_cap
     for d in range(depth):
         total += vertex_count(a.oracle, a.base_level, d)
         if total > cap:
             raise CapExceeded(f"portrait would label more than {cap} vertices")
-    perms, rows = [], []
-    sections = {}  # section key -> (root permutation, its text, children)
-    frontier = [((), "-", None, a)]  # (labels, path text, parent text, section)
-    for d in range(depth):
-        inner = d + 1 < depth
-        if inner:
-            names = build_alphabet(a.oracle, a.base_level + d + 1).labels
-            ident = identity_aut(a.oracle, a.base_level + d + 1)
-        nxt = []
-        for path, text, parent, node in frontier:
-            key = node.key()
-            got = sections.get(key)
-            if got is None:
-                r = root_perm(node)
-                got = sections[key] = (r, str(r), nontrivial_children(node) if inner else {})
-            perm, label, children = got
-            perms.append((path, perm))
-            rows.append((text, parent, label))
-            if inner:
-                for i, name in enumerate(names):
-                    child_text = f"{text} {name}" if path else name
-                    nxt.append((path + (name,), child_text, text, children.get(i, ident)))
-        frontier = nxt
-    return Portrait(depth, a.base_level, perms, rows)
+    index, nodes, perms, labels, child_rows = {}, [], [], [], []
+
+    def intern(node):
+        key = node.key()
+        s = index.get(key)
+        if s is None:
+            s = index[key] = len(nodes)
+            r = root_perm(node)
+            nodes.append(node)
+            perms.append(r)
+            labels.append(str(r))
+            child_rows.append(None)
+        return s
+
+    levels = [[intern(a)]] if depth else []
+    for d in range(1, depth):
+        below = a.base_level + d
+        ident = intern(identity_aut(a.oracle, below))
+        size = build_alphabet(a.oracle, below).size
+        level = levels[-1]
+        for s in dict.fromkeys(level):
+            row = [ident] * size
+            for i, child in nontrivial_children(nodes[s]).items():
+                row[i] = intern(child)
+            child_rows[s] = row
+        levels.append([c for s in level for c in child_rows[s]])
+    return Portrait(a.oracle, depth, a.base_level, levels, perms, labels)
+
+
+def _repeat_each(items, k):
+    """Each item ``k`` times in a row: the parent text of each vertex of
+    a level, given the level above and its fan-out."""
+    return chain.from_iterable(map(repeat, items, repeat(k, len(items))))
 
 
 def portrait_text(p):
-    lines = [f"portrait depth={p.depth}"]
-    lines += [f"{path} {label}" for path, _, label in p.rows]
-    return "\n".join(lines)
+    chunks = [f"portrait depth={p.depth}"]
+    tails = [" " + label for label in p.section_labels]
+    for texts, ids in zip(p.level_texts(), p.levels):
+        chunks.append("\n".join(map(add, texts, map(tails.__getitem__, ids))))
+    return "\n".join(chunks)
 
 
 def portrait_dot(p):
-    lines = ["digraph portrait {"]
-    lines += [f'  "{path}" [label="{label}"];' for path, _, label in p.rows]
-    lines += [f'  "{parent}" -> "{path}";' for path, parent, _ in p.rows if parent is not None]
-    lines.append("}")
-    return "\n".join(lines)
+    nodes, edges, above = [], [], None
+    labels = p.section_labels
+    for texts, ids in zip(p.level_texts(), p.levels):
+        nodes.append("\n".join(map('  "{}" [label="{}"];'.format, texts, map(labels.__getitem__, ids))))
+        if above is not None:
+            k = len(texts) // len(above)
+            edges.append("\n".join(map('  "{}" -> "{}";'.format, _repeat_each(above, k), texts)))
+        above = texts
+    return "\n".join(["digraph portrait {", *nodes, *edges, "}"])
 

@@ -1091,6 +1091,28 @@ def test_closed_form_walks_match_cycle_walk(closed_form):
             assert np.array_equal(letters, want_letters) and np.array_equal(bounds, want_bounds), (n, s)
 
 
+def _modulo_walk(quotient, s):
+    """A rotation's ``cycle_walk`` as it was first written, from integer
+    remainders."""
+    n = quotient.n
+    steps = np.arange(n, dtype=np.int32) * (1 if quotient._gens[s] == 1 else -1)
+    cycles = (steps % n, n + -steps % n)[: quotient.order // n]
+    return quotient.label[np.concatenate(cycles)], np.arange(0, quotient.order + 1, n)
+
+
+@pytest.mark.parametrize("closed_form", [_cyclic_quotient, _dihedral_quotient])
+def test_rotation_walks_match_their_modulo_form(closed_form):
+    # the rotations' cycles, t and t' alike, written without a remainder:
+    # element for element and dtype for dtype the walk of the % form
+    for n in range(1, 301):
+        quotient = closed_form(n)
+        for s in range(len(quotient._gens) - 2, len(quotient._gens)):  # t and t'
+            letters, bounds = quotient.cycle_walk(s)
+            want_letters, want_bounds = _modulo_walk(quotient, s)
+            assert letters.dtype == want_letters.dtype, (n, s)
+            assert np.array_equal(letters, want_letters) and np.array_equal(bounds, want_bounds), (n, s)
+
+
 LEFT_MULT_SELECTORS = [
     "integers",
     "dihedral_infinite",

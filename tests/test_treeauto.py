@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
+import json
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.combinatorics import Permutation
 
-from branchgroups import suites
+from branchgroups import cli, suites
 from branchgroups.alphabet import Seed, build_alphabet, coset_action, marker_action, marker_perm, random_marker_perm
 from branchgroups.perm import Perm, compose, random_even_perm
 from branchgroups.resfin import DEFAULT_VERTEX_CAP, DihedralOracle, IntegerOracle, oracle_from_selector, parse_word
@@ -42,7 +47,7 @@ from branchgroups.treeauto import (
     section_at,
     vertex_count,
 )
-from branchgroups.wordcalc import letters_aut
+from branchgroups.wordcalc import format_token, letters_aut, normal_form, parse_tokens
 from conftest import section, vertex_at
 
 
@@ -714,6 +719,75 @@ def test_portrait_identity_and_text(zz):
     assert len(lines) == 1 + 1 + build_alphabet(zz, 1).size
     dot = portrait_dot(p)
     assert dot.startswith("digraph portrait {") and dot.endswith("}")
+
+
+PORTRAIT_GROUPS = ("dihedral_infinite", "integers", "product:integers,finite:2")
+
+
+@pytest.fixture(scope="module")
+def portrait_oracles():
+    return {group: oracle_from_selector(group) for group in PORTRAIT_GROUPS}
+
+
+@given(
+    group=st.sampled_from(PORTRAIT_GROUPS),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(0, 4),
+    depth=st.integers(0, 4),
+)
+@settings(max_examples=40)
+def test_portrait_rows_match_sections_walked_from_the_root(portrait_oracles, tmp_path_factory, group, seed, length, depth):
+    oracle = portrait_oracles[group]
+    rng = random.Random(seed)
+    tokens = [random_token(oracle, rng) for _ in range(length)]
+    a = letters_aut(oracle, 0, tokens)
+    p = portrait(a, depth)
+    rows = p.rows
+    # breadth-first in letter-index order: shallow levels first, each
+    # level in the lexicographic order of its letter indices
+    vertices = [vertex_at(oracle, 0, d, i) for d in range(depth) for i in range(vertex_count(oracle, 0, d))]
+    assert [path for path, _, _ in rows] == [str(v) for v in vertices]
+    assert [parent for _, parent, _ in rows] == [None if not v.depth else str(Vertex(0, v.letters[:-1])) for v in vertices]
+    # each label is the root permutation of the section at the row's
+    # path, reached from the root one letter at a time
+    assert [label for _, _, label in rows] == [str(root_perm(section(a, v))) for v in vertices]
+    # every view of the portrait agrees with the rows
+    assert [(Vertex(0, path), str(perm)) for path, perm in p.perms] == [(v, label) for v, (_, _, label) in zip(vertices, rows)]
+    assert list(p.labels.items()) == [(Vertex(0, path), perm) for path, perm in p.perms]
+    assert portrait_text(p) == "\n".join([f"portrait depth={depth}"] + [f"{path} {label}" for path, _, label in rows])
+    assert portrait_dot(p) == "\n".join(
+        ["digraph portrait {"]
+        + [f'  "{path}" [label="{label}"];' for path, _, label in rows]
+        + [f'  "{parent}" -> "{path}";' for path, parent, _ in rows if parent is not None]
+        + ["}"]
+    )
+    # the CLI portrays the normal form of the same word, which acts alike
+    word_file = tmp_path_factory.mktemp("portrait") / "w.txt"
+    word_file.write_text(" ".join(format_token(kind, payload) for kind, payload in tokens))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["--group", group, "--format", "json", "portrait", str(word_file), "--depth", str(depth)]) == 0
+    vertices_json = [{"path": path, "label": label} for path, _, label in rows]
+    payload = {"schema": cli.SCHEMA, "command": "portrait", "depth": depth, "vertices": vertices_json}
+    assert out.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
+
+
+def test_portrait_memory_grows_with_its_text():
+    # 20 006 rows, all but a few labeled by the identity, so the peak
+    # shows what a vertex costs beyond its own line of text.  A portrait
+    # that built a path tuple, a (path, perm) pair and a row per vertex
+    # peaked at 21 times the text
+    oracle = oracle_from_selector("finite:20000")
+    a = normal_form(oracle, parse_tokens(oracle, "H(t|(x y z)) B((q0@1 x@1 y@1))")).to_aut()
+    portrait_text(portrait(a, 2))  # the oracle's levels and actions, built once
+    tracemalloc.start()
+    try:
+        text = portrait_text(portrait(a, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (text.count("\n"), len(text)) == (20_006, 397_867)
+    assert peak < 15 * len(text)
 
 
 def test_wreath_decompose_roundtrip(dinf):
