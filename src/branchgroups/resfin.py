@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from array import array
 from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
@@ -102,8 +103,10 @@ class FiniteQuotient:
       identical homomorphism from the source and deduplicates components;
     - ``codes``, the ambient code of each element, and ``label``, the
       element of each code, both built on first read;
-    - ``apply_word(word)``, the element of a word, from the product rule
-      on ambient codes, so no quotient stores a multiplication table;
+    - ``step(code, s)``, a word's running code times generator ``s`` by
+      the product rule, code 0 being the identity's, and ``element(code)``,
+      the element of a running code; ``apply_word(word)`` folds ``step``
+      over the word from 0, so no quotient stores a multiplication table;
     - ``shape``, the depth of each element and its index in the post-order
       of the search tree (children in generator order), from which a
       product writes its own enumeration;
@@ -117,6 +120,14 @@ class FiniteQuotient:
     group of order N has N/o cycles, all of length o, so its sign is
     (-1)^(N - N/o) (:meth:`left_mult_sign`).
     """
+
+    def apply_word(self, word):
+        """The element of a word: :meth:`step` folded over its generators
+        from the identity's running code 0, read by :meth:`element`."""
+        code = 0
+        for s in word:
+            code = self.step(code, s)
+        return self.element(code)
 
     def left_mult_images(self, i):
         """Image array of left multiplication by element ``i``."""
@@ -144,8 +155,9 @@ class _FamilyQuotient(FiniteQuotient):
     on codes, ints or arrays alike (:meth:`_product`), so the left regular
     representation is known outright:
 
-    - a word's element is its generators' codes multiplied from the
-      identity, and left multiplication is one gather of the rule;
+    - a word's running code is its ambient code, its generators' codes
+      multiplied from the identity one :meth:`step` at a time, and left
+      multiplication is one gather of the rule;
     - ``t`` is one n-cycle t^0 -> t^1 -> ... in C_n, and two in D_n,
       (0, m) -> (0, m+1) from element 0 and (1, m) -> (1, m-1) from
       element 1; ``a`` swaps (0, m) and (1, m), (0, m) first, the cycles
@@ -180,10 +192,11 @@ class _FamilyQuotient(FiniteQuotient):
         e, m = divmod(right, n)
         return (f ^ e) * n + (k * (1 - 2 * e) + m) % n
 
-    def apply_word(self, word):
-        code, gens = 0, self._gens
-        for s in word:
-            code = self._product(code, gens[s])
+    def step(self, code, s):
+        """The code of the element coded ``code`` times generator ``s``."""
+        return self._product(code, self._gens[s])
+
+    def element(self, code):
         return int(self.label[code])
 
     @cached_property
@@ -250,9 +263,13 @@ def _cyclic_codes(k):
     """The visit order of the cyclic group of order ``k`` over ``t``,
     ``t'``, code ``c`` standing for ``t^c``.  The search reaches t^0, t^1,
     t^-1, t^2, t^-2, ...; at even ``k``, ``t^(k/2)`` is reached first as a
-    positive power."""
-    x = np.arange(k, dtype=np.int32)
-    return np.where(x % 2 == 1, (x + 1) // 2, k - x // 2) % k
+    positive power.  So odd places hold 1, 2, ..., k//2, even places from
+    2 on hold k - 1, k - 2, ..., and place 0 holds 0: written with no
+    remainder."""
+    codes = np.zeros(k, dtype=np.int32)
+    codes[1::2] = np.arange(1, k // 2 + 1, dtype=np.int32)
+    codes[2::2] = np.arange(k - 1, k // 2, -1, dtype=np.int32)
+    return codes
 
 
 def _dihedral_codes(h):
@@ -313,13 +330,27 @@ class PairQuotient(FiniteQuotient):
     def label(self):
         return self.codes if None in self.sides else _inverse(self.codes)
 
-    def apply_word(self, word):
-        """``label[x * |Q1| + y]``, x and y being the sides' images of the
-        word's two projections."""
+    def step(self, code, s):
+        """A word's running code is ``c0 * |Q1| + c1``, c0 and c1 being the
+        sides' running codes of its two projections; generator ``s`` steps
+        its own side's, and a trivial side's stays 0.  So code 0 is the
+        identity's, though the codes are not the ambient ones."""
+        c0, c1 = divmod(code, self._width)
         split = self.widths[0]
         first, second = self.sides
-        x = 0 if first is None else first.apply_word([s for s in word if s < split])
-        y = 0 if second is None else second.apply_word([s - split for s in word if s >= split])
+        if s < split:
+            c0 = c0 if first is None else first.step(c0, s)
+        else:
+            c1 = c1 if second is None else second.step(c1, s - split)
+        return c0 * self._width + c1
+
+    def element(self, code):
+        """``label[x * |Q1| + y]``, x and y being the sides' elements of
+        the two running codes."""
+        c0, c1 = divmod(code, self._width)
+        first, second = self.sides
+        x = 0 if first is None else first.element(c0)
+        y = 0 if second is None else second.element(c1)
         return int(self.label[x * self._width + y])
 
     @cached_property
@@ -469,31 +500,37 @@ class GroupOracle:
         return self.element_key(word) == self.identity_key
 
     def ball(self, radius):
-        """Shortest representative words for all elements of the radius ball,
-        identity included, in deterministic (length, lex) order: a tuple,
-        searched once per radius, each frontier key extended by one product.
-        The search stops at an empty frontier, so a finite group's ball
-        costs its order, whatever the radius."""
+        """The spanning tree of the radius ball, identity included: the
+        breadth-first search from the identity that extends each frontier
+        key by every generator in order, by one product each, and keeps
+        the elements it has not seen.  Element ``i`` is kept as its parent
+        ``parents[i]`` and generator ``gens[i]``, the last letter of its
+        least shortest word (:func:`_ball_word`); element 0 is the identity,
+        with parent 0 and generator -1.  So the elements come in (length,
+        lex) order of those words, and no word is stored.  Returns the pair
+        ``(parents, gens)`` of int arrays, searched once per radius.  The
+        search stops at an empty frontier, so a finite group's ball costs
+        its order, whatever the radius."""
         got = self.cache.get(("ball", radius))
         if got is not None:
             return got
         seen = {self.identity_key}
-        out = [()]
-        frontier = [((), self.identity_key)]
+        parents, gens = array("q", [0]), array("q", [-1])
+        frontier = [(0, self.identity_key)]
         for _ in range(radius):
             if not frontier:
                 break
             new = []
-            for w, key in frontier:
+            for parent, key in frontier:
                 for s, gen_key in enumerate(self.gen_keys):
                     cand_key = self.multiply(key, gen_key)
                     if cand_key not in seen:
                         seen.add(cand_key)
-                        cand = w + (s,)
-                        out.append(cand)
-                        new.append((cand, cand_key))
+                        new.append((len(parents), cand_key))
+                        parents.append(parent)
+                        gens.append(s)
             frontier = new
-        return self.cache.setdefault(("ball", radius), tuple(out))
+        return self.cache.setdefault(("ball", radius), (parents, gens))
 
     def _intern(self, quotient):
         """The oracle's one quotient with ``quotient.key``: the first one
@@ -502,6 +539,17 @@ class GroupOracle:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
+
+
+def _ball_word(ball, i):
+    """The least shortest word of element ``i`` of a :meth:`GroupOracle.ball`,
+    spelled from its parent pointers."""
+    parents, gens = ball
+    word = []
+    while i:
+        word.append(gens[i])
+        i = parents[i]
+    return tuple(reversed(word))
 
 
 def word_inverse(oracle, word):
@@ -685,10 +733,11 @@ class Level(IndexedAlphabet):
     The map is the corestriction of the product of the quotients that
     the residual-finiteness query answers on the nontrivial elements of
     word length 1 to n (:func:`level_components`); ``apply(word)`` is the
-    word's element of ``quotient``.  Every nontrivial kernel element has
-    word length at least n + 1: an element of length at most n survives
-    in the component the query answers on its shortest representative,
-    and every word for the element has the same image.
+    word's element of ``quotient``, and ``step(code, s)`` a running code
+    times generator ``s`` (:meth:`FiniteQuotient.step`).  Every nontrivial
+    kernel element has word length at least n + 1: an element of length
+    at most n survives in the component the query answers on its shortest
+    representative, and every word for the element has the same image.
 
     The alphabet is the quotient's elements (cosets) first, then x y z p
     q.  A letter's label is a rule of its index and the level n:
@@ -713,6 +762,9 @@ class Level(IndexedAlphabet):
 
     def apply(self, word):
         return self.quotient.apply_word(word)
+
+    def step(self, code, s):
+        return self.quotient.step(code, s)
 
     @property
     def alphabet(self):
@@ -821,19 +873,27 @@ def decide_word_problem(oracle, word):
 
 def kernel_min_length_check(oracle, n, level_map=None):
     """Confirm on the radius-n ball that the level-n kernel contains no
-    short nontrivial element.  The ball keeps one word per element,
-    identity first, so every word after the first is nontrivial.  The map
-    is built from no ball word, so the check is independent of it.  Returns
-    a dict report with a counterexample word on failure.  ``level_map``
-    overrides the built map, which lets a test feed a deliberately
-    corrupted one."""
+    short nontrivial element.  The ball keeps one element per node of its
+    spanning tree, identity first, so every element after the first is
+    nontrivial.  Each element's running code (:meth:`FiniteQuotient.step`)
+    is one step from its parent's, so no word is applied; the element is
+    in the kernel exactly when its code is 0, the identity's.  The map is
+    built from no ball element, so the check is independent of it.
+    Returns a dict report with a counterexample word, spelled from the
+    parent pointers, on failure.  ``level_map`` overrides the built map,
+    which lets a test feed a deliberately corrupted one."""
     qm = level_map if level_map is not None else build_level_map(oracle, n)
-    checked = 0
-    for w in oracle.ball(n)[1:]:
-        checked += 1
-        if qm.apply(w) == 0:
-            return {"passed": False, "level": n, "radius": n, "checked": checked, "counterexample": format_word(oracle, w)}
-    return {"passed": True, "level": n, "radius": n, "checked": checked, "counterexample": None}
+    step = qm.step
+    ball = oracle.ball(n)
+    parents, gens = ball
+    codes = array("q", [0])
+    for i in range(1, len(parents)):
+        code = step(codes[parents[i]], gens[i])
+        if code == 0:
+            return {"passed": False, "level": n, "radius": n, "checked": i,
+                    "counterexample": format_word(oracle, _ball_word(ball, i))}
+        codes.append(code)
+    return {"passed": True, "level": n, "radius": n, "checked": len(parents) - 1, "counterexample": None}
 
 
 # ---------------------------------------------------------------------------

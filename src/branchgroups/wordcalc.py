@@ -15,7 +15,6 @@ same decider.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -353,17 +352,22 @@ def default_b_gens(oracle):
     return tuple(out)
 
 
-@functools.cache
-def _even_markers():
-    perms = (Perm(MARKER_ALPHABET, images, check=False) for images in itertools.permutations(range(6)))
-    return tuple(p for p in perms if p.sign == 1)
-
-
 def _marker_conjugator(a, b):
-    """Some even marker permutation c with c^-1 a c = b, or None."""
-    for c in _even_markers():
-        if compose(compose(c.inverse(), a), c) == b:
-            return c
+    """The first even marker permutation c, in lexicographic order of its
+    image tuple, with c^-1 a c = b, or None.
+
+    The candidates are the image tuples of the 720 permutations of the six
+    marker letters, scanned as plain tuples: c passes when
+    ``a[c[i]] == c[b[i]]`` for every letter i, which is c^-1 a c = b under
+    :func:`compose`'s convention.  Only a passing tuple becomes a
+    :class:`Perm`, whose sign is read."""
+    a, b = a.images.tolist(), b.images.tolist()
+    for c in itertools.permutations(range(6)):
+        # letter 0 alone rules out most tuples, before any generator is built
+        if a[c[0]] == c[b[0]] and all(a[c[i]] == c[b[i]] for i in range(1, 6)):
+            perm = Perm(MARKER_ALPHABET, c, check=False)
+            if perm.sign == 1:
+                return perm
     return None
 
 

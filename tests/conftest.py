@@ -21,6 +21,17 @@ def section(a, vertex):
     return node
 
 
+def ball_words(oracle, radius):
+    """The shortest words of the radius ball's elements, in ball order,
+    each written out from the spanning tree as its parent's word followed
+    by its generator."""
+    parents, gens = oracle.ball(radius)
+    words = [()]
+    for i in range(1, len(parents)):
+        words.append(words[parents[i]] + (gens[i],))
+    return words
+
+
 def vertex_at(oracle, base_level, depth, index):
     """The vertex with number ``index`` on level ``depth``, in the
     lexicographic letter-index order of ``level_perm``."""

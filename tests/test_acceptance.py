@@ -5,15 +5,18 @@ captured output).  The whole module is budgeted to run in well under five
 minutes; the heaviest criterion is the word-problem oracle equivalence.
 """
 
+import itertools
 import random
 
 import pytest
 
 from branchgroups import suites
-from branchgroups.alphabet import Seed
+from branchgroups.alphabet import MARKER_ALPHABET, Seed
+from branchgroups.perm import Perm
 from branchgroups.resfin import DihedralOracle, IntegerOracle, build_level_map, kernel_min_length_check
 from branchgroups.treeauto import directed, equal_to_depth, nontrivial_vertex, product
 from branchgroups.wordcalc import seed_is_trivial
+from conftest import ball_words
 
 SEED = 20260810
 
@@ -70,11 +73,11 @@ def test_criterion_4_homomorphism_and_injectivity(dinf, zz):
         if not equal_to_depth(lhs, rhs, 5):
             failures += 1
     checked = 0
-    from branchgroups.wordcalc import _even_markers
-
+    perms = (Perm(MARKER_ALPHABET, images) for images in itertools.permutations(range(6)))
+    even_markers = [p for p in perms if p.sign == 1]
     for oracle in (dinf, zz):
-        for gword in oracle.ball(3):
-            for marker in _even_markers():
+        for gword in ball_words(oracle, 3):
+            for marker in even_markers:
                 h = Seed(oracle, gword, marker)
                 if seed_is_trivial(h):
                     continue
@@ -104,7 +107,7 @@ def test_criterion_6_chain_properties(dinf, zz):
                 ok = False
             if not kernel_min_length_check(oracle, n)["passed"]:
                 ok = False
-        ball = oracle.ball(4)
+        ball = ball_words(oracle, 4)
         for n in range(1, 4):
             lo, hi = build_level_map(oracle, n), build_level_map(oracle, n + 1)
             for w in ball:

@@ -17,6 +17,7 @@ from branchgroups.alphabet import (
 from branchgroups.perm import IndexedAlphabet, Perm, compose
 from branchgroups.resfin import DihedralOracle, IntegerOracle, Level, build_level_map, oracle_from_selector, parse_word
 from branchgroups.treeauto import rooted
+from conftest import ball_words
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +275,7 @@ def test_nontrivial_group_part_detected_in_chain(dinf, zz):
     # every nontrivial element of the radius-3 ball acts nontrivially on
     # the cosets at some level bounded by its word length
     for oracle in (dinf, zz):
-        for w in oracle.ball(3):
+        for w in ball_words(oracle, 3):
             if not w or oracle.is_identity(w):
                 continue
             s = Seed(oracle, w)

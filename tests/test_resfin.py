@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 import weakref
 from array import array
 
@@ -29,6 +30,7 @@ from branchgroups.resfin import (
     word_inverse,
 )
 from branchgroups.wordcalc import seed_is_trivial
+from conftest import ball_words
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +102,7 @@ def test_level_components_match_all_words_sweep(selector):
 def _ball_components(oracle, n):
     """The keys of the query's quotients on the radius-n ball's nontrivial
     elements, in ball order, each at its first appearance."""
-    return list(dict.fromkeys(efrf_query(oracle, w)[0].key for w in oracle.ball(n)[1:]))
+    return list(dict.fromkeys(efrf_query(oracle, w)[0].key for w in ball_words(oracle, n)[1:]))
 
 
 _FACTORS = st.one_of(st.sampled_from(["integers", "dihedral_infinite"]), st.integers(2, 12).map("finite:{}".format))
@@ -141,7 +143,7 @@ def test_level_components_are_the_interned_quotients(selector):
     # so the components are those kept quotients, one object per key
     oracle = oracle_from_selector(selector)
     for n in (1, 2, 3):
-        for w in oracle.ball(n)[1:]:
+        for w in ball_words(oracle, n)[1:]:
             _assert_interned(oracle, efrf_query(oracle, w)[0])
         for component in level_components(oracle, n):
             _assert_interned(oracle, component)
@@ -684,12 +686,12 @@ def test_bundled_level_maps_skip_closure_and_tree_walk(monkeypatch):
     for oracle in (IntegerOracle(), DihedralOracle()):
         for n in range(1, 12):
             assert build_level_map(oracle, n).quotient.order > 1
-            report_and_act(oracle, n, oracle.ball(2))
+            report_and_act(oracle, n, ball_words(oracle, 2))
     for m in (2, 7, 500_000):
         oracle = oracle_from_selector(f"finite:{m}")
         assert [q.order for q in level_components(oracle, 3)] == [m]
         assert build_level_map(oracle, 3).quotient.order == m
-        report_and_act(oracle, 3, oracle.ball(1))
+        report_and_act(oracle, 3, ball_words(oracle, 1))
     for selector, top in [
         ("product:integers,integers", 5),
         ("product:dihedral_infinite,integers", 4),
@@ -701,7 +703,7 @@ def test_bundled_level_maps_skip_closure_and_tree_walk(monkeypatch):
         oracle = oracle_from_selector(selector)
         for n in range(1, top + 1):
             assert isinstance(build_level_map(oracle, n).quotient, resfin.PairQuotient)
-            report_and_act(oracle, n, oracle.ball(1))
+            report_and_act(oracle, n, ball_words(oracle, 1))
 
 
 def test_level_map_order_cap():
@@ -784,14 +786,18 @@ def _searched_balls(monkeypatch):
 def test_level_map_searches_no_ball(monkeypatch):
     # the level map lists its components by word length and searches no
     # ball; the kernel check searches the radius-n ball once, kept in the
-    # oracle's cache as a tuple
+    # oracle's cache as its spanning tree: a parent and a generator array,
+    # one entry per element, and no word
     dihedral = DihedralOracle()
     searches = _searched_balls(monkeypatch)
     assert build_level_map(dihedral, 10).quotient.order == 55440
     assert searches == [] and not any(key[0] == "ball" for key in dihedral.cache)
-    assert kernel_min_length_check(dihedral, 10)["passed"]
+    assert kernel_min_length_check(dihedral, 10) == {
+        "passed": True, "level": 10, "radius": 10, "checked": 39, "counterexample": None}
     ball = dihedral.ball(10)
-    assert searches == [10] and isinstance(ball, tuple) and dihedral.ball(10) is ball
+    assert searches == [10] and dihedral.ball(10) is ball
+    parents, gens = ball
+    assert isinstance(parents, array) and isinstance(gens, array) and len(parents) == len(gens) == 40
 
 
 def test_refused_level_searches_no_ball(monkeypatch):
@@ -839,7 +845,7 @@ def test_chain_is_descending(dinf):
     for n in range(1, 4):
         lo = build_level_map(dinf, n)
         hi = build_level_map(dinf, n + 1)
-        for w in dinf.ball(4):
+        for w in ball_words(dinf, 4):
             if hi.apply(w) == 0:
                 assert lo.apply(w) == 0
 
@@ -854,7 +860,7 @@ def test_level_map_detects_all_short_words(zz, dinf):
 
 def test_residuality_on_ball(dinf):
     r = 3
-    for w in dinf.ball(r):
+    for w in ball_words(dinf, r):
         if not w or dinf.is_identity(w):
             continue
         assert any(build_level_map(dinf, n).apply(w) != 0 for n in range(1, r + 1))
@@ -889,13 +895,78 @@ def test_kernel_min_length_check(zz, dinf):
 
 
 def test_kernel_check_catches_corrupted_map(dinf):
+    # a map that sends every element to the identity's running code 0
     class IdentityMap:
-        def apply(self, word):
+        def step(self, code, s):
             return 0
 
     report = kernel_min_length_check(dinf, 1, level_map=IdentityMap())
     assert not report["passed"]
     assert report["counterexample"] == "a"
+
+
+@pytest.mark.parametrize("selector, family", [("integers", "cyclic"), ("dihedral_infinite", "dihedral")])
+def test_kernel_check_catches_a_kernel_element_at_radius_n(selector, family):
+    # a level-n map corrupted to C_n or D_n keeps every element of length
+    # below n and kills t^n and t'^n: the only short kernel elements lie on
+    # the ball's last layer, so a search one layer short passes the map
+    oracle = oracle_from_selector(selector)
+    words = ball_words(oracle, 8)
+    for n in (2, 3, 5, 8):
+        corrupted = resfin.Level(oracle, n, resfin._FamilyQuotient(family, n))
+        report = kernel_min_length_check(oracle, n, level_map=corrupted)
+        first = next(i for i, w in enumerate(words) if w and corrupted.apply(w) == 0)
+        assert len(words[first]) == n and words[first] == parse_word(oracle, " ".join(["t"] * n))
+        assert report == {"passed": False, "level": n, "radius": n, "checked": first,
+                          "counterexample": " ".join(["t"] * n)}
+
+
+def test_kernel_check_spells_its_counterexample_from_the_tree():
+    # on a product the first kernel element of a corrupted level-3 map is
+    # the right side's t^3, reached after words with letters of both sides
+    oracle = oracle_from_selector("product:integers,dihedral_infinite")
+    sides = (resfin._FamilyQuotient("cyclic", 12), resfin._FamilyQuotient("dihedral", 3))
+    corrupted = resfin.Level(oracle, 3, resfin.PairQuotient(sides, (2, 3)))
+    words = ball_words(oracle, 3)
+    first = next(i for i, w in enumerate(words) if w and corrupted.apply(w) == 0)
+    assert kernel_min_length_check(oracle, 3, level_map=corrupted) == {
+        "passed": False, "level": 3, "radius": 3, "checked": first, "counterexample": "2.t 2.t 2.t"}
+    assert words[first] == parse_word(oracle, "2.t 2.t 2.t")
+
+
+def test_kernel_check_memory_does_not_grow_with_word_lengths():
+    # the ball of finite:5000 at radius 5000 has 5000 elements whose words
+    # average 1250 letters: as words it took 51 MB, as a tree under 1 MB
+    oracle = oracle_from_selector("finite:5000")
+    build_level_map(oracle, 5000)
+    tracemalloc.start()
+    try:
+        report = kernel_min_length_check(oracle, 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["passed"] and report["checked"] == 4999
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("selector, radius", [
+    ("integers", 6), ("dihedral_infinite", 5), ("finite:7", 5), ("product:integers,integers", 4),
+    ("product:integers,dihedral_infinite,finite:3", 3)])
+def test_ball_is_the_spanning_tree_of_least_shortest_words(selector, radius):
+    # one element per key, in (length, lex) order of each element's least
+    # word: every word up to the radius, in that order, keeping the first
+    # per key; each element's parent comes earlier and spells its prefix
+    oracle = oracle_from_selector(selector)
+    least = {oracle.identity_key: ()}
+    for w in _words(oracle, radius):
+        least.setdefault(oracle.element_key(w), w)
+    parents, gens = oracle.ball(radius)
+    words = ball_words(oracle, radius)
+    assert words == list(least.values())
+    assert parents[0] == 0 and gens[0] == -1
+    for i in range(1, len(words)):
+        assert parents[i] < i and words[i] == words[parents[i]] + (gens[i],)
+        assert resfin._ball_word((parents, gens), i) == words[i]
 
 
 def test_efrf_query_rejects_non_separating_quotient():
@@ -1100,6 +1171,16 @@ def _modulo_walk(quotient, s):
     return quotient.label[np.concatenate(cycles)], np.arange(0, quotient.order + 1, n)
 
 
+def test_cyclic_codes_match_their_modulo_form():
+    # the visit order of C_k, written without a remainder: element for
+    # element and dtype for dtype the order of the % form
+    for k in [*range(1, 301), 27720]:
+        x = np.arange(k, dtype=np.int32)
+        want = np.where(x % 2 == 1, (x + 1) // 2, k - x // 2) % k
+        codes = resfin._cyclic_codes(k)
+        assert codes.dtype == want.dtype and np.array_equal(codes, want), k
+
+
 @pytest.mark.parametrize("closed_form", [_cyclic_quotient, _dihedral_quotient])
 def test_rotation_walks_match_their_modulo_form(closed_form):
     # the rotations' cycles, t and t' alike, written without a remainder:
@@ -1250,7 +1331,7 @@ def test_words_outside_the_generators_are_refused(selector, entry):
 
 
 def test_ball_is_deduplicated(dinf):
-    ball = dinf.ball(2)
+    ball = ball_words(dinf, 2)
     keys = [dinf.element_key(w) for w in ball]
     assert len(keys) == len(set(keys))
     assert () in ball

@@ -1,7 +1,12 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -55,6 +60,7 @@ from branchgroups.wordcalc import (
     seed_is_trivial,
     verify_certificate,
 )
+from conftest import ball_words
 
 
 @pytest.fixture(scope="module")
@@ -484,6 +490,75 @@ def test_tampered_refutation_fails_verification(dinf):
         assert not verify_certificate(bad, g, k)
 
 
+@functools.cache
+def _even_markers():
+    """The even marker permutations, in lexicographic order of their image
+    tuples: the enumeration the conjugator scan once walked."""
+    perms = (Perm(MARKER_ALPHABET, images, check=False) for images in itertools.permutations(range(6)))
+    return tuple(p for p in perms if p.sign == 1)
+
+
+def _reference_marker_conjugator(a, b):
+    """The first of :func:`_even_markers` with c^-1 a c = b, by composing
+    permutations, or None."""
+    for c in _even_markers():
+        if compose(compose(c.inverse(), a), c) == b:
+            return c
+    return None
+
+
+def test_marker_conjugator_matches_the_even_marker_enumeration():
+    # every even a against a seeded conjugate c^-1 a c, c even or odd (an
+    # odd c may leave no even conjugator), and against a seeded marker of
+    # another cycle type, which no conjugator reaches
+    rng = random.Random(40)
+    markers = _even_markers()
+    everything = [Perm(MARKER_ALPHABET, images) for images in itertools.permutations(range(6))]
+    found = 0
+    for a in markers:
+        c = rng.choice(everything)
+        b = compose(compose(c.inverse(), a), c)
+        got = wordcalc._marker_conjugator(a, b)
+        assert got == _reference_marker_conjugator(a, b), (str(a), str(b))
+        if got is not None:
+            found += 1
+            assert got.sign == 1 and compose(compose(got.inverse(), a), got) == b
+        other = rng.choice([m for m in markers if m.cycle_type() != a.cycle_type()])
+        assert wordcalc._marker_conjugator(a, other) is None
+    assert 0 < found < len(markers)  # some odd c leave no even conjugator
+
+
+def test_first_conjugacy_certificate_builds_a_handful_of_perms():
+    # a fresh process, so no earlier call has warmed anything: route (a)
+    # proves the pair after building a few Perms, where a listing of the
+    # even markers built 720 before the first one was tried
+    script = """if True:
+        import collections
+        from branchgroups import perm
+        from branchgroups.alphabet import MARKER_ALPHABET, Seed, marker_perm
+        from branchgroups.resfin import DihedralOracle, parse_word
+        from branchgroups.wordcalc import conjugacy_certificate
+        oracle = DihedralOracle()
+        g = Seed(oracle, parse_word(oracle, "t a"), marker_perm("(x y z)(o p q)"))
+        k = Seed(oracle, parse_word(oracle, "t t a t"), marker_perm("(y o z)(x q p)"))
+        built = collections.Counter()
+        real = perm.Perm.__init__
+        def counting(self, alphabet, *args, **kwargs):
+            built[alphabet is MARKER_ALPHABET] += 1
+            real(self, alphabet, *args, **kwargs)
+        perm.Perm.__init__ = counting
+        cert = conjugacy_certificate(g, k)
+        print(cert.kind, built[True], built[False], cert.conjugator)
+    """
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    kind, markers, others, conjugator = done.stdout.rstrip("\n").split(maxsplit=3)
+    assert (kind, conjugator) == ("conjugate", "H(|(y o p z q))")
+    assert int(markers) + int(others) <= 10
+
+
 def test_conjugacy_never_false_witness(dinf):
     pairs = [
         ("t", "t t"),
@@ -527,7 +602,7 @@ def _conjugator_candidates(oracle, b_gens):
     b_pool = (ident,) + tuple(b_gens)
     seeds = [
         Seed(oracle, gword, m)
-        for gword in oracle.ball(_SEARCH_RADIUS)
+        for gword in ball_words(oracle, _SEARCH_RADIUS)
         for m in _SEARCH_MARKERS
     ]
     yield normal_form(oracle, [])
