@@ -732,7 +732,7 @@ class Level(IndexedAlphabet):
 
     The map is the corestriction of the product of the quotients that
     the residual-finiteness query answers on the nontrivial elements of
-    word length 1 to n (:func:`level_components`); ``apply(word)`` is the
+    word length 1 to n (:func:`_components_to`); ``apply(word)`` is the
     word's element of ``quotient``, and ``step(code, s)`` a running code
     times generator ``s`` (:meth:`FiniteQuotient.step`).  Every nontrivial
     kernel element has word length at least n + 1: an element of length
@@ -794,7 +794,7 @@ class Level(IndexedAlphabet):
         raise KeyError(f"unknown letter {label!r}")
 
 
-def level_components(oracle, n):
+def _components_to(oracle, n):
     """The distinct finite quotients whose product is the level-n map.
 
     They are the residual-finiteness query's answers on the shortest
@@ -803,15 +803,8 @@ def level_components(oracle, n):
     components with one ``key`` (the family and parameter, or a pair of
     those) are one quotient with one map from the source.  The oracle
     streams them by word length (:meth:`GroupOracle.components`), so no
-    ball is searched; a key is first met at one length only.  The library
-    folds the stream as it comes (:func:`build_level_map`); this list of
-    it serves the tests.
+    ball is searched; a key is first met at one length only.
     """
-    return list(_components_to(oracle, n))
-
-
-def _components_to(oracle, n):
-    """The oracle's stream of components met at word lengths 1 to n."""
     for k, quotient in oracle.components():
         if k > n:
             return
@@ -820,7 +813,8 @@ def _components_to(oracle, n):
 
 def build_level_map(oracle, n):
     """Build (and cache) the level-n :class:`Level`: its quotient is the
-    image of the input group in the product of :func:`level_components`.
+    image of the input group in the product of the level-n components
+    (:func:`_components_to`).
     Cached per oracle and level, so letter indices are stable across a run.
 
     The image is folded one component at a time: the running image ``A``

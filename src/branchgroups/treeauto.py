@@ -10,10 +10,11 @@ directed seeds invert exactly because the seed assignment is a
 homomorphism, which the test suite checks.
 
 Nothing is materialized unless asked for: sections, vertex evaluation and
-the breadth-first triviality search all run on the expression structure,
-with paths as tuples of letter indices; a :class:`Vertex`, a path of
-alphabet labels, is converted on the way in and out only.  Full level
-permutations are only built on demand, under the oracle's vertex cap.
+the one breadth-first walk over sections, which the triviality search and
+the portrait both read, run on the expression structure, with paths as
+tuples of letter indices; a :class:`Vertex`, a path of alphabet labels, is
+converted on the way in and out only.  Full level permutations are only
+built on demand, under the oracle's vertex cap.
 
 A directed automorphism at base level n fixes every first-level letter and
 acts below letter d as follows: below x it is the directed automorphism of
@@ -365,41 +366,61 @@ def _eval_indices(a, indices):
 # depth-bounded decision procedures
 
 
+def _section_levels(start, depth, children_of):
+    """The breadth-first walk over sections from ``start``, one level of
+    entries ``(node, up, letter)`` per step down to depth ``depth - 1``:
+    ``node`` is the section at letter index ``letter`` below entry ``up``
+    of the level above (both None at the root), and ``children_of(node)``
+    maps letter indices to its nontrivial sections.  Nodes with equal
+    keys share their entire subtree behavior, so the next level holds the
+    children of the first entry per key, in ``children_of``'s order, and
+    keys are computed only when the reader asks for that level.  The walk
+    stops at an empty level."""
+    level = [(start, None, None)]
+    for _ in range(depth - 1):
+        yield level
+        expanded = set()
+        nxt = []
+        up = 0
+        for node, _, _ in level:
+            k = node.key()
+            if k not in expanded:
+                expanded.add(k)
+                for letter, child in children_of(node).items():
+                    nxt.append((child, up, letter))
+            up += 1
+        if not nxt:
+            return
+        level = nxt
+    if depth:
+        yield level
+
+
 def section_search(start, depth, root_of, children_of):
     """The first vertex of depth at most ``depth`` moved by ``start``, or
     None if every such vertex is fixed.
 
-    Breadth-first over sections: nodes are tree automorphisms or normal
-    words, ``root_of(node)`` is the node's first-level permutation and
-    ``children_of(node)`` maps first-level letter indices to the node's
-    nontrivial sections.  Each level tests the root of every node before
-    it expands any node, so a moved root one level down ends the search
-    without a further expansion.  Two vertices whose sections have equal
-    keys share their entire subtree behavior, so only the first node of a
-    level with a given key is expanded, and keys are computed only for
-    the nodes of a level that is expanded.  A level may hold duplicates;
-    they have equal roots, so the first moved node of a level is the same
-    with and without them.
+    Nodes are tree automorphisms or normal words, and ``root_of(node)``
+    is a node's first-level permutation.  Every root of a level of
+    :func:`_section_levels` is tested before the next level is asked
+    for, so a moved root ends the search without a further expansion;
+    the witness path is spelled from the ``up`` pointers.  A level may
+    hold duplicates; they have equal roots, so the first moved node of a
+    level is the same with and without them.
     """
-    level = [(start, ())]
-    for d in range(depth):
-        for node, path in level:
+    levels = []
+    for level in _section_levels(start, depth, children_of):
+        levels.append(level)
+        i = 0
+        for node, _, _ in level:
             r = root_of(node)
             if not r.is_identity:
-                moved = np.flatnonzero(r.images != r.alphabet.identity_images)
-                return _vertex(start.oracle, start.base_level, path + (int(moved[0]),))
-        if d + 1 == depth:
-            break
-        expanded = set()
-        nxt = []
-        for node, path in level:
-            k = node.key()
-            if k not in expanded:
-                expanded.add(k)
-                nxt.extend((child, path + (idx,)) for idx, child in children_of(node).items())
-        if not nxt:
-            break
-        level = nxt
+                path = [int(np.flatnonzero(r.images != r.alphabet.identity_images)[0])]
+                for entries in reversed(levels[1:]):
+                    _, i, letter = entries[i]
+                    path.append(letter)
+                return _vertex(start.oracle, start.base_level, path[::-1])
+            i += 1
     return None
 
 
@@ -606,12 +627,9 @@ class Portrait:
     lexicographically and its vertices' path texts come from the level
     above (:meth:`level_texts`).
 
-    ``rows``, ``perms`` and ``labels`` give the same vertices one object
-    each, built when read: ``rows`` as printed text ``(path, parent
-    path, label)`` with ``None`` as the root's parent, ``perms`` as
-    ``(path, perm)`` with the path a tuple of letter labels, and
-    ``labels`` as a dict from each :class:`Vertex` to its permutation,
-    all three in row order."""
+    ``labels`` gives the same vertices one object each, built when read:
+    a dict from each :class:`Vertex` to its permutation, in level
+    order."""
 
     def __init__(self, oracle, depth, base_level, levels, section_perms, section_labels):
         self.oracle = oracle
@@ -639,75 +657,61 @@ class Portrait:
             yield texts
 
     @property
-    def rows(self):
-        """``(path, parent path, label)`` texts of every vertex."""
-        out, above = [], [None]
-        labels = self.section_labels
-        for texts, ids in zip(self.level_texts(), self.levels):
-            k = len(texts) // len(above)
-            out += zip(texts, _repeat_each(above, k), map(labels.__getitem__, ids))
-            above = texts
-        return out
-
-    @property
-    def perms(self):
-        """``(path, perm)`` of every vertex, the path a tuple of labels."""
-        out, paths = [], [()]
+    def labels(self):
+        """A dict from each :class:`Vertex` to its permutation."""
+        out, paths = {}, [()]
         for d, ids in enumerate(self.levels):
             if d:
                 names = self._names(d)
                 paths = [p + (n,) for p in paths for n in names]
-            out += zip(paths, map(self.section_perms.__getitem__, ids))
+            for path, s in zip(paths, ids):
+                out[Vertex(self.base_level, path)] = self.section_perms[s]
         return out
-
-    @property
-    def labels(self):
-        """A dict from each :class:`Vertex` to its permutation."""
-        return {Vertex(self.base_level, path): perm for path, perm in self.perms}
 
 
 def portrait(a, depth):
     """The portrait of ``a`` down to ``depth``: every vertex above that
     depth is labeled with the first-level permutation of its section.
 
-    Built one level at a time.  A section is interned by its key the
-    first time it is met, with its root permutation and label text;
-    each distinct section of an inner level gets one row of child ids
-    over the letters below it, the identity's id wherever it has no
-    nontrivial section.  The next level is its level's rows laid end to
-    end, so no vertex gets an object or a lookup of its own.  Guarded by
-    the vertex cap."""
+    Reads the levels of :func:`_section_levels`, interning each section
+    by its key as an id with its root permutation and label text.  Each
+    distinct section of a level gets one row of child ids, the identity's
+    id except where the walk's next level holds a child; the next level
+    is those rows laid end to end, so no vertex gets an object or a
+    lookup of its own.  Guarded by the vertex cap."""
     total, cap = 0, a.oracle.vertex_cap
     for d in range(depth):
         total += vertex_count(a.oracle, a.base_level, d)
         if total > cap:
             raise CapExceeded(f"portrait would label more than {cap} vertices")
-    index, nodes, perms, labels, child_rows = {}, [], [], [], []
+    index, perms, labels = {}, [], []
 
     def intern(node):
         key = node.key()
         s = index.get(key)
         if s is None:
-            s = index[key] = len(nodes)
+            s = index[key] = len(perms)
             r = root_perm(node)
-            nodes.append(node)
             perms.append(r)
             labels.append(str(r))
-            child_rows.append(None)
         return s
 
-    levels = [[intern(a)]] if depth else []
-    for d in range(1, depth):
-        below = a.base_level + d
-        ident = intern(identity_aut(a.oracle, below))
-        size = build_alphabet(a.oracle, below).size
-        level = levels[-1]
-        for s in dict.fromkeys(level):
-            row = [ident] * size
-            for i, child in nontrivial_children(nodes[s]).items():
-                row[i] = intern(child)
-            child_rows[s] = row
-        levels.append([c for s in level for c in child_rows[s]])
+    walk = _section_levels(a, depth, nontrivial_children)
+    levels, above = [], []
+    for d in range(depth):
+        entries = next(walk, ())  # () below the walk's empty level
+        ids = [intern(node) for node, _, _ in entries]
+        level = ids
+        if d:
+            below = a.base_level + d
+            ident = intern(identity_aut(a.oracle, below))
+            size = build_alphabet(a.oracle, below).size
+            rows = {s: [ident] * size for s in dict.fromkeys(levels[-1])}
+            for s, (_, up, letter) in zip(ids, entries):
+                rows[above[up]][letter] = s
+            level = [c for s in levels[-1] for c in rows[s]]
+        levels.append(level)
+        above = ids
     return Portrait(a.oracle, depth, a.base_level, levels, perms, labels)
 
 

@@ -65,6 +65,18 @@ def test_wp_long_seed_run_under_a_raised_depth_cap(tmp_path, capsys):
     assert out.splitlines() == ["nontrivial (ell=4000, depth=8000)", "witness y@1 q0@2"]
 
 
+def test_wp_deep_witness_path(tmp_path, capsys):
+    # t^2520 survives only in the level-10 action: the witness path is
+    # spelled through nine levels of the section walk
+    path = write(tmp_path, "w.txt", "H(" + " t" * 2520 + "|())")
+    code, out, _ = run(capsys, "--depth-cap", "5040", "wp", path)
+    assert code == 0
+    assert out.splitlines() == [
+        "nontrivial (ell=2520, depth=5040)",
+        "witness x@1 x@2 x@3 x@4 x@5 x@6 x@7 x@8 y@9 q0@10",
+    ]
+
+
 def test_wp_parse_error_exit_2(tmp_path, capsys):
     path = write(tmp_path, "w.txt", "B((x@1 y@1))")
     code, out, err = run(capsys, "wp", path)

@@ -24,13 +24,18 @@ from branchgroups.resfin import (
     decide_word_problem,
     format_quotient_map,
     kernel_min_length_check,
-    level_components,
     oracle_from_selector,
     parse_word,
     word_inverse,
 )
 from branchgroups.wordcalc import seed_is_trivial
 from conftest import ball_words
+
+
+def level_components(oracle, n):
+    """The level-n map's components as a list: the oracle's stream of
+    quotients met at word lengths 1 to n."""
+    return [q for _, q in itertools.takewhile(lambda met: met[0] <= n, oracle.components())]
 
 
 @pytest.fixture(scope="module")

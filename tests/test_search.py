@@ -1,6 +1,6 @@
-"""The shared breadth-first section search behind ``decide`` and
-``nontrivial_vertex``, the names the benchmark's span recorders wrap, and
-the names each module exports."""
+"""The shared breadth-first section walk behind ``decide``,
+``nontrivial_vertex`` and ``portrait``, the names the benchmark's span
+recorders wrap, and the names each module exports."""
 
 import ast
 import hashlib
@@ -11,6 +11,7 @@ import pathlib
 import pkgutil
 import random
 
+import numpy as np
 import pytest
 
 import branchgroups
@@ -20,13 +21,19 @@ from branchgroups.perm import Perm
 from branchgroups.resfin import oracle_from_selector
 from branchgroups.suites import random_token
 from branchgroups.treeauto import (
+    Vertex,
+    _vertex,
+    embed_shift,
     eval_vertex,
+    first_moved_level,
     identity_aut,
     nontrivial_children,
     nontrivial_vertex,
     root_perm,
     rooted,
+    product,
     section_search,
+    vertex_count,
 )
 from branchgroups.wordcalc import NormalWord, decide, letters_aut, normal_form, section_letters
 
@@ -103,6 +110,120 @@ def test_section_search_digest(selector):
         nontrivial += not d.trivial
     assert trivial >= 10 and nontrivial >= 10
     assert (decided.hexdigest(), raw.hexdigest()) == _SEARCH_DIGESTS[selector]
+
+
+def _reference_search(start, depth, root_of, children_of):
+    """The section search as one loop that carries each node's path as a
+    tuple and keeps a set of expanded keys per level: the first root moved
+    on the shallowest level, each level's roots tested before it is
+    expanded, only the first node per key expanded."""
+    level = [(start, ())]
+    for d in range(depth):
+        for node, path in level:
+            r = root_of(node)
+            if not r.is_identity:
+                moved = np.flatnonzero(r.images != r.alphabet.identity_images)
+                return _vertex(start.oracle, start.base_level, path + (int(moved[0]),))
+        if d + 1 == depth:
+            break
+        expanded = set()
+        nxt = []
+        for node, path in level:
+            k = node.key()
+            if k not in expanded:
+                expanded.add(k)
+                nxt.extend((child, path + (idx,)) for idx, child in children_of(node).items())
+        if not nxt:
+            break
+        level = nxt
+    return None
+
+
+def _check_witness(aut, witness):
+    """``aut`` moves ``witness`` and, where the levels fit under the vertex
+    cap, fixes every level above it."""
+    assert eval_vertex(aut, witness) != witness
+    if vertex_count(aut.oracle, aut.base_level, witness.depth) <= aut.oracle.vertex_cap:
+        assert first_moved_level(aut, witness.depth) == witness.depth
+
+
+@pytest.mark.parametrize("selector", sorted(_SEARCH_DIGESTS))
+def test_section_search_matches_the_reference_loop(selector):
+    # the digest's words, under the decider's rule to depth 2 ell and the
+    # automorphisms' rule to depth min(2 ell, 4)
+    oracle = oracle_from_selector(selector)
+    found = 0
+    for tseq in _search_words(oracle, random.Random(404)):
+        word, aut = normal_form(oracle, tseq), letters_aut(oracle, 0, tseq)
+        rules = (
+            (word, 2 * word.sigma_length, NormalWord.root_perm, section_letters),
+            (aut, min(2 * word.sigma_length, 4), root_perm, nontrivial_children),
+        )
+        for args in rules:
+            witness = section_search(*args)
+            assert witness == _reference_search(*args)
+            if witness is not None:
+                _check_witness(aut, witness)
+                found += 1
+    assert found >= 20
+
+
+def _three_cycle(alphabet, rng):
+    img = list(range(alphabet.size))
+    a, b, c = rng.sample(img, 3)
+    img[a], img[b], img[c] = b, c, a
+    return Perm(alphabet, img), min(a, b, c)
+
+
+@pytest.mark.parametrize("moved_depth", [3, 4])
+def test_section_search_spells_paths_below_duplicate_keys(moved_depth):
+    # level 1 holds the sections at letters f and g; level 2 the sections
+    # below them: an idle section A (fixing every vertex above depth 5)
+    # and C below f, and C' below g, where C and C' have equal keys (built
+    # apart) and move a vertex at depth 3 or 4.  The witness lies below
+    # C, which is second on its level, under the first entry of level 1
+    oracle = oracle_from_selector("integers")
+    alphabets = [build_alphabet(oracle, n) for n in range(1, 6)]
+    rng = random.Random(41)
+    for _ in range(8):
+        f, g = rng.sample(range(alphabets[0].size), 2)
+        firsts = (f, f, g)
+        seconds = rng.sample(range(alphabets[1].size), 2) + [rng.randrange(alphabets[1].size)]
+        below = alphabets[2].label(rng.randrange(alphabets[2].size))
+        idle_perm, _ = _three_cycle(alphabets[4], rng)
+        idle = embed_shift(Vertex(2, (below, alphabets[3].label(0))), rooted(oracle, 4, idle_perm))
+        perm, moved = _three_cycle(alphabets[moved_depth - 1], rng)
+        if moved_depth == 3:
+            movers = [rooted(oracle, 2, perm) for _ in range(2)]
+        else:
+            movers = [embed_shift(Vertex(2, (below,)), rooted(oracle, 3, perm)) for _ in range(2)]
+        assert movers[0] is not movers[1] and movers[0].key() == movers[1].key()
+        a = product([
+            embed_shift(Vertex(0, (alphabets[0].label(first), alphabets[1].label(second))), inner)
+            for first, second, inner in zip(firsts, seconds, [idle, *movers])
+        ])
+        expected = [alphabets[0].label(f), alphabets[1].label(seconds[1])]
+        expected += [below] if moved_depth == 4 else []
+        expected.append(alphabets[moved_depth - 1].label(moved))
+        args = (a, 6, root_perm, nontrivial_children)
+        witness = section_search(*args)
+        assert witness == Vertex(0, tuple(expected)) == _reference_search(*args)
+        _check_witness(a, witness)
+
+
+@pytest.mark.parametrize("power", [12, 2520])
+def test_section_search_spells_a_long_path(power):
+    # the seed letter of t^power moves nothing above depth 4 (power 12)
+    # or depth 10 (power 2520)
+    oracle = oracle_from_selector("dihedral_infinite")
+    word = normal_form(oracle, wordcalc.parse_tokens(oracle, "H(" + " t" * power + "|())"))
+    args = (word, 2 * word.sigma_length, NormalWord.root_perm, section_letters)
+    witness = section_search(*args)
+    assert witness == _reference_search(*args)
+    assert witness.depth == {12: 4, 2520: 10}[power]
+    aut = word.to_aut()
+    assert nontrivial_vertex(aut, witness.depth) == witness
+    _check_witness(aut, witness)
 
 
 def test_empty_word_is_trivial_at_depth_zero():

@@ -693,6 +693,19 @@ def test_equal_to_depth_detects_difference(dinf):
     assert d.letters[0] == "z@1"
 
 
+def _walked_rows(a, depth):
+    """``(vertex, parent path text, root permutation of the section)`` of
+    every vertex above ``depth``, breadth-first in letter-index order,
+    with ``None`` as the root's parent; each section is walked from the
+    root one letter at a time."""
+    oracle, base = a.oracle, a.base_level
+    vertices = [vertex_at(oracle, base, d, i) for d in range(depth) for i in range(vertex_count(oracle, base, d))]
+    return [
+        (v, str(Vertex(base, v.letters[:-1])) if v.depth else None, root_perm(section(a, v)))
+        for v in vertices
+    ]
+
+
 def test_portrait_directed_marker(dinf):
     # the seed with marker (x y z): depth-2 portrait has the 3-cycle at z1
     h = Seed(dinf, (), marker_perm("(x y z)"))
@@ -704,9 +717,11 @@ def test_portrait_directed_marker(dinf):
     assert p.labels[z1] == Perm.from_cycles(lvl2.alphabet, "(x@2 y@2 z@2)")
     x1 = Vertex(0, ("x@1",))
     assert p.labels[x1].is_identity
-    # the (path, perm) pairs run in row order, and labels is built from them
-    assert [str(perm) for _, perm in p.perms] == [label for _, _, label in p.rows]
-    assert list(p.labels) == [Vertex(0, path) for path, _ in p.perms]
+    # labels run in row order, each the root permutation of the section
+    # walked from the root
+    rows = _walked_rows(a, 2)
+    assert [str(perm) for perm in p.labels.values()] == [str(perm) for _, _, perm in rows]
+    assert list(p.labels) == [v for v, _, _ in rows]
 
 
 def test_portrait_identity_and_text(zz):
@@ -742,18 +757,19 @@ def test_portrait_rows_match_sections_walked_from_the_root(portrait_oracles, tmp
     tokens = [random_token(oracle, rng) for _ in range(length)]
     a = letters_aut(oracle, 0, tokens)
     p = portrait(a, depth)
-    rows = p.rows
+    walked = _walked_rows(a, depth)
+    vertices = [v for v, _, _ in walked]
+    rows = [(str(v), parent, str(perm)) for v, parent, perm in walked]
     # breadth-first in letter-index order: shallow levels first, each
     # level in the lexicographic order of its letter indices
-    vertices = [vertex_at(oracle, 0, d, i) for d in range(depth) for i in range(vertex_count(oracle, 0, d))]
-    assert [path for path, _, _ in rows] == [str(v) for v in vertices]
-    assert [parent for _, parent, _ in rows] == [None if not v.depth else str(Vertex(0, v.letters[:-1])) for v in vertices]
+    assert [path for texts in p.level_texts() for path in texts] == [str(v) for v in vertices]
+    assert list(p.labels) == vertices
     # each label is the root permutation of the section at the row's
     # path, reached from the root one letter at a time
-    assert [label for _, _, label in rows] == [str(root_perm(section(a, v))) for v in vertices]
+    assert [p.section_labels[s] for ids in p.levels for s in ids] == [label for _, _, label in rows]
     # every view of the portrait agrees with the rows
-    assert [(Vertex(0, path), str(perm)) for path, perm in p.perms] == [(v, label) for v, (_, _, label) in zip(vertices, rows)]
-    assert list(p.labels.items()) == [(Vertex(0, path), perm) for path, perm in p.perms]
+    assert [(v, str(perm)) for v, perm in p.labels.items()] == [(v, label) for v, (_, _, label) in zip(vertices, rows)]
+    assert list(p.labels.items()) == [(v, perm) for v, _, perm in walked]
     assert portrait_text(p) == "\n".join([f"portrait depth={depth}"] + [f"{path} {label}" for path, _, label in rows])
     assert portrait_dot(p) == "\n".join(
         ["digraph portrait {"]
