@@ -146,9 +146,11 @@ class _FamilyQuotient(FiniteQuotient):
     """A cyclic or dihedral quotient, given by its ``key``: the family and
     the parameter ``n``.  Ambient code ``e*n + m`` stands for a^e t^m,
     with e = 0 only in C_n, so the order and the generators' codes (``a``,
-    then ``t`` and ``t'``) follow from the key, and the visit order
-    (:func:`_cyclic_codes`, :func:`_dihedral_codes`) is written on first
-    read.  Multiplication is the product rule
+    then ``t`` and ``t'``) follow from the key.  The visit order is
+    written once, on first read, as ``label``, the element of each code
+    (:func:`_cyclic_label`, :func:`_dihedral_label`); ``codes`` is its
+    inverse, built only when ``shape``, a left multiplication or an
+    element's order reads it.  Multiplication is the product rule
 
         a^e' t^m' . a^e t^m = a^(e'+e) t^((-1)^e m' + m)
 
@@ -158,10 +160,10 @@ class _FamilyQuotient(FiniteQuotient):
     - a word's running code is its ambient code, its generators' codes
       multiplied from the identity one :meth:`step` at a time, and left
       multiplication is one gather of the rule;
-    - ``t`` is one n-cycle t^0 -> t^1 -> ... in C_n, and two in D_n,
-      (0, m) -> (0, m+1) from element 0 and (1, m) -> (1, m-1) from
-      element 1; ``a`` swaps (0, m) and (1, m), (0, m) first, the cycles
-      in the visit order of the rotations (:meth:`cycle_walk`);
+    - each generator's cycles are written from ``label`` as element
+      indices (:meth:`cycle_walk`): ``t`` runs the rotations' labels
+      from element 0 and, in D_n, the reflections' the other way from
+      element 1, and ``a`` pairs each rotation with its reflection;
     - an element's order is 2 for a reflection and n / gcd(m, n) for a
       rotation.
 
@@ -177,12 +179,15 @@ class _FamilyQuotient(FiniteQuotient):
         self._gens = (1 % n, -1 % n) if family == "cyclic" else (n, 1 % n, -1 % n)
 
     @cached_property
-    def codes(self):
-        return (_cyclic_codes if self.order == self.n else _dihedral_codes)(self.n)
+    def label(self):
+        label = (_cyclic_label if self.order == self.n else _dihedral_label)(self.n)
+        # read-only, since the cycle of t in C_n is the label itself
+        label.flags.writeable = False
+        return label
 
     @cached_property
-    def label(self):
-        return _inverse(self.codes)
+    def codes(self):
+        return _inverse(self.label)
 
     def _product(self, left, right):
         """The code of the product of the elements coded ``left`` and
@@ -228,23 +233,39 @@ class _FamilyQuotient(FiniteQuotient):
 
     def cycle_walk(self, s):
         """Left multiplication by generator ``s`` in the layout of
-        :func:`perm._cycle_walk`: the cycles of ``a``, ``t`` or ``t'`` from
-        the visit order, each from its least element."""
+        :func:`perm._cycle_walk`, each cycle from its least element,
+        written as element indices from ``label`` with no gather.  With
+        P = n//2 and M = (n-1)//2:
+
+        - ``t`` walks t^0, t^1, ..., t^(n-1) from element 0: the
+          rotations' labels as they stand, (0 1 3 ... 2P-1 2M ... 4 2) in
+          C_n, where the walk is the read-only ``label`` itself, and
+          (0 2 6 ... 4M-2 [2n-2] 4M-1 ... 7 3) in D_n.  In D_n it
+          walks a, a t^-1, a t^-2, ... from element 1: the reflections'
+          labels backwards after the first, (1 5 9 ... 4M+1 [2n-1] 4M ...
+          8 4).  ``t'`` runs each cycle the other way.
+        - ``a`` swaps t^m and a t^m: (0 1)(2 4)(3 5)(6 8)(7 9)... up to
+          (4M-1 4M+1), then (2n-2 2n-1), each cycle from its rotation.
+
+        The bracketed places and the last cycle of ``a`` are those of
+        t^(n/2) and a t^(n/2), at even n only."""
         n = self.n
-        codes, label = self.codes, self.label
         e, m = divmod(self._gens[s], n)
         if e:
-            rotations = codes[codes < n]
-            return label[np.stack([rotations, rotations + n], axis=1).ravel()], np.arange(0, self.order + 1, 2)
-        # the codes of t^0, t^1, ..., t^(n-1) and of t^0, t^(n-1), ..., t^1,
-        # written without a remainder: t walks up from element 0 and t'
-        # down, and in D_n each walks the reflections (codes n and up)
-        # the other way
-        up = np.arange(n, dtype=np.int32)
-        down = n - up
-        down[0] = 0
-        cycles = ((up, down + n) if m == 1 else (down, up + n))[: self.order // n]
-        return label[np.concatenate(cycles)], np.arange(0, self.order + 1, n)
+            # 0..2n-1 with 4m - 1 and 4m swapped for m = 1..M, so that
+            # (4m-2 4m) and (4m-1 4m+1) are cycles
+            letters = np.arange(self.order, dtype=np.int32)
+            paired = 4 * ((n - 1) // 2) + 2
+            letters[3:paired:4] += 1
+            letters[4:paired:4] -= 1
+            return letters, np.arange(0, self.order + 1, 2)
+        label, bounds = self.label, np.arange(0, self.order + 1, n)
+        rotations, reflections = label[:n], label[n:]
+        if m != 1:
+            return np.concatenate((rotations[:1], rotations[:0:-1], reflections)), bounds
+        if self.order == n:
+            return label, bounds
+        return np.concatenate((rotations, reflections[:1], reflections[:0:-1])), bounds
 
     def factors_through(self, other):
         """Whether this quotient's map from the source factors through
@@ -259,29 +280,46 @@ class _FamilyQuotient(FiniteQuotient):
         return _FamilyQuotient(self.key[0], lcm(self.n, other.n))
 
 
-def _cyclic_codes(k):
+def _cyclic_label(k):
     """The visit order of the cyclic group of order ``k`` over ``t``,
-    ``t'``, code ``c`` standing for ``t^c``.  The search reaches t^0, t^1,
-    t^-1, t^2, t^-2, ...; at even ``k``, ``t^(k/2)`` is reached first as a
-    positive power.  So odd places hold 1, 2, ..., k//2, even places from
-    2 on hold k - 1, k - 2, ..., and place 0 holds 0: written with no
-    remainder."""
-    codes = np.zeros(k, dtype=np.int32)
-    codes[1::2] = np.arange(1, k // 2 + 1, dtype=np.int32)
-    codes[2::2] = np.arange(k - 1, k // 2, -1, dtype=np.int32)
-    return codes
+    ``t'``, as the element of each code, code ``c`` standing for ``t^c``.
+    The search reaches t^0, t^1, t^-1, t^2, t^-2, ..., so t^j is element
+    2j - 1 and t^-j element 2j; at even ``k``, ``t^(k/2)`` is reached
+    first as a positive power, at k - 1.  Written with no remainder."""
+    half = k // 2
+    label = np.empty(k, dtype=np.int32)
+    label[0] = 0
+    label[1 : half + 1] = np.arange(1, 2 * half, 2, dtype=np.int32)
+    label[half + 1 :] = np.arange(2 * (k - half - 1), 0, -2, dtype=np.int32)
+    return label
 
 
-def _dihedral_codes(h):
+def _cyclic_codes(k):
+    """The visit order of the cyclic group of order ``k`` as the code of
+    each element: the inverse of :func:`_cyclic_label`."""
+    return _inverse(_cyclic_label(k))
+
+
+def _dihedral_label(h):
     """The visit order of the dihedral group of order ``2h`` over ``a``,
-    ``t``, ``t'``, code ``e*h + m`` standing for ``a^e t^m``.  The search
-    reaches (0, 0), (1, 0), then (0, m), (0, -m), (1, m), (1, -m) for
-    m = 1, 2, ..., each code where it first appears; at even ``h``,
-    ``m = h/2`` adds (0, h/2) and (1, h/2) only."""
-    m = np.arange(1, (h + 1) // 2, dtype=np.int32)
-    first = np.array([0, h], dtype=np.int32)
-    middle = first + h // 2 if h % 2 == 0 else first[:0]
-    return np.concatenate((first, np.stack([m, h - m, h + m, 2 * h - m], axis=1).ravel(), middle))
+    ``t``, ``t'``, as the element of each code, code ``e*h + m`` standing
+    for ``a^e t^m``.  The search reaches t^0 and a, then t^m, t^-m, a t^m,
+    a t^-m for m = 1, 2, ..., M = (h-1)//2, each at 4m - 2, 4m - 1, 4m
+    and 4m + 1; at even ``h``, ``t^(h/2)`` and ``a t^(h/2)`` come last,
+    at 2h - 2 and 2h - 1."""
+    last = (h - 1) // 2
+    label = np.empty(2 * h, dtype=np.int32)
+    rotations, reflections = label[:h], label[h:]
+    rotations[0], reflections[0] = 0, 1
+    # 4m for m = 1..M: codes 1..M hold m, codes h-M..h-1 hold -M..-1
+    fours = np.arange(4, 4 * last + 1, 4, dtype=np.int32)
+    rotations[1 : last + 1] = fours - 2
+    rotations[h - last :] = fours[::-1] - 1
+    reflections[1 : last + 1] = fours
+    reflections[h - last :] = fours[::-1] + 1
+    if h % 2 == 0:
+        rotations[h // 2], reflections[h // 2] = 2 * h - 2, 2 * h - 1
+    return label
 
 
 _NOTHING = np.zeros(1, dtype=np.int32)
@@ -903,8 +941,8 @@ def format_quotient_map(qm):
     (:meth:`FiniteQuotient.cycle_walk`): the image of ``inverse[s]`` is
     that of ``s`` inverted, whose cycles are those of ``s`` with each
     tail reversed.  A cyclic or dihedral quotient writes the cycles of
-    ``a`` and ``t`` from its visit order, and a product those of each
-    generator from its side's cycles."""
+    ``a`` and ``t`` as element indices from its label, with no codes,
+    and a product those of each generator from its side's cycles."""
     quotient = qm.quotient
     inverse = qm.oracle.inverse
     lines = [f"order {quotient.order}"]

@@ -752,10 +752,14 @@ def test_family_folds_enumerate_nothing(monkeypatch):
         for n in range(1, 11):
             folded.clear()
             image = build_level_map(oracle, n).quotient
-            assert all("codes" not in vars(q) for q in folded), (oracle, n)
+            assert all("label" not in vars(q) and "codes" not in vars(q) for q in folded), (oracle, n)
             assert image is folded[-1] if folded else n == 1, (oracle, n)
         assert not hasattr(image, "right") and not hasattr(image, "gen_images")
+        # the visit order is written as the label; the codes, its inverse,
+        # wait for a reader of their own
         image.label
+        assert "label" in vars(image) and "codes" not in vars(image)
+        image.codes
         assert "codes" in vars(image)
     # so folds and factor tests near 10**9 return at once
     for closed_form in (_cyclic_quotient, _dihedral_quotient):
@@ -1098,6 +1102,9 @@ CANONICAL_DIGESTS = {
     ("product:integers,integers,integers", 3): "198765f29fd9dd3921cb76bb504a1cca3e2e8d86c2da68006e8703681fda894d",
     ("product:integers,integers,integers", 4): "12258bef1fa7cca9b2922952b0f0ad478b08b26f0fecbb1747804804c287ba0f",
     ("product:finite:6,integers", 5): "c4429f2e0675c7b5777d44b6468697afaeae8012f5e1af5e5d90d63d2ba4d824",
+    # recorded while the cycle walks were still gathered from the visit
+    # order's codes; an odd cyclic quotient, with no middle power
+    ("finite:999", 1): "c4d7eb0ad06fd36959196546cff6358c4d7fa7ca81a813e990c010b12439c32d",
 }
 
 
@@ -1155,16 +1162,38 @@ def test_quotient_report_walks_once_per_inverse_pair(monkeypatch):
         assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_DIGESTS[(selector, n)]
 
 
+def test_family_reports_list_no_visit_codes(monkeypatch):
+    """A cyclic or dihedral report writes every generator's cycles from
+    the visit order as the label of each code: it builds no ``codes``,
+    inverts no permutation and gathers nothing over the visit order, and
+    it prints the bytes recorded when it did all three."""
+
+    def refuse(*args):
+        raise AssertionError("visit order inverted or listed as codes")
+
+    monkeypatch.setattr(resfin, "_inverse", refuse)
+    monkeypatch.setattr(resfin, "_cyclic_codes", refuse)
+    for selector, n in [("integers", 12), ("dihedral_infinite", 10), ("finite:999", 1)]:
+        qm = build_level_map(oracle_from_selector(selector), n)
+        text = format_quotient_map(qm)
+        assert "codes" not in vars(qm.quotient), selector
+        assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_DIGESTS[(selector, n)], selector
+
+
 @pytest.mark.parametrize("closed_form", [_cyclic_quotient, _dihedral_quotient])
 def test_closed_form_walks_match_cycle_walk(closed_form):
     # every generator's closed-form cycles are those the generic walk
-    # finds in its left multiplication, computed along the spanning tree
-    for n in range(2, 301):
+    # finds in its left multiplication, computed along the spanning tree;
+    # 27 720 is the parameter of the level-10 chains of the integers and
+    # the infinite dihedral group.  The letters are int32 and the bounds
+    # int64, as the report's kernel reads them
+    for n in [*range(2, 301), 27720]:
         quotient = closed_form(n)
         for s, g in enumerate(_gen_images(quotient)):
             letters, bounds = quotient.cycle_walk(s)
             want_letters, want_bounds = _cycle_walk(_tree_images(quotient, g))
             assert np.array_equal(letters, want_letters) and np.array_equal(bounds, want_bounds), (n, s)
+            assert letters.dtype == np.int32 and bounds.dtype == np.int64, (n, s)
 
 
 def _modulo_walk(quotient, s):
