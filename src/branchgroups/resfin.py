@@ -97,45 +97,57 @@ class FiniteQuotient:
     :class:`_FamilyQuotient` for the cyclic and dihedral groups,
     :class:`PairQuotient` for the image of a direct product.
 
-    Each quotient has:
+    Each quotient numbers its elements one way, by code, and has:
 
     - ``order`` and ``key``, which identifies the quotient up to an
       identical homomorphism from the source and deduplicates components;
-    - ``codes``, the ambient code of each element, and ``label``, the
-      element of each code, both built on first read;
-    - ``step(code, s)``, a word's running code times generator ``s`` by
-      the product rule, code 0 being the identity's, and ``element(code)``,
-      the element of a running code; ``apply_word(word)`` folds ``step``
-      over the word from 0, so no quotient stores a multiplication table;
-    - ``shape``, the depth of each element and its index in the post-order
-      of the search tree (children in generator order), from which a
-      product writes its own enumeration;
-    - ``_left_images(i)``, left multiplication by element ``i`` as one
-      gather, and ``element_order(i)``;
+    - ``codes``, the code of each element, and ``label``, the element of
+      each code, both built on first read; code 0 is the identity's;
+    - ``_product(left, right)``, the code of a product, on int codes or
+      arrays of them alike, its only multiplication rule, and ``_gens``,
+      the code of each generator;
+    - ``_order(code)``, the order of an element;
+    - ``shape``, the depth of each code's element and its index in the
+      post-order of the search tree (children in generator order), from
+      which a product writes its own enumeration;
     - ``cycle_walk(s)``, left multiplication by generator ``s`` in cycles;
     - ``fold`` and ``factors_through``, which work on parameters and side
       by side and enumerate nothing.
 
-    By Cayley's theorem left multiplication by an element of order o in a
-    group of order N has N/o cycles, all of length o, so its sign is
-    (-1)^(N - N/o) (:meth:`left_mult_sign`).
+    The rest is written once, here: a word's running code is its
+    generators' codes multiplied from 0 one :meth:`step` at a time, and
+    its element is that code's (:meth:`element`, :meth:`apply_word`), so
+    no quotient stores a multiplication table; left multiplication by an
+    element is one gather of the product rule over every code
+    (:meth:`left_mult_images`).  By Cayley's theorem left multiplication
+    by an element of order o in a group of order N has N/o cycles, all of
+    length o, so its sign is (-1)^(N - N/o) (:meth:`left_mult_sign`).
     """
+
+    def step(self, code, s):
+        """The code of the element coded ``code`` times generator ``s``."""
+        return self._product(code, self._gens[s])
+
+    def element(self, code):
+        """The element of a code."""
+        return int(self.label[code])
 
     def apply_word(self, word):
         """The element of a word: :meth:`step` folded over its generators
-        from the identity's running code 0, read by :meth:`element`."""
+        from the identity's code 0, read by :meth:`element`."""
         code = 0
         for s in word:
             code = self.step(code, s)
         return self.element(code)
 
     def left_mult_images(self, i):
-        """Image array of left multiplication by element ``i``."""
-        return self._left_images(i).astype(np.int64)
+        """Image array of left multiplication by element ``i``: the
+        element of its code times each code."""
+        return self.label[self._product(int(self.codes[i]), self.codes)].astype(np.int64)
 
     def left_mult_sign(self, i):
         """The sign of left multiplication by element ``i``, from its order."""
-        o = self.element_order(i)
+        o = self._order(int(self.codes[i]))
         return -1 if (self.order - self.order // o) % 2 else 1
 
     def __repr__(self):
@@ -144,22 +156,20 @@ class FiniteQuotient:
 
 class _FamilyQuotient(FiniteQuotient):
     """A cyclic or dihedral quotient, given by its ``key``: the family and
-    the parameter ``n``.  Ambient code ``e*n + m`` stands for a^e t^m,
-    with e = 0 only in C_n, so the order and the generators' codes (``a``,
-    then ``t`` and ``t'``) follow from the key.  The visit order is
-    written once, on first read, as ``label``, the element of each code
+    the parameter ``n``.  Code ``e*n + m`` stands for a^e t^m, with e = 0
+    only in C_n, so the order and the generators' codes (``a``, then ``t``
+    and ``t'``) follow from the key.  The visit order is written once, on
+    first read, as ``label``, the element of each code
     (:func:`_cyclic_label`, :func:`_dihedral_label`); ``codes`` is its
-    inverse, built only when ``shape``, a left multiplication or an
-    element's order reads it.  Multiplication is the product rule
+    inverse, built only when a left multiplication, an element's order or
+    a pair over this quotient reads it.  Multiplication is the product
+    rule
 
         a^e' t^m' . a^e t^m = a^(e'+e) t^((-1)^e m' + m)
 
     on codes, ints or arrays alike (:meth:`_product`), so the left regular
     representation is known outright:
 
-    - a word's running code is its ambient code, its generators' codes
-      multiplied from the identity one :meth:`step` at a time, and left
-      multiplication is one gather of the rule;
     - each generator's cycles are written from ``label`` as element
       indices (:meth:`cycle_walk`): ``t`` runs the rotations' labels
       from element 0 and, in D_n, the reflections' the other way from
@@ -197,23 +207,21 @@ class _FamilyQuotient(FiniteQuotient):
         e, m = divmod(right, n)
         return (f ^ e) * n + (k * (1 - 2 * e) + m) % n
 
-    def step(self, code, s):
-        """The code of the element coded ``code`` times generator ``s``."""
-        return self._product(code, self._gens[s])
-
-    def element(self, code):
-        return int(self.label[code])
+    def _order(self, code):
+        n = self.n
+        e, m = divmod(code, n)
+        return 2 if e else n // gcd(m, n)
 
     @cached_property
     def shape(self):
-        """Depth and post-order index of each element.  With P = n//2 and
+        """Depth and post-order index of each code.  With P = n//2 and
         M = (n-1)//2, the rotation t^m lies at depth m' = min(m, n - m),
         on the t branch of the tree for m <= P and on the t' branch
         otherwise, deepest first: post-order P - m' or P + M - m', and
         n - 1 at the identity.  In D_n a reflection lies one deeper, and
         its branch comes first, so a rotation's index moves up by n."""
         n = self.n
-        e, m = np.divmod(self.codes, n)
+        e, m = np.divmod(np.arange(self.order, dtype=np.int32), n)
         half, rest = n // 2, (n - 1) // 2
         positive = m <= half
         depth = np.where(positive, m, n - m)
@@ -222,14 +230,6 @@ class _FamilyQuotient(FiniteQuotient):
         if self.order > n:
             post += n * (1 - e)
         return depth + e, post
-
-    def _left_images(self, i):
-        return self.label[self._product(int(self.codes[i]), self.codes)]
-
-    def element_order(self, i):
-        n = self.n
-        e, m = divmod(int(self.codes[i]), n)
-        return 2 if e else n // gcd(m, n)
 
     def cycle_walk(self, s):
         """Left multiplication by generator ``s`` in the layout of
@@ -294,12 +294,6 @@ def _cyclic_label(k):
     return label
 
 
-def _cyclic_codes(k):
-    """The visit order of the cyclic group of order ``k`` as the code of
-    each element: the inverse of :func:`_cyclic_label`."""
-    return _inverse(_cyclic_label(k))
-
-
 def _dihedral_label(h):
     """The visit order of the dihedral group of order ``2h`` over ``a``,
     ``t``, ``t'``, as the element of each code, code ``e*h + m`` standing
@@ -331,7 +325,8 @@ class PairQuotient(FiniteQuotient):
     which the product acts trivially) and ``widths`` the numbers of
     generators of G0 and G1, which come first.  The image is all of
     Q0 x Q1, so the order is the product of the sides' orders; the pair
-    (x, y) of side elements has ambient code ``x * |Q1| + y``.
+    of side elements coded c0 and c1 has code ``c0 * |Q1| + c1``, and
+    codes multiply side by side (:meth:`_product`).
 
     The enumeration is written, not searched.  The least geodesic word of
     (x, y) is u.v, u and v being those of x and y, since the side-0
@@ -339,16 +334,17 @@ class PairQuotient(FiniteQuotient):
     u before u' exactly when u comes first in the post-order of the
     side-0 search tree (a word after all its extensions, since after u
     the word goes on with a side-1 generator); for one u they compare by
-    the index of y.  So the visit order sorts the codes by
+    the index of y.  So the visit order sorts the pairs by
     (depth0[x] + depth1[y], post0[x], y) (:func:`_shortlex_pairs`), and
     a pair's own depth and post-order index are depth0[x] + depth1[y]
     and post0[x] * |Q1| + post1[y], so products nest.  With one side
-    trivial, the visit order is the other side's and nothing is sorted.
+    trivial, the codes and the visit order are the other side's and
+    nothing is sorted.
 
-    Everything but the order is built on first read, so a fold, a factor
-    test or a cap check enumerates nothing.  Left multiplication by (f, g)
-    is one gather of the sides' left multiplications, and its order is the
-    lcm of theirs.  Two pairs fold and factor side by side.
+    Everything but the order and the generators' codes is built on first
+    read, so a fold, a factor test or a cap check enumerates nothing.  An
+    element's order is the lcm of its sides'.  Two pairs fold and factor
+    side by side.
     """
 
     def __init__(self, sides, widths):
@@ -357,61 +353,59 @@ class PairQuotient(FiniteQuotient):
         self.key = ("pair", *(None if side is None else side.key for side in sides))
         self._width = _side_order(sides[1])
         self.order = _side_order(sides[0]) * self._width
+        first, second = sides
+        self._gens = (
+            (0,) * widths[0] if first is None else tuple(g * self._width for g in first._gens)
+        ) + ((0,) * widths[1] if second is None else second._gens)
 
     @cached_property
     def codes(self):
-        if None in self.sides:
-            return np.arange(self.order, dtype=np.int32)
-        return _shortlex_pairs(*self.sides)
+        return self._lone("codes") if None in self.sides else _shortlex_pairs(*self.sides)
 
     @cached_property
     def label(self):
-        return self.codes if None in self.sides else _inverse(self.codes)
+        return self._lone("label") if None in self.sides else _inverse(self.codes)
 
-    def step(self, code, s):
-        """A word's running code is ``c0 * |Q1| + c1``, c0 and c1 being the
-        sides' running codes of its two projections; generator ``s`` steps
-        its own side's, and a trivial side's stays 0.  So code 0 is the
-        identity's, though the codes are not the ambient ones."""
-        c0, c1 = divmod(code, self._width)
-        split = self.widths[0]
+    def _lone(self, name):
+        """``codes`` or ``label`` of a pair with a trivial side: those of
+        the other side, whose codes are the pair's."""
         first, second = self.sides
-        if s < split:
-            c0 = c0 if first is None else first.step(c0, s)
-        else:
-            c1 = c1 if second is None else second.step(c1, s - split)
-        return c0 * self._width + c1
+        lone = first if second is None else second
+        return _NOTHING if lone is None else getattr(lone, name)
 
-    def element(self, code):
-        """``label[x * |Q1| + y]``, x and y being the sides' elements of
-        the two running codes."""
-        c0, c1 = divmod(code, self._width)
+    def _product(self, left, right):
+        """Side by side on ``c0 * |Q1| + c1``.  A trivial side keeps the
+        right operand's side code, which is 0 and, for an array, already
+        has the product's shape."""
+        width = self._width
+        c0, c1 = divmod(left, width)
+        d0, d1 = divmod(right, width)
         first, second = self.sides
-        x = 0 if first is None else first.element(c0)
-        y = 0 if second is None else second.element(c1)
-        return int(self.label[x * self._width + y])
+        if first is not None:
+            d0 = first._product(c0, d0)
+        if second is not None:
+            d1 = second._product(c1, d1)
+        return d0 * width + d1
+
+    def _order(self, code):
+        sides = zip(self.sides, divmod(code, self._width))
+        return lcm(*(1 if side is None else side._order(c) for side, c in sides))
 
     @cached_property
     def shape(self):
-        x, y = np.divmod(self.codes, self._width)
+        """Depth and post-order index of each code ``c0 * |Q1| + c1``, from
+        the sides' at c0 and c1."""
         (depth0, post0), (depth1, post1) = map(_side_shape, self.sides)
-        return depth0[x] + depth1[y], post0[x] * self._width + post1[y]
-
-    def _left_images(self, i):
-        f, g = divmod(int(self.codes[i]), self._width)
-        x, y = np.divmod(self.codes, self._width)
-        first, second = self.sides
-        return self.label[_side_left(first, f)[x] * self._width + _side_left(second, g)[y]]
-
-    def element_order(self, i):
-        f, g = divmod(int(self.codes[i]), self._width)
-        return lcm(*(1 if q is None else q.element_order(j) for q, j in zip(self.sides, (f, g))))
+        return (depth0[:, None] + depth1).ravel(), (post0[:, None] * self._width + post1).ravel()
 
     def cycle_walk(self, s):
         """Left multiplication by generator ``s`` from its side's cycles,
         all of one length o: the side cycle through x, with the other
-        side's element fixed at y, is a cycle of the pair.  Each is turned
-        to start at its least element, and the cycles are sorted by it."""
+        side's element fixed at y, is a cycle of the pair.  The side's
+        cycle letters are turned into its codes, each pair's element read
+        from the label, each cycle turned to start at its least element,
+        and the cycles sorted by it, so the other side's codes may run in
+        any order."""
         side = int(s >= self.widths[0])
         inner = self.sides[side]
         if inner is None:
@@ -420,7 +414,7 @@ class PairQuotient(FiniteQuotient):
         if not len(letters):
             return letters, bounds
         o = int(bounds[1])
-        cycles = letters.reshape(-1, o)
+        cycles = inner.codes[letters].reshape(-1, o)
         if side:
             x, y = np.arange(_side_order(self.sides[0]))[:, None, None], cycles[None]
         else:
@@ -449,19 +443,16 @@ def _side_shape(side):
     return (_NOTHING, _NOTHING) if side is None else side.shape
 
 
-def _side_left(side, i):
-    return _NOTHING if side is None else side._left_images(i)
-
-
 def _shortlex_pairs(first, second):
     """The visit order of the pairs of elements of ``first`` and
-    ``second``: codes ``x * |second| + y`` sorted by (depth of x plus
-    depth of y, post-order index of x, y).  Listing x by post-order and
-    y in order gives the last two keys with no sort; one stable sort by
-    depth then gives the first."""
+    ``second``, as codes ``c0 * |second| + c1`` sorted by (depth of x plus
+    depth of y, post-order index of x, y), x and y being the sides'
+    elements.  Listing side-0 codes by post-order and side-1 codes in
+    side-1 element order (``second.codes``) gives the last two keys with
+    no sort; one stable sort by depth then gives the first."""
     width = second.order
     (depth0, post0), (depth1, _) = first.shape, second.shape
-    by_post = (_inverse(post0)[:, None] * width + np.arange(width, dtype=np.int32)).ravel()
+    by_post = (_inverse(post0)[:, None] * width + second.codes).ravel()
     depth = (depth0[:, None] + depth1).ravel()[by_post]
     return by_post[np.argsort(depth.astype(np.min_scalar_type(depth.max())), kind="stable")]
 
@@ -770,9 +761,9 @@ class Level(IndexedAlphabet):
 
     The map is the corestriction of the product of the quotients that
     the residual-finiteness query answers on the nontrivial elements of
-    word length 1 to n (:func:`_components_to`); ``apply(word)`` is the
-    word's element of ``quotient``, and ``step(code, s)`` a running code
-    times generator ``s`` (:meth:`FiniteQuotient.step`).  Every nontrivial
+    word length 1 to n (:func:`_components_to`); ``quotient.apply_word``
+    gives a word's element, and ``step(code, s)`` is a code times
+    generator ``s`` (:meth:`FiniteQuotient.step`).  Every nontrivial
     kernel element has word length at least n + 1: an element of length
     at most n survives in the component the query answers on its shortest
     representative, and every word for the element has the same image.
@@ -797,9 +788,6 @@ class Level(IndexedAlphabet):
         self.z_index = base + 2
         self.p_index = base + 3
         self.q_index = base + 4
-
-    def apply(self, word):
-        return self.quotient.apply_word(word)
 
     def step(self, code, s):
         return self.quotient.step(code, s)
@@ -900,7 +888,7 @@ def decide_word_problem(oracle, word):
     if not word:
         return True
     qm = build_level_map(oracle, len(word))
-    return qm.apply(word) == 0
+    return qm.quotient.apply_word(word) == 0
 
 
 def kernel_min_length_check(oracle, n, level_map=None):

@@ -111,7 +111,7 @@ def test_criterion_6_chain_properties(dinf, zz):
         for n in range(1, 4):
             lo, hi = build_level_map(oracle, n), build_level_map(oracle, n + 1)
             for w in ball:
-                if hi.apply(w) == 0 and lo.apply(w) != 0:
+                if hi.quotient.apply_word(w) == 0 and lo.quotient.apply_word(w) != 0:
                     ok = False
     report(6, "chain properties", ok, "levels 1..4, kernel radius n, descending on radius-4 ball")
 

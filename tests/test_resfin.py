@@ -301,16 +301,17 @@ class _ClosureQuotient(resfin.FiniteQuotient):
     def apply_word(self, word):
         return _walk(self.right, word)
 
-    def _left_images(self, i):
+    def left_mult_images(self, i):
         return _tree_images(self, i)
 
     def cycle_walk(self, s):
-        return _cycle_walk(self._left_images(self.gen_images[s]))
+        return _cycle_walk(self.left_mult_images(self.gen_images[s]))
 
-    def element_order(self, i):
+    def _order(self, code):
         # the length of the cycle of left multiplication through the
-        # identity, which runs through the powers of i
-        images, o, x = self._left_images(i), 1, i
+        # identity, which runs through the powers of the element
+        i = self.label[code]
+        images, o, x = self.left_mult_images(i), 1, i
         while x:
             o, x = o + 1, int(images[x])
         return o
@@ -500,7 +501,7 @@ def _dihedral_rows(h):
 
 
 def _gen_rows(quotient):
-    """The generators' rows over the ambient codes of a bundled quotient."""
+    """The generators' rows over the codes of a bundled quotient."""
     if isinstance(quotient, resfin.PairQuotient):
         return _ambient_pair_rows(quotient)
     family, n = quotient.key
@@ -554,7 +555,8 @@ def test_closed_form_shapes_match_spanning_tree(closed_form):
     for n in range(2, 301):
         quotient = closed_form(n)
         depth, post = quotient.shape
-        assert (depth.tolist(), post.tolist()) == _tree_shape(quotient), n
+        codes = quotient.codes
+        assert (depth[codes].tolist(), post[codes].tolist()) == _tree_shape(quotient), n
 
 
 @pytest.mark.parametrize("closed_form, by_closure", FAMILIES)
@@ -606,11 +608,11 @@ def _pair_quotients(draw, budget=3000, nested=True):
 
 
 def _ambient_pair_rows(pair):
-    """The rows of the pair's generators over the ambient codes
-    ``x * |Q1| + y`` of all pairs of side elements."""
+    """The rows of the pair's generators over the codes ``c0 * |Q1| + c1``
+    of all pairs of side codes, from each side's rows over its codes."""
     orders = [1 if side is None else side.order for side in pair.sides]
     steps = [
-        [np.zeros(1, dtype=np.int64)] * width if side is None else [np.asarray(row) for row in _right(side)]
+        [np.zeros(1, dtype=np.int64)] * width if side is None else [np.asarray(row) for row in _gen_rows(side)]
         for side, width in zip(pair.sides, pair.widths)
     ]
     first = [np.add.outer(step * orders[1], np.arange(orders[1])).ravel() for step in steps[0]]
@@ -623,6 +625,7 @@ def _ambient_pair_rows(pair):
 @example(pair=resfin.PairQuotient((_dihedral_quotient(3), _cyclic_quotient(4)), (3, 2)))
 @example(pair=resfin.PairQuotient((None, _dihedral_quotient(5)), (2, 3)))  # a projection
 @example(pair=resfin.PairQuotient((_cyclic_quotient(6), None), (2, 3)))
+@example(pair=resfin.PairQuotient((None, None), (2, 3)))  # the trivial group
 def test_pair_enumeration_matches_reference_loop(pair):
     # the shortlex enumeration, its rows, left multiplication, sign, depth
     # and post-order are those of the closure loop over the ambient rows
@@ -632,7 +635,7 @@ def test_pair_enumeration_matches_reference_loop(pair):
     assert _gen_images(pair) == _gen_images(reference)
     assert all(map(np.array_equal, _left_rows(pair), _left_rows(reference)))
     depth, post = pair.shape
-    assert (depth.tolist(), post.tolist()) == _tree_shape(pair)
+    assert (depth[pair.codes].tolist(), post[pair.codes].tolist()) == _tree_shape(pair)
     for s, g in enumerate(_gen_images(pair)):
         letters, bounds = pair.cycle_walk(s)
         want_letters, want_bounds = _cycle_walk(_tree_images(pair, g))
@@ -667,6 +670,24 @@ def test_apply_word_matches_right_rows_walk(pair, trivial, seed):
         for length in rng.integers(0, 41, size=8).tolist():
             word = rng.integers(len(right), size=length).tolist()
             assert quotient.apply_word(word) == _walk(right, word), (quotient, word)
+
+
+@settings(max_examples=30)
+@given(pair=_pair_quotients(), seed=st.integers(0, 2**32 - 1))
+@example(pair=resfin.PairQuotient((_dihedral_quotient(3), _cyclic_quotient(4)), (3, 2)), seed=0)
+@example(pair=resfin.PairQuotient((None, None), (2, 3)), seed=0)
+def test_running_code_is_the_code(pair, seed):
+    # a word's running code, ``step`` folded from the identity's code 0,
+    # is the code of its element, for eight random words of up to 40
+    # letters in a generated pair, nested ones included, and in each
+    # level 1-4 quotient of every sweep selector
+    quotients = [pair] + [_sweep_quotient(selector, n) for selector in sorted(SWEEP_LEVELS) for n in (1, 2, 3, 4)]
+    rng = np.random.default_rng(seed)
+    for quotient in quotients:
+        for length in rng.integers(0, 41, size=8).tolist():
+            word = rng.integers(len(_right(quotient)), size=length).tolist()
+            code = functools.reduce(quotient.step, word, 0)
+            assert int(quotient.codes[quotient.apply_word(word)]) == code, (quotient, word)
 
 
 def test_bundled_level_maps_skip_closure_and_tree_walk(monkeypatch):
@@ -846,8 +867,8 @@ def test_finite_stream_ends_at_any_level():
 def test_build_level_map_integers(zz):
     qm = build_level_map(zz, 1)
     assert qm.quotient.order == 2
-    assert qm.apply(parse_word(zz, "t")) != 0
-    assert qm.apply(parse_word(zz, "t t")) == 0
+    assert qm.quotient.apply_word(parse_word(zz, "t")) != 0
+    assert qm.quotient.apply_word(parse_word(zz, "t t")) == 0
 
 
 def test_chain_is_descending(dinf):
@@ -855,8 +876,8 @@ def test_chain_is_descending(dinf):
         lo = build_level_map(dinf, n)
         hi = build_level_map(dinf, n + 1)
         for w in ball_words(dinf, 4):
-            if hi.apply(w) == 0:
-                assert lo.apply(w) == 0
+            if hi.quotient.apply_word(w) == 0:
+                assert lo.quotient.apply_word(w) == 0
 
 
 def test_level_map_detects_all_short_words(zz, dinf):
@@ -864,7 +885,7 @@ def test_level_map_detects_all_short_words(zz, dinf):
         for n in range(1, 5):
             qm = build_level_map(oracle, n)
             for w in _words(oracle, n):
-                assert (qm.apply(w) != 0) == (not oracle.is_identity(w))
+                assert (qm.quotient.apply_word(w) != 0) == (not oracle.is_identity(w))
 
 
 def test_residuality_on_ball(dinf):
@@ -872,7 +893,7 @@ def test_residuality_on_ball(dinf):
     for w in ball_words(dinf, r):
         if not w or dinf.is_identity(w):
             continue
-        assert any(build_level_map(dinf, n).apply(w) != 0 for n in range(1, r + 1))
+        assert any(build_level_map(dinf, n).quotient.apply_word(w) != 0 for n in range(1, r + 1))
 
 
 def test_decide_word_problem_examples(dinf):
@@ -924,7 +945,7 @@ def test_kernel_check_catches_a_kernel_element_at_radius_n(selector, family):
     for n in (2, 3, 5, 8):
         corrupted = resfin.Level(oracle, n, resfin._FamilyQuotient(family, n))
         report = kernel_min_length_check(oracle, n, level_map=corrupted)
-        first = next(i for i, w in enumerate(words) if w and corrupted.apply(w) == 0)
+        first = next(i for i, w in enumerate(words) if w and corrupted.quotient.apply_word(w) == 0)
         assert len(words[first]) == n and words[first] == parse_word(oracle, " ".join(["t"] * n))
         assert report == {"passed": False, "level": n, "radius": n, "checked": first,
                           "counterexample": " ".join(["t"] * n)}
@@ -937,7 +958,7 @@ def test_kernel_check_spells_its_counterexample_from_the_tree():
     sides = (resfin._FamilyQuotient("cyclic", 12), resfin._FamilyQuotient("dihedral", 3))
     corrupted = resfin.Level(oracle, 3, resfin.PairQuotient(sides, (2, 3)))
     words = ball_words(oracle, 3)
-    first = next(i for i, w in enumerate(words) if w and corrupted.apply(w) == 0)
+    first = next(i for i, w in enumerate(words) if w and corrupted.quotient.apply_word(w) == 0)
     assert kernel_min_length_check(oracle, 3, level_map=corrupted) == {
         "passed": False, "level": 3, "radius": 3, "checked": first, "counterexample": "2.t 2.t 2.t"}
     assert words[first] == parse_word(oracle, "2.t 2.t 2.t")
@@ -1172,7 +1193,6 @@ def test_family_reports_list_no_visit_codes(monkeypatch):
         raise AssertionError("visit order inverted or listed as codes")
 
     monkeypatch.setattr(resfin, "_inverse", refuse)
-    monkeypatch.setattr(resfin, "_cyclic_codes", refuse)
     for selector, n in [("integers", 12), ("dihedral_infinite", 10), ("finite:999", 1)]:
         qm = build_level_map(oracle_from_selector(selector), n)
         text = format_quotient_map(qm)
@@ -1211,7 +1231,7 @@ def test_cyclic_codes_match_their_modulo_form():
     for k in [*range(1, 301), 27720]:
         x = np.arange(k, dtype=np.int32)
         want = np.where(x % 2 == 1, (x + 1) // 2, k - x // 2) % k
-        codes = resfin._cyclic_codes(k)
+        codes = resfin._FamilyQuotient("cyclic", k).codes
         assert codes.dtype == want.dtype and np.array_equal(codes, want), k
 
 
