@@ -762,11 +762,10 @@ class Level(IndexedAlphabet):
     The map is the corestriction of the product of the quotients that
     the residual-finiteness query answers on the nontrivial elements of
     word length 1 to n (:func:`_components_to`); ``quotient.apply_word``
-    gives a word's element, and ``step(code, s)`` is a code times
-    generator ``s`` (:meth:`FiniteQuotient.step`).  Every nontrivial
-    kernel element has word length at least n + 1: an element of length
-    at most n survives in the component the query answers on its shortest
-    representative, and every word for the element has the same image.
+    gives a word's element.  Every nontrivial kernel element has word
+    length at least n + 1: an element of length at most n survives in the
+    component the query answers on its shortest representative, and every
+    word for the element has the same image.
 
     The alphabet is the quotient's elements (cosets) first, then x y z p
     q.  A letter's label is a rule of its index and the level n:
@@ -788,9 +787,6 @@ class Level(IndexedAlphabet):
         self.z_index = base + 2
         self.p_index = base + 3
         self.q_index = base + 4
-
-    def step(self, code, s):
-        return self.quotient.step(code, s)
 
     @property
     def alphabet(self):
@@ -891,7 +887,7 @@ def decide_word_problem(oracle, word):
     return qm.quotient.apply_word(word) == 0
 
 
-def kernel_min_length_check(oracle, n, level_map=None):
+def kernel_min_length_check(oracle, n):
     """Confirm on the radius-n ball that the level-n kernel contains no
     short nontrivial element.  The ball keeps one element per node of its
     spanning tree, identity first, so every element after the first is
@@ -900,10 +896,8 @@ def kernel_min_length_check(oracle, n, level_map=None):
     in the kernel exactly when its code is 0, the identity's.  The map is
     built from no ball element, so the check is independent of it.
     Returns a dict report with a counterexample word, spelled from the
-    parent pointers, on failure.  ``level_map`` overrides the built map,
-    which lets a test feed a deliberately corrupted one."""
-    qm = level_map if level_map is not None else build_level_map(oracle, n)
-    step = qm.step
+    parent pointers, on failure."""
+    step = build_level_map(oracle, n).quotient.step
     ball = oracle.ball(n)
     parents, gens = ball
     codes = array("q", [0])

@@ -1,13 +1,16 @@
 """Lazily evaluated automorphisms of the spherically homogeneous trees.
 
-Automorphisms are symbolic expression trees over four node kinds: rooted
-(a permutation of the first-level letters), directed (the recursively
-defined action of a seed pair), an automorphism shifted into the subtree
-below one first-level letter, and products.  The identity is the product
-of no factors.  A shift below a longer path nests one shift per letter of
-the path.  Inverses are normalized away eagerly by :func:`invert`;
-directed seeds invert exactly because the seed assignment is a
-homomorphism, which the test suite checks.
+Automorphisms are symbolic expression trees over three node kinds:
+finitary (a permutation of the first-level letters with an automorphism
+below each of finitely many letters), directed (the recursively defined
+action of a seed pair), and products.  A rooted automorphism is a
+finitary node with no sections, and a shift into the subtree below one
+first-level letter is a finitary node with the identity root and one
+section.  The identity is the product of no factors.  A shift below a
+longer path nests one finitary node per letter of the path.  Inverses
+are normalized away eagerly by :func:`invert`; directed seeds invert
+exactly because the seed assignment is a homomorphism, which the test
+suite checks.
 
 Nothing is materialized unless asked for: sections, vertex evaluation and
 the one breadth-first walk over sections, which the triviality search and
@@ -135,15 +138,21 @@ class TreeAut:
         return f"{type(self).__name__}(level={self.base_level})"
 
 
-class RootedAut(TreeAut):
-    __slots__ = ("perm",)
+class FinitaryAut(TreeAut):
+    """On a vertex x·w, apply ``sections[x]`` to w, then send x to
+    ``perm(x)``.  ``sections`` maps first-level letter indices to
+    automorphisms one level down and holds no identity."""
 
-    def __init__(self, oracle, base_level, perm):
+    __slots__ = ("perm", "sections")
+
+    def __init__(self, oracle, base_level, perm, sections):
         super().__init__(oracle, base_level)
         self.perm = perm
+        self.sections = sections
 
     def _make_key(self):
-        return ("rt", self.base_level, self.perm)
+        below = tuple(sorted((x, s.key()) for x, s in self.sections.items())) if self.sections else ()
+        return ("fin", self.base_level, self.perm, below)
 
 
 class DirectedAut(TreeAut):
@@ -155,20 +164,6 @@ class DirectedAut(TreeAut):
 
     def _make_key(self):
         return ("dir", self.base_level, self.seed.key())
-
-
-class ShiftedAut(TreeAut):
-    """``inner`` acting below the first-level letter ``index``."""
-
-    __slots__ = ("index", "inner")
-
-    def __init__(self, oracle, base_level, index, inner):
-        super().__init__(oracle, base_level)
-        self.index = index
-        self.inner = inner
-
-    def _make_key(self):
-        return ("sh", self.base_level, self.index, self.inner.key())
 
 
 class ProductAut(TreeAut):
@@ -201,7 +196,7 @@ def rooted(oracle, base_level, perm):
         )
     if perm.is_identity:
         return identity_aut(oracle, base_level)
-    return RootedAut(oracle, base_level, perm)
+    return FinitaryAut(oracle, base_level, perm, {})
 
 
 def directed(oracle, seed, base_level=0):
@@ -244,19 +239,19 @@ def embed_shift(vertex, inner):
     if isinstance(inner, ProductAut) and not inner.factors:
         return identity_aut(inner.oracle, vertex.base_level)
     for i in reversed(range(len(indices))):
-        inner = ShiftedAut(inner.oracle, vertex.base_level + i, indices[i], inner)
+        lvl = build_alphabet(inner.oracle, vertex.base_level + i + 1)
+        inner = FinitaryAut(inner.oracle, vertex.base_level + i, Perm.identity(lvl), {indices[i]: inner})
     return inner
 
 
 def invert(a):
     """Structural inverse.  Directed nodes invert seed-wise, which is valid
     because the seed assignment is a homomorphism."""
-    if isinstance(a, RootedAut):
-        return RootedAut(a.oracle, a.base_level, a.perm.inverse())
+    if isinstance(a, FinitaryAut):
+        sections = {a.perm(x): invert(s) for x, s in a.sections.items()}
+        return FinitaryAut(a.oracle, a.base_level, a.perm.inverse(), sections)
     if isinstance(a, DirectedAut):
         return DirectedAut(a.oracle, a.base_level, a.seed.inv())
-    if isinstance(a, ShiftedAut):
-        return ShiftedAut(a.oracle, a.base_level, a.index, invert(a.inner))
     if isinstance(a, ProductAut):
         return ProductAut(a.oracle, a.base_level, [invert(f) for f in reversed(a.factors)])
     raise TypeError(f"not a tree automorphism: {a!r}")
@@ -270,10 +265,10 @@ def root_perm(a):
     """The permutation induced on first-level letters."""
     if a._root is None:
         lvl = build_alphabet(a.oracle, a.base_level + 1)
-        if isinstance(a, (DirectedAut, ShiftedAut)):
-            # directed and shifted automorphisms stabilize the first level
+        if isinstance(a, DirectedAut):
+            # directed automorphisms stabilize the first level
             a._root = Perm.identity(lvl)
-        elif isinstance(a, RootedAut):
+        elif isinstance(a, FinitaryAut):
             a._root = a.perm
         elif isinstance(a, ProductAut):
             a._root = compose_all([root_perm(f) for f in a.factors], alphabet=lvl)
@@ -296,18 +291,16 @@ def nontrivial_children(a):
 
 
 def _children(a):
-    if isinstance(a, RootedAut):
-        return {}
+    if isinstance(a, FinitaryAut):
+        return a.sections
     if isinstance(a, DirectedAut):
         lvl = build_alphabet(a.oracle, a.base_level + 1)
         out = {lvl.x_index: DirectedAut(a.oracle, a.base_level + 1, a.seed)}
         for letter, action in ((lvl.y_index, coset_action), (lvl.z_index, marker_action)):
             perm = action(a.oracle, a.base_level + 2, a.seed)
             if not perm.is_identity:
-                out[letter] = RootedAut(a.oracle, a.base_level + 1, perm)
+                out[letter] = FinitaryAut(a.oracle, a.base_level + 1, perm, {})
         return out
-    if isinstance(a, ShiftedAut):
-        return {a.index: a.inner}
     if isinstance(a, ProductAut):
         # backs[k] is the inverse first-level image array of the last k
         # factors: the child at letter e of the factor before them is the
@@ -349,16 +342,14 @@ def eval_vertex(a, vertex):
 def _eval_indices(a, indices):
     if not indices:
         return []
-    if isinstance(a, RootedAut):
-        return [a.perm(indices[0])] + list(indices[1:])
     if isinstance(a, ProductAut):
         out = list(indices)
         for f in reversed(a.factors):
             out = _eval_indices(f, out)
         return out
-    if isinstance(a, (DirectedAut, ShiftedAut)):
-        # both fix the first level
-        return [indices[0]] + _eval_indices(section_at(a, indices[0]), indices[1:])
+    if isinstance(a, (FinitaryAut, DirectedAut)):
+        first = indices[0]
+        return [root_perm(a)(first)] + _eval_indices(section_at(a, first), indices[1:])
     raise TypeError(f"not a tree automorphism: {a!r}")
 
 
@@ -572,7 +563,13 @@ def _vec_apply(a, cols):
     """Apply ``a`` to the per-level image columns built by :func:`_level_columns`."""
     if not cols:
         return cols
-    if isinstance(a, RootedAut):
+    if isinstance(a, FinitaryAut):
+        # sections act below their letters before the root moves them
+        if len(cols) > 1:
+            for letter, inner in a.sections.items():
+                mask = cols[0] == letter
+                if mask.any():
+                    _apply_below(inner, mask, cols[1:])
         cols[0][:] = a.perm.images[cols[0]]
         return cols
     if isinstance(a, ProductAut):
@@ -591,12 +588,6 @@ def _vec_apply(a, cols):
                 mask = first == letter
                 if mask.any():
                     rows[mask] = action(a.oracle, a.base_level + 2, a.seed).images[rows[mask]]
-        return cols
-    if isinstance(a, ShiftedAut):
-        if len(cols) > 1:
-            mask = cols[0] == a.index
-            if mask.any():
-                _apply_below(a.inner, mask, cols[1:])
         return cols
     raise TypeError(f"not a tree automorphism: {a!r}")
 

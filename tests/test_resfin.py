@@ -924,13 +924,18 @@ def test_kernel_min_length_check(zz, dinf):
     assert kernel_min_length_check(dinf, 3)["passed"]
 
 
-def test_kernel_check_catches_corrupted_map(dinf):
-    # a map that sends every element to the identity's running code 0
-    class IdentityMap:
+def test_kernel_check_catches_corrupted_map():
+    # a level-1 map that sends every element to the identity's running
+    # code 0, installed where the check reads the built map
+    class ZeroQuotient:
+        order = 1
+
         def step(self, code, s):
             return 0
 
-    report = kernel_min_length_check(dinf, 1, level_map=IdentityMap())
+    oracle = DihedralOracle()
+    oracle.cache[("level_map", 1)] = resfin.Level(oracle, 1, ZeroQuotient())
+    report = kernel_min_length_check(oracle, 1)
     assert not report["passed"]
     assert report["counterexample"] == "a"
 
@@ -943,8 +948,8 @@ def test_kernel_check_catches_a_kernel_element_at_radius_n(selector, family):
     oracle = oracle_from_selector(selector)
     words = ball_words(oracle, 8)
     for n in (2, 3, 5, 8):
-        corrupted = resfin.Level(oracle, n, resfin._FamilyQuotient(family, n))
-        report = kernel_min_length_check(oracle, n, level_map=corrupted)
+        corrupted = oracle.cache[("level_map", n)] = resfin.Level(oracle, n, resfin._FamilyQuotient(family, n))
+        report = kernel_min_length_check(oracle, n)
         first = next(i for i, w in enumerate(words) if w and corrupted.quotient.apply_word(w) == 0)
         assert len(words[first]) == n and words[first] == parse_word(oracle, " ".join(["t"] * n))
         assert report == {"passed": False, "level": n, "radius": n, "checked": first,
@@ -956,10 +961,10 @@ def test_kernel_check_spells_its_counterexample_from_the_tree():
     # the right side's t^3, reached after words with letters of both sides
     oracle = oracle_from_selector("product:integers,dihedral_infinite")
     sides = (resfin._FamilyQuotient("cyclic", 12), resfin._FamilyQuotient("dihedral", 3))
-    corrupted = resfin.Level(oracle, 3, resfin.PairQuotient(sides, (2, 3)))
+    corrupted = oracle.cache[("level_map", 3)] = resfin.Level(oracle, 3, resfin.PairQuotient(sides, (2, 3)))
     words = ball_words(oracle, 3)
     first = next(i for i, w in enumerate(words) if w and corrupted.quotient.apply_word(w) == 0)
-    assert kernel_min_length_check(oracle, 3, level_map=corrupted) == {
+    assert kernel_min_length_check(oracle, 3) == {
         "passed": False, "level": 3, "radius": 3, "checked": first, "counterexample": "2.t 2.t 2.t"}
     assert words[first] == parse_word(oracle, "2.t 2.t 2.t")
 

@@ -19,9 +19,8 @@ from branchgroups.suites import random_token
 from branchgroups.treeauto import (
     CapExceeded,
     DirectedAut,
+    FinitaryAut,
     ProductAut,
-    RootedAut,
-    ShiftedAut,
     Vertex,
     _base_column,
     _indices,
@@ -482,7 +481,12 @@ def _int64_columns(a, depth):
 def _int64_apply(a, cols):
     if not cols:
         return cols
-    if isinstance(a, RootedAut):
+    if isinstance(a, FinitaryAut):
+        if len(cols) > 1:
+            for letter, inner in a.sections.items():
+                mask = cols[0] == letter
+                if mask.any():
+                    _int64_below(inner, mask, cols[1:])
         cols[0] = a.perm.images[cols[0]]
     elif isinstance(a, ProductAut):
         for f in reversed(a.factors):
@@ -498,10 +502,6 @@ def _int64_apply(a, cols):
             mask = first == letter
             if mask.any():
                 rows[mask] = action(a.oracle, a.base_level + 2, a.seed).images[rows[mask]]
-    elif isinstance(a, ShiftedAut) and len(cols) > 1:
-        mask = cols[0] == a.index
-        if mask.any():
-            _int64_below(a.inner, mask, cols[1:])
     return cols
 
 
@@ -734,6 +734,31 @@ def test_portrait_identity_and_text(zz):
     assert len(lines) == 1 + 1 + build_alphabet(zz, 1).size
     dot = portrait_dot(p)
     assert dot.startswith("digraph portrait {") and dot.endswith("}")
+
+
+@pytest.mark.parametrize("group", ["dihedral_infinite", "integers"])
+def test_finitary_node_with_a_moving_root_and_sections(group):
+    """No constructor builds a finitary node whose root moves the letters
+    it has sections below: one built directly inverts to the identity,
+    and its column pass, cycle type, vertex evaluation and portrait
+    agree."""
+    oracle = oracle_from_selector(group)
+    lvl1, lvl2 = build_alphabet(oracle, 1), build_alphabet(oracle, 2)
+    below_x = rooted(oracle, 1, Perm.from_cycles(lvl2, "(x@2 z@2 q0@2)"))
+    below_y = directed(oracle, Seed(oracle, parse_word(oracle, "t"), marker_perm("(x y z)")), 1)
+    root = Perm.from_cycles(lvl1, "(x@1 y@1)")
+    a = FinitaryAut(oracle, 0, root, {lvl1.x_index: below_x, lvl1.y_index: below_y})
+    # the key tells nodes apart by their sections, as the walk's
+    # deduplication needs
+    assert a.key() != FinitaryAut(oracle, 0, root, {lvl1.x_index: below_y, lvl1.y_index: below_x}).key()
+    assert equal_to_depth(product([invert(a), a]), identity_aut(oracle), 4)
+    p = level_perm(a, 3)
+    assert np.array_equal(p.images, _int64_level_perm(a, 3))
+    assert _expand(level_cycle_type(a, 3)) == p.cycle_type()
+    n = vertex_count(oracle, 0, 3)
+    assert [eval_vertex(a, vertex_at(oracle, 0, 3, i)) for i in range(n)] == [
+        vertex_at(oracle, 0, 3, p(i)) for i in range(n)]
+    assert list(portrait(a, 3).labels.items()) == [(v, perm) for v, _, perm in _walked_rows(a, 3)]
 
 
 PORTRAIT_GROUPS = ("dihedral_infinite", "integers", "product:integers,finite:2")
