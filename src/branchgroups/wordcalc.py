@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import resfin
 from .alphabet import (
     MARKER_ALPHABET,
@@ -237,47 +239,74 @@ def is_fragmented_subword(v_seq, w_seq):
 
 
 def _section_tokens(word):
-    """Map from first-level letter index to the raw tokens of the section
+    """Map from first-level letter index to the raw letters of the section
     there, right to left, in one walk over the word.
 
     By the product rule, each seed letter's section is taken at the image
-    of the letter under the rooted letters to its right.  ``back`` is the
-    inverse image array of those rooted letters, so the letters sent to
-    x, y and z receive the seed letter, its coset action and its marker
-    action.  Letters absent from the map get no tokens."""
+    of the letter under the rooted letters to its right.  ``back``, one
+    scatter per rooted letter, is their inverse image array, so the
+    letters sent to x, y and z (one gather) receive the seed letter, its
+    coset action and its marker action."""
     oracle, level = word.oracle, word.base_level + 2
     lvl = build_alphabet(oracle, word.base_level + 1)
-    out = {}
-    back = word.bs[-1].inverse().images
+    out, back = {}, lvl.identity_images
     for i in range(word.h_count - 1, -1, -1):
-        h = word.hs[i]
-        for e, tok in (
-            (lvl.x_index, ("H", h)),
-            (lvl.y_index, ("B", coset_action(oracle, level, h))),
-            (lvl.z_index, ("B", marker_action(oracle, level, h))),
-        ):
-            out.setdefault(int(back[e]), []).append(tok)
-        back = back[word.bs[i].inverse().images]
+        b, h = word.bs[i + 1], word.hs[i]
+        if not b.is_identity:
+            scattered = np.empty_like(back)
+            scattered[b.images] = back
+            back = scattered
+        toks = (("H", h), ("B", coset_action(oracle, level, h)), ("B", marker_action(oracle, level, h)))
+        for e, tok in zip(back[[lvl.x_index, lvl.y_index, lvl.z_index]].tolist(), toks):
+            out.setdefault(e, []).append(tok)
     return out
+
+
+@dataclass(eq=False, slots=True)
+class _Section:
+    """A section as its raw letters from :func:`_section_tokens`.  Seed
+    letters fix the first level, so the root is the product of the rooted
+    letters, with no normal form; :meth:`word` normalizes once, on demand."""
+
+    oracle: object
+    base_level: int
+    letters: list
+    sigma_length: int
+    _word: NormalWord | None = None
+
+    def root_perm(self):
+        lvl = build_alphabet(self.oracle, self.base_level + 1)
+        return compose_all([p for kind, p in reversed(self.letters) if kind == "B"], alphabet=lvl)
+
+    def word(self):
+        if self._word is None:
+            bs, hs, blocks = _reduce(self.oracle, self.base_level, self.letters[::-1])
+            self._word = NormalWord(self.oracle, self.base_level, bs, hs, blocks, self.sigma_length)
+        return self._word
+
+    def key(self):
+        return self.word().key()
+
+
+def _raw_sections(word):
+    """The raw section at each first-level letter, in increasing order."""
+    return {x: _Section(word.oracle, word.base_level + 1, letters, word.sigma_length)
+            for x, letters in sorted(_section_tokens(word).items())}
 
 
 def section_letters(word):
     """Map from first-level letter index, in increasing order, to its
     nontrivial section, in normal form one level down; letters absent from
-    the map have identity sections.  All sections come from one walk over
-    the word, so at most three letters per seed letter appear.
+    the map have identity sections.  These are the raw sections of one
+    walk (:func:`_section_tokens`, at most three letters per seed letter)
+    normalized; the decider reads their roots and normalizes only those
+    it expands.
 
     The projection of a section equals the semantic section of the
     projection.  Its ``blocks`` are runs of the word's own seed letters,
     in order, so they form a fragmented subword, and the seed-letter count
     at most halves (rounded up)."""
-    out = {}
-    for x, right_to_left in sorted(_section_tokens(word).items()):
-        bs, hs, blocks = _reduce(word.oracle, word.base_level + 1, right_to_left[::-1])
-        sec = NormalWord(word.oracle, word.base_level + 1, bs, hs, blocks, word.sigma_length)
-        if not sec.is_identity_word:
-            out[x] = sec
-    return out
+    return {x: w for x, sec in _raw_sections(word).items() if not (w := sec.word()).is_identity_word}
 
 
 @dataclass
@@ -295,16 +324,17 @@ def decide(word):
 
     A word assembled from ``ell`` generator tokens is trivial exactly when
     it fixes every vertex of depth ``2 * ell``.  The check is
-    :func:`treeauto.section_search` over normalized sections
-    (:func:`section_letters`), deduplicating equal normal forms, so the
-    full level permutation is never materialized.  Returns the decision
-    together with a moved witness vertex when nontrivial.
+    :func:`treeauto.section_search` over raw sections: roots are read
+    from raw letters, and only expanded sections are normalized, for
+    their keys (equal normal forms are deduplicated) and sections.
+    Returns the decision and, when nontrivial, a moved witness vertex.
     """
     if word.base_level != 0:
         raise ValueError("the word-problem decider works at base level 0")
     ell = word.sigma_length
     depth = 2 * ell
-    witness = section_search(word, depth, NormalWord.root_perm, section_letters)
+    start = _Section(word.oracle, 0, word.tokens()[::-1], ell, word)
+    witness = section_search(start, depth, _Section.root_perm, lambda s: _raw_sections(s.word()))
     return Decision(witness is None, ell, depth, witness)
 
 

@@ -3,6 +3,7 @@
 recorders wrap, and the names each module exports."""
 
 import ast
+import functools
 import hashlib
 import importlib
 import importlib.util
@@ -13,17 +14,22 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import branchgroups
-from branchgroups import wordcalc
+from branchgroups import treeauto, wordcalc
 from branchgroups.alphabet import MARKER_ALPHABET, Seed, build_alphabet, random_marker_perm
-from branchgroups.perm import Perm
+from branchgroups.perm import Perm, random_even_perm
 from branchgroups.resfin import oracle_from_selector
 from branchgroups.suites import random_token
 from branchgroups.treeauto import (
     Vertex,
+    _section_levels,
     _vertex,
+    directed,
     embed_shift,
+    equal_to_depth,
     eval_vertex,
     first_moved_level,
     identity_aut,
@@ -32,6 +38,7 @@ from branchgroups.treeauto import (
     root_perm,
     rooted,
     product,
+    section_at,
     section_search,
     vertex_count,
 )
@@ -56,24 +63,29 @@ def _fixing_xyz(oracle, rng):
     return Perm(lvl.alphabet, img)
 
 
+def _search_word(oracle, rng, case):
+    """A word of ``suites.random_token`` tokens of one of four kinds, by
+    ``case % 4``: a commutator of a rooted letter fixing x, y, z with a
+    seed letter (trivial, so searched to full depth), a commutator of two
+    random words, a random word followed by its formal inverse, a random
+    word."""
+    u = [random_token(oracle, rng) for _ in range(rng.randrange(1, 5))]
+    if case % 4 == 0:
+        b = _fixing_xyz(oracle, rng)
+        h = Seed(oracle, (rng.randrange(len(oracle.gen_names)),), random_marker_perm(rng))
+        return [("B", b), ("H", h), ("B", b.inverse()), ("H", h.inv())]
+    if case % 4 == 1:
+        u, v = u[:2], [random_token(oracle, rng) for _ in range(rng.randrange(1, 3))]
+        return u + v + _inverted(u) + _inverted(v)
+    if case % 4 == 2:
+        return u + _inverted(u)
+    return u
+
+
 def _search_words(oracle, rng, count=120):
-    """Seeded words of ``suites.random_token`` tokens, in four kinds by
-    turn: a commutator of a rooted letter fixing x, y, z with a seed letter
-    (trivial, so searched to full depth), a commutator of two random
-    words, a random word followed by its formal inverse, a random word."""
+    """Seeded words of :func:`_search_word`, its four kinds by turn."""
     for case in range(count):
-        u = [random_token(oracle, rng) for _ in range(rng.randrange(1, 5))]
-        if case % 4 == 0:
-            b = _fixing_xyz(oracle, rng)
-            h = Seed(oracle, (rng.randrange(len(oracle.gen_names)),), random_marker_perm(rng))
-            yield [("B", b), ("H", h), ("B", b.inverse()), ("H", h.inv())]
-        elif case % 4 == 1:
-            u, v = u[:2], [random_token(oracle, rng) for _ in range(rng.randrange(1, 3))]
-            yield u + v + _inverted(u) + _inverted(v)
-        elif case % 4 == 2:
-            yield u + _inverted(u)
-        else:
-            yield u
+        yield _search_word(oracle, rng, case)
 
 
 # sha256 over decide's (trivial, ell, depth, str(witness)) on the normal
@@ -339,21 +351,129 @@ _SEED_LETTERS = ("H(|(x y z))", "H({g} {g}|(x y z))", "H({g} {g}|(o p q))")
 @pytest.mark.parametrize("selector", [*sorted(_SEARCH_DIGESTS), "finite:3"])
 def test_seed_letter_is_decided_with_one_section_walk(selector, monkeypatch):
     # the sections of a single seed letter hold its witness one level
-    # down, so the search tests their roots before it expands one of them
+    # down, so the search tests their roots before it expands one of them:
+    # decide's walk expands the word itself and nothing else
     oracle = oracle_from_selector(selector)
     walks = []
 
-    def counted(word):
-        walks.append(word.base_level)
-        return section_letters(word)
+    def counted_search(start, depth, root_of, children_of):
+        def counted(node):
+            walks.append(node.base_level)
+            return children_of(node)
 
-    monkeypatch.setattr(wordcalc, "section_letters", counted)
+        return section_search(start, depth, root_of, counted)
+
+    monkeypatch.setattr(wordcalc, "section_search", counted_search)
     for spelled in _SEED_LETTERS:
         text = spelled.format(g=oracle.gen_names[0])
         walks.clear()
         d = decide(normal_form(oracle, wordcalc.parse_tokens(oracle, text)))
         assert not d.trivial and d.depth == 4 and d.witness.depth == 2, text
         assert walks == [0], text
+
+
+_WALK_GROUPS = (*sorted(_SEARCH_DIGESTS), "finite:3")
+
+
+@functools.cache
+def _walk_oracle(selector):
+    return oracle_from_selector(selector)
+
+
+@st.composite
+def _walk_words(draw, oracle):
+    """A word of :func:`_search_word`, or a nested commutator, which is
+    often trivial and then searched to full depth, from a drawn seed."""
+    rng = draw(st.randoms(use_true_random=False))
+    case = draw(st.integers(0, 4))
+    return _search_word(oracle, rng, case) if case < 4 else next(_nested_commutators(oracle, rng))
+
+
+@pytest.mark.parametrize("selector", _WALK_GROUPS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_raw_sections_read_roots_and_normalize_to_section_letters(selector, data):
+    # decide reads each section's root from its raw letters and normalizes
+    # only the sections it expands: the raw root is the root of the
+    # normalized section and of the automorphism's section, and the
+    # normalized raw sections, less the identities, are section_letters
+    oracle = _walk_oracle(selector)
+    word = normal_form(oracle, data.draw(_walk_words(oracle)))
+    for node in [word, *section_letters(word).values()]:
+        aut = node.to_aut()
+        normalized = {}
+        for x, sec in wordcalc._raw_sections(node).items():
+            w = sec.word()
+            assert sec.root_perm() == w.root_perm() == root_perm(section_at(aut, x))
+            if not w.is_identity_word:
+                normalized[x] = w
+        expected = section_letters(node)
+        assert list(normalized) == list(expected)
+        assert [w.key() for w in normalized.values()] == [w.key() for w in expected.values()]
+    # a reference decider that walks normalized sections only
+    depth = 2 * word.sigma_length
+    d = decide(word)
+    ref = section_search(word, depth, NormalWord.root_perm, section_letters)
+    assert (d.trivial, d.depth, str(d.witness)) == (ref is None, depth, str(ref))
+
+
+def _captured_walk(module, call):
+    """The start and the children rule that ``call`` hands to
+    ``module.section_search``, which then runs as usual."""
+    captured = []
+
+    def spy(start, depth, root_of, children_of):
+        captured.append((start, children_of))
+        return section_search(start, depth, root_of, children_of)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "section_search", spy)
+        call()
+    (got,) = captured
+    return got
+
+
+def _assert_shared_keys_agree(start, children_of, aut_of, depth):
+    """Nodes with equal keys on the first ``depth`` levels of the walk
+    from ``start`` agree on every vertex to ``depth`` below them: the walk
+    expands only the first node per key.  Returns how many nodes shared
+    a key with an earlier one."""
+    groups = {}
+    for level in _section_levels(start, depth, children_of):
+        for node, _, _ in level:
+            groups.setdefault(node.key(), []).append(node)
+    shared = 0
+    for first, *others in groups.values():
+        for other in others:
+            assert equal_to_depth(aut_of(first), aut_of(other), depth)
+            shared += 1
+    return shared
+
+
+@pytest.mark.parametrize("selector", _WALK_GROUPS)
+@settings(max_examples=40)
+@given(rng=st.randoms(use_true_random=False))
+def test_nodes_sharing_a_key_agree(selector, rng):
+    # seed letters from a pool of two, each conjugated by a rooted letter,
+    # put sections with equal rooted letters but distinct seed letters
+    # below several first-level letters; as automorphisms, shifts of
+    # directed automorphisms below two-letter paths do the same
+    oracle = _walk_oracle(selector)
+    first, second = (build_alphabet(oracle, n) for n in (1, 2))
+    pool = [Seed(oracle, (i % len(oracle.gen_names),), random_marker_perm(rng)) for i in range(2)]
+    tokens, shifts = [], []
+    for _ in range(rng.randrange(2, 5)):
+        seed = rng.choice(pool)
+        b = random_even_perm(first.alphabet, rng)
+        tokens += [("B", b.inverse()), ("H", seed), ("B", b)]
+        path = (first.label(rng.randrange(3)), second.label(rng.randrange(2)))
+        shifts.append(embed_shift(Vertex(0, path), directed(oracle, seed, 2)))
+    word = normal_form(oracle, tokens)
+    start, children_of = _captured_walk(wordcalc, lambda: decide(word))
+    _assert_shared_keys_agree(start, children_of, lambda n: letters_aut(oracle, n.base_level, n.letters[::-1]), 3)
+    a = product(shifts)
+    start, children_of = _captured_walk(treeauto, lambda: nontrivial_vertex(a, 3))
+    _assert_shared_keys_agree(start, children_of, lambda n: n, 3)
 
 
 def _spied_search(start, depth, root_of, children_of):
