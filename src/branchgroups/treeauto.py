@@ -26,8 +26,9 @@ seed at the grandchild level, below z the rooted marker action there, and
 below every other letter it is trivial.
 
 Equality of automorphisms is only ever decided relative to a depth
-(:func:`equal_to_depth`); absolute equality is intentionally not an
-operation of this module.
+(:func:`equal_to_depth`), by walking pairs of sections of the two sides
+on the one section walk and comparing their roots; absolute equality is
+intentionally not an operation of this module.
 
 Expression nodes are immutable; per-node lazies and the per-oracle caches
 are filled idempotently, so concurrent evaluation is safe and results do
@@ -43,7 +44,7 @@ from operator import add
 import numpy as np
 
 from .alphabet import build_alphabet, coset_action, marker_action, seed_is_trivial
-from .perm import IndexedAlphabet, Perm, compose_all
+from .perm import IndexedAlphabet, Perm, compose, compose_all
 from .resfin import CapExceeded
 
 __all__ = [
@@ -155,6 +156,11 @@ class FinitaryAut(TreeAut):
         return ("fin", self.base_level, self.perm, below)
 
 
+def _is_rooted(a):
+    """Whether ``a`` is a finitary node without sections."""
+    return isinstance(a, FinitaryAut) and not a.sections
+
+
 class DirectedAut(TreeAut):
     __slots__ = ("seed",)
 
@@ -210,17 +216,23 @@ def product(factors, oracle=None, base_level=None):
     """Product of automorphisms; the rightmost factor acts first.
 
     Flattens nested products, which drops identity factors as the empty
-    products they are; no other rewriting happens here."""
+    products they are, and composes each run of adjacent finitary
+    factors without sections into one, which is dropped when it is the
+    identity.  Directed factors and finitary factors with sections stay
+    where they are."""
     flat = []
     for f in factors:
-        if isinstance(f, ProductAut):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
         if oracle is None:
             oracle, base_level = f.oracle, f.base_level
         elif f.base_level != base_level:
             raise ValueError("product factors must share a base level")
+        for g in f.factors if isinstance(f, ProductAut) else (f,):
+            if _is_rooted(g) and flat and _is_rooted(flat[-1]):
+                perm = compose(flat.pop().perm, g.perm)
+                if not perm.is_identity:
+                    flat.append(FinitaryAut(oracle, base_level, perm, {}))
+            else:
+                flat.append(g)
     if oracle is None:
         raise ValueError("empty product needs an explicit oracle and base level")
     if len(flat) == 1:
@@ -271,7 +283,9 @@ def root_perm(a):
         elif isinstance(a, FinitaryAut):
             a._root = a.perm
         elif isinstance(a, ProductAut):
-            a._root = compose_all([root_perm(f) for f in a.factors], alphabet=lvl)
+            # directed factors, among others, have the identity root
+            roots = [r for r in map(root_perm, a.factors) if not r.is_identity]
+            a._root = compose_all(roots, alphabet=lvl)
         else:
             raise TypeError(f"not a tree automorphism: {a!r}")
     return a._root
@@ -304,18 +318,28 @@ def _children(a):
     if isinstance(a, ProductAut):
         # backs[k] is the inverse first-level image array of the last k
         # factors: the child at letter e of the factor before them is the
-        # product's section piece at letter backs[k][e]
-        backs = [build_alphabet(a.oracle, a.base_level + 1).identity_images]
+        # product's section piece at letter backs[k][e]; a factor with the
+        # identity root passes the array on as it is
+        back = build_alphabet(a.oracle, a.base_level + 1).identity_images
+        backs = [back]
         for f in reversed(a.factors[1:]):
-            backs.append(backs[-1][root_perm(f).inverse().images])
+            r = root_perm(f)
+            if not r.is_identity:
+                moved = np.empty_like(back)
+                moved[r.images] = back
+                back = moved
+            backs.append(back)
         slots = {}
         for f, back in zip(a.factors, reversed(backs)):
             for e, child in nontrivial_children(f).items():
                 slots.setdefault(int(back[e]), []).append(child)
-        return {
-            x: product(pieces, oracle=a.oracle, base_level=a.base_level + 1)
-            for x, pieces in slots.items()
-        }
+        out = {}
+        for x, pieces in slots.items():
+            sec = product(pieces, oracle=a.oracle, base_level=a.base_level + 1)
+            # the pieces may compose to the identity
+            if not isinstance(sec, ProductAut) or sec.factors:
+                out[x] = sec
+        return out
     raise TypeError(f"not a tree automorphism: {a!r}")
 
 
@@ -348,8 +372,10 @@ def _eval_indices(a, indices):
             out = _eval_indices(f, out)
         return out
     if isinstance(a, (FinitaryAut, DirectedAut)):
-        first = indices[0]
-        return [root_perm(a)(first)] + _eval_indices(section_at(a, first), indices[1:])
+        first, rest = indices[0], indices[1:]
+        # a section is taken only when a deeper letter remains
+        below = _eval_indices(section_at(a, first), rest) if rest else []
+        return [root_perm(a)(first)] + below
     raise TypeError(f"not a tree automorphism: {a!r}")
 
 
@@ -421,9 +447,47 @@ def nontrivial_vertex(a, depth):
     return section_search(a, depth, root_perm, nontrivial_children)
 
 
+class _Pair:
+    """The sections of two automorphisms at one vertex, a node of the
+    section walk that :func:`equal_to_depth` runs."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
+
+    def key(self):
+        return (self.a.key(), self.b.key())
+
+
+def _pair_children(pair):
+    """The pairs of sections at every letter where either side has a
+    nontrivial section, in increasing letter order, with the identity on
+    the side that has none."""
+    ca, cb = nontrivial_children(pair.a), nontrivial_children(pair.b)
+    ident = identity_aut(pair.a.oracle, pair.a.base_level + 1)
+    return {x: _Pair(ca.get(x, ident), cb.get(x, ident)) for x in sorted(ca.keys() | cb.keys())}
+
+
 def equal_to_depth(a, b, depth):
-    """Whether a and b agree on every vertex of depth at most ``depth``."""
-    return nontrivial_vertex(product([invert(b), a]), depth) is None
+    """Whether a and b agree on every vertex of depth at most ``depth``.
+
+    Two automorphisms agree down to a level exactly when their sections
+    at every vertex above it have equal roots.  The pairs of sections
+    are walked by :func:`_section_levels`, keyed by both sides' keys, and
+    the walk stops at the first pair whose roots differ.  Automorphisms
+    at different base levels or of different oracles are refused with
+    ``ValueError``."""
+    if a.base_level != b.base_level:
+        raise ValueError("compared automorphisms must share a base level")
+    if a.oracle is not b.oracle:
+        raise ValueError("compared automorphisms must share an oracle")
+    for level in _section_levels(_Pair(a, b), depth, _pair_children):
+        for pair, _, _ in level:
+            if root_perm(pair.a) != root_perm(pair.b):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +539,9 @@ def _level_columns(a, depth):
             "use equal_to_depth or portraits instead"
         )
     bases = [_base_column(oracle, base, base + i + 1) for i in range(depth)]
-    return bases, _vec_apply(a, [c.copy() for c in bases])
+    cols = [c.copy() for c in bases]
+    _vec_apply(a, cols)
+    return bases, cols
 
 
 def level_perm(a, depth):
@@ -560,47 +626,51 @@ def level_cycle_type(a, depth):
 
 
 def _vec_apply(a, cols):
-    """Apply ``a`` to the per-level image columns built by :func:`_level_columns`."""
+    """Apply ``a`` in place to the image columns of the levels below one
+    vertex, as built by :func:`_level_columns`.
+
+    ``cols[0]`` lists the image letters of the vertex's children, so it
+    holds each letter at exactly one position, and the subtree below that
+    position is one contiguous row of every deeper column; sections act
+    on those rows (:func:`_apply_below`) before the root moves the
+    letters."""
     if not cols:
-        return cols
+        return
+    first = cols[0]
     if isinstance(a, FinitaryAut):
-        # sections act below their letters before the root moves them
         if len(cols) > 1:
             for letter, inner in a.sections.items():
-                mask = cols[0] == letter
-                if mask.any():
-                    _apply_below(inner, mask, cols[1:])
-        cols[0][:] = a.perm.images[cols[0]]
-        return cols
-    if isinstance(a, ProductAut):
+                _apply_below(inner, cols, letter)
+        first[:] = a.perm.images[first]
+    elif isinstance(a, ProductAut):
         for f in reversed(a.factors):
-            cols = _vec_apply(f, cols)
-        return cols
-    if isinstance(a, DirectedAut):
-        lvl = build_alphabet(a.oracle, a.base_level + 1)
+            _vec_apply(f, cols)
+    elif isinstance(a, DirectedAut):
         if len(cols) > 1:
-            first = cols[0]
-            mask = first == lvl.x_index
-            if mask.any():
-                _apply_below(DirectedAut(a.oracle, a.base_level + 1, a.seed), mask, cols[1:])
+            lvl = build_alphabet(a.oracle, a.base_level + 1)
+            _apply_below(DirectedAut(a.oracle, a.base_level + 1, a.seed), cols, lvl.x_index)
             rows = cols[1].reshape(len(first), -1)
             for letter, action in ((lvl.y_index, coset_action), (lvl.z_index, marker_action)):
-                mask = first == letter
-                if mask.any():
-                    rows[mask] = action(a.oracle, a.base_level + 2, a.seed).images[rows[mask]]
-        return cols
-    raise TypeError(f"not a tree automorphism: {a!r}")
+                row = rows[_position(first, letter)]
+                row[:] = action(a.oracle, a.base_level + 2, a.seed).images[row]
+    else:
+        raise TypeError(f"not a tree automorphism: {a!r}")
 
 
-def _apply_below(inner, mask, cols):
-    """Apply ``inner`` to the subtrees below the masked vertices of the
-    level above ``cols[0]``, in place.  Each column lists the subtrees of
-    that level's vertices as equal consecutive rows, so the masked
-    subtrees are the masked rows."""
-    rows = [c.reshape(len(mask), -1) for c in cols]
-    sub = _vec_apply(inner, [r[mask].ravel() for r in rows])
-    for r, s in zip(rows, sub):
-        r[mask] = s.reshape(-1, r.shape[1])
+def _position(first, letter):
+    """The one position of ``letter`` in a column that lists the image
+    letters of one vertex's children."""
+    return int((first == letter).argmax())
+
+
+def _apply_below(inner, cols, letter):
+    """Apply ``inner`` in place to the subtree below the child whose
+    image letter in ``cols[0]`` is ``letter``: that subtree is one
+    contiguous row of each deeper column, whose rows list the subtrees of
+    the children in turn."""
+    at = _position(cols[0], letter)
+    n = len(cols[0])
+    _vec_apply(inner, [c.reshape(n, -1)[at] for c in cols[1:]])
 
 
 # ---------------------------------------------------------------------------

@@ -329,12 +329,15 @@ def rand_shifted_word_aut(oracle, rng):
     factors = []
     for _ in range(rng.randrange(2, 5)):
         k = rng.randrange(3)
-        letters = tuple(
-            build_alphabet(oracle, i + 1).letter_at(rng.randrange(build_alphabet(oracle, i + 1).size))
-            for i in range(k)
-        )
-        factors.append(embed_shift(Vertex(0, letters), rand_token_aut(oracle, rng, level=k)))
+        factors.append(embed_shift(_random_vertex(oracle, rng, k), rand_token_aut(oracle, rng, level=k)))
     return product(factors, oracle=oracle, base_level=0)
+
+
+def _random_vertex(oracle, rng, depth):
+    return Vertex(0, tuple(
+        build_alphabet(oracle, i + 1).letter_at(rng.randrange(build_alphabet(oracle, i + 1).size))
+        for i in range(depth)
+    ))
 
 
 @pytest.mark.parametrize("oracle_cls", [DihedralOracle, IntegerOracle])
@@ -693,6 +696,106 @@ def test_equal_to_depth_detects_difference(dinf):
     assert d.letters[0] == "z@1"
 
 
+def _equal_by_product(a, b, depth):
+    """Depth-bounded equality as first defined: ``b^-1 a`` moves no
+    vertex of depth at most ``depth``."""
+    return nontrivial_vertex(product([invert(b), a]), depth) is None
+
+
+@pytest.fixture(scope="module")
+def cycle_type_oracles():
+    return {group: oracle_from_selector(group) for group in CYCLE_TYPE_GROUPS}
+
+
+@given(
+    group=st.sampled_from(CYCLE_TYPE_GROUPS),
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(0, 4),
+)
+@settings(max_examples=40)
+def test_pair_walk_matches_the_product_definition(cycle_type_oracles, group, seed, d):
+    """``equal_to_depth`` agrees with the product definition in both
+    orders: on a pair that agrees down to exactly depth ``d`` (a 3-cycle
+    of letters shifted below a random vertex of depth ``d``), and on
+    pairs where only one side has a section at some first-level letter,
+    once moving and once cancelled."""
+    oracle = cycle_type_oracles[group]
+    rng = random.Random(seed)
+    a = rand_shifted_word_aut(oracle, rng) if rng.random() < 0.5 else rand_word_aut(oracle, rng)
+    lvl = build_alphabet(oracle, d + 1)
+    cycle = " ".join(lvl.letter_at(i) for i in rng.sample(range(lvl.size), 3))
+    moving = rooted(oracle, d, Perm.from_cycles(lvl, f"({cycle})"))
+    exact = product([a, embed_shift(_random_vertex(oracle, rng, d), moving)])
+    assert equal_to_depth(a, exact, d) and not equal_to_depth(a, exact, d + 1)
+    pairs = [exact]
+    lvl1 = build_alphabet(oracle, 1)
+    free = [x for x in range(lvl1.size) if x not in nontrivial_children(a)]
+    if free:
+        below = Vertex(0, (lvl1.letter_at(rng.choice(free)),))
+        t = rand_token_aut(oracle, rng, level=1)
+        pairs += [
+            product([a, embed_shift(below, t)]),
+            product([a, embed_shift(below, t), embed_shift(below, invert(t))]),
+        ]
+    for b in pairs:
+        for x, y in ((a, b), (b, a)):
+            for depth in range(d + 3):
+                assert equal_to_depth(x, y, depth) == _equal_by_product(x, y, depth)
+
+
+def test_equal_to_depth_refuses_mismatched_automorphisms(dinf):
+    """Automorphisms at different base levels or of different oracles are
+    refused, as the product of the one side with the other's inverse
+    refuses them."""
+    h = Seed(dinf, parse_word(dinf, "t"), marker_perm("(x y z)"))
+    other = DihedralOracle()
+    foreign = directed(other, Seed(other, parse_word(other, "t"), marker_perm("(x y z)")), 0)
+    for depth in range(1, 4):
+        with pytest.raises(ValueError):
+            equal_to_depth(directed(dinf, h, 0), directed(dinf, h, 1), depth)
+        with pytest.raises(ValueError):
+            equal_to_depth(directed(dinf, h, 0), foreign, depth)
+        with pytest.raises(ValueError):
+            equal_to_depth(foreign, directed(dinf, h, 0), depth)
+
+
+def test_vertex_evaluation_takes_sections_only_above_the_last_letter(dinf):
+    """Evaluating a depth-1 vertex reads roots only: a fresh directed
+    factor builds no children until a deeper vertex is evaluated."""
+    lvl = build_alphabet(dinf, 1)
+    d = directed(dinf, Seed(dinf, parse_word(dinf, "t"), marker_perm("(x y z)")), 0)
+    a = product([rooted(dinf, 0, Perm.from_cycles(lvl, "(x@1 y@1 z@1)")), d])
+    assert eval_vertex(a, vx(dinf, 0, "x@1")) == vx(dinf, 0, "y@1")
+    assert d._children is None
+    assert eval_vertex(a, vx(dinf, 0, "q0@1", "x@2")) == vx(dinf, 0, "q0@1", "x@2")
+    assert d._children is not None
+
+
+def test_product_composes_adjacent_rooted_factors(dinf):
+    """Adjacent finitary factors without sections compose into one, an
+    identity composite is dropped, and directed factors and finitary
+    factors with sections stay where they are; the product acts as the
+    uncomposed one."""
+    lvl = build_alphabet(dinf, 1)
+    r1 = rooted(dinf, 0, Perm.from_cycles(lvl, "(x@1 y@1 z@1)"))
+    r2 = rooted(dinf, 0, Perm.from_cycles(lvl, "(q0@1 x@1 q1@1)"))
+    h = Seed(dinf, parse_word(dinf, "t"), marker_perm("(x y z)"))
+    d = directed(dinf, h, 0)
+    s = embed_shift(vx(dinf, 0, "x@1"), directed(dinf, h, 1))
+    factors = [r1, r2, d, r1, invert(r1), s, r2, invert(r2), r1, r2]
+    got = product([r1, r2, d, r1, invert(r1), s, product([r2, invert(r2), r1]), r2])
+    r12 = compose(r1.perm, r2.perm)
+    assert isinstance(got, ProductAut) and len(got.factors) == 4
+    assert got.factors[1] is d and got.factors[2] is s
+    for f in (got.factors[0], got.factors[3]):
+        assert isinstance(f, FinitaryAut) and not f.sections and f.perm == r12
+    assert level_perm(got, 3) == level_perm(ProductAut(dinf, 0, factors), 3)
+    assert product([r1, invert(r1)]).key() == identity_aut(dinf).key()
+    assert product([r1, r2]).key() == rooted(dinf, 0, r12).key()
+    # the sections of d d^-1 at y and z are rooted pairs that cancel
+    assert set(nontrivial_children(product([d, invert(d)]))) == {lvl.x_index}
+
+
 def _walked_rows(a, depth):
     """``(vertex, parent path text, root permutation of the section)`` of
     every vertex above ``depth``, breadth-first in letter-index order,
@@ -741,7 +844,8 @@ def test_finitary_node_with_a_moving_root_and_sections(group):
     """No constructor builds a finitary node whose root moves the letters
     it has sections below: one built directly inverts to the identity,
     and its column pass, cycle type, vertex evaluation and portrait
-    agree."""
+    agree, also after a moving root has sent its sectioned letters to
+    other positions of the first column."""
     oracle = oracle_from_selector(group)
     lvl1, lvl2 = build_alphabet(oracle, 1), build_alphabet(oracle, 2)
     below_x = rooted(oracle, 1, Perm.from_cycles(lvl2, "(x@2 z@2 q0@2)"))
@@ -752,13 +856,20 @@ def test_finitary_node_with_a_moving_root_and_sections(group):
     # deduplication needs
     assert a.key() != FinitaryAut(oracle, 0, root, {lvl1.x_index: below_y, lvl1.y_index: below_x}).key()
     assert equal_to_depth(product([invert(a), a]), identity_aut(oracle), 4)
-    p = level_perm(a, 3)
-    assert np.array_equal(p.images, _int64_level_perm(a, 3))
-    assert _expand(level_cycle_type(a, 3)) == p.cycle_type()
     n = vertex_count(oracle, 0, 3)
-    assert [eval_vertex(a, vertex_at(oracle, 0, 3, i)) for i in range(n)] == [
-        vertex_at(oracle, 0, 3, p(i)) for i in range(n)]
-    assert list(portrait(a, 3).labels.items()) == [(v, perm) for v, _, perm in _walked_rows(a, 3)]
+    first = rooted(oracle, 0, Perm.from_cycles(lvl1, "(x@1 z@1 q0@1)"))
+    # the conjugate fixes the first level: level 2 is the first it moves
+    conjugate = product([invert(first), rooted(oracle, 0, root.inverse()), a, first])
+    assert root_perm(conjugate).is_identity
+    for b in (a, product([a, first]), conjugate):
+        p = level_perm(b, 3)
+        assert np.array_equal(p.images, _int64_level_perm(b, 3))
+        assert _expand(level_cycle_type(b, 3)) == p.cycle_type()
+        assert [eval_vertex(b, vertex_at(oracle, 0, 3, i)) for i in range(n)] == [
+            vertex_at(oracle, 0, 3, p(i)) for i in range(n)]
+        moved = [d for d in range(1, 4) if not level_perm(b, d).is_identity]
+        assert first_moved_level(b, 3) == min(moved) == (2 if b is conjugate else 1)
+        assert list(portrait(b, 3).labels.items()) == [(v, perm) for v, _, perm in _walked_rows(b, 3)]
 
 
 PORTRAIT_GROUPS = ("dihedral_infinite", "integers", "product:integers,finite:2")
